@@ -222,4 +222,16 @@ cmp "$serve_out" "$serve_out2" || {
   echo "serve smoke: repeated runs are not byte-identical" >&2; exit 1; }
 rm -f "$serve_in" "$serve_out" "$serve_out2"
 
+echo "== rtbench self-tests and serve_cold smoke =="
+# The repository benchmark (rtbench/, its own Cargo package) checks
+# every answer it times. Its self-tests plus a short serve_cold run make
+# a change that breaks those output checks fail here first.
+cargo test -q --release --offline --manifest-path rtbench/Cargo.toml
+bench_out="$(mktemp)"
+cargo run --release --offline --quiet --manifest-path rtbench/Cargo.toml -- \
+  --workload serve_cold --seed 1 --seconds 2 --trace 0 > "$bench_out"
+tail -n 1 "$bench_out" | grep -q '"failed":0' || {
+  echo "rtbench smoke: serve_cold output checks failed" >&2; exit 1; }
+rm -f "$bench_out"
+
 echo "CI green."

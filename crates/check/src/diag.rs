@@ -324,15 +324,20 @@ impl Report {
             .any(|f| f.severity == Severity::Error && f.rule.blocks_admission())
     }
 
-    /// Renders the machine-readable JSON document (schema [`SCHEMA`]).
-    pub fn to_json(&self) -> String {
-        let doc = JsonReport {
+    /// The machine-readable document (schema [`SCHEMA`]) as a value, for
+    /// callers that embed it in a larger document.
+    pub fn to_json_report(&self) -> JsonReport {
+        JsonReport {
             schema: SCHEMA.to_owned(),
             errors: self.error_count(),
             warnings: self.warning_count(),
             findings: self.findings.iter().map(JsonFinding::from).collect(),
-        };
-        serde_json::to_string(&doc).expect("report serialization is infallible")
+        }
+    }
+
+    /// Renders the machine-readable JSON document (schema [`SCHEMA`]).
+    pub fn to_json(&self) -> String {
+        serde_json::to_string(&self.to_json_report()).expect("report serialization is infallible")
     }
 
     /// Renders the human-readable listing, one finding per line plus a
@@ -522,6 +527,7 @@ mod tests {
         );
         let json = report.to_json();
         let parsed: JsonReport = serde_json::from_str(&json).expect("round trip");
+        assert_eq!(parsed, report.to_json_report());
         assert_eq!(parsed.schema, SCHEMA);
         assert_eq!(parsed.errors, 1);
         assert_eq!(parsed.warnings, 0);

@@ -40,7 +40,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use rtmdm_check::Report;
 use rtmdm_dnn::zoo;
 use rtmdm_mcusim::{Cycles, PlatformConfig};
 use rtmdm_sched::analysis::{
@@ -188,9 +187,10 @@ struct ErrorRecord {
 /// ```
 #[derive(Debug, Default)]
 pub struct Service {
-    /// `canonical_key("lower", …)` → lowered spec. Only successful
-    /// lowerings are cached; errors are rare and cheap to recompute
-    /// (and [`AdmitError`] is deliberately not `Clone`).
+    /// `canonical_key("lower", …)` of platform, options, one task spec
+    /// ([`task_key_content`]) and the set-derived cap → lowered spec.
+    /// Only successful lowerings are cached; errors are rare and cheap
+    /// to recompute (and [`AdmitError`] is deliberately not `Clone`).
     lowerings: RwLock<HashMap<String, Lowered>>,
     /// Analysis key (policy + dma-awareness + RTA sub-problem) → RTA /
     /// EDF fixed point.
@@ -306,7 +306,7 @@ impl Service {
                     occupancy_ppm: admission.occupancy_ppm,
                     headroom_ppm,
                     rta: rta_rows(&admission),
-                    findings: embed_report(&report),
+                    findings: report.to_json_report(),
                 }
             }
             Err(e) => self.rejected(req, &hooks, e),
@@ -319,14 +319,14 @@ impl Service {
     /// explaining *why*, not just an error string.
     fn rejected(&self, req: &ParsedRequest, hooks: &dyn AdmissionHooks, e: AdmitError) -> Answer {
         let findings = match &e {
-            AdmitError::Check(report) => embed_report(report),
+            AdmitError::Check(report) => report.to_json_report(),
             _ => {
                 let sys = SystemSpec {
                     platform: req.platform.clone(),
                     options: req.options.clone(),
                     tasks: req.tasks.clone(),
                 };
-                embed_report(&sys.check_hooked(hooks))
+                sys.check_hooked(hooks).to_json_report()
             }
         };
         Answer {
@@ -381,12 +381,13 @@ impl AdmissionHooks for CachedHooks<'_> {
     ) -> Result<Lowered, AdmitError> {
         // The cap is derived from the *whole* spec set (shortest
         // deadline), so it is an input of this sub-problem, not a
-        // function of `spec` alone.
+        // function of `spec` alone. The cost model that prices each
+        // layer rides in `options`.
         let doc = Content::Map(vec![
             ("cap".to_owned(), cap.to_content()),
             ("options".to_owned(), options.to_content()),
             ("platform".to_owned(), platform.to_content()),
-            ("spec".to_owned(), spec.to_content()),
+            ("spec".to_owned(), task_key_content(spec)),
         ]);
         let key = canonical_key("lower", &doc);
         if let Some(hit) = read(&self.service.lowerings).get(&key).cloned() {
@@ -444,39 +445,52 @@ fn scheduler_mode(options: &FrameworkOptions) -> SchedulerMode {
     }
 }
 
+/// The key document of one task spec, shared by the full-query and the
+/// lowering keys: every resolved field, with the model keyed on its zoo
+/// *name* rather than its layer list.
+///
+/// Sound because parsing only ever resolves models from the zoo table,
+/// where names are a bijection, and nothing keyed here depends on weight
+/// values — lowering reads layer shapes and byte counts. Serializing the
+/// model instead would put every weight byte into the key (~1 MB for the
+/// autoencoder). The exhaustive destructuring makes a new `TaskSpec`
+/// field a compile error here until it joins the key.
+fn task_key_content(spec: &TaskSpec) -> Content {
+    let TaskSpec {
+        name,
+        model,
+        period_us,
+        deadline_us,
+        buffer_bytes,
+        strategy,
+        activation_budget_bytes,
+        miss_policy,
+    } = spec;
+    Content::Map(vec![
+        (
+            "activation_budget_bytes".to_owned(),
+            activation_budget_bytes.to_content(),
+        ),
+        ("buffer_bytes".to_owned(), buffer_bytes.to_content()),
+        ("deadline_us".to_owned(), deadline_us.to_content()),
+        ("miss_policy".to_owned(), miss_policy.to_content()),
+        ("model".to_owned(), Content::Str(model.name().to_owned())),
+        ("name".to_owned(), Content::Str(name.clone())),
+        ("period_us".to_owned(), period_us.to_content()),
+        ("strategy".to_owned(), strategy.to_content()),
+    ])
+}
+
 /// Canonical full-query key: the resolved request with the `id`
 /// stripped, so textual variations (field order, defaults spelled out
 /// or omitted) of the same question share one cache entry.
-///
-/// Tasks are keyed on the model's zoo *name*, not its layer list:
-/// parsing only ever resolves models from the zoo, where names are a
-/// bijection, and canonically serializing every layer of every model
-/// would dominate the per-query cost of a cache hit.
 fn request_key(req: &ParsedRequest) -> String {
-    let task_content = |spec: &TaskSpec| {
-        Content::Map(vec![
-            (
-                "activation_budget_bytes".to_owned(),
-                spec.activation_budget_bytes.to_content(),
-            ),
-            ("buffer_bytes".to_owned(), spec.buffer_bytes.to_content()),
-            ("deadline_us".to_owned(), spec.deadline_us.to_content()),
-            ("miss_policy".to_owned(), spec.miss_policy.to_content()),
-            (
-                "model".to_owned(),
-                Content::Str(spec.model.name().to_owned()),
-            ),
-            ("name".to_owned(), Content::Str(spec.name.clone())),
-            ("period_us".to_owned(), spec.period_us.to_content()),
-            ("strategy".to_owned(), spec.strategy.to_content()),
-        ])
-    };
     let doc = Content::Map(vec![
         ("options".to_owned(), req.options.to_content()),
         ("platform".to_owned(), req.platform.to_content()),
         (
             "tasks".to_owned(),
-            Content::Seq(req.tasks.iter().map(task_content).collect()),
+            Content::Seq(req.tasks.iter().map(task_key_content).collect()),
         ),
     ]);
     canonical_key("query", &doc)
@@ -505,19 +519,6 @@ fn rta_rows(a: &crate::Admission) -> Vec<RtaRow> {
             }
         })
         .collect()
-}
-
-/// Embeds a verifier report as its JSON document. The round trip
-/// through the renderer cannot fail for reports the verifier itself
-/// produced; if it ever does, the response still goes out, carrying an
-/// empty findings document rather than killing the stream.
-fn embed_report(report: &Report) -> JsonReport {
-    serde_json::from_str(&report.to_json()).unwrap_or_else(|_| JsonReport {
-        schema: rtmdm_check::SCHEMA.to_owned(),
-        errors: 0,
-        warnings: 0,
-        findings: Vec::new(),
-    })
 }
 
 /// Serializes a response value. Infallible for the derived response
@@ -679,7 +680,8 @@ fn parse_options(v: &Content) -> Result<FrameworkOptions, String> {
 
 /// The model zoo, built once. [`zoo::by_name`] constructs the model's
 /// layer list on every call, which is far too slow for the per-query
-/// hot path; a lookup against this table plus a clone is microseconds.
+/// hot path; a lookup against this table plus a clone is a pointer copy
+/// (models share their immutable node storage).
 fn zoo_table() -> &'static [rtmdm_dnn::Model] {
     static ZOO: OnceLock<Vec<rtmdm_dnn::Model>> = OnceLock::new();
     ZOO.get_or_init(zoo::all)
@@ -870,6 +872,40 @@ mod tests {
             "stats: {:?}",
             s.stats()
         );
+    }
+
+    #[test]
+    fn memo_keys_stay_small_for_every_zoo_model_and_platform() {
+        // Keys name zoo models instead of serializing them; a key that
+        // grows with a model's weight bytes (~1 MB for the autoencoder)
+        // would dominate every cold answer and the memo's footprint.
+        const MAX_KEY_BYTES: usize = 8 * 1024;
+        let s = Service::new();
+        for platform in PlatformConfig::presets() {
+            for model in zoo_table() {
+                s.answer_line(&format!(
+                    r#"{{"id":"k","platform":"{}","tasks":[{{"name":"a","model":"{}","period_us":1000000}},{{"name":"b","model":"micro-mlp","period_us":50000}}]}}"#,
+                    platform.name,
+                    model.name()
+                ));
+            }
+        }
+        let longest = [
+            (
+                "lowerings",
+                read(&s.lowerings).keys().map(String::len).max(),
+            ),
+            ("analyses", read(&s.analyses).keys().map(String::len).max()),
+            (
+                "headrooms",
+                read(&s.headrooms).keys().map(String::len).max(),
+            ),
+            ("answers", read(&s.answers).keys().map(String::len).max()),
+        ];
+        for (map, longest) in longest {
+            let longest = longest.unwrap_or_else(|| panic!("{map} memo is empty"));
+            assert!(longest < MAX_KEY_BYTES, "{map} key of {longest} bytes");
+        }
     }
 
     #[test]

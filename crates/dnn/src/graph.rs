@@ -1,5 +1,7 @@
 //! Model graphs: sequential chains with residual skip connections.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use crate::kernels;
@@ -64,6 +66,8 @@ impl std::error::Error for InferError {}
 ///
 /// Models are immutable once built (via
 /// [`ModelBuilder`](crate::ModelBuilder)); the last node is the output.
+/// The node list (and with it every weight byte) sits behind an [`Arc`],
+/// so cloning a model is a reference-count bump, never a weight copy.
 ///
 /// # Examples
 ///
@@ -82,7 +86,7 @@ impl std::error::Error for InferError {}
 pub struct Model {
     name: String,
     input_shape: Shape,
-    nodes: Vec<Node>,
+    nodes: Arc<Vec<Node>>,
 }
 
 impl Model {
@@ -99,7 +103,7 @@ impl Model {
         Model {
             name,
             input_shape,
-            nodes,
+            nodes: Arc::new(nodes),
         }
     }
 
@@ -144,7 +148,7 @@ impl Model {
     /// Total multiply-accumulate operations per inference.
     pub fn total_macs(&self) -> u64 {
         let mut total = 0u64;
-        for node in &self.nodes {
+        for node in self.nodes.iter() {
             let in_shape = self.operand_shape(node, 0);
             total += node.layer.kind.macs(in_shape);
         }
@@ -213,7 +217,7 @@ impl Model {
             });
         }
         let mut outputs: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for node in &self.nodes {
+        for node in self.nodes.iter() {
             let fetch = |inp: &NodeInput| -> &Tensor {
                 match inp {
                     NodeInput::ModelInput => input,
@@ -361,6 +365,52 @@ mod tests {
             back.infer(&input).expect("infer")
         );
         assert!(Model::from_json("{not json").is_err());
+    }
+
+    #[test]
+    fn clones_share_node_storage() {
+        let m = crate::zoo::autoencoder();
+        let c = m.clone();
+        assert!(
+            Arc::ptr_eq(&m.nodes, &c.nodes),
+            "a clone must not copy weights"
+        );
+        assert_eq!(m, c);
+    }
+
+    /// FNV-1a over the serialized bytes: a compact pin of each zoo
+    /// model's JSON document.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn zoo_models_round_trip_with_pinned_json_bytes() {
+        // Length and digest of each model's `serde_json` document, pinned
+        // from the plain-`Vec` node list: shared storage is invisible in
+        // the serialized bytes.
+        let pinned = [
+            ("micro-mlp", 2_532, 0x1b60_903f_e830_fb7b_u64),
+            ("ds-cnn", 86_743, 0xb738_c95c_4dd1_7efc),
+            ("lenet5", 227_667, 0x94ff_eb0d_bc0f_710d),
+            ("resnet8", 288_555, 0x018e_5111_6310_c03e),
+            ("mobilenet-v1-025", 782_848, 0x53f6_f263_a75d_e517),
+            ("autoencoder", 976_415, 0xce35_4bab_8a1a_0c26),
+        ];
+        let zoo = crate::zoo::all();
+        assert_eq!(zoo.len(), pinned.len());
+        for (m, (name, len, digest)) in zoo.iter().zip(pinned) {
+            assert_eq!(m.name(), name);
+            assert_eq!(&Model::from_content(&m.to_content()).expect("decode"), m);
+            let json = m.to_json().expect("encode");
+            assert_eq!(
+                (json.len(), fnv1a(json.as_bytes())),
+                (len, digest),
+                "{name}"
+            );
+        }
     }
 
     #[test]

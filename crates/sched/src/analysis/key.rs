@@ -5,11 +5,14 @@
 //! must be **canonical**: two sub-problems that would produce the same
 //! answer must map to the same key, and any observable difference in
 //! the inputs must change it. The key is the canonical JSON rendering
-//! of the complete sub-problem (the vendored serializer writes struct
-//! fields in declaration order and maps in insertion order, so equal
-//! values always render to equal bytes), prefixed with a schema tag so
-//! keys from different sub-problem kinds (or future layout revisions)
-//! can never collide.
+//! of every input the answer depends on (the vendored serializer writes
+//! struct fields in declaration order and maps in insertion order, so
+//! equal values always render to equal bytes), prefixed with a schema
+//! tag so keys from different sub-problem kinds (or future layout
+//! revisions) can never collide. An input that a short name identifies
+//! exactly may be keyed by that name instead of its full rendering: the
+//! admission service keys zoo models by name, never by their weight
+//! bytes, which no analysis reads.
 //!
 //! Keys are compared by full string equality — content addressing
 //! without a hash function, so there are no collision classes to

@@ -222,16 +222,21 @@ cmp "$serve_out" "$serve_out2" || {
   echo "serve smoke: repeated runs are not byte-identical" >&2; exit 1; }
 rm -f "$serve_in" "$serve_out" "$serve_out2"
 
-echo "== rtbench self-tests and serve_cold smoke =="
+echo "== rtbench self-tests, serve_cold and explore smoke =="
 # The repository benchmark (rtbench/, its own Cargo package) checks
-# every answer it times. Its self-tests plus a short serve_cold run make
-# a change that breaks those output checks fail here first.
+# every answer it times. Its self-tests plus short serve_cold and
+# explore runs make a change that breaks those output checks fail here
+# first.
 cargo test -q --release --offline --manifest-path rtbench/Cargo.toml
 bench_out="$(mktemp)"
 cargo run --release --offline --quiet --manifest-path rtbench/Cargo.toml -- \
   --workload serve_cold --seed 1 --seconds 2 --trace 0 > "$bench_out"
 tail -n 1 "$bench_out" | grep -q '"failed":0' || {
   echo "rtbench smoke: serve_cold output checks failed" >&2; exit 1; }
+cargo run --release --offline --quiet --manifest-path rtbench/Cargo.toml -- \
+  --workload explore --seed 1 --seconds 2 --trace 0 > "$bench_out"
+tail -n 1 "$bench_out" | grep -q '"failed":0' || {
+  echo "rtbench smoke: explore output checks failed" >&2; exit 1; }
 rm -f "$bench_out"
 
 echo "CI green."

@@ -106,20 +106,23 @@ impl<T> EventQueue<T> {
         self.heap.clear();
     }
 
-    /// A non-destructive snapshot of the pending events in exactly the
-    /// order `pop` would drain them (time order, FIFO among ties).
-    /// Used by state-space exploration to fingerprint the pending-event
-    /// set canonically; `O(n log n)` per call, so not for hot loops.
-    pub fn ordered(&self) -> Vec<(Cycles, &T)> {
-        let mut entries: Vec<&Entry<T>> = self.heap.iter().map(|Reverse(e)| e).collect();
-        entries.sort_by_key(|e| (e.time, e.seq));
-        entries.into_iter().map(|e| (e.time, &e.payload)).collect()
+    /// Every pending event as `(time, seq, &payload)`, in unspecified
+    /// (heap) order, without consuming the queue. `seq` is the FIFO
+    /// tie-break stamped by `push` and unique per event, so sorting by
+    /// `(time, seq)` yields exactly the order `pop` would drain. State
+    /// fingerprinting uses this to walk the pending set canonically
+    /// through a buffer it reuses, instead of allocating a sorted copy
+    /// per call.
+    pub fn entries(&self) -> impl Iterator<Item = (Cycles, u64, &T)> {
+        self.heap
+            .iter()
+            .map(|Reverse(e)| (e.time, e.seq, &e.payload))
     }
 
     /// Whether any pending event at exactly `time` satisfies `pred`.
     /// A plain `O(n)` heap scan without allocation or sorting — cheap
     /// enough for per-instant predicates (e.g. "may this instant ask
-    /// the choice oracle?"), unlike [`EventQueue::ordered`].
+    /// the choice oracle?").
     pub fn any_at(&self, time: Cycles, mut pred: impl FnMut(&T) -> bool) -> bool {
         self.heap
             .iter()
@@ -234,20 +237,42 @@ mod tests {
         assert_eq!(c.pop(), None);
     }
 
-    /// `ordered` must present exactly the drain order without consuming
-    /// the queue.
+    /// `entries` sorted by `(time, seq)` must present exactly the drain
+    /// order without consuming the queue, including after interleaved
+    /// pops and same-instant pushes behind already-drained ties.
     #[test]
-    fn ordered_matches_drain_order() {
+    fn sorted_entries_match_drain_order() {
+        fn sorted(q: &EventQueue<usize>) -> Vec<(u64, usize)> {
+            let mut walk: Vec<(Cycles, u64, usize)> =
+                q.entries().map(|(t, seq, &v)| (t, seq, v)).collect();
+            walk.sort_unstable_by_key(|&(t, seq, _)| (t, seq));
+            walk.into_iter().map(|(t, _, v)| (t.get(), v)).collect()
+        }
         let mut q = EventQueue::new();
-        for (i, &t) in [4u64, 2, 4, 2, 9, 4, 2].iter().enumerate() {
-            q.push(Cycles::new(t), i);
+        let mut next = 0usize;
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for round in 0..40 {
+            // xorshift64: a reproducible mix of pushes (heavy timestamp
+            // collisions) and pops.
+            for _ in 0..(round % 5 + 1) {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                q.push(Cycles::new(state % 8), next);
+                next += 1;
+            }
+            for _ in 0..(round % 3) {
+                q.pop();
+            }
+            let walk = sorted(&q);
+            let mut drained = Vec::new();
+            let mut copy = q.clone();
+            while let Some((t, v)) = copy.pop() {
+                drained.push((t.get(), v));
+            }
+            assert_eq!(walk, drained, "round {round}");
+            assert_eq!(walk.len(), q.len(), "walk must not consume");
         }
-        let snapshot: Vec<(u64, usize)> = q.ordered().iter().map(|&(t, &v)| (t.get(), v)).collect();
-        let mut drained = Vec::new();
-        while let Some((t, v)) = q.pop() {
-            drained.push((t.get(), v));
-        }
-        assert_eq!(snapshot, drained);
     }
 
     /// `any_at` must see exactly the events pending at the probed

@@ -30,45 +30,55 @@ use rtmdm_mcusim::Cycles;
 ///
 /// Equal hashes of states queried at the *same* [`ChoicePoint`] imply
 /// identical future behavior under identical future answers, which is
-/// what makes visited-state merging during exploration sound (up to the
-/// 2⁻¹²⁸ collision probability, documented in `DESIGN.md` §2.5).
+/// what makes visited-state merging during exploration sound — up to
+/// the chance that two distinct states collide in both 64-bit lanes of
+/// [`StableHash`] at once (the argument, and its limits, are in
+/// `DESIGN.md` §2.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StateHash(
-    /// The two FNV-1a lanes, concatenated.
+    /// The two [`StableHash`] lanes, `hi` above `lo`.
     pub u128,
 );
 
-/// A streaming FNV-1a hasher with two independently seeded 64-bit
-/// lanes, used to fingerprint simulator state. FNV is used instead of
-/// `std`'s `DefaultHasher` because its output must be stable across
-/// Rust releases — state hashes are compared against exploration
-/// budgets and logged in witnesses.
+/// A streaming hasher with two independent 64-bit lanes, used to
+/// fingerprint simulator state one whole word at a time.
+///
+/// Each [`mix`](StableHash::mix) step xors the word into each lane,
+/// multiplies the lane by its own odd constant and folds the high half
+/// back down with an xor-shift. Every one of those operations is a
+/// bijection on the lane, so two feeds that differ in exactly one word
+/// always end in different states in *both* lanes; the fold lets high
+/// input bits reach the low bits that the next multiply spreads. The
+/// mixer is fast, not cryptographic: it assumes states are not chosen
+/// adversarially. It is written out rather than taken from `std`'s
+/// `DefaultHasher`, whose output may change between Rust releases —
+/// fingerprints must be stable so an exploration (visited-set size,
+/// budget verdict) is reproducible across toolchains.
 #[derive(Debug, Clone)]
 pub struct StableHash {
     lo: u64,
     hi: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Lane multipliers: odd (so the multiply is invertible mod 2⁶⁴) and
+/// unrelated to each other, so the lanes decorrelate.
+const LO_MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+const HI_MUL: u64 = 0xbf58_476d_1ce4_e5b9;
 
 impl StableHash {
     /// A fresh hasher.
     #[allow(clippy::new_without_default)]
     pub fn new() -> StableHash {
         StableHash {
-            lo: FNV_OFFSET,
-            // A distinct offset basis decorrelates the second lane.
-            hi: FNV_OFFSET ^ 0x9e37_79b9_7f4a_7c15,
+            lo: 0xcbf2_9ce4_8422_2325,
+            hi: 0x94d0_49bb_1331_11eb,
         }
     }
 
     /// Feeds one 64-bit word.
     pub fn mix(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.lo = (self.lo ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            self.hi = (self.hi ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
+        self.lo = fold((self.lo ^ v).wrapping_mul(LO_MUL));
+        self.hi = fold((self.hi ^ v).wrapping_mul(HI_MUL));
     }
 
     /// Feeds a boolean as a full word (avoids ambiguity with adjacent
@@ -92,6 +102,11 @@ impl StableHash {
     pub fn finish(&self) -> StateHash {
         StateHash((u128::from(self.hi) << 64) | u128::from(self.lo))
     }
+}
+
+/// The xor-shift fold of one [`StableHash`] step (a bijection).
+fn fold(x: u64) -> u64 {
+    x ^ (x >> 32)
 }
 
 /// One nondeterministic decision the simulator is about to take.
@@ -290,6 +305,11 @@ mod tests {
         c.mix(1);
         c.mix(2);
         assert_eq!(a.finish(), c.finish());
+        // The digest is pinned: it must not drift across toolchains.
+        assert_eq!(
+            a.finish(),
+            StateHash(0xe0db_8170_62a8_fc77_9c2d_da1a_e14a_b8c4)
+        );
         // None must differ from Some(0) and from the empty feed.
         let mut n = StableHash::new();
         n.mix_opt(None);
@@ -297,5 +317,33 @@ mod tests {
         s.mix_opt(Some(0));
         assert_ne!(n.finish(), s.finish());
         assert_ne!(n.finish(), StableHash::new().finish());
+        // One flipped input bit, at any position of any word, must move
+        // both lanes; swapping two words must be detected.
+        let words = [0u64, 1, 0x0123_4567_89ab_cdef, u64::MAX];
+        let digest = |ws: &[u64]| {
+            let mut h = StableHash::new();
+            for &w in ws {
+                h.mix(w);
+            }
+            let d = h.finish().0;
+            (d as u64, (d >> 64) as u64)
+        };
+        let (lo, hi) = digest(&words);
+        for pos in 0..words.len() {
+            for bit in 0..64 {
+                let mut flipped = words;
+                flipped[pos] ^= 1 << bit;
+                let (flo, fhi) = digest(&flipped);
+                assert_ne!(flo, lo, "lo lane missed bit {bit} of word {pos}");
+                assert_ne!(fhi, hi, "hi lane missed bit {bit} of word {pos}");
+            }
+        }
+        for i in 0..words.len() {
+            for j in i + 1..words.len() {
+                let mut swapped = words;
+                swapped.swap(i, j);
+                assert_ne!(digest(&swapped), (lo, hi), "swap of words {i} and {j}");
+            }
+        }
     }
 }

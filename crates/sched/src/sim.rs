@@ -691,6 +691,62 @@ struct Sim<'a> {
     /// Fork support: when present, a [`SimSnapshot`] is pushed here at
     /// every instant boundary that may reach an oracle query.
     capture: Option<&'a mut Vec<SimSnapshot>>,
+    /// `oracle_state_hash`'s buffer for walking the pending events in
+    /// drain order; kept across calls so the walk allocates only while
+    /// the buffer grows. Holds nothing between calls that matters.
+    pending_walk: Vec<(Cycles, u64, TimedEvent)>,
+}
+
+impl<'a> Sim<'a> {
+    /// A simulator at time zero with empty queues and no pending event.
+    fn new(
+        ts: &'a TaskSet,
+        platform: &'a PlatformConfig,
+        config: &'a SimConfig,
+        oracle: Option<&'a mut dyn SimOracle>,
+        capture: Option<&'a mut Vec<SimSnapshot>>,
+    ) -> Sim<'a> {
+        Sim {
+            ts,
+            platform,
+            config,
+            now: Cycles::ZERO,
+            events: EventQueue::new(),
+            tasks: ts
+                .tasks()
+                .iter()
+                .map(|_| TaskState {
+                    jobs: std::collections::VecDeque::new(),
+                    next_release: Cycles::ZERO,
+                    released: 0,
+                    skip_next: false,
+                    wait_open: None,
+                })
+                .collect(),
+            cpu: None,
+            dma: None,
+            dma_queue: Vec::new(),
+            last_cpu_task: None,
+            trace: Trace::new(),
+            stats: vec![TaskStats::default(); ts.len()],
+            metrics: SimMetrics::default(),
+            idle_open: false,
+            rng: StdRng::seed_from_u64(config.seed),
+            injector: FaultInjector::new(config.fault),
+            oracle,
+            races: Vec::new(),
+            settled_to: Cycles::ZERO,
+            cpu_fin: None,
+            dma_fin: None,
+            cpu_dirty: false,
+            dma_dirty: false,
+            fin_phase_both: false,
+            needs_dispatch: true,
+            queries: 0,
+            capture,
+            pending_walk: Vec::new(),
+        }
+    }
 }
 
 /// Runs the simulation of `ts` on `platform` under `config`.
@@ -786,45 +842,7 @@ fn run_sim<'a>(
         "fork/capture require an oracle"
     );
     let capture_base = capture.as_ref().map_or(0, |c| c.len());
-    let mut sim = Sim {
-        ts,
-        platform,
-        config,
-        now: Cycles::ZERO,
-        events: EventQueue::new(),
-        tasks: ts
-            .tasks()
-            .iter()
-            .map(|_| TaskState {
-                jobs: std::collections::VecDeque::new(),
-                next_release: Cycles::ZERO,
-                released: 0,
-                skip_next: false,
-                wait_open: None,
-            })
-            .collect(),
-        cpu: None,
-        dma: None,
-        dma_queue: Vec::new(),
-        last_cpu_task: None,
-        trace: Trace::new(),
-        stats: vec![TaskStats::default(); ts.len()],
-        metrics: SimMetrics::default(),
-        idle_open: false,
-        rng: StdRng::seed_from_u64(config.seed),
-        injector: FaultInjector::new(config.fault),
-        oracle,
-        races: Vec::new(),
-        settled_to: Cycles::ZERO,
-        cpu_fin: None,
-        dma_fin: None,
-        cpu_dirty: false,
-        dma_dirty: false,
-        fin_phase_both: false,
-        needs_dispatch: true,
-        queries: 0,
-        capture,
-    };
+    let mut sim = Sim::new(ts, platform, config, oracle, capture);
     match resume_from {
         Some(snap) => sim.restore(snap),
         None => {
@@ -2218,7 +2236,9 @@ impl Sim<'_> {
     /// `oracle_state_hashes_are_engine_identical` test pins.
     ///
     /// Only called in oracle mode, at most once per choice point, so
-    /// the `O(state)` walk never taxes default runs.
+    /// the `O(state)` walk never taxes default runs. The pending events
+    /// are sorted in `pending_walk`, a buffer reused across calls, so
+    /// in steady state a call allocates nothing.
     fn oracle_state_hash(&mut self) -> StateHash {
         self.touch();
         let mut h = StableHash::new();
@@ -2284,11 +2304,16 @@ impl Sim<'_> {
             h.mix(r.credit);
         }
         h.mix_opt(self.last_cpu_task.map(|t| t as u64));
-        let pending = self.events.ordered();
-        h.mix(pending.len() as u64);
-        for (time, ev) in pending {
+        self.pending_walk.clear();
+        self.pending_walk
+            .extend(self.events.entries().map(|(t, seq, &ev)| (t, seq, ev)));
+        // `seq` is unique, so the unstable sort is the drain order.
+        self.pending_walk
+            .sort_unstable_by_key(|&(t, seq, _)| (t, seq));
+        h.mix(self.pending_walk.len() as u64);
+        for &(time, _, ev) in &self.pending_walk {
             h.mix(time.get());
-            match *ev {
+            match ev {
                 TimedEvent::Release(task) => {
                     h.mix(0);
                     h.mix(task as u64);
@@ -2361,6 +2386,73 @@ mod tests {
             &bare_platform(),
             &SimConfig::new(cy(horizon), Policy::FixedPriority),
         )
+    }
+
+    /// The fingerprint walks the pending events through a buffer the
+    /// simulator keeps: once it has grown to the pending set, repeated
+    /// calls reuse the same allocation and agree on the digest. The
+    /// spare capacity reserved after the first call would be lost by a
+    /// walk that builds a fresh vector.
+    #[test]
+    fn oracle_state_hash_reuses_its_walk_buffer() {
+        let ts = TaskSet::from_tasks(vec![
+            resident("a", 100, &[30]),
+            overlapped("b", 300, &[(40, 16), (40, 16)]),
+        ]);
+        let p = bare_platform();
+        let cfg = SimConfig::new(cy(1_000), Policy::FixedPriority);
+        let mut oracle = crate::script::ScriptOracle::new(Vec::new());
+        let mut sim = Sim::new(&ts, &p, &cfg, Some(&mut oracle), None);
+        for i in 0..ts.len() {
+            sim.schedule(cy(0), TimedEvent::Release(i));
+            sim.schedule(cy(50 * (i as u64 + 1)), TimedEvent::DeadlineCheck(i, 0));
+        }
+        let first = sim.oracle_state_hash();
+        sim.pending_walk.reserve(64);
+        let buffer = (sim.pending_walk.as_ptr(), sim.pending_walk.capacity());
+        assert_eq!(sim.pending_walk.len(), 4);
+        for _ in 0..3 {
+            assert_eq!(sim.oracle_state_hash(), first);
+            assert_eq!(
+                (sim.pending_walk.as_ptr(), sim.pending_walk.capacity()),
+                buffer,
+                "walk buffer reallocated"
+            );
+        }
+    }
+
+    /// A snapshot taken after a staging race must count the recorded
+    /// races in its footprint.
+    #[test]
+    fn snapshot_size_hint_counts_races() {
+        // A staging window of 3 lets the DMA write segment k + 2 into the
+        // buffer half the CPU still reads segment k from.
+        let ts = TaskSet::from_tasks(vec![overlapped(
+            "a",
+            2_000_000,
+            &[
+                (200_000, 256),
+                (200_000, 256),
+                (200_000, 256),
+                (200_000, 256),
+            ],
+        )]);
+        let p = PlatformConfig::stm32f746_qspi();
+        let cfg = SimConfig::new(cy(6_000_000), Policy::FixedPriority).with_staging_window(3);
+        let mut oracle = crate::script::ScriptOracle::new(Vec::new());
+        let mut snaps = Vec::new();
+        let run = simulate_with_oracle_forked(&ts, &p, &cfg, &mut oracle, None, Some(&mut snaps));
+        assert!(!run.races.is_empty(), "window 3 must reach a staging race");
+        let snap = snaps
+            .iter()
+            .find(|s| !s.races.is_empty())
+            .expect("a snapshot after the first race");
+        let mut raceless = snap.clone();
+        raceless.races.clear();
+        assert_eq!(
+            snap.size_hint() - raceless.size_hint(),
+            snap.races.len() * std::mem::size_of::<StagingRace>()
+        );
     }
 
     #[test]

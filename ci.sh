@@ -54,23 +54,6 @@ cmp "$plain_out" "$zero_out" || {
   echo "fault smoke: zero-rate run differs from no-plan run" >&2; exit 1; }
 rm -f "$fault_out" "$fault_out2" "$plain_out" "$zero_out"
 
-echo "== engine equivalence smoke =="
-# A pinned scenario — faults, jitter and all — simulated under both
-# time-advancement engines must export byte-identical Chrome traces.
-# rtmdm-bench's F12 grid covers the full scenario matrix; this is the
-# cheap always-on gate for the DES-versus-legacy contract.
-eng_legacy="$(mktemp)"
-eng_des="$(mktemp)"
-./target/release/rtmdm trace --platform stm32f746-qspi --task kws=ds-cnn@100 \
-  --seconds 1 --fault-rate 100000 --fault-seed 7 --fault-jitter 25 \
-  --engine legacy --out "$eng_legacy" --format chrome
-./target/release/rtmdm trace --platform stm32f746-qspi --task kws=ds-cnn@100 \
-  --seconds 1 --fault-rate 100000 --fault-seed 7 --fault-jitter 25 \
-  --engine des --out "$eng_des" --format chrome
-cmp "$eng_legacy" "$eng_des" || {
-  echo "engine smoke: legacy and des traces diverge" >&2; exit 1; }
-rm -f "$eng_legacy" "$eng_des"
-
 echo "== rtmdm explain smoke =="
 # The forensics path: a pinned miss-producing scenario must attribute
 # cleanly (exit 0, conservation exact), print the blame table, and its
@@ -222,11 +205,11 @@ cmp "$serve_out" "$serve_out2" || {
   echo "serve smoke: repeated runs are not byte-identical" >&2; exit 1; }
 rm -f "$serve_in" "$serve_out" "$serve_out2"
 
-echo "== rtbench self-tests, serve_cold and explore smoke =="
+echo "== rtbench self-tests, serve_cold, explore and simulate smoke =="
 # The repository benchmark (rtbench/, its own Cargo package) checks
-# every answer it times. Its self-tests plus short serve_cold and
-# explore runs make a change that breaks those output checks fail here
-# first.
+# every answer it times. Its self-tests plus short serve_cold, explore
+# and simulate runs make a change that breaks those output checks fail
+# here first.
 cargo test -q --release --offline --manifest-path rtbench/Cargo.toml
 bench_out="$(mktemp)"
 cargo run --release --offline --quiet --manifest-path rtbench/Cargo.toml -- \
@@ -237,6 +220,10 @@ cargo run --release --offline --quiet --manifest-path rtbench/Cargo.toml -- \
   --workload explore --seed 1 --seconds 2 --trace 0 > "$bench_out"
 tail -n 1 "$bench_out" | grep -q '"failed":0' || {
   echo "rtbench smoke: explore output checks failed" >&2; exit 1; }
+cargo run --release --offline --quiet --manifest-path rtbench/Cargo.toml -- \
+  --workload simulate --seed 1 --seconds 2 --trace 0 > "$bench_out"
+tail -n 1 "$bench_out" | grep -q '"failed":0' || {
+  echo "rtbench smoke: simulate output checks failed" >&2; exit 1; }
 rm -f "$bench_out"
 
 echo "CI green."

@@ -16,15 +16,6 @@ fn bench_simulator(c: &mut Criterion) {
     g.bench_function("gated_4tasks_1s", |b| {
         b.iter(|| simulate(&ts, &p, &SimConfig::new(horizon, Policy::FixedPriority)))
     });
-    g.bench_function("gated_4tasks_1s_legacy", |b| {
-        b.iter(|| {
-            simulate(
-                &ts,
-                &p,
-                &SimConfig::new(horizon, Policy::FixedPriority).with_engine(Engine::Legacy),
-            )
-        })
-    });
     g.bench_function("work_conserving_4tasks_1s", |b| {
         b.iter(|| {
             simulate(

@@ -11,8 +11,7 @@
 //! Everything in the table is deterministic (the explorer's DFS order
 //! is fixed), so the table is byte-pinned like every other
 //! `results/*.txt`. Wall time is nondeterministic by nature and lands
-//! in `BENCH_run_all.json` via the harness telemetry, per the same
-//! discipline as the F12 engine throughput probe.
+//! in `BENCH_run_all.json` via the harness telemetry.
 //!
 //! The scale companion (`results/f14_explore_scale.txt`) extends the
 //! same workload family to 6–8 tasks and runs every cell under **both**

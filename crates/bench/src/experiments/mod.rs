@@ -4,7 +4,6 @@ mod ablation;
 mod blame;
 mod blocking;
 mod energy;
-mod engine;
 mod explore;
 mod fleet;
 mod latency;
@@ -17,7 +16,6 @@ pub use ablation::f8_ablation;
 pub use blame::f13_blame;
 pub use blocking::f6_blocking;
 pub use energy::f9_energy;
-pub use engine::{engine_comparison, f12_engine};
 pub use explore::{explore_comparison, f14_explore, f14_explore_scale};
 pub use fleet::{f15_fleet, fleet_comparison};
 pub use latency::{f1_latency, f4_sram_budget, f5_bandwidth};

@@ -18,7 +18,7 @@ use rtmdm_sched::gen::{generate, TasksetParams};
 use rtmdm_sched::sim::{simulate, Policy, SimConfig, SimResult};
 use rtmdm_sched::{MissPolicy, TaskSet};
 
-use crate::par::par_map_seeded;
+use rtmdm_par::par_map_seeded;
 
 use super::eval_platform;
 

@@ -8,7 +8,7 @@ use rtmdm_dnn::{zoo, CostModel};
 use rtmdm_mcusim::PlatformConfig;
 use rtmdm_xmem::segment_model;
 
-use crate::par::par_map_seeded;
+use rtmdm_par::par_map_seeded;
 
 use super::{eval_platform, ms};
 

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! Sweeps run their `(parameter, seed)` cells on a scoped worker pool
-//! (see [`par`]); set `RTMDM_THREADS` to pin the worker count
+//! (see [`rtmdm_par`]); set `RTMDM_THREADS` to pin the worker count
 //! (`RTMDM_THREADS=1` forces the plain serial path). Emitted tables are
 //! byte-identical for any thread count.
 
@@ -20,7 +20,6 @@
 #![deny(missing_docs)]
 
 pub mod experiments;
-pub mod par;
 pub mod telemetry;
 
 use std::fs;

@@ -9,8 +9,8 @@
 use std::sync::Mutex;
 
 use rtmdm_bench::experiments::f1_latency;
-use rtmdm_bench::par::{par_map_seeded, par_map_with_threads};
 use rtmdm_mcusim::PlatformConfig;
+use rtmdm_par::{par_map_seeded, par_map_with_threads};
 use rtmdm_sched::assign::dm_order;
 use rtmdm_sched::gen::{generate, TasksetParams};
 use rtmdm_sched::sim::{simulate, Policy, SimConfig};

@@ -13,7 +13,7 @@
 //! [`SimOracle`](rtmdm_sched::script::SimOracle) hook. That makes every
 //! counterexample exact by construction — replaying the witness script
 //! through [`simulate_with_oracle`] reproduces the violating run byte
-//! for byte on either engine.
+//! for byte.
 //!
 //! Search is depth-first over forced-choice prefixes, with converging
 //! interleavings merged through the canonical state fingerprint (see

@@ -234,9 +234,9 @@ pub struct ExploreStats {
 /// A replayable counterexample: everything needed to reproduce a
 /// violating run, self-contained.
 ///
-/// Replaying `script` through [`Witness::replay`] on either engine
-/// reproduces the violating event at the predicted instant, byte for
-/// byte — the differential cross-validation suite pins this.
+/// Replaying `script` through [`Witness::replay`] reproduces the
+/// violating event at the predicted instant, byte for byte — the
+/// cross-validation suite pins this.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Witness {
     /// Layout tag, always [`WITNESS_SCHEMA`].
@@ -264,18 +264,10 @@ pub struct Witness {
 }
 
 impl Witness {
-    /// Re-executes the witnessed run and returns its result. The
-    /// engine is taken from `self.config`; callers cross-validating
-    /// engines override it on a clone of the config.
+    /// Re-executes the witnessed run and returns its result.
     pub fn replay(&self) -> SimResult {
-        self.replay_on(&self.config)
-    }
-
-    /// Re-executes the witnessed run under an alternative simulator
-    /// configuration (typically the same config with the other engine).
-    pub fn replay_on(&self, config: &SimConfig) -> SimResult {
         let mut oracle = ScriptOracle::new(self.script.clone());
-        simulate_with_oracle(&self.task_set, &self.platform, config, &mut oracle)
+        simulate_with_oracle(&self.task_set, &self.platform, &self.config, &mut oracle)
     }
 }
 

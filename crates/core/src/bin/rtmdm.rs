@@ -21,10 +21,7 @@
 //! `--fault-retries`, `--fault-jitter`) turns on seeded DMA fault
 //! injection for `simulate`/`trace`, and `--miss-policy
 //! continue|abort|skip-next` selects what the runtime does with jobs
-//! that miss their deadline. `--engine legacy|des` picks the
-//! simulator's time-advancement engine; both produce byte-identical
-//! results (the default `des` is faster), so the knob exists for the
-//! equivalence gate and throughput comparisons. `--attribution on|off`
+//! that miss their deadline. `--attribution on|off`
 //! (default `off`) makes `simulate`/`trace` record the causal anchor
 //! events the attribution layer consumes; the default keeps traces
 //! byte-identical to previous releases. The `explain` subcommand
@@ -71,7 +68,7 @@ use rtmdm_core::{report, FrameworkOptions, RtMdm, Strategy, TaskSpec};
 use rtmdm_dnn::zoo;
 use rtmdm_mcusim::PlatformConfig;
 use rtmdm_obs::Timeline;
-use rtmdm_sched::sim::{Engine, Policy};
+use rtmdm_sched::sim::Policy;
 use rtmdm_sched::MissPolicy;
 
 fn usage() -> ExitCode {
@@ -80,8 +77,8 @@ fn usage() -> ExitCode {
          [--platform NAME] [--task name=model@period_ms[/deadline_ms][:strategy]]… \
          [--seconds S] [--jitter PCT] [--seed N] [--edf] [--work-conserving] \
          [--fault-rate PPM] [--fault-seed N] [--fault-retries N] [--fault-jitter CYCLES] \
-         [--miss-policy continue|abort|skip-next] [--engine legacy|des] \
-         [--attribution on|off] [--out PATH] [--format chrome|jsonl] [--gantt] \
+         [--miss-policy continue|abort|skip-next] [--attribution on|off] \
+         [--out PATH] [--format chrome|jsonl] [--gantt] \
          [--json] [--deny-warnings] [--allow RULE] [--deny RULE] [--explain RULE] \
          [--explore] [--max-states N] [--strategy replay|fork] [--threads N] [--witness PATH] \
          (serve: [--once] [--input PATH])"
@@ -106,7 +103,8 @@ enum CliError {
 struct Cli {
     platform: PlatformConfig,
     tasks: Vec<TaskSpec>,
-    seconds: u64,
+    /// Simulated horizon of `simulate`/`trace`/`explain`, from `--seconds`.
+    horizon_us: u64,
     jitter_pct: u64,
     seed: u64,
     options: FrameworkOptions,
@@ -151,7 +149,12 @@ fn parse_task(arg: &str) -> Option<TaskSpec> {
         }
     };
     let model = zoo::by_name(model_name)?;
-    let mut spec = TaskSpec::new(name, model, period_ms * 1000, deadline_ms * 1000);
+    let mut spec = TaskSpec::new(
+        name,
+        model,
+        period_ms.checked_mul(1000)?,
+        deadline_ms.checked_mul(1000)?,
+    );
     if let Some(s) = strategy {
         spec = spec.with_strategy(parse_strategy(s)?);
     }
@@ -161,7 +164,7 @@ fn parse_task(arg: &str) -> Option<TaskSpec> {
 fn parse(args: &[String]) -> Result<Cli, CliError> {
     let mut platform = PlatformConfig::stm32f746_qspi();
     let mut tasks = Vec::new();
-    let mut seconds = 2u64;
+    let mut horizon_us = 2_000_000u64;
     let mut jitter_pct = 0u64;
     let mut seed = 0u64;
     let mut options = FrameworkOptions::default();
@@ -193,9 +196,10 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
                 tasks.push(parse_task(spec).ok_or(CliError::Usage)?);
             }
             "--seconds" => {
-                seconds = it
+                horizon_us = it
                     .next()
-                    .and_then(|v| v.parse().ok())
+                    .and_then(|v| v.parse::<u64>().ok())
+                    .and_then(|s| s.checked_mul(1_000_000))
                     .ok_or(CliError::Usage)?;
             }
             "--jitter" => {
@@ -245,18 +249,6 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
                     _ => {
                         return Err(CliError::Msg(format!(
                             "unknown --miss-policy `{p}` (expected `continue`, `abort`, or `skip-next`)"
-                        )))
-                    }
-                };
-            }
-            "--engine" => {
-                let e = it.next().ok_or(CliError::Usage)?;
-                options.engine = match e.as_str() {
-                    "legacy" => Engine::Legacy,
-                    "des" => Engine::Des,
-                    _ => {
-                        return Err(CliError::Msg(format!(
-                            "unknown --engine `{e}` (expected `legacy` or `des`)"
                         )))
                     }
                 };
@@ -325,7 +317,7 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
     Ok(Cli {
         platform,
         tasks,
-        seconds,
+        horizon_us,
         jitter_pct: jitter_pct.min(99),
         seed,
         options,
@@ -892,7 +884,7 @@ fn main() -> ExitCode {
         },
         "simulate" => {
             let scale_min = 1_000_000 - cli.jitter_pct * 10_000;
-            match fw.simulate_with(cli.seconds * 1_000_000, scale_min, cli.seed) {
+            match fw.simulate_with(cli.horizon_us, scale_min, cli.seed) {
                 Ok(run) => {
                     println!("{}", run.to_table());
                     println!("misses: {}", run.deadline_misses());
@@ -921,7 +913,7 @@ fn main() -> ExitCode {
         }
         "trace" => {
             let scale_min = 1_000_000 - cli.jitter_pct * 10_000;
-            match fw.simulate_with(cli.seconds * 1_000_000, scale_min, cli.seed) {
+            match fw.simulate_with(cli.horizon_us, scale_min, cli.seed) {
                 Ok(run) => cmd_trace(&cli, &run),
                 Err(e) => {
                     eprintln!("rtmdm: {e}");
@@ -931,7 +923,7 @@ fn main() -> ExitCode {
         }
         "explain" => {
             let scale_min = 1_000_000 - cli.jitter_pct * 10_000;
-            match fw.simulate_with(cli.seconds * 1_000_000, scale_min, cli.seed) {
+            match fw.simulate_with(cli.horizon_us, scale_min, cli.seed) {
                 Ok(run) => cmd_explain(&cli, &run),
                 Err(e) => {
                     eprintln!("rtmdm: {e}");

@@ -28,7 +28,7 @@ use rtmdm_check::{
 };
 use rtmdm_mcusim::{Cycles, PlatformConfig};
 use rtmdm_sched::analysis::hyperperiod;
-use rtmdm_sched::sim::{Policy, SimConfig};
+use rtmdm_sched::sim::{Engine, Policy, SimConfig};
 use rtmdm_sched::TaskSet;
 use rtmdm_xmem::SramArena;
 
@@ -273,7 +273,7 @@ impl SystemSpec {
             seed: 0,
             work_conserving: self.options.work_conserving,
             fault: self.options.fault,
-            engine: self.options.engine,
+            engine: Engine::Des,
             attribution: true,
             staging_window: x.staging_window,
         };

@@ -77,12 +77,6 @@ pub struct FrameworkOptions {
     /// override it via [`TaskSpec::with_miss_policy`].
     #[serde(default)]
     pub miss_policy: MissPolicy,
-    /// Time-advancement engine of the bound simulator. The default
-    /// discrete-event engine and the legacy instant-stepping loop
-    /// produce byte-identical results; the knob exists for the
-    /// equivalence gate and for throughput comparisons.
-    #[serde(default)]
-    pub engine: Engine,
     /// When `true`, simulation traces carry the causal-attribution
     /// anchor events the blame reconstruction (`rtmdm-obs`) consumes.
     /// `false` (the default) keeps traces byte-identical to
@@ -105,7 +99,6 @@ impl Default for FrameworkOptions {
             tile_oversized_layers: true,
             fault: FaultPlan::NONE,
             miss_policy: MissPolicy::Continue,
-            engine: Engine::default(),
             attribution: false,
         }
     }
@@ -416,7 +409,7 @@ impl RtMdm {
             seed,
             work_conserving: self.options.work_conserving,
             fault: self.options.fault,
-            engine: self.options.engine,
+            engine: Engine::Des,
             attribution: self.options.attribution,
             staging_window: 2,
         };

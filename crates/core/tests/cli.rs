@@ -93,6 +93,36 @@ fn bad_usage_exits_one() {
     );
 }
 
+/// Times given in milliseconds or seconds are scaled to microseconds;
+/// a value whose scaled form does not fit in `u64` is a usage error,
+/// never a silently wrapped period or horizon.
+#[test]
+fn overflowing_time_arguments_are_usage_errors() {
+    // 18446744073709552 ms × 1000 exceeds u64::MAX µs.
+    for task in [
+        "kws=ds-cnn@18446744073709552",
+        "kws=ds-cnn@100/18446744073709552",
+    ] {
+        let out = rtmdm(&["admit", "--task", task]);
+        assert_eq!(out.status.code(), Some(1), "{task}");
+        assert!(
+            !String::from_utf8_lossy(&out.stdout).contains("SCHEDULABLE"),
+            "{task}: no verdict on a wrapped period"
+        );
+    }
+    // 18446744073710 s × 10⁶ exceeds u64::MAX µs.
+    for cmd in ["simulate", "trace", "explain"] {
+        let out = rtmdm(&[
+            cmd,
+            "--task",
+            "kws=ds-cnn@100",
+            "--seconds",
+            "18446744073710",
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+    }
+}
+
 #[test]
 fn trace_exports_chrome_json() {
     let dir = std::env::temp_dir().join("rtmdm-cli-trace-test");

@@ -13,9 +13,9 @@ use crate::time::Cycles;
 /// every `push`; it is never reset — not by `pop`, not by `clear` — so
 /// FIFO order among ties is preserved across arbitrary interleavings of
 /// push and pop, and a `clone` observes the same order as the original.
-/// Simulation engines that replace a polling loop with wake events rely
-/// on this: two engines that push the same same-instant events in the
-/// same order must drain them identically.
+/// A simulator that snapshots and resumes its event queue relies on
+/// this: a resumed run that pushes the same same-instant events in the
+/// same order drains them exactly as the capturing run did.
 ///
 /// # Examples
 ///

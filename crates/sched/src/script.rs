@@ -7,8 +7,7 @@
 //! fault decisions from the [`FaultInjector`](rtmdm_mcusim::FaultInjector).
 //! [`simulate_with_oracle`](crate::sim::simulate_with_oracle) instead
 //! consults a caller-supplied [`SimOracle`] at every such point, in the
-//! exact deterministic order the engines process events (the order is
-//! engine-independent, pinned by the legacy/DES differential tests).
+//! exact deterministic order the simulator processes events.
 //!
 //! Two consumers build on this:
 //!
@@ -17,7 +16,7 @@
 //!   query to merge converging interleavings;
 //! - [`ScriptOracle`] replays a recorded answer list verbatim — a
 //!   violation witness is a `SimConfig` plus such a script, and replay
-//!   reproduces the violating run step for step on either engine.
+//!   reproduces the violating run step for step.
 
 use serde::{Deserialize, Serialize};
 
@@ -234,8 +233,8 @@ pub trait SimOracle {
 /// A replay oracle: answers queries from a fixed script in order, then
 /// the deterministic default once the script is exhausted. This is the
 /// witness-replay vehicle — the explorer serializes the choices that
-/// led to a violation, and replaying them through either engine
-/// reproduces the violating run exactly.
+/// led to a violation, and replaying them reproduces the violating run
+/// exactly.
 #[derive(Debug, Clone)]
 pub struct ScriptOracle {
     script: Vec<ScriptedChoice>,

@@ -1,7 +1,7 @@
 //! Choice-oracle contract tests: the oracle hook must be invisible when
 //! it answers every query with the deterministic default, and a recorded
-//! script must replay identically on both engines — these two properties
-//! are what make explorer witnesses trustworthy.
+//! script must replay identically every time — these two properties are
+//! what make explorer witnesses trustworthy.
 
 use rtmdm_mcusim::{Cycles, FaultPlan, PlatformConfig, TraceKind};
 use rtmdm_sched::gen::{generate, TasksetParams};
@@ -22,7 +22,7 @@ fn platform() -> PlatformConfig {
     PlatformConfig::stm32f746_qspi()
 }
 
-fn config(horizon: u64, engine: Engine) -> SimConfig {
+fn config(horizon: u64) -> SimConfig {
     SimConfig {
         horizon: cy(horizon),
         policy: Policy::FixedPriority,
@@ -30,7 +30,7 @@ fn config(horizon: u64, engine: Engine) -> SimConfig {
         seed: 0,
         work_conserving: false,
         fault: FaultPlan::NONE,
-        engine,
+        engine: Engine::Des,
         attribution: false,
         staging_window: 2,
     }
@@ -74,8 +74,8 @@ impl SimOracle for DefaultOracle {
 }
 
 /// A default-answering oracle must be invisible: the run is
-/// byte-identical to a plain `simulate` of the same config, on both
-/// engines, for generated task sets. This is the foundation the
+/// byte-identical to a plain `simulate` of the same config, for
+/// generated task sets. This is the foundation the
 /// explorer's "default spine" rests on.
 #[test]
 fn default_oracle_run_is_byte_identical_to_plain() {
@@ -84,13 +84,11 @@ fn default_oracle_run_is_byte_identical_to_plain() {
         let params = TasksetParams::baseline(3, 500_000);
         let ts = generate(&params, &p, seed);
         let horizon = ts.tasks().iter().map(|t| t.period.get()).max().unwrap() * 3;
-        for engine in [Engine::Legacy, Engine::Des] {
-            let cfg = config(horizon, engine);
-            let plain = simulate(&ts, &p, &cfg);
-            let mut oracle = DefaultOracle;
-            let oracled = simulate_with_oracle(&ts, &p, &cfg, &mut oracle);
-            assert_same_run(&plain, &oracled, &format!("seed {seed} {engine:?}"));
-        }
+        let cfg = config(horizon);
+        let plain = simulate(&ts, &p, &cfg);
+        let mut oracle = DefaultOracle;
+        let oracled = simulate_with_oracle(&ts, &p, &cfg, &mut oracle);
+        assert_same_run(&plain, &oracled, &format!("seed {seed}"));
     }
 }
 
@@ -104,11 +102,11 @@ fn default_oracle_pins_exec_scale_at_wcet() {
         overlapped("a", 40_000, &[(3_000, 2_048), (4_000, 1_024)]),
         resident("b", 70_000, 70_000, 9_000),
     ]);
-    let mut scaled = config(200_000, Engine::Des);
+    let mut scaled = config(200_000);
     scaled.exec_scale_min_ppm = 400_000;
     let mut oracle = DefaultOracle;
     let oracled = simulate_with_oracle(&ts, &p, &scaled, &mut oracle);
-    let wcet = simulate(&ts, &p, &config(200_000, Engine::Des));
+    let wcet = simulate(&ts, &p, &config(200_000));
     assert_eq!(oracled.trace.events(), wcet.trace.events());
     assert_eq!(oracled.stats, wcet.stats);
 }
@@ -120,7 +118,7 @@ fn default_oracle_pins_exec_scale_at_wcet() {
 fn scripted_jitter_keeps_deadline_anchored() {
     let p = platform();
     let ts = TaskSet::from_tasks(vec![resident("t", 100_000, 50_000, 20_000)]);
-    let cfg = config(100_000, Engine::Des);
+    let cfg = config(100_000);
     // No jitter: finishes well inside the deadline.
     assert!(simulate(&ts, &p, &cfg).no_misses());
     // 40k cycles of jitter: entry at 40k + ~20k compute > 50k deadline.
@@ -149,7 +147,7 @@ fn scripted_transfer_fault_forces_retry() {
         400_000,
         &[(3_000, 4_096), (3_000, 4_096)],
     )]);
-    let mut cfg = config(400_000, Engine::Des);
+    let mut cfg = config(400_000);
     // A live fault environment is required for the oracle to be asked;
     // the rate itself is ignored under an oracle.
     cfg.fault = FaultPlan {
@@ -205,37 +203,32 @@ fn staging_window_three_reaches_buffer_race() {
             (200_000, 256),
         ],
     )]);
-    let safe = simulate(&ts, &p, &config(2_000_000, Engine::Des));
+    let safe = simulate(&ts, &p, &config(2_000_000));
     assert!(safe.races.is_empty(), "window 2 must be race-free");
-    for engine in [Engine::Legacy, Engine::Des] {
-        let mut wide = config(2_000_000, engine);
-        wide.staging_window = 3;
-        let racy = simulate(&ts, &p, &wide);
-        assert!(
-            !racy.races.is_empty(),
-            "window 3 must reach a staging race ({engine:?})"
-        );
-        let r = &racy.races[0];
-        assert_eq!(r.write_seg % 2, r.clobbered_seg % 2, "same buffer half");
-        assert_ne!(r.write_seg, r.clobbered_seg);
-        assert!(matches!(
-            r.kind,
-            RaceKind::CpuRead | RaceKind::StagedUnconsumed
-        ));
-    }
+    let mut wide = config(2_000_000);
+    wide.staging_window = 3;
+    let racy = simulate(&ts, &p, &wide);
+    assert!(!racy.races.is_empty(), "window 3 must reach a staging race");
+    let r = &racy.races[0];
+    assert_eq!(r.write_seg % 2, r.clobbered_seg % 2, "same buffer half");
+    assert_ne!(r.write_seg, r.clobbered_seg);
+    assert!(matches!(
+        r.kind,
+        RaceKind::CpuRead | RaceKind::StagedUnconsumed
+    ));
 }
 
-/// Script replay is deterministic and engine-independent: the same
-/// script produces byte-identical runs under Legacy and DES, and across
-/// repeated replays. This is the witness-replay guarantee.
+/// Script replay is deterministic: the same script produces
+/// byte-identical runs across repeated replays. This is the
+/// witness-replay guarantee.
 #[test]
-fn script_replay_is_engine_identical() {
+fn script_replay_is_deterministic() {
     let p = platform();
     let ts = TaskSet::from_tasks(vec![
         overlapped("a", 60_000, &[(4_000, 2_048), (5_000, 2_048)]),
         resident("b", 90_000, 90_000, 12_000),
     ]);
-    let mut cfg = config(360_000, Engine::Des);
+    let mut cfg = config(360_000);
     cfg.exec_scale_min_ppm = 500_000;
     cfg.fault = FaultPlan {
         seed: 0,
@@ -272,55 +265,16 @@ fn script_replay_is_engine_identical() {
             value: Choice::ReleaseJitter(cy(900)),
         },
     ];
-    let run_with = |engine: Engine| {
-        let mut cfg = cfg.clone();
-        cfg.engine = engine;
+    let replay = || {
         let mut oracle = ScriptOracle::new(script.clone());
         simulate_with_oracle(&ts, &p, &cfg, &mut oracle)
     };
-    let legacy = run_with(Engine::Legacy);
-    let des = run_with(Engine::Des);
-    assert_same_run(&legacy, &des, "legacy vs des");
-    let des_again = run_with(Engine::Des);
-    assert_same_run(&des, &des_again, "replay determinism");
-}
-
-/// The state hash handed to the oracle is identical across engines at
-/// every query: recording the hashes of a DES run and replaying the
-/// same choices under Legacy must observe the same sequence.
-#[test]
-fn oracle_state_hashes_are_engine_identical() {
-    struct Recorder {
-        hashes: Vec<StateHash>,
-    }
-    impl SimOracle for Recorder {
-        fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice {
-            self.hashes.push(state);
-            Choice::default_for(&point)
-        }
-    }
-    let p = platform();
-    let ts = TaskSet::from_tasks(vec![
-        overlapped("a", 50_000, &[(4_000, 2_048), (4_000, 1_024)]),
-        resident("b", 80_000, 80_000, 10_000),
-    ]);
-    let cfg = config(400_000, Engine::Des);
-    let run = |engine: Engine| {
-        let mut cfg = cfg.clone();
-        cfg.engine = engine;
-        let mut rec = Recorder { hashes: Vec::new() };
-        simulate_with_oracle(&ts, &p, &cfg, &mut rec);
-        rec.hashes
-    };
-    let des = run(Engine::Des);
-    let legacy = run(Engine::Legacy);
-    assert!(!des.is_empty());
-    assert_eq!(des, legacy);
+    assert_same_run(&replay(), &replay(), "replay determinism");
 }
 
 /// Fork contract, part 1: a run resumed from any captured snapshot is
 /// byte-identical — trace, stats, metrics, races — to the run that
-/// captured it, on both engines, including under scripted jitter,
+/// captured it, including under scripted jitter,
 /// scale, and fault choices. This is what lets the explorer branch
 /// from a snapshot instead of replaying from time zero.
 #[test]
@@ -357,39 +311,36 @@ fn forked_resume_reproduces_the_capturing_run() {
             value: Choice::ReleaseJitter(cy(900)),
         },
     ];
-    for engine in [Engine::Legacy, Engine::Des] {
-        let mut cfg = config(360_000, engine);
-        cfg.exec_scale_min_ppm = 500_000;
-        cfg.fault = FaultPlan {
-            seed: 0,
-            dma_fault_rate_ppm: 1,
-            max_retries: 2,
-            jitter_max_cycles: 0,
-        };
-        let mut snaps = Vec::new();
-        let mut oracle = ScriptOracle::new(script.clone());
-        let full = simulate_with_oracle_forked(&ts, &p, &cfg, &mut oracle, None, Some(&mut snaps));
-        assert!(!snaps.is_empty(), "{engine:?}: no snapshots captured");
-        for snap in &snaps {
-            assert!(snap.size_hint() > 0);
-            let suffix = script[snap.queries_before().min(script.len())..].to_vec();
-            let mut resume_oracle = ScriptOracle::new(suffix);
-            let resumed =
-                simulate_with_oracle_forked(&ts, &p, &cfg, &mut resume_oracle, Some(snap), None);
-            let ctx = format!("{engine:?} @ {:?}", snap.instant());
-            assert_same_run(&full, &resumed, &ctx);
-            assert_eq!(full.metrics, resumed.metrics, "{ctx}: metrics");
-        }
+    let mut cfg = config(360_000);
+    cfg.exec_scale_min_ppm = 500_000;
+    cfg.fault = FaultPlan {
+        seed: 0,
+        dma_fault_rate_ppm: 1,
+        max_retries: 2,
+        jitter_max_cycles: 0,
+    };
+    let mut snaps = Vec::new();
+    let mut oracle = ScriptOracle::new(script.clone());
+    let full = simulate_with_oracle_forked(&ts, &p, &cfg, &mut oracle, None, Some(&mut snaps));
+    assert!(!snaps.is_empty(), "no snapshots captured");
+    for snap in &snaps {
+        assert!(snap.size_hint() > 0);
+        let suffix = script[snap.queries_before().min(script.len())..].to_vec();
+        let mut resume_oracle = ScriptOracle::new(suffix);
+        let resumed =
+            simulate_with_oracle_forked(&ts, &p, &cfg, &mut resume_oracle, Some(snap), None);
+        let ctx = format!("@ {:?}", snap.instant());
+        assert_same_run(&full, &resumed, &ctx);
+        assert_eq!(full.metrics, resumed.metrics, "{ctx}: metrics");
     }
 }
 
-/// Fork contract, part 2 (the ISSUE pin): snapshots exclude the
-/// engine-private dirty flags, so the oracle fingerprint sequence a
-/// forked run observes is identical across engines — resuming a DES
-/// snapshot under DES and a legacy snapshot under legacy sees the same
-/// state hashes at the same choice positions.
+/// Fork contract, part 2: a run resumed from a mid-run snapshot sees
+/// exactly the state hashes the capturing run saw from that choice
+/// position on — the fingerprints the explorer merges states by do not
+/// depend on whether a path was reached by replay or by fork.
 #[test]
-fn forked_fingerprints_are_engine_identical() {
+fn forked_fingerprints_match_the_capturing_run() {
     struct Recorder {
         hashes: Vec<StateHash>,
     }
@@ -404,28 +355,18 @@ fn forked_fingerprints_are_engine_identical() {
         overlapped("a", 50_000, &[(4_000, 2_048), (4_000, 1_024)]),
         resident("b", 80_000, 80_000, 10_000),
     ]);
-    let run = |engine: Engine| {
-        let cfg = config(400_000, engine);
-        let mut snaps = Vec::new();
-        let mut rec = Recorder { hashes: Vec::new() };
-        simulate_with_oracle_forked(&ts, &p, &cfg, &mut rec, None, Some(&mut snaps));
-        let full = rec.hashes;
-        // Resume from a mid-run snapshot and record the suffix.
-        let snap = &snaps[snaps.len() / 2];
-        let mut rec = Recorder { hashes: Vec::new() };
-        simulate_with_oracle_forked(&ts, &p, &cfg, &mut rec, Some(snap), None);
-        (full, snap.queries_before(), rec.hashes)
-    };
-    let (full_des, qb_des, suffix_des) = run(Engine::Des);
-    let (full_legacy, qb_legacy, suffix_legacy) = run(Engine::Legacy);
-    assert!(!suffix_des.is_empty());
-    // The forked suffix equals the capturing run's tail...
-    assert_eq!(suffix_des, full_des[qb_des..].to_vec());
-    assert_eq!(suffix_legacy, full_legacy[qb_legacy..].to_vec());
-    // ...and is engine-identical, like the full sequence.
-    assert_eq!(full_des, full_legacy);
-    assert_eq!(qb_des, qb_legacy);
-    assert_eq!(suffix_des, suffix_legacy);
+    let cfg = config(400_000);
+    let mut snaps = Vec::new();
+    let mut rec = Recorder { hashes: Vec::new() };
+    simulate_with_oracle_forked(&ts, &p, &cfg, &mut rec, None, Some(&mut snaps));
+    let full = rec.hashes;
+    // Resume from a mid-run snapshot and record the suffix.
+    let snap = &snaps[snaps.len() / 2];
+    let mut rec = Recorder { hashes: Vec::new() };
+    simulate_with_oracle_forked(&ts, &p, &cfg, &mut rec, Some(snap), None);
+    assert!(snap.queries_before() > 0, "snapshot is not mid-run");
+    assert!(!rec.hashes.is_empty());
+    assert_eq!(rec.hashes, full[snap.queries_before()..].to_vec());
 }
 
 /// Fork contract, part 3 (cost): resuming past a quiet prefix re-does
@@ -448,7 +389,7 @@ fn resume_answers_only_suffix_queries() {
     // A long horizon over many releases: the last snapshot sits deep in
     // the run, so its suffix is a small fraction of the whole.
     let ts = TaskSet::from_tasks(vec![overlapped("a", 20_000, &[(2_000, 1_024)])]);
-    let cfg = config(400_000, Engine::Des);
+    let cfg = config(400_000);
     let mut snaps = Vec::new();
     let mut full = Counter { n: 0 };
     simulate_with_oracle_forked(&ts, &p, &cfg, &mut full, None, Some(&mut snaps));

@@ -3,11 +3,10 @@
 //!
 //! Three layers:
 //!
-//! 1. **Conservation, zero tolerance** — for any task set, engine,
-//!    dispatch discipline, execution jitter, fault environment, and
-//!    deadline-miss policy, [`attribute`](rt_mdm::obs::attribute)
-//!    succeeds and every completed job's six terms sum *exactly* to its
-//!    response time.
+//! 1. **Conservation, zero tolerance** — for any task set, dispatch
+//!    discipline, execution jitter, fault environment, and deadline-miss
+//!    policy, [`attribute`](rt_mdm::obs::attribute) succeeds and every
+//!    completed job's six terms sum *exactly* to its response time.
 //!
 //! 2. **Measured implies bounded** — for admitted (check-clean) sets at
 //!    WCET, every job's measured interference terms sit inside the RTA's
@@ -150,7 +149,7 @@ proptest! {
     })]
 
     /// Layer 1: the six-term decomposition conserves response time
-    /// exactly — both engines, both disciplines, jittered execution,
+    /// exactly — both disciplines, jittered execution,
     /// fault injection, every miss policy, overload included.
     #[test]
     fn decomposition_conserves_response_exactly(
@@ -158,7 +157,6 @@ proptest! {
         n_tasks in 1usize..6,
         util_pct in 5u64..95,
         wc in proptest::bool::ANY,
-        engine_des in proptest::bool::ANY,
         scale in 300_000u64..=1_000_000,
         fault_rate_sel in 0u64..=1_000_000,
         miss_sel in 0u8..3,
@@ -183,7 +181,7 @@ proptest! {
                 max_retries: 3,
                 jitter_max_cycles: 50,
             },
-            engine: if engine_des { Engine::Des } else { Engine::Legacy },
+            engine: Engine::Des,
             attribution: true,
             staging_window: 2,
         };

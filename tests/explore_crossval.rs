@@ -1,5 +1,5 @@
 //! Two-way cross-validation of the exhaustive explorer against the
-//! simulator, in both directions and on both engines.
+//! simulator, in both directions.
 //!
 //! 1. **Admitted implies explorer-safe** — every zoo model × platform
 //!    cell whose static report is clean explores to completion with no
@@ -8,18 +8,22 @@
 //!
 //! 2. **Explorer-found implies simulator-reproducible** — every
 //!    directed violation scenario (overload miss, widened-window race,
-//!    exhausted retry budget) yields a witness whose script, replayed
-//!    through *both* time-advancement engines, reproduces the violating
-//!    event byte-identically at the explorer-predicted cycle, with the
-//!    blame decomposition naming the same dominant cause. A property
-//!    test extends direction 2 over random generated task sets.
+//!    exhausted retry budget) yields a witness whose script reproduces
+//!    the violating event at the explorer-predicted cycle, with the
+//!    blame decomposition naming the same dominant cause. Each witness
+//!    is executed both ways the explorer executes a path — replayed
+//!    from time zero, and resumed from the last mid-run snapshot before
+//!    the violation — and the two runs must be byte-identical. (The
+//!    `…_on_both_engines` test names predate the single simulator loop;
+//!    these two executions are what they compare now.) A property test
+//!    extends direction 2 over random generated task sets.
 //!
 //! 3. **Strategy and thread-count equivalence** — the fork-based
 //!    incremental explorer and the replay-from-zero reference produce
 //!    identical verdicts, counters, and witness JSON over random task
-//!    sets × jitter × fault environments × both engines, and the
-//!    `check --explore` pipeline's output is byte-identical at any
-//!    speculative worker count.
+//!    sets × jitter × fault environments, and the `check --explore`
+//!    pipeline's output is byte-identical at any speculative worker
+//!    count.
 
 use proptest::prelude::*;
 
@@ -31,7 +35,8 @@ use rt_mdm::dnn::zoo;
 use rt_mdm::mcusim::{ContentionModel, Cycles, FaultPlan, PlatformConfig, TraceKind};
 use rt_mdm::obs::attribute;
 use rt_mdm::sched::gen::{generate, TasksetParams};
-use rt_mdm::sched::sim::{Engine, Policy, SimConfig, SimResult};
+use rt_mdm::sched::script::ScriptOracle;
+use rt_mdm::sched::sim::{simulate_with_oracle_forked, Engine, Policy, SimConfig, SimResult};
 use rt_mdm::sched::{Segment, SporadicTask, StagingMode, TaskSet};
 
 fn cy(n: u64) -> Cycles {
@@ -64,27 +69,47 @@ fn base_config(horizon: u64) -> SimConfig {
     }
 }
 
-/// Replays `w` on both engines and asserts the runs are byte-identical
-/// to each other and reproduce the witnessed violation at `w.at`.
-/// Returns the (shared) replay result.
+/// Replays `w` from time zero and again resumed from the last snapshot
+/// captured before the violation, asserts the two runs are
+/// byte-identical and reproduce the witnessed violation at `w.at`, and
+/// returns the replay.
 fn assert_witness_replays_on_both_engines(w: &Witness) -> SimResult {
-    let mut legacy_cfg = w.config.clone();
-    legacy_cfg.engine = Engine::Legacy;
-    let mut des_cfg = w.config.clone();
-    des_cfg.engine = Engine::Des;
-    let legacy = w.replay_on(&legacy_cfg);
-    let des = w.replay_on(&des_cfg);
-    assert_eq!(
-        legacy.trace.events(),
-        des.trace.events(),
-        "witness replay diverges between engines"
+    let replay = w.replay();
+    let mut snaps = Vec::new();
+    let mut oracle = ScriptOracle::new(w.script.clone());
+    simulate_with_oracle_forked(
+        &w.task_set,
+        &w.platform,
+        &w.config,
+        &mut oracle,
+        None,
+        Some(&mut snaps),
     );
-    assert_eq!(legacy.stats, des.stats);
-    assert_eq!(legacy.races, des.races);
+    let snap = snaps
+        .iter()
+        .rev()
+        .find(|s| s.instant().get() <= w.at)
+        .expect("a snapshot precedes the violation");
+    let suffix = w.script[snap.queries_before().min(w.script.len())..].to_vec();
+    let resumed = simulate_with_oracle_forked(
+        &w.task_set,
+        &w.platform,
+        &w.config,
+        &mut ScriptOracle::new(suffix),
+        Some(snap),
+        None,
+    );
+    assert_eq!(
+        replay.trace.events(),
+        resumed.trace.events(),
+        "witness replay diverges between time zero and the snapshot resume"
+    );
+    assert_eq!(replay.stats, resumed.stats);
+    assert_eq!(replay.races, resumed.races);
 
     match w.rule.as_str() {
         "RTM051" => {
-            let race = des
+            let race = replay
                 .races
                 .iter()
                 .find(|r| r.at.get() == w.at)
@@ -93,7 +118,7 @@ fn assert_witness_replays_on_both_engines(w: &Witness) -> SimResult {
             assert_eq!(race.job, w.job);
         }
         _ => {
-            let miss = des
+            let miss = replay
                 .trace
                 .events()
                 .iter()
@@ -116,7 +141,7 @@ fn assert_witness_replays_on_both_engines(w: &Witness) -> SimResult {
     // Blame agreement: attributing the replayed trace must name the
     // same dominant interference source for the victim job that the
     // explorer recorded in the witness.
-    let replay_blame = attribute(&des.trace)
+    let replay_blame = attribute(&replay.trace)
         .expect("replayed trace attributes")
         .jobs
         .iter()
@@ -127,7 +152,7 @@ fn assert_witness_replays_on_both_engines(w: &Witness) -> SimResult {
         replay_blame, w.dominant_blame,
         "replay blame decomposition disagrees with the witness"
     );
-    des
+    replay
 }
 
 // ---------------------------------------------------------------------
@@ -201,7 +226,8 @@ fn admitted_reference_pair_is_explorer_safe_under_exec_endpoints() {
 }
 
 // ---------------------------------------------------------------------
-// Direction 2: explorer findings replay on both engines.
+// Direction 2: explorer findings replay, from time zero and from a
+// snapshot.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -312,7 +338,7 @@ fn witness_json_round_trips_and_still_replays() {
 
 // ---------------------------------------------------------------------
 // Property: any witness the explorer finds on a random generated set
-// replays byte-identically on both engines.
+// replays byte-identically from time zero and from a snapshot.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -368,7 +394,7 @@ proptest! {
     /// The differential contract behind `--strategy`: fork-based
     /// incremental exploration and replay-from-zero produce identical
     /// verdicts, counters, and witness JSON over random task sets ×
-    /// jitter × fault environments × both engines.
+    /// jitter × fault environments.
     #[test]
     fn fork_and_replay_strategies_are_outcome_identical(
         n in 1usize..4,
@@ -377,7 +403,6 @@ proptest! {
         wide_exec in proptest::bool::ANY,
         with_jitter in proptest::bool::ANY,
         with_faults in proptest::bool::ANY,
-        legacy_engine in proptest::bool::ANY,
         deep_first in proptest::bool::ANY,
     ) {
         let platform = PlatformConfig::stm32f746_qspi();
@@ -387,9 +412,6 @@ proptest! {
         let horizon = ts.tasks().iter().map(|t| t.period).max().unwrap() * 2;
         let mut cfg = base_config(horizon.get());
         cfg.exec_scale_min_ppm = if wide_exec { 500_000 } else { 1_000_000 };
-        if legacy_engine {
-            cfg.engine = Engine::Legacy;
-        }
         if with_faults {
             cfg.fault = FaultPlan {
                 seed: 0,

@@ -25,10 +25,6 @@ fn cy(n: u64) -> Cycles {
 /// overlapped DNN and a resident control loop — over a 4000-cycle
 /// horizon at WCET, seed 0. Everything here is deterministic.
 fn golden_scenario() -> (SimResult, Vec<String>) {
-    golden_scenario_with(Engine::Des)
-}
-
-fn golden_scenario_with(engine: Engine) -> (SimResult, Vec<String>) {
     let dnn = SporadicTask::new(
         "dnn",
         cy(2000),
@@ -53,7 +49,7 @@ fn golden_scenario_with(engine: Engine) -> (SimResult, Vec<String>) {
         seed: 0,
         work_conserving: false,
         fault: FaultPlan::NONE,
-        engine,
+        engine: Engine::Des,
         attribution: false,
         staging_window: 2,
     };
@@ -73,16 +69,6 @@ fn chrome_export_matches_golden_file() {
          change is intentional, regenerate with \
          `cargo test --test observability -- --ignored bless_golden`"
     );
-}
-
-/// The golden file is engine-independent: the legacy loop reproduces
-/// the exact bytes the discrete-event default is pinned to.
-#[test]
-fn chrome_export_matches_golden_file_under_legacy_engine() {
-    let (result, names) = golden_scenario_with(Engine::Legacy);
-    let json = chrome_trace_json(&result.trace, &names);
-    let golden = include_str!("golden_chrome.json");
-    assert_eq!(json, golden.trim_end());
 }
 
 #[test]

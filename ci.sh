@@ -203,19 +203,36 @@ grep -q '"id":"q-reject".*"verdict":"reject"' "$serve_out" || {
 ./target/release/rtmdm serve --once --input "$serve_in" > "$serve_out2"
 cmp "$serve_out" "$serve_out2" || {
   echo "serve smoke: repeated runs are not byte-identical" >&2; exit 1; }
+# A line nested past the JSON parser's depth cap must get an error
+# record, not abort the server: streaming, and in a sharded batch whose
+# worker threads run on smaller stacks.
+valid='{"id":"q-valid","tasks":[{"name":"kws","model":"ds-cnn","period_us":100000}]}'
+{ echo "$valid"; printf '%*s\n' 50000 '' | tr ' ' '['; echo "$valid"; } > "$serve_in"
+./target/release/rtmdm serve < "$serve_in" > "$serve_out"
+RTMDM_THREADS=2 ./target/release/rtmdm serve --once < "$serve_in" > "$serve_out2"
+for out in "$serve_out" "$serve_out2"; do
+  [[ "$(wc -l < "$out")" -eq 3 ]] || {
+    echo "serve smoke: deep batch did not answer 3 lines" >&2; exit 1; }
+  [[ "$(sed -n 2p "$out")" == *'"ok":false'* ]] || {
+    echo "serve smoke: deep line produced no error record" >&2; exit 1; }
+done
 rm -f "$serve_in" "$serve_out" "$serve_out2"
 
-echo "== rtbench self-tests, serve_cold, explore and simulate smoke =="
+echo "== rtbench self-tests and workload smokes =="
 # The repository benchmark (rtbench/, its own Cargo package) checks
-# every answer it times. Its self-tests plus short serve_cold, explore
-# and simulate runs make a change that breaks those output checks fail
-# here first.
+# every answer it times. Its self-tests plus short runs of all four
+# workloads make a change that breaks those output checks fail here
+# first.
 cargo test -q --release --offline --manifest-path rtbench/Cargo.toml
 bench_out="$(mktemp)"
 cargo run --release --offline --quiet --manifest-path rtbench/Cargo.toml -- \
   --workload serve_cold --seed 1 --seconds 2 --trace 0 > "$bench_out"
 tail -n 1 "$bench_out" | grep -q '"failed":0' || {
   echo "rtbench smoke: serve_cold output checks failed" >&2; exit 1; }
+cargo run --release --offline --quiet --manifest-path rtbench/Cargo.toml -- \
+  --workload serve_fleet --seed 1 --seconds 2 --trace 0 > "$bench_out"
+tail -n 1 "$bench_out" | grep -q '"failed":0' || {
+  echo "rtbench smoke: serve_fleet output checks failed" >&2; exit 1; }
 cargo run --release --offline --quiet --manifest-path rtbench/Cargo.toml -- \
   --workload explore --seed 1 --seconds 2 --trace 0 > "$bench_out"
 tail -n 1 "$bench_out" | grep -q '"failed":0' || {

@@ -10,10 +10,10 @@
 
 use serde::{Deserialize, Serialize};
 
-use rtmdm_sched::analysis::{critical_scaling_ppm, SchedulerMode};
+use rtmdm_sched::analysis::critical_scaling_ppm;
 
 use crate::error::AdmitError;
-use crate::framework::RtMdm;
+use crate::framework::{scheduler_mode, RtMdm};
 use crate::spec::Strategy;
 
 /// Upper bound on tasks the exhaustive strategy search accepts.
@@ -55,11 +55,7 @@ impl RtMdm {
                 max: MAX_TASKS,
             });
         }
-        let mode = if self.options().work_conserving {
-            SchedulerMode::WorkConserving
-        } else {
-            SchedulerMode::Gated
-        };
+        let mode = scheduler_mode(self.options());
 
         let mut best: Option<OptimizeOutcome> = None;
         let mut admissible = 0u32;

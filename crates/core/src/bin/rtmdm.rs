@@ -803,12 +803,8 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     };
     let stats = service.stats();
     eprintln!(
-        "serve: {} queries; reused {} answers, {} lowerings, {} analyses, {} headrooms",
-        stats.queries,
-        stats.answers_reused,
-        stats.lowerings_reused,
-        stats.analyses_reused,
-        stats.headrooms_reused
+        "serve: {} queries; reused {} answers, {} lowerings",
+        stats.queries, stats.answers_reused, stats.lowerings_reused
     );
     match result {
         Ok(()) => ExitCode::SUCCESS,

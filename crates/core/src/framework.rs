@@ -307,8 +307,8 @@ impl RtMdm {
             .map(|(admission, _, _)| admission)
     }
 
-    /// [`RtMdm::admit`] with lowering and analysis routed through
-    /// `hooks` (the admission service substitutes memoized versions),
+    /// [`RtMdm::admit`] with lowering routed through `hooks` (the
+    /// admission service substitutes its memoized version),
     /// additionally returning the lowered, priority-ordered task set —
     /// so the caller can run follow-up analyses (e.g. sensitivity)
     /// without re-lowering — and the non-blocking verifier report that
@@ -328,7 +328,7 @@ impl RtMdm {
         let (ts, plans) = self.build_hooked(hooks)?;
         let order = self.priority_order(&ts);
         let ordered = ts.reordered(&order);
-        let mut analysis = hooks.analyze(&ordered, &self.platform, &self.options);
+        let mut analysis = direct_analysis(&ordered, &self.platform, &self.options);
         // Retry-budget admission: under an active fault plan each task
         // must still meet its deadline after paying the worst tolerated
         // re-fetch pattern (bounded by `max_retries` per transfer).
@@ -440,12 +440,12 @@ pub(crate) struct Lowered {
     pub strategy: Strategy,
 }
 
-/// Substitution points of the admission pipeline: lowering specs to
-/// scheduler form and running the schedulability analysis. The default
-/// implementations compute directly; the admission service overrides
-/// them with content-addressed caches (see `crate::service`). `Sync`
-/// because the service shards query batches across worker threads that
-/// share one hook instance.
+/// The substitution point of the admission pipeline: lowering specs to
+/// scheduler form. The default implementation computes directly; the
+/// admission service overrides it with a content-addressed cache (see
+/// `crate::service`), since the static checks and the build of one
+/// admission lower every spec twice. `Sync` because the service shards
+/// query batches across worker threads that share one hook instance.
 pub(crate) trait AdmissionHooks: Sync {
     /// Lowers one spec (defaults to [`lower_spec`]).
     fn lower(
@@ -457,17 +457,6 @@ pub(crate) trait AdmissionHooks: Sync {
     ) -> Result<Lowered, AdmitError> {
         lower_spec(platform, options, spec, cap)
     }
-
-    /// Runs the schedulability analysis on the priority-ordered set
-    /// (defaults to [`direct_analysis`]).
-    fn analyze(
-        &self,
-        ordered: &TaskSet,
-        platform: &PlatformConfig,
-        options: &FrameworkOptions,
-    ) -> AnalysisOutcome {
-        direct_analysis(ordered, platform, options)
-    }
 }
 
 /// The hook set every one-shot entry point uses: no caching, straight
@@ -476,18 +465,23 @@ pub(crate) struct DirectHooks;
 
 impl AdmissionHooks for DirectHooks {}
 
+/// The dispatch discipline the options select.
+pub(crate) fn scheduler_mode(options: &FrameworkOptions) -> SchedulerMode {
+    if options.work_conserving {
+        SchedulerMode::WorkConserving
+    } else {
+        SchedulerMode::Gated
+    }
+}
+
 /// The schedulability analysis admission runs on the priority-ordered
 /// set, selected by policy and analysis options.
-pub(crate) fn direct_analysis(
+fn direct_analysis(
     ordered: &TaskSet,
     platform: &PlatformConfig,
     options: &FrameworkOptions,
 ) -> AnalysisOutcome {
-    let mode = if options.work_conserving {
-        SchedulerMode::WorkConserving
-    } else {
-        SchedulerMode::Gated
-    };
+    let mode = scheduler_mode(options);
     match options.policy {
         Policy::Edf => AnalysisOutcome {
             // The EDF processor-demand test yields a yes/no verdict,

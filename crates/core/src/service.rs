@@ -1,14 +1,15 @@
 //! Admission-as-a-service: batch/online admission queries over a
-//! content-addressed analysis cache.
+//! content-addressed answer cache.
 //!
 //! The `rtmdm serve` subcommand feeds JSONL admission requests (one
 //! JSON object per line) through a [`Service`]. A fleet of
-//! near-identical device configurations asks the same sub-questions over and
-//! over — lowering the same spec against the same platform, running the
-//! same RTA fixed point, scaling the same set for headroom — so the
-//! service memoizes each sub-problem under a canonical key
-//! ([`rtmdm_sched::analysis::canonical_key`]) and answers repeats from
-//! the cache.
+//! near-identical device configurations asks the same questions over
+//! and over, so the service memoizes whole answers under a canonical
+//! key ([`rtmdm_sched::analysis::canonical_key`]) and answers repeats
+//! from the cache. It also memoizes spec lowerings, which the static
+//! checks and the build of one admission both ask for. The RTA fixed
+//! point and the headroom search are recomputed on every answer miss:
+//! keying them costs more than computing them.
 //!
 //! # Wire format
 //!
@@ -42,9 +43,7 @@ use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard
 
 use rtmdm_dnn::zoo;
 use rtmdm_mcusim::{Cycles, PlatformConfig};
-use rtmdm_sched::analysis::{
-    analysis_key, canonical_key, critical_scaling_ppm, AnalysisOutcome, SchedulerMode,
-};
+use rtmdm_sched::analysis::{canonical_key, critical_scaling_ppm};
 use rtmdm_sched::sim::Policy;
 use rtmdm_sched::{MissPolicy, TaskSet};
 use serde::{Content, Serialize};
@@ -52,7 +51,7 @@ use serde::{Content, Serialize};
 use crate::check::SystemSpec;
 use crate::error::AdmitError;
 use crate::framework::{
-    direct_analysis, lower_spec, AdmissionHooks, FrameworkOptions, Lowered, PriorityAssignment,
+    lower_spec, scheduler_mode, AdmissionHooks, FrameworkOptions, Lowered, PriorityAssignment,
     RtMdm,
 };
 use crate::spec::{Strategy, TaskSpec};
@@ -84,8 +83,6 @@ struct Counters {
     queries: AtomicU64,
     answers_reused: AtomicU64,
     lowerings_reused: AtomicU64,
-    analyses_reused: AtomicU64,
-    headrooms_reused: AtomicU64,
 }
 
 /// A point-in-time snapshot of the service's cache telemetry.
@@ -97,9 +94,13 @@ pub struct CacheStats {
     pub answers_reused: u64,
     /// Spec lowerings (segmentation + strategy transform) reused.
     pub lowerings_reused: u64,
-    /// Schedulability-analysis fixed points reused.
+    /// Always 0: the service no longer memoizes analyses. Kept only
+    /// because the repository benchmark still reads it; goes once it
+    /// stops.
     pub analyses_reused: u64,
-    /// Headroom (critical-scaling) binary searches reused.
+    /// Always 0: the service no longer memoizes headroom searches.
+    /// Kept only because the repository benchmark still reads it; goes
+    /// once it stops.
     pub headrooms_reused: u64,
 }
 
@@ -160,8 +161,8 @@ struct ErrorRecord {
     error: String,
 }
 
-/// The admission service: a shared, content-addressed memo of every
-/// sub-problem the admission pipeline computes.
+/// The admission service: a shared, content-addressed memo of whole
+/// answers and of the spec lowerings one admission asks for twice.
 ///
 /// All methods take `&self`; the caches are interior-mutable behind
 /// reader-writer locks, so one `Service` can be shared by the worker
@@ -192,11 +193,6 @@ pub struct Service {
     /// Only successful lowerings are cached; errors are rare and cheap
     /// to recompute (and [`AdmitError`] is deliberately not `Clone`).
     lowerings: RwLock<HashMap<String, Lowered>>,
-    /// Analysis key (policy + dma-awareness + RTA sub-problem) → RTA /
-    /// EDF fixed point.
-    analyses: RwLock<HashMap<String, AnalysisOutcome>>,
-    /// `headroom:` + RTA sub-problem key → critical scaling factor.
-    headrooms: RwLock<HashMap<String, u64>>,
     /// Normalized request (id stripped) → finished answer.
     answers: RwLock<HashMap<String, Answer>>,
     stats: Counters,
@@ -259,8 +255,8 @@ impl Service {
             queries: self.stats.queries.load(Ordering::Relaxed),
             answers_reused: self.stats.answers_reused.load(Ordering::Relaxed),
             lowerings_reused: self.stats.lowerings_reused.load(Ordering::Relaxed),
-            analyses_reused: self.stats.analyses_reused.load(Ordering::Relaxed),
-            headrooms_reused: self.stats.headrooms_reused.load(Ordering::Relaxed),
+            analyses_reused: 0,
+            headrooms_reused: 0,
         }
     }
 
@@ -278,7 +274,8 @@ impl Service {
         answer
     }
 
-    /// Runs the admission pipeline with the memoizing hooks installed.
+    /// Runs the admission pipeline with the memoizing lowering hook
+    /// installed.
     fn evaluate(&self, req: &ParsedRequest) -> Answer {
         let hooks = CachedHooks { service: self };
         let mut fw = match RtMdm::with_options(req.platform.clone(), req.options.clone()) {
@@ -294,7 +291,7 @@ impl Service {
             Ok((admission, ordered, report)) => {
                 let schedulable = admission.schedulable();
                 let headroom_ppm = if schedulable {
-                    self.headroom_ppm(&ordered, &req.platform, &req.options)
+                    headroom_ppm(&ordered, &req.platform, &req.options)
                 } else {
                     0
                 };
@@ -339,34 +336,21 @@ impl Service {
             findings,
         }
     }
-
-    /// Memoized headroom: the largest uniform WCET scaling (ppm) the
-    /// RT-MDM analysis still admits. Only meaningful for the analysis
-    /// the binary search runs ([`critical_scaling_ppm`] is
-    /// fixed-priority, dma-aware); other policies report zero.
-    fn headroom_ppm(
-        &self,
-        ordered: &TaskSet,
-        platform: &PlatformConfig,
-        options: &FrameworkOptions,
-    ) -> u64 {
-        if options.policy != Policy::FixedPriority || !options.dma_aware_analysis {
-            return 0;
-        }
-        let mode = scheduler_mode(options);
-        let key = format!("headroom:{}", analysis_key(ordered, platform, mode));
-        if let Some(&hit) = read(&self.headrooms).get(&key) {
-            self.stats.headrooms_reused.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        let value = critical_scaling_ppm(ordered, platform, mode);
-        write(&self.headrooms).insert(key, value);
-        value
-    }
 }
 
-/// The memoizing [`AdmissionHooks`] implementation: lowering and
-/// analysis consult the service's caches before computing.
+/// Headroom: the largest uniform WCET scaling (ppm) the RT-MDM analysis
+/// still admits. Only meaningful for the analysis the binary search runs
+/// ([`critical_scaling_ppm`] is fixed-priority, dma-aware); other
+/// policies report zero.
+fn headroom_ppm(ordered: &TaskSet, platform: &PlatformConfig, options: &FrameworkOptions) -> u64 {
+    if options.policy != Policy::FixedPriority || !options.dma_aware_analysis {
+        return 0;
+    }
+    critical_scaling_ppm(ordered, platform, scheduler_mode(options))
+}
+
+/// The memoizing [`AdmissionHooks`] implementation: lowering consults
+/// the service's cache before computing.
 struct CachedHooks<'a> {
     service: &'a Service,
 }
@@ -400,48 +384,6 @@ impl AdmissionHooks for CachedHooks<'_> {
         let lowered = lower_spec(platform, options, spec, cap)?;
         write(&self.service.lowerings).insert(key, lowered.clone());
         Ok(lowered)
-    }
-
-    fn analyze(
-        &self,
-        ordered: &TaskSet,
-        platform: &PlatformConfig,
-        options: &FrameworkOptions,
-    ) -> AnalysisOutcome {
-        // The RTA key covers (tasks, platform, mode); the analysis
-        // admission actually runs additionally depends on the policy
-        // and the dma-awareness ablation flag, so both join the key.
-        let doc = Content::Map(vec![
-            (
-                "dma_aware".to_owned(),
-                Content::Bool(options.dma_aware_analysis),
-            ),
-            ("policy".to_owned(), options.policy.to_content()),
-            (
-                "rta".to_owned(),
-                Content::Str(analysis_key(ordered, platform, scheduler_mode(options))),
-            ),
-        ]);
-        let key = canonical_key("analysis", &doc);
-        if let Some(hit) = read(&self.service.analyses).get(&key).cloned() {
-            self.service
-                .stats
-                .analyses_reused
-                .fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        let outcome = direct_analysis(ordered, platform, options);
-        write(&self.service.analyses).insert(key, outcome.clone());
-        outcome
-    }
-}
-
-/// The dispatch discipline the options select.
-fn scheduler_mode(options: &FrameworkOptions) -> SchedulerMode {
-    if options.work_conserving {
-        SchedulerMode::WorkConserving
-    } else {
-        SchedulerMode::Gated
     }
 }
 
@@ -895,11 +837,6 @@ mod tests {
                 "lowerings",
                 read(&s.lowerings).keys().map(String::len).max(),
             ),
-            ("analyses", read(&s.analyses).keys().map(String::len).max()),
-            (
-                "headrooms",
-                read(&s.headrooms).keys().map(String::len).max(),
-            ),
             ("answers", read(&s.answers).keys().map(String::len).max()),
         ];
         for (map, longest) in longest {
@@ -962,6 +899,16 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_lines_get_error_records_not_stack_overflows() {
+        let s = Service::new();
+        for open in ["[", r#"{"a":"#] {
+            let out = s.answer_line(&open.repeat(100_000));
+            assert!(out.contains(r#""ok":false"#), "{out}");
+            assert!(out.contains("nesting deeper than 128"), "{out}");
+        }
+    }
+
+    #[test]
     fn empty_task_list_is_a_reject_not_a_crash() {
         let s = Service::new();
         let out = s.answer_line(r#"{"id":"none","tasks":[]}"#);
@@ -1013,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn headroom_is_positive_and_memoized_for_admitted_sets() {
+    fn headroom_is_positive_for_admitted_sets_and_repeats_hit_the_answer_cache() {
         let s = Service::new();
         let q = line("h", KWS);
         let out = s.answer_line(&q);
@@ -1027,11 +974,10 @@ mod tests {
             ppm >= 1_000_000,
             "an admitted set tolerates at least identity scaling: {out}"
         );
-        s.answer_line(&line("h2", KWS));
-        // Second query hits the full-response cache, not the headroom
-        // memo; a *mutated* set that re-derives the same ordered tasks
-        // would hit it. Force a recompute path via a distinct option
-        // that does not change the ordered set or analysis mode.
+        // The repeat under a new id is served whole from the answer
+        // cache, headroom included; headroom itself is never memoized.
+        let again = s.answer_line(&line("h2", KWS));
         assert_eq!(s.stats().answers_reused, 1);
+        assert_eq!(again, out.replace(r#""id":"h""#, r#""id":"h2""#));
     }
 }

@@ -66,6 +66,50 @@ fn optimize_prefers_resident_for_tiny_models() {
     assert!(stdout.contains("headroom"));
 }
 
+/// Runs `rtmdm serve` with `args` and the given stdin and environment.
+fn serve(args: &[&str], env: &[(&str, &str)], stdin: &str) -> std::process::Output {
+    use std::io::Write;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rtmdm"))
+        .arg("serve")
+        .args(args)
+        .envs(env.iter().copied())
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(stdin.as_bytes())
+        .expect("stdin written");
+    child.wait_with_output().expect("serve exits")
+}
+
+/// A line nested far past the parser's depth cap gets an error record
+/// and the stream goes on, both streaming and in a sharded `--once`
+/// batch (whose worker threads have smaller stacks than the main one).
+#[test]
+fn deeply_nested_serve_lines_get_error_records() {
+    let valid = r#"{"id":"ok","tasks":[{"name":"kws","model":"ds-cnn","period_us":100000}]}"#;
+    let input = format!("{valid}\n{}\n{valid}\n", "[".repeat(50_000));
+    for (args, env) in [
+        (&[][..], &[][..]),
+        (&["--once"][..], &[("RTMDM_THREADS", "2")][..]),
+    ] {
+        let out = serve(args, env, &input);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stdout}");
+        let lines: Vec<&str> = stdout.lines().collect();
+        assert_eq!(lines.len(), 3, "{args:?}: {stdout}");
+        assert!(lines[0].contains(r#""verdict":"admit""#), "{}", lines[0]);
+        assert!(lines[1].contains(r#""ok":false"#), "{}", lines[1]);
+        assert!(lines[1].contains("nesting deeper than 128"), "{}", lines[1]);
+        assert_eq!(lines[0], lines[2]);
+    }
+}
+
 #[test]
 fn listing_subcommands_work() {
     let p = rtmdm(&["platforms"]);

@@ -1,10 +1,12 @@
 //! Content-addressed keys for analysis sub-problems.
 //!
-//! The admission service memoizes RTA fixed points, staging plans, and
-//! check passes across a fleet of near-duplicate queries. Cache keys
-//! must be **canonical**: two sub-problems that would produce the same
-//! answer must map to the same key, and any observable difference in
-//! the inputs must change it. The key is the canonical JSON rendering
+//! The admission service memoizes whole answers and spec lowerings
+//! across a fleet of near-duplicate queries under [`canonical_key`].
+//! [`analysis_key`] names one RTA sub-problem; the service no longer
+//! caches those, but the repository benchmark still keys on it. Cache
+//! keys must be **canonical**: two sub-problems that would produce the
+//! same answer must map to the same key, and any observable difference
+//! in the inputs must change it. The key is the canonical JSON rendering
 //! of every input the answer depends on (the vendored serializer writes
 //! struct fields in declaration order and maps in insertion order, so
 //! equal values always render to equal bytes), prefixed with a schema

@@ -9,8 +9,8 @@
 //!
 //! This is what makes `rtmdm serve` sound: responses carry no
 //! hit-versus-miss marker, so the only way the invariant can hold is
-//! for every memoized sub-problem (lowering, RTA, headroom, whole
-//! answers) to cache the exact value the direct computation produces.
+//! for both memo levels (spec lowerings and whole answers) to cache the
+//! exact value the direct computation produces.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -40,21 +40,48 @@ fn pick<'a, T: ?Sized>(rng: &mut StdRng, pool: &'a [&'a T]) -> &'a T {
     pool[rng.gen_range(0..pool.len())]
 }
 
+const ASSIGNMENTS: &[&str] = &[
+    "deadline-monotonic",
+    "rate-monotonic",
+    "insertion-order",
+    "audsley",
+];
+
+const MISS_POLICIES: &[&str] = &["continue", "abort", "skip-next"];
+
 /// Renders one random well-formed request line. The drawn space covers
-/// every platform preset, every zoo model, both policies, the
-/// dma-awareness and work-conserving ablations, explicit and defaulted
-/// deadlines, and occasional buffer/activation-budget overrides.
+/// every platform preset, every zoo model, both policies, every priority
+/// assignment, the dma-awareness, work-conserving and tiling ablations,
+/// explicit segment caps, miss policies, explicit and defaulted
+/// deadlines, and occasional buffer/activation-budget overrides. The
+/// assignment, miss-policy, tiling and cap options let two different
+/// requests share one ordered task set, or one set yield two answers.
 fn random_request(rng: &mut StdRng, id: &str) -> String {
     let platform = pick(rng, PLATFORMS);
     let mut options = Vec::new();
     if rng.gen_bool(0.3) {
         options.push(r#""policy":"edf""#.to_owned());
     }
+    if rng.gen_bool(0.5) {
+        options.push(format!(r#""assignment":"{}""#, pick(rng, ASSIGNMENTS)));
+    }
     if rng.gen_bool(0.3) {
         options.push(r#""dma_aware_analysis":false"#.to_owned());
     }
     if rng.gen_bool(0.3) {
         options.push(r#""work_conserving":true"#.to_owned());
+    }
+    if rng.gen_bool(0.3) {
+        options.push(r#""tile_oversized_layers":false"#.to_owned());
+    }
+    if rng.gen_bool(0.3) {
+        options.push(format!(
+            r#""segment_compute_cap_us":{}"#,
+            [1_000u64, 5_000, 25_000][rng.gen_range(0..3usize)]
+        ));
+    }
+    if rng.gen_bool(0.3) {
+        options.push(format!(r#""miss_policy":"{}""#, pick(rng, MISS_POLICIES)));
     }
     let n_tasks = rng.gen_range(1..=3usize);
     let tasks: Vec<String> = (0..n_tasks)
@@ -81,6 +108,9 @@ fn random_request(rng: &mut StdRng, id: &str) -> String {
                     r#""activation_budget_bytes":{}"#,
                     1024 * rng.gen_range(8..=64u64)
                 ));
+            }
+            if rng.gen_bool(0.2) {
+                fields.push(format!(r#""miss_policy":"{}""#, pick(rng, MISS_POLICIES)));
             }
             format!("{{{}}}", fields.join(","))
         })

@@ -19,6 +19,13 @@ echo "== cargo doc (obs + check + sched + core + par) =="
 RUSTDOCFLAGS="-D warnings" cargo doc -q -p rtmdm-obs -p rtmdm-check -p rtmdm-sched \
   -p rtmdm-core -p rtmdm-par --no-deps
 
+echo "== examples =="
+# Each example asserts the admission guarantees it prints; a failed
+# assertion exits nonzero and fails the gate.
+for example in quickstart sensor_node design_space priority_assignment spilling; do
+  cargo run --release -q --example "$example" > /dev/null
+done
+
 echo "== rtmdm trace smoke =="
 trace_out="$(mktemp)"
 ./target/release/rtmdm trace --platform stm32f746-qspi --task kws=ds-cnn@100 \

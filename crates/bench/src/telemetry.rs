@@ -22,9 +22,9 @@ use serde::{Deserialize, Serialize};
 
 use rtmdm_core::{RtMdm, TaskSpec};
 use rtmdm_dnn::{zoo, CostModel};
-use rtmdm_mcusim::{Cycles, PlatformConfig};
-use rtmdm_obs::{Registry, Snapshot, Timeline, TimelineSummary};
-use rtmdm_xmem::{pipeline, segment_model, ExecutionStrategy};
+use rtmdm_mcusim::PlatformConfig;
+use rtmdm_obs::{Snapshot, Timeline, TimelineSummary};
+use rtmdm_xmem::{segment_model, stage_timings, ExecutionStrategy, StageTiming};
 
 /// Version of the `metrics.json` / `BENCH_run_all.json` layout.
 ///
@@ -143,7 +143,7 @@ pub struct RunTotals {
 ///
 /// Percentiles are upper bucket bounds of the simulator's log₂
 /// response histogram
-/// ([`ResponseHist::percentile_upper`](rtmdm_sched::sim::ResponseHist::percentile_upper)):
+/// ([`Histogram::percentile_upper`](rtmdm_obs::Histogram::percentile_upper)):
 /// exact, deterministic, and `None` when the task completed no jobs.
 /// `max_response` is the exact observed maximum.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -165,7 +165,7 @@ pub struct TaskResponseSummary {
 impl TaskResponseSummary {
     /// Extracts the summary of one task from its simulator statistics.
     pub fn from_stats(name: &str, stats: &rtmdm_sched::sim::TaskStats) -> Self {
-        let pct = |p: u64| stats.response_hist.percentile_upper(p).map(Cycles::get);
+        let pct = |p: u64| stats.response_hist.percentile_upper(p);
         TaskResponseSummary {
             task: name.to_owned(),
             completions: stats.completions,
@@ -301,12 +301,11 @@ pub fn probe() -> Probe {
     // reference platform with a 48 KiB double buffer.
     let platform = PlatformConfig::stm32f746_qspi();
     let cost = CostModel::cmsis_nn_m7();
-    let mut reg = Registry::new();
+    let mut pipeline = Snapshot::default();
     for model in zoo::all() {
         if let Ok(seg) = segment_model(&model, &cost, 48 * 1024) {
-            let stages =
-                pipeline::stage_timings(&seg, &platform, ExecutionStrategy::OverlappedPrefetch);
-            pipeline::record_stage_metrics(&stages, &mut reg);
+            let stages = stage_timings(&seg, &platform, ExecutionStrategy::OverlappedPrefetch);
+            record_stages(&mut pipeline, &stages);
         }
     }
     // Timeline summary: keyword spotting + image classification for one
@@ -327,9 +326,38 @@ pub fn probe() -> Probe {
         .map(|(name, stats)| TaskResponseSummary::from_stats(name, stats))
         .collect();
     Probe {
-        pipeline: reg.snapshot(),
+        pipeline,
         timeline,
         response,
+    }
+}
+
+/// Adds pipeline stage telemetry to `snap`: counters `pipeline.stages`,
+/// `pipeline.compute_cycles`, `pipeline.fetch_cycles`,
+/// `pipeline.stage_cycles`, and — for stages that actually transfer
+/// data — `pipeline.hidden_fetches` vs. `pipeline.exposed_fetches`.
+/// Stage wall times also feed the `pipeline.stage_cycles_hist`
+/// histogram.
+fn record_stages(snap: &mut Snapshot, stages: &[StageTiming]) {
+    for st in stages {
+        let fetch = (!st.fetch_work.is_zero()).then_some(if st.fetch_hidden {
+            "pipeline.hidden_fetches"
+        } else {
+            "pipeline.exposed_fetches"
+        });
+        let counts = [
+            ("pipeline.stages", 1),
+            ("pipeline.compute_cycles", st.compute_work.get()),
+            ("pipeline.fetch_cycles", st.fetch_work.get()),
+            ("pipeline.stage_cycles", st.stage.get()),
+        ];
+        for (name, delta) in counts.into_iter().chain(fetch.map(|name| (name, 1))) {
+            *snap.counters.entry(name.to_owned()).or_default() += delta;
+        }
+        snap.histograms
+            .entry("pipeline.stage_cycles_hist".to_owned())
+            .or_default()
+            .record(st.stage.get());
     }
 }
 
@@ -382,12 +410,37 @@ mod tests {
     }
 
     #[test]
+    fn stage_counters_sum_the_stage_timings() {
+        let platform = PlatformConfig::stm32f746_qspi();
+        let seg = segment_model(&zoo::ds_cnn(), &CostModel::cmsis_nn_m7(), 40 * 1024)
+            .expect("ds-cnn segments");
+        let stages = stage_timings(&seg, &platform, ExecutionStrategy::OverlappedPrefetch);
+        let mut snap = Snapshot::default();
+        record_stages(&mut snap, &stages);
+        assert_eq!(snap.counter("pipeline.stages"), stages.len() as u64);
+        let compute: u64 = stages.iter().map(|st| st.compute_work.get()).sum();
+        let fetch: u64 = stages.iter().map(|st| st.fetch_work.get()).sum();
+        let wall: u64 = stages.iter().map(|st| st.stage.get()).sum();
+        assert_eq!(snap.counter("pipeline.compute_cycles"), compute);
+        assert_eq!(snap.counter("pipeline.fetch_cycles"), fetch);
+        assert_eq!(snap.counter("pipeline.stage_cycles"), wall);
+        let fetching = stages.iter().filter(|st| !st.fetch_work.is_zero()).count() as u64;
+        assert_eq!(
+            snap.counter("pipeline.hidden_fetches") + snap.counter("pipeline.exposed_fetches"),
+            fetching
+        );
+        assert_eq!(
+            snap.histograms["pipeline.stage_cycles_hist"].count(),
+            stages.len() as u64
+        );
+    }
+
+    #[test]
     fn metrics_document_round_trips_and_sums() {
         let before = Snapshot::default();
-        let mut reg = Registry::new();
-        reg.add("sim.runs", 3);
-        reg.add("sim.cycles", 600);
-        let after = reg.snapshot();
+        let mut after = Snapshot::default();
+        after.counters.insert("sim.runs".to_owned(), 3);
+        after.counters.insert("sim.cycles".to_owned(), 600);
         let e = ExperimentMetrics::from_snapshots(
             "f3_miss_ratio",
             Duration::from_millis(250),

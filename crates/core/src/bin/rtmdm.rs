@@ -448,7 +448,7 @@ struct ExplainJson {
 }
 
 /// Response-time percentile upper bounds of one task (log₂-bucket tops
-/// from the simulator's `ResponseHist`; `None` when no job completed).
+/// from the simulator's response `Histogram`; `None` when no job completed).
 #[derive(serde::Serialize, serde::Deserialize)]
 struct TaskPercentiles {
     task: String,
@@ -483,9 +483,9 @@ fn cmd_explain(cli: &Cli, run: &rtmdm_core::RunReport) -> ExitCode {
         .map(|(k, s)| TaskPercentiles {
             task: name(rtmdm_mcusim::TaskId(k)),
             completions: s.completions,
-            p50_upper: s.response_hist.percentile_upper(50).map(|c| c.get()),
-            p95_upper: s.response_hist.percentile_upper(95).map(|c| c.get()),
-            p99_upper: s.response_hist.percentile_upper(99).map(|c| c.get()),
+            p50_upper: s.response_hist.percentile_upper(50),
+            p95_upper: s.response_hist.percentile_upper(95),
+            p99_upper: s.response_hist.percentile_upper(99),
             max: s.max_response.get(),
         })
         .collect();

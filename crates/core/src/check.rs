@@ -34,8 +34,8 @@ use rtmdm_xmem::SramArena;
 
 use crate::error::AdmitError;
 use crate::framework::{
-    compute_cap_for, lower_spec, priority_order_for, weight_region_bytes, AdmissionHooks,
-    DirectHooks, FrameworkOptions, RtMdm,
+    compute_cap_for, priority_order_for, weight_region_bytes, AdmissionHooks, DirectHooks,
+    FrameworkOptions, RtMdm,
 };
 use crate::spec::{Strategy, TaskSpec};
 
@@ -149,14 +149,18 @@ impl SystemSpec {
 
     /// Runs every static pass and returns the combined report.
     pub fn check(&self) -> Report {
-        self.check_hooked(&DirectHooks)
+        self.check_hooked(&DirectHooks).0
     }
 
     /// [`SystemSpec::check`] with lowering routed through `hooks`: the
     /// admission service substitutes its content-addressed lowering
     /// cache so the plan/staging passes run on cached artifacts instead
     /// of re-segmenting every model per query.
-    pub(crate) fn check_hooked(&self, hooks: &dyn AdmissionHooks) -> Report {
+    ///
+    /// Also returns the lowered, priority-ordered task set the set-level
+    /// lints ran on — `None` when the platform is invalid, the spec is
+    /// empty, or any task fails to lower (the report says why).
+    pub(crate) fn check_hooked(&self, hooks: &dyn AdmissionHooks) -> (Report, Option<TaskSet>) {
         let mut report = Report::new();
 
         report.extend(check_platform(&self.platform));
@@ -174,7 +178,7 @@ impl SystemSpec {
         if !platform_ok {
             // Cycle conversions and bus timings are meaningless (or
             // divide by zero) on an invalid platform.
-            return report;
+            return (report, None);
         }
 
         // Lower each task exactly as admission would and check the
@@ -217,19 +221,19 @@ impl SystemSpec {
         report.extend(self.check_sram());
 
         // Set-level lints need every task lowered.
-        if !tasks.is_empty() && tasks.len() == self.tasks.len() {
-            let ts = TaskSet::from_tasks(tasks);
-            let order = priority_order_for(&self.platform, &self.options, &ts);
-            let ordered = ts.reordered(&order);
-            let ctx = AdmissionContext {
-                edf: matches!(self.options.policy, Policy::Edf),
-                work_conserving: self.options.work_conserving,
-                dma_aware: self.options.dma_aware_analysis,
-            };
-            report.extend(check_taskset(&ordered, &self.platform, &ctx));
+        if tasks.is_empty() || tasks.len() != self.tasks.len() {
+            return (report, None);
         }
-
-        report
+        let ts = TaskSet::from_tasks(tasks);
+        let order = priority_order_for(&self.platform, &self.options, &ts);
+        let ordered = ts.reordered(&order);
+        let ctx = AdmissionContext {
+            edf: matches!(self.options.policy, Policy::Edf),
+            work_conserving: self.options.work_conserving,
+            dma_aware: self.options.dma_aware_analysis,
+        };
+        report.extend(check_taskset(&ordered, &self.platform, &ctx));
+        (report, Some(ordered))
     }
 
     /// Runs the static passes, then — when requested and the spec has
@@ -240,7 +244,7 @@ impl SystemSpec {
     /// report; a violation additionally carries a self-contained
     /// [`Witness`] that replays the violating run byte for byte.
     pub fn check_with(&self, options: &CheckOptions) -> CheckOutcome {
-        let report = self.check();
+        let (report, ordered) = self.check_hooked(&DirectHooks);
         let Some(x) = &options.explore else {
             return CheckOutcome {
                 report,
@@ -250,11 +254,7 @@ impl SystemSpec {
         };
         // A structurally broken spec cannot be lowered and simulated;
         // the blocking findings already tell the whole story.
-        let ordered = if report.blocks_admission() {
-            None
-        } else {
-            self.lowered_ordered()
-        };
+        let ordered = ordered.filter(|_| !report.blocks_admission());
         let Some(ordered) = ordered else {
             return CheckOutcome {
                 report,
@@ -292,27 +292,6 @@ impl SystemSpec {
             witness: outcome.witness,
             explore_stats: Some(outcome.stats),
         }
-    }
-
-    /// Lowers every task exactly as admission would and returns the
-    /// priority-ordered set, or `None` when any task fails to lower or
-    /// the spec is empty (the static passes report why).
-    fn lowered_ordered(&self) -> Option<TaskSet> {
-        let cap = compute_cap_for(&self.platform, &self.options, &self.tasks);
-        let mut tasks = Vec::with_capacity(self.tasks.len());
-        for spec in &self.tasks {
-            tasks.push(
-                lower_spec(&self.platform, &self.options, spec, cap)
-                    .ok()?
-                    .task,
-            );
-        }
-        if tasks.is_empty() {
-            return None;
-        }
-        let ts = TaskSet::from_tasks(tasks);
-        let order = priority_order_for(&self.platform, &self.options, &ts);
-        Some(ts.reordered(&order))
     }
 
     /// Replays the SRAM layout through the arena allocator and checks
@@ -394,7 +373,7 @@ impl RtMdm {
     /// [`RtMdm::admit_hooked`](RtMdm) runs before analysis so the
     /// admission service's cache also covers the verifier passes.
     pub(crate) fn check_hooked(&self, hooks: &dyn AdmissionHooks) -> Report {
-        self.system_spec().check_hooked(hooks)
+        self.system_spec().check_hooked(hooks).0
     }
 
     fn system_spec(&self) -> SystemSpec {

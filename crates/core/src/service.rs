@@ -323,7 +323,7 @@ impl Service {
                     options: req.options.clone(),
                     tasks: req.tasks.clone(),
                 };
-                sys.check_hooked(hooks).to_json_report()
+                sys.check_hooked(hooks).0.to_json_report()
             }
         };
         Answer {

@@ -12,6 +12,8 @@
 //! - DMA/external-memory traffic per byte staged,
 //! - a base (always-on) floor per cycle.
 
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::time::{Cycles, Frequency};
@@ -59,10 +61,11 @@ impl EnergyModel {
 
     /// Accounts a finished trace over `horizon` cycles.
     ///
-    /// CPU-active time is derived from segment start/complete pairs,
-    /// staged bytes from fetch events; the rest of the horizon is idle.
+    /// CPU-active time is the sum of completed segment start/complete
+    /// pairs, capped at the horizon; staged bytes come from fetch
+    /// events; the rest of the horizon is idle.
     pub fn account(&self, trace: &Trace, horizon: Cycles) -> EnergyReport {
-        let active = trace.cpu_busy_cycles().min(horizon);
+        let active = completed_segment_cycles(trace).min(horizon);
         let idle = horizon.saturating_sub(active);
         let bytes: u64 = trace
             .events()
@@ -82,6 +85,27 @@ impl EnergyModel {
             staged_bytes: bytes,
         }
     }
+}
+
+/// Total cycles between each segment's start and its completion. A
+/// segment still open when the trace ends counts nothing.
+fn completed_segment_cycles(trace: &Trace) -> Cycles {
+    let mut busy = Cycles::ZERO;
+    let mut open = BTreeMap::new();
+    for e in trace.events() {
+        match e.kind {
+            TraceKind::SegmentStarted { task, job, segment } => {
+                open.insert((task, job, segment), e.time);
+            }
+            TraceKind::SegmentCompleted { task, job, segment } => {
+                if let Some(start) = open.remove(&(task, job, segment)) {
+                    busy += e.time - start;
+                }
+            }
+            _ => {}
+        }
+    }
+    busy
 }
 
 /// Energy breakdown of one run, in picojoules.
@@ -179,6 +203,26 @@ mod tests {
         assert_eq!(r.base_pj, 1000 * 40);
         assert_eq!(r.staged_bytes, 1024);
         assert_eq!(r.total_pj(), 100 * 590 + 900 * 150 + 1024 * 60 + 1000 * 40);
+    }
+
+    #[test]
+    fn active_time_counts_completed_segments_capped_at_the_horizon() {
+        let m = EnergyModel::stm32f7();
+        // Completed pair [10, 110) exceeds a 50-cycle horizon: all active.
+        let capped = m.account(&trace_with(100, 0), cy(50));
+        assert_eq!(capped.cpu_active_pj, 50 * 590);
+        assert_eq!(capped.cpu_idle_pj, 0);
+        // A segment the trace never completes counts nothing.
+        let mut open = trace_with(100, 0);
+        open.push(
+            cy(200),
+            TraceKind::SegmentStarted {
+                task: TaskId(0),
+                job: JobId(1),
+                segment: SegmentId(0),
+            },
+        );
+        assert_eq!(m.account(&open, cy(1000)).cpu_active_pj, 100 * 590);
     }
 
     #[test]

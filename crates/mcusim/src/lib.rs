@@ -14,7 +14,8 @@
 //! - **memory regions** (SRAM / internal flash / external memory) with
 //!   sizes and transfer-cost parameters,
 //! - an **event queue** and **execution trace** used by the scheduler
-//!   simulator in `rtmdm-sched`.
+//!   simulator in `rtmdm-sched` (the trace is an append-only log;
+//!   `rtmdm-obs` derives timelines, charts and counts from it).
 //!
 //! The model is *timing-level*, not instruction-level: callers describe
 //! work in CPU cycles and transfers in bytes; the platform answers "when

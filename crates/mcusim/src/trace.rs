@@ -1,8 +1,5 @@
 //! Execution traces: the ground truth every experiment is computed from.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
 use serde::{Deserialize, Serialize};
 
 use crate::time::Cycles;
@@ -149,8 +146,7 @@ pub enum TraceKind {
     },
     /// The CPU went idle (no ready segment). Paired with the next
     /// [`TraceKind::CpuIdleEnd`]; a trace may end mid-idle, in which
-    /// case consumers clamp the interval at their analysis horizon
-    /// (see [`Trace::idle_intervals`]).
+    /// case consumers clamp the interval at their analysis horizon.
     CpuIdle,
     /// The CPU left idle (a segment is about to start). Closes the most
     /// recent [`TraceKind::CpuIdle`].
@@ -219,9 +215,11 @@ pub struct TraceEvent {
     pub kind: TraceKind,
 }
 
-/// An append-only log of simulation events with query helpers.
+/// An append-only log of simulation events.
 ///
-/// The scheduler simulator appends; experiments and tests query. Events
+/// The scheduler simulator appends; readers derive everything else from
+/// [`Trace::events`] — the `rtmdm-obs` crate pairs intervals into
+/// timelines, Gantt charts, spans and blame, and exports traces. Events
 /// are appended in nondecreasing time order (enforced in debug builds).
 ///
 /// # Examples
@@ -236,8 +234,11 @@ pub struct TraceEvent {
 /// trace.push(Cycles::new(42), TraceKind::JobCompleted {
 ///     task: TaskId(0), job: JobId(0), response: Cycles::new(42),
 /// });
-/// assert_eq!(trace.max_response(TaskId(0)), Some(Cycles::new(42)));
-/// assert_eq!(trace.deadline_misses(), 0);
+/// assert_eq!(trace.len(), 2);
+/// assert!(matches!(
+///     trace.events()[1].kind,
+///     TraceKind::JobCompleted { response, .. } if response == Cycles::new(42)
+/// ));
 /// ```
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Trace {
@@ -290,236 +291,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
-
-    /// Response times of every completed job of `task`, in job order.
-    pub fn response_times(&self, task: TaskId) -> Vec<Cycles> {
-        self.events
-            .iter()
-            .filter_map(|e| match e.kind {
-                TraceKind::JobCompleted {
-                    task: t, response, ..
-                } if t == task => Some(response),
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// The largest observed response time of `task`, if any job completed.
-    pub fn max_response(&self, task: TaskId) -> Option<Cycles> {
-        self.response_times(task).into_iter().max()
-    }
-
-    /// Total deadline misses across all tasks.
-    pub fn deadline_misses(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::DeadlineMissed { .. }))
-            .count()
-    }
-
-    /// Deadline misses of one task.
-    pub fn deadline_misses_of(&self, task: TaskId) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::DeadlineMissed { task: t, .. } if t == task))
-            .count()
-    }
-
-    /// Total injected DMA transfer faults across all tasks.
-    pub fn injected_faults(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::FetchFaulted { .. }))
-            .count()
-    }
-
-    /// Total shed releases plus aborted jobs — the work the
-    /// deadline-miss policies dropped.
-    pub fn shed_or_aborted(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    TraceKind::ReleaseShed { .. } | TraceKind::JobAborted { .. }
-                )
-            })
-            .count()
-    }
-
-    /// Number of jobs released per task.
-    pub fn releases(&self) -> BTreeMap<TaskId, u64> {
-        let mut out = BTreeMap::new();
-        for e in &self.events {
-            if let TraceKind::JobReleased { task, .. } = e.kind {
-                *out.entry(task).or_insert(0) += 1;
-            }
-        }
-        out
-    }
-
-    /// Number of segment-boundary preemptions suffered per task.
-    pub fn preemptions(&self) -> BTreeMap<TaskId, u64> {
-        let mut out = BTreeMap::new();
-        for e in &self.events {
-            if let TraceKind::Preempted { task, .. } = e.kind {
-                *out.entry(task).or_insert(0) += 1;
-            }
-        }
-        out
-    }
-
-    /// Total cycles the CPU spent executing segments, derived from
-    /// start/complete pairs.
-    pub fn cpu_busy_cycles(&self) -> Cycles {
-        let mut busy = Cycles::ZERO;
-        let mut open: BTreeMap<(TaskId, JobId, SegmentId), Cycles> = BTreeMap::new();
-        for e in &self.events {
-            match e.kind {
-                TraceKind::SegmentStarted { task, job, segment } => {
-                    open.insert((task, job, segment), e.time);
-                }
-                TraceKind::SegmentCompleted { task, job, segment } => {
-                    if let Some(start) = open.remove(&(task, job, segment)) {
-                        busy += e.time - start;
-                    }
-                }
-                _ => {}
-            }
-        }
-        busy
-    }
-
-    /// CPU cycles spent executing each task's segments, by task.
-    pub fn cpu_busy_by_task(&self) -> BTreeMap<TaskId, Cycles> {
-        let mut busy: BTreeMap<TaskId, Cycles> = BTreeMap::new();
-        let mut open: BTreeMap<(TaskId, JobId, SegmentId), Cycles> = BTreeMap::new();
-        for e in &self.events {
-            match e.kind {
-                TraceKind::SegmentStarted { task, job, segment } => {
-                    open.insert((task, job, segment), e.time);
-                }
-                TraceKind::SegmentCompleted { task, job, segment } => {
-                    if let Some(start) = open.remove(&(task, job, segment)) {
-                        *busy.entry(task).or_insert(Cycles::ZERO) += e.time - start;
-                    }
-                }
-                _ => {}
-            }
-        }
-        busy
-    }
-
-    /// Observed CPU utilization of `task` over `horizon`, in parts per
-    /// million (100 % = 1 000 000).
-    pub fn cpu_utilization_ppm(&self, task: TaskId, horizon: Cycles) -> u64 {
-        if horizon.is_zero() {
-            return 0;
-        }
-        let busy = self
-            .cpu_busy_by_task()
-            .get(&task)
-            .copied()
-            .unwrap_or(Cycles::ZERO);
-        ((u128::from(busy.get()) * 1_000_000) / u128::from(horizon.get())) as u64
-    }
-
-    /// CPU idle periods as `(start, end)` pairs derived from
-    /// [`TraceKind::CpuIdle`]/[`TraceKind::CpuIdleEnd`] events, without
-    /// scanning ahead past the pair. An idle period still open when the
-    /// trace ends is clamped to `horizon` (the simulator stops emitting
-    /// events at the horizon, so a trailing `CpuIdle` has no paired
-    /// end). Periods starting at or after `horizon` are dropped.
-    pub fn idle_intervals(&self, horizon: Cycles) -> Vec<(Cycles, Cycles)> {
-        let mut out = Vec::new();
-        let mut open: Option<Cycles> = None;
-        for e in &self.events {
-            match e.kind {
-                TraceKind::CpuIdle => {
-                    // Duplicate opens keep the earliest start.
-                    open.get_or_insert(e.time);
-                }
-                TraceKind::CpuIdleEnd => {
-                    if let Some(start) = open.take() {
-                        let end = e.time.min(horizon);
-                        if start < end {
-                            out.push((start, end));
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        if let Some(start) = open {
-            if start < horizon {
-                out.push((start, horizon));
-            }
-        }
-        out
-    }
-
-    /// Total idle cycles over `[0, horizon)` (the sum of
-    /// [`Trace::idle_intervals`]).
-    pub fn cpu_idle_cycles(&self, horizon: Cycles) -> Cycles {
-        self.idle_intervals(horizon)
-            .iter()
-            .map(|(s, e)| e.saturating_sub(*s))
-            .sum()
-    }
-
-    /// Renders a compact ASCII Gantt chart of segment executions, one row
-    /// per task, `width` columns spanning `[0, horizon]`. Intended for
-    /// debugging and example output, not for parsing.
-    pub fn gantt(&self, horizon: Cycles, width: usize) -> String {
-        assert!(width > 0, "gantt width must be positive");
-        let mut rows: BTreeMap<TaskId, Vec<char>> = BTreeMap::new();
-        let mut open: BTreeMap<(TaskId, JobId, SegmentId), Cycles> = BTreeMap::new();
-        let scale = |t: Cycles| -> usize {
-            if horizon.is_zero() {
-                0
-            } else {
-                ((u128::from(t.get()) * width as u128) / u128::from(horizon.get()))
-                    .min(width as u128 - 1) as usize
-            }
-        };
-        for e in &self.events {
-            match e.kind {
-                TraceKind::SegmentStarted { task, job, segment } => {
-                    open.insert((task, job, segment), e.time);
-                }
-                TraceKind::SegmentCompleted { task, job, segment } => {
-                    if let Some(start) = open.remove(&(task, job, segment)) {
-                        let row = rows.entry(task).or_insert_with(|| vec!['.'; width]);
-                        for cell in row.iter_mut().take(scale(e.time) + 1).skip(scale(start)) {
-                            *cell = '#';
-                        }
-                    }
-                }
-                TraceKind::JobReleased { task, .. } => {
-                    let row = rows.entry(task).or_insert_with(|| vec!['.'; width]);
-                    let col = scale(e.time);
-                    if row[col] == '.' {
-                        row[col] = '^';
-                    }
-                }
-                TraceKind::DeadlineMissed { task, .. } => {
-                    let row = rows.entry(task).or_insert_with(|| vec!['.'; width]);
-                    row[scale(e.time)] = 'X';
-                }
-                _ => {}
-            }
-        }
-        let mut out = String::new();
-        for (task, row) in rows {
-            let _ = writeln!(
-                out,
-                "{:>4} |{}|",
-                task.to_string(),
-                row.iter().collect::<String>()
-            );
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -540,170 +311,12 @@ mod tests {
         assert!(t.truncated(0).is_empty());
     }
 
-    fn cy(n: u64) -> Cycles {
-        Cycles::new(n)
-    }
-
-    fn sample_trace() -> Trace {
-        let mut t = Trace::new();
-        let (t0, j0, s0) = (TaskId(0), JobId(0), SegmentId(0));
-        t.push(
-            cy(0),
-            TraceKind::JobReleased {
-                task: t0,
-                job: j0,
-                deadline: cy(100),
-            },
-        );
-        t.push(
-            cy(5),
-            TraceKind::FetchStarted {
-                task: t0,
-                job: j0,
-                segment: s0,
-                bytes: 1024,
-            },
-        );
-        t.push(
-            cy(15),
-            TraceKind::FetchCompleted {
-                task: t0,
-                job: j0,
-                segment: s0,
-            },
-        );
-        t.push(
-            cy(15),
-            TraceKind::SegmentStarted {
-                task: t0,
-                job: j0,
-                segment: s0,
-            },
-        );
-        t.push(
-            cy(55),
-            TraceKind::SegmentCompleted {
-                task: t0,
-                job: j0,
-                segment: s0,
-            },
-        );
-        t.push(
-            cy(55),
-            TraceKind::JobCompleted {
-                task: t0,
-                job: j0,
-                response: cy(55),
-            },
-        );
-        t
-    }
-
-    #[test]
-    fn response_times_and_max() {
-        let t = sample_trace();
-        assert_eq!(t.response_times(TaskId(0)), vec![cy(55)]);
-        assert_eq!(t.max_response(TaskId(0)), Some(cy(55)));
-        assert_eq!(t.max_response(TaskId(1)), None);
-    }
-
-    #[test]
-    fn miss_and_release_counters() {
-        let mut t = sample_trace();
-        assert_eq!(t.deadline_misses(), 0);
-        t.push(
-            cy(100),
-            TraceKind::DeadlineMissed {
-                task: TaskId(0),
-                job: JobId(1),
-            },
-        );
-        assert_eq!(t.deadline_misses(), 1);
-        assert_eq!(t.deadline_misses_of(TaskId(0)), 1);
-        assert_eq!(t.deadline_misses_of(TaskId(1)), 0);
-        assert_eq!(t.releases().get(&TaskId(0)), Some(&1));
-    }
-
-    #[test]
-    fn busy_cycles_from_segment_pairs() {
-        let t = sample_trace();
-        assert_eq!(t.cpu_busy_cycles(), cy(40));
-    }
-
-    #[test]
-    fn per_task_busy_and_utilization() {
-        let t = sample_trace();
-        let busy = t.cpu_busy_by_task();
-        assert_eq!(busy.get(&TaskId(0)), Some(&cy(40)));
-        assert_eq!(t.cpu_utilization_ppm(TaskId(0), cy(100)), 400_000);
-        assert_eq!(t.cpu_utilization_ppm(TaskId(1), cy(100)), 0);
-        assert_eq!(t.cpu_utilization_ppm(TaskId(0), Cycles::ZERO), 0);
-    }
-
-    #[test]
-    fn gantt_renders_rows() {
-        let t = sample_trace();
-        let g = t.gantt(cy(100), 20);
-        assert!(g.contains("T0"));
-        assert!(g.contains('#'));
-        assert!(g.contains('^'));
-    }
-
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "nondecreasing")]
     fn out_of_order_push_panics_in_debug() {
         let mut t = Trace::new();
-        t.push(cy(10), TraceKind::CpuIdle);
-        t.push(cy(5), TraceKind::CpuIdle);
-    }
-
-    #[test]
-    fn idle_intervals_pair_up_without_scanning_ahead() {
-        let mut t = Trace::new();
-        t.push(cy(10), TraceKind::CpuIdle);
-        t.push(cy(25), TraceKind::CpuIdleEnd);
-        t.push(cy(40), TraceKind::CpuIdle);
-        t.push(cy(60), TraceKind::CpuIdleEnd);
-        assert_eq!(
-            t.idle_intervals(cy(100)),
-            vec![(cy(10), cy(25)), (cy(40), cy(60))]
-        );
-        assert_eq!(t.cpu_idle_cycles(cy(100)), cy(35));
-    }
-
-    #[test]
-    fn trace_ending_mid_idle_clamps_to_horizon() {
-        // Regression: the simulator stops at the horizon, so a trailing
-        // CpuIdle has no paired end — the interval must clamp, not
-        // vanish or panic.
-        let mut t = Trace::new();
-        t.push(cy(10), TraceKind::CpuIdle);
-        t.push(cy(30), TraceKind::CpuIdleEnd);
-        t.push(cy(70), TraceKind::CpuIdle);
-        assert_eq!(
-            t.idle_intervals(cy(100)),
-            vec![(cy(10), cy(30)), (cy(70), cy(100))]
-        );
-        assert_eq!(t.cpu_idle_cycles(cy(100)), cy(50));
-        // An idle period opening exactly at the horizon is dropped, and
-        // an unmatched end is ignored.
-        let mut u = Trace::new();
-        u.push(cy(5), TraceKind::CpuIdleEnd);
-        u.push(cy(100), TraceKind::CpuIdle);
-        assert_eq!(u.idle_intervals(cy(100)), vec![]);
-    }
-
-    #[test]
-    fn preemption_counter() {
-        let mut t = Trace::new();
-        t.push(
-            cy(1),
-            TraceKind::Preempted {
-                task: TaskId(2),
-                by: TaskId(0),
-            },
-        );
-        assert_eq!(t.preemptions().get(&TaskId(2)), Some(&1));
+        t.push(Cycles::new(10), TraceKind::CpuIdle);
+        t.push(Cycles::new(5), TraceKind::CpuIdle);
     }
 }

@@ -288,6 +288,51 @@ mod tests {
     }
 
     #[test]
+    fn segments_past_the_horizon_paint_nothing() {
+        let mut t = trace_two_tasks();
+        t.push(
+            cy(300),
+            TraceKind::JobReleased {
+                task: TaskId(0),
+                job: JobId(1),
+                deadline: cy(400),
+            },
+        );
+        t.push(
+            cy(300),
+            TraceKind::SegmentStarted {
+                task: TaskId(0),
+                job: JobId(1),
+                segment: SegmentId(0),
+            },
+        );
+        t.push(
+            cy(350),
+            TraceKind::SegmentCompleted {
+                task: TaskId(0),
+                job: JobId(1),
+                segment: SegmentId(0),
+            },
+        );
+        // A 100-cycle window: T0's second job runs wholly past it. Its
+        // release still counts, but its segment is not clamped into
+        // the last column, and neither is the fetch at [100, 150).
+        let tl = Timeline::from_trace(&t, cy(100));
+        assert_eq!(tl.tasks()[&TaskId(0)].releases, 1);
+        let chart = render(&tl, 10, &[]);
+        let row = |prefix: &str| {
+            chart
+                .lines()
+                .find(|l| l.trim_start().starts_with(prefix))
+                .unwrap_or_else(|| panic!("missing {prefix} row in {chart}"))
+        };
+        assert!(row("CPU").contains("|##########|"), "{chart}");
+        assert!(row("T0").contains("|#####.....|"), "{chart}");
+        assert!(row("T1").contains("|.....#####|"), "{chart}");
+        assert!(row("DMA").contains("|..........|"), "{chart}");
+    }
+
+    #[test]
     #[should_panic(expected = "width must be positive")]
     fn zero_width_panics() {
         let tl = Timeline::from_trace(&Trace::new(), cy(10));

@@ -6,10 +6,11 @@
 //! not eyeballs on ASCII tables. This crate provides the instrumentation
 //! layer the rest of the workspace records into:
 //!
-//! - [`metrics`] — a dependency-free registry of monotonic counters,
-//!   gauges, and fixed-bucket histograms with a zero-overhead disabled
-//!   mode, plus a process-global instance ([`metrics::global`]) the
-//!   simulator and DNN engine flush into;
+//! - [`metrics`] — the one metrics registry, process-wide
+//!   ([`metrics::global`]): monotonic counters and log₂ histograms with
+//!   a one-atomic-load disabled mode, which the simulator, DNN engine
+//!   and explorer flush into; and the one log₂ [`Histogram`] type, which
+//!   the simulator also keeps per task for response times;
 //! - [`timeline`] — exact interval analytics over a
 //!   [`Trace`](rtmdm_mcusim::Trace): per-task Gantt slices, CPU/DMA
 //!   utilization, idle intervals, and the fetch/compute overlap ratio,
@@ -25,6 +26,11 @@
 //!   those spans, validated job-by-job against the hard conservation
 //!   invariant `response = Σ terms` (zero tolerance) — the engine
 //!   behind `rtmdm explain`.
+//!
+//! This crate is the only reader of simulator traces: the
+//! [`Trace`](rtmdm_mcusim::Trace) itself is a plain append-only log,
+//! and every interval pairing, chart, and trace-derived count lives
+//! here.
 //!
 //! Everything here is integer-exact and deterministic: derived metrics
 //! are pure functions of the trace, and registry totals are sums, so
@@ -44,6 +50,6 @@ pub use blame::{attribute, BlameReport, BlameSource, ConservationError, JobBlame
 pub use export::{
     chrome_trace, chrome_trace_json, chrome_trace_with_blame, jsonl, ChromeEvent, ChromeTrace,
 };
-pub use metrics::{global, GlobalRegistry, Histogram, Registry, Snapshot, HISTOGRAM_BUCKETS};
+pub use metrics::{global, GlobalRegistry, Histogram, Snapshot, HISTOGRAM_BUCKETS};
 pub use spans::{reconstruct, JobSpans, Span, SpanKind};
 pub use timeline::{FetchSlice, Interval, SegmentSlice, TaskTimeline, Timeline, TimelineSummary};

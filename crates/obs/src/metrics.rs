@@ -1,18 +1,16 @@
-//! Dependency-free metrics registry: monotonic counters, gauges, and
-//! fixed-bucket histograms, with a zero-overhead disabled mode.
+//! Dependency-free metrics: monotonic counters and fixed-bucket log₂
+//! histograms, recorded into one process-wide registry ([`global`]).
 //!
-//! Two flavours cover the workspace's needs:
+//! The registry serves instrumentation points that cannot thread state
+//! through (the simulator flushes per-run totals here, the DNN engine
+//! counts inferences, the explorer its searches). Disabled (the
+//! default) a record call costs one relaxed atomic load; all recorded
+//! quantities are sums, so totals are identical for any worker-thread
+//! count or interleaving.
 //!
-//! - [`Registry`]: a plain, single-owner registry for code that threads a
-//!   `&mut Registry` through (the staging pipeline, experiment probes).
-//!   A disabled registry turns every record operation into a branch on
-//!   one `bool` and nothing else — no allocation, no map lookup.
-//! - [`global`]: a process-wide registry behind atomics, for
-//!   instrumentation points that cannot thread a registry through
-//!   (the simulator flushes per-run totals here, the DNN engine counts
-//!   inferences). Disabled (the default) it costs one relaxed atomic
-//!   load per record call; all recorded quantities are sums, so totals
-//!   are identical for any worker-thread count or interleaving.
+//! [`Histogram`] is the workspace's one log₂ histogram type: the
+//! simulator keeps one per task for response times and flushes it here
+//! with [`GlobalRegistry::merge`].
 //!
 //! Snapshots ([`Snapshot`]) are plain serializable data: experiments
 //! diff them to attribute counts, and `run_all` embeds them in
@@ -24,9 +22,8 @@ use std::sync::{Mutex, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-/// Number of buckets in a [`Histogram`] (log₂ buckets over the `u64`
-/// range, matching the simulator's response histograms). One bucket per
-/// bit of `u64`: every representable value has its own bucket, so
+/// Number of buckets in a [`Histogram`]: one per bit of `u64`, so every
+/// representable value has its own bucket and
 /// [`Histogram::percentile_upper`] is an upper bound unconditionally.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
@@ -51,20 +48,10 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Index of the bucket `value` falls into:
+    /// Records one observation in bucket
     /// `floor(log2(max(value, 1)))`, always in `0..HISTOGRAM_BUCKETS`.
-    fn bucket_of(value: u64) -> usize {
-        64 - value.max(1).leading_zeros() as usize - 1
-    }
-
-    /// Records one observation.
     pub fn record(&mut self, value: u64) {
-        self.buckets[Self::bucket_of(value)] += 1;
-    }
-
-    /// Records `n` observations of `value` at once.
-    pub fn record_n(&mut self, value: u64, n: u64) {
-        self.buckets[Self::bucket_of(value)] += n;
+        self.buckets[64 - value.max(1).leading_zeros() as usize - 1] += 1;
     }
 
     /// Adds another histogram's counts bucket-wise (exact merge).
@@ -74,17 +61,15 @@ impl Histogram {
         }
     }
 
-    /// Adds raw bucket counts (e.g. from the simulator's per-task
-    /// response histograms, which use the same log₂ bucketing).
-    pub fn merge_buckets(&mut self, counts: &[u64; HISTOGRAM_BUCKETS]) {
-        for (b, o) in self.buckets.iter_mut().zip(counts) {
-            *b += o;
-        }
-    }
-
-    /// Total number of recorded observations.
+    /// Number of recorded observations, saturating at `u64::MAX`.
+    /// Merged histograms (fleet-wide telemetry) can hold more than
+    /// `u64::MAX` samples in total; the saturation only affects this
+    /// accessor — [`Histogram::percentile_upper`] ranks in `u128` and
+    /// stays exact regardless.
     pub fn count(&self) -> u64 {
-        self.buckets.iter().sum()
+        self.buckets
+            .iter()
+            .fold(0u64, |acc, &c| acc.saturating_add(c))
     }
 
     /// Raw bucket counts.
@@ -92,146 +77,48 @@ impl Histogram {
         &self.buckets
     }
 
-    /// Upper bound of the bucket containing the `pct`-th percentile
-    /// observation (inclusive bucket top), or `None` when empty.
+    /// An upper bound on the `pct`-th percentile observation (the
+    /// inclusive top of the bucket containing it). Returns `None` when
+    /// the histogram is empty, and for `pct == 0`: the 0th percentile
+    /// bounds an empty prefix of the samples, so it has no witness
+    /// bucket — answering the minimum would silently alias it to
+    /// `pct == 1`.
+    ///
+    /// All rank arithmetic is `u128` end to end: both `total * pct`
+    /// and the bucket sum itself can overflow `u64` on merged
+    /// long-horizon histograms.
     ///
     /// # Panics
     ///
-    /// Panics if `pct` is not in `1..=100`.
+    /// Panics if `pct > 100`.
     pub fn percentile_upper(&self, pct: u64) -> Option<u64> {
-        assert!((1..=100).contains(&pct), "percentile must be 1..=100");
-        let total = self.count();
+        assert!(pct <= 100, "percentile must be at most 100");
+        if pct == 0 {
+            return None;
+        }
+        let total: u128 = self.buckets.iter().map(|&c| u128::from(c)).sum();
         if total == 0 {
             return None;
         }
-        // The rank always fits: ceil(total·pct/100) ≤ total ≤ u64::MAX
-        // since pct ≤ 100, so the narrowing is infallible.
-        let target = (u128::from(total) * u128::from(pct)).div_ceil(100) as u64;
-        let mut seen = 0;
+        let target = (total * u128::from(pct)).div_ceil(100);
+        let mut seen: u128 = 0;
         for (k, &c) in self.buckets.iter().enumerate() {
-            seen += c;
+            seen += u128::from(c);
             if seen >= target {
                 // Top of bucket k is 2^(k+1) − 1; the last bucket's top
                 // is u64::MAX exactly.
                 return Some(2u64.checked_pow(k as u32 + 1).map_or(u64::MAX, |p| p - 1));
             }
         }
-        None
+        // 1 ≤ pct ≤ 100 gives 0 < target ≤ total, and `seen` reaches
+        // `total` exactly on the last bucket.
+        unreachable!("percentile rank exceeds histogram total")
     }
 }
 
-/// A single-owner metrics registry.
+/// A point-in-time, serializable copy of the registry's contents.
 ///
 /// Names are free-form dotted strings (`"sim.cpu_busy_cycles"`).
-/// Counters are monotonic `u64` sums, gauges are last-write-wins `i64`
-/// levels, histograms are [`Histogram`]s. A registry created with
-/// [`Registry::disabled`] ignores every record call.
-#[derive(Debug, Clone, Default)]
-pub struct Registry {
-    enabled: bool,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl Registry {
-    /// Creates an enabled, empty registry.
-    pub fn new() -> Self {
-        Registry {
-            enabled: true,
-            ..Registry::default()
-        }
-    }
-
-    /// Creates a registry whose record operations are no-ops.
-    pub fn disabled() -> Self {
-        Registry::default()
-    }
-
-    /// Whether record operations have any effect.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Adds `delta` to the counter `name` (created at zero on first use).
-    pub fn add(&mut self, name: &str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += delta;
-        } else {
-            self.counters.insert(name.to_owned(), delta);
-        }
-    }
-
-    /// Sets the gauge `name` to `value`.
-    pub fn set_gauge(&mut self, name: &str, value: i64) {
-        if !self.enabled {
-            return;
-        }
-        self.gauges.insert(name.to_owned(), value);
-    }
-
-    /// Records `value` into the histogram `name`.
-    pub fn observe(&mut self, name: &str, value: u64) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(h) = self.histograms.get_mut(name) {
-            h.record(value);
-        } else {
-            let mut h = Histogram::new();
-            h.record(value);
-            self.histograms.insert(name.to_owned(), h);
-        }
-    }
-
-    /// Merges another histogram bucket-wise into the histogram `name`.
-    pub fn merge_histogram(&mut self, name: &str, other: &Histogram) {
-        if !self.enabled {
-            return;
-        }
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .merge(other);
-    }
-
-    /// Current value of the counter `name` (0 when never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// A serializable copy of everything recorded so far.
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            counters: self.counters.clone(),
-            gauges: self.gauges.clone(),
-            histograms: self.histograms.clone(),
-        }
-    }
-
-    /// Adds every count of `snap` into this registry (counters and
-    /// histograms sum; gauges take `snap`'s value).
-    pub fn merge_snapshot(&mut self, snap: &Snapshot) {
-        if !self.enabled {
-            return;
-        }
-        for (name, v) in &snap.counters {
-            self.add(name, *v);
-        }
-        for (name, v) in &snap.gauges {
-            self.gauges.insert(name.clone(), *v);
-        }
-        for (name, h) in &snap.histograms {
-            self.merge_histogram(name, h);
-        }
-    }
-}
-
-/// A point-in-time, serializable copy of a registry's contents.
-///
 /// Snapshots support exact diffing ([`Snapshot::counter_delta`]) so the
 /// benchmark harness can attribute counter growth to individual
 /// experiments.
@@ -239,7 +126,8 @@ impl Registry {
 pub struct Snapshot {
     /// Monotonic counter totals, by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauge levels, by name.
+    /// Gauge levels, by name. Nothing records gauges; the map stays in
+    /// the serialized layout of `results/metrics.json`.
     pub gauges: BTreeMap<String, i64>,
     /// Histogram contents, by name.
     pub histograms: BTreeMap<String, Histogram>,
@@ -267,17 +155,13 @@ impl Snapshot {
 #[derive(Debug, Default)]
 pub struct GlobalRegistry {
     enabled: AtomicBool,
-    inner: Mutex<Registry>,
+    inner: Mutex<Snapshot>,
 }
 
 impl GlobalRegistry {
     /// Turns recording on or off. Counts recorded so far are kept.
     pub fn enable(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
-        // The inner registry must accept merges while the global switch
-        // is on; its own flag mirrors the atomic one.
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        inner.enabled = on;
     }
 
     /// Whether recording is currently on.
@@ -285,42 +169,29 @@ impl GlobalRegistry {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Adds `delta` to the counter `name`. No-op while disabled.
+    /// Runs `record` on the registry contents while recording is on.
+    fn record(&self, record: impl FnOnce(&mut Snapshot)) {
+        if self.is_enabled() {
+            record(&mut self.inner.lock().expect("metrics registry poisoned"));
+        }
+    }
+
+    /// Adds `delta` to the counter `name` (created at zero on first
+    /// use). No-op while disabled.
     pub fn add(&self, name: &str, delta: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.inner
-            .lock()
-            .expect("metrics registry poisoned")
-            .add(name, delta);
+        self.record(|s| match s.counters.get_mut(name) {
+            Some(c) => *c += delta,
+            None => {
+                s.counters.insert(name.to_owned(), delta);
+            }
+        });
     }
 
-    /// Records `value` into the histogram `name`. No-op while disabled.
-    pub fn observe(&self, name: &str, value: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.inner
-            .lock()
-            .expect("metrics registry poisoned")
-            .observe(name, value);
-    }
-
-    /// Merges raw log₂ bucket counts into the histogram `name` (exact;
-    /// used by the simulator to flush its per-task response histograms).
-    pub fn merge_buckets(&self, name: &str, counts: &[u64; HISTOGRAM_BUCKETS]) {
-        if !self.is_enabled() {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        if inner.enabled {
-            inner
-                .histograms
-                .entry(name.to_owned())
-                .or_default()
-                .merge_buckets(counts);
-        }
+    /// Merges `hist` bucket-wise into the histogram `name` (exact; the
+    /// simulator flushes its per-task response histograms here). No-op
+    /// while disabled.
+    pub fn merge(&self, name: &str, hist: &Histogram) {
+        self.record(|s| s.histograms.entry(name.to_owned()).or_default().merge(hist));
     }
 
     /// A copy of everything recorded so far (works while disabled too).
@@ -328,15 +199,12 @@ impl GlobalRegistry {
         self.inner
             .lock()
             .expect("metrics registry poisoned")
-            .snapshot()
+            .clone()
     }
 
     /// Clears every recorded value, keeping the enabled state.
     pub fn reset(&self) {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        let enabled = inner.enabled;
-        *inner = Registry::default();
-        inner.enabled = enabled;
+        *self.inner.lock().expect("metrics registry poisoned") = Snapshot::default();
     }
 }
 
@@ -350,40 +218,6 @@ pub fn global() -> &'static GlobalRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_accumulate_and_snapshot() {
-        let mut r = Registry::new();
-        r.add("a", 2);
-        r.add("a", 3);
-        r.add("b", 1);
-        assert_eq!(r.counter("a"), 5);
-        assert_eq!(r.counter("missing"), 0);
-        let snap = r.snapshot();
-        assert_eq!(snap.counter("a"), 5);
-        r.add("a", 10);
-        assert_eq!(r.snapshot().counter_delta(&snap, "a"), 10);
-    }
-
-    #[test]
-    fn disabled_registry_records_nothing() {
-        let mut r = Registry::disabled();
-        r.add("a", 7);
-        r.set_gauge("g", -3);
-        r.observe("h", 100);
-        let snap = r.snapshot();
-        assert!(snap.counters.is_empty());
-        assert!(snap.gauges.is_empty());
-        assert!(snap.histograms.is_empty());
-    }
-
-    #[test]
-    fn gauges_are_last_write_wins() {
-        let mut r = Registry::new();
-        r.set_gauge("level", 4);
-        r.set_gauge("level", -2);
-        assert_eq!(r.snapshot().gauges.get("level"), Some(&-2));
-    }
 
     #[test]
     fn histogram_buckets_and_percentiles() {
@@ -412,6 +246,52 @@ mod tests {
     }
 
     #[test]
+    fn percentile_rank_survives_huge_counts() {
+        // Regression: `total * pct` used to be computed in u64, which
+        // overflows once count() exceeds u64::MAX / 100. Populate two
+        // buckets whose total sits just under u64::MAX and check both
+        // percentile halves resolve to the right bucket tops.
+        let mut h = Histogram::new();
+        h.buckets[4] = u64::MAX / 100 * 49; // values in [16, 32)
+        h.buckets[9] = u64::MAX / 100 * 50; // values in [512, 1024)
+        assert!(h.count() > u64::MAX / 100);
+        assert_eq!(h.percentile_upper(25), Some(31));
+        assert_eq!(h.percentile_upper(100), Some(1023));
+        // The 50th percentile falls in the upper bucket (49% below it).
+        assert_eq!(h.percentile_upper(50), Some(1023));
+    }
+
+    #[test]
+    fn percentile_stays_exact_when_count_saturates() {
+        // Two full buckets: the true total (2·u64::MAX) overflows u64,
+        // so `count()` saturates — but the rank walk is u128 and still
+        // resolves each half to the right bucket top.
+        let mut h = Histogram::new();
+        h.buckets[3] = u64::MAX; // values in [8, 16)
+        h.buckets[10] = u64::MAX; // values in [1024, 2048)
+        assert_eq!(h.count(), u64::MAX);
+        assert_eq!(h.percentile_upper(50), Some(15));
+        assert_eq!(h.percentile_upper(51), Some(2047));
+        assert_eq!(h.percentile_upper(100), Some(2047));
+    }
+
+    #[test]
+    fn percentile_zero_has_no_witness() {
+        let mut h = Histogram::new();
+        h.record(30);
+        assert_eq!(h.percentile_upper(0), None);
+        assert_eq!(Histogram::new().percentile_upper(0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "percentile must be at most 100")]
+    fn percentile_above_100_panics() {
+        let mut h = Histogram::new();
+        h.record(30);
+        let _ = h.percentile_upper(101);
+    }
+
+    #[test]
     fn histogram_merge_is_bucketwise() {
         let mut a = Histogram::new();
         a.record(5);
@@ -420,36 +300,24 @@ mod tests {
         b.record(700);
         a.merge(&b);
         assert_eq!(a.count(), 3);
-        let mut c = Histogram::new();
-        c.merge_buckets(a.buckets());
-        assert_eq!(c, a);
+        assert_eq!(a.buckets()[2], 2);
+        assert_eq!(a.buckets()[9], 1);
     }
 
     #[test]
     fn snapshot_serializes_and_round_trips() {
-        let mut r = Registry::new();
-        r.add("sim.runs", 3);
-        r.observe("lat", 250);
-        r.set_gauge("workers", 8);
-        let snap = r.snapshot();
+        let mut snap = Snapshot::default();
+        snap.counters.insert("sim.runs".to_owned(), 3);
+        snap.gauges.insert("workers".to_owned(), 8);
+        snap.histograms
+            .entry("lat".to_owned())
+            .or_default()
+            .record(250);
+        assert_eq!(snap.counter("sim.runs"), 3);
+        assert_eq!(snap.counter("missing"), 0);
         let json = serde_json::to_string(&snap).expect("serialize");
         let back: Snapshot = serde_json::from_str(&json).expect("parse");
         assert_eq!(back, snap);
-    }
-
-    #[test]
-    fn merge_snapshot_sums_counters() {
-        let mut a = Registry::new();
-        a.add("x", 1);
-        let mut b = Registry::new();
-        b.add("x", 2);
-        b.observe("h", 9);
-        a.merge_snapshot(&b.snapshot());
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(
-            a.snapshot().histograms.get("h").map(Histogram::count),
-            Some(1)
-        );
     }
 
     #[test]
@@ -457,21 +325,26 @@ mod tests {
         // Note: the global registry is shared across the test binary;
         // use unique names and restore the disabled state.
         let g = global();
+        let mut hist = Histogram::new();
+        hist.record(700);
         g.add("test.gated", 5);
-        assert_eq!(g.snapshot().counter("test.gated"), 0);
+        g.merge("test.merged", &hist);
+        let off = g.snapshot();
+        assert_eq!(off.counter("test.gated"), 0);
+        assert!(!off.histograms.contains_key("test.merged"));
         g.enable(true);
-        g.add("test.gated", 5);
-        g.observe("test.hist", 16);
-        assert_eq!(g.snapshot().counter("test.gated"), 5);
-        assert_eq!(
-            g.snapshot()
-                .histograms
-                .get("test.hist")
-                .map(Histogram::count),
-            Some(1)
-        );
+        g.add("test.gated", 2);
+        g.add("test.gated", 3);
+        let mid = g.snapshot();
+        g.add("test.gated", 10);
+        g.merge("test.merged", &hist);
+        g.merge("test.merged", &hist);
+        let on = g.snapshot();
+        assert_eq!(mid.counter("test.gated"), 5);
+        assert_eq!(on.counter_delta(&mid, "test.gated"), 10);
+        assert_eq!(on.histograms["test.merged"].buckets()[9], 2);
         g.enable(false);
         g.add("test.gated", 5);
-        assert_eq!(g.snapshot().counter("test.gated"), 5);
+        assert_eq!(g.snapshot().counter("test.gated"), 15);
     }
 }

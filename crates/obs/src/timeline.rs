@@ -151,10 +151,14 @@ pub struct Timeline {
 impl Timeline {
     /// Builds the timeline from `trace` over `[0, horizon)`.
     ///
-    /// Intervals still open when the trace ends (a segment, fetch, or
-    /// idle period the simulator never closed because the horizon hit)
-    /// are clamped to `horizon`; events at or beyond the horizon are
-    /// ignored.
+    /// Every event time is clamped to `horizon`. Intervals still open
+    /// when the trace ends (a segment, fetch, or idle period the
+    /// simulator never closed because the horizon hit) close at the
+    /// horizon. A segment or fetch starting at or beyond the horizon
+    /// becomes an empty slice: it adds no busy time and paints no
+    /// Gantt cell. Instant events beyond the horizon still count, at
+    /// the horizon: releases, completions, misses and preemptions in
+    /// [`Timeline::tasks`], and the fault, abort and shed markers.
     pub fn from_trace(trace: &Trace, horizon: Cycles) -> Self {
         let mut segments = Vec::new();
         let mut fetches = Vec::new();
@@ -640,6 +644,9 @@ mod tests {
         assert_eq!(t0.preemptions, 1);
         assert_eq!(t0.max_response, Some(cy(30)));
         assert_eq!(t0.utilization_ppm(cy(100)), 300_000);
+        assert_eq!(t0.utilization_ppm(Cycles::ZERO), 0);
+        // The preempting task has no events of its own.
+        assert!(!tl.tasks().contains_key(&TaskId(1)));
     }
 
     #[test]
@@ -692,6 +699,31 @@ mod tests {
         u.push(cy(100), TraceKind::CpuIdle);
         let ul = Timeline::from_trace(&u, cy(100));
         assert!(ul.traced_idle_intervals().is_empty());
+    }
+
+    #[test]
+    fn traced_idle_pairs_up_and_ignores_unmatched_ends() {
+        let mut t = Trace::new();
+        t.push(cy(5), TraceKind::CpuIdleEnd); // no open idle: ignored
+        t.push(cy(10), TraceKind::CpuIdle);
+        t.push(cy(25), TraceKind::CpuIdleEnd);
+        t.push(cy(40), TraceKind::CpuIdle);
+        t.push(cy(60), TraceKind::CpuIdleEnd);
+        let tl = Timeline::from_trace(&t, cy(100));
+        assert_eq!(
+            tl.traced_idle_intervals(),
+            &[
+                Interval {
+                    start: cy(10),
+                    end: cy(25)
+                },
+                Interval {
+                    start: cy(40),
+                    end: cy(60)
+                },
+            ]
+        );
+        assert_eq!(tl.traced_idle_cycles(), cy(35));
     }
 
     #[test]

@@ -53,6 +53,7 @@ use rtmdm_mcusim::{
     Cycles, EventQueue, FaultInjector, FaultPlan, JobId, PlatformConfig, SegmentId, TaskId, Trace,
     TraceKind,
 };
+use rtmdm_obs::Histogram;
 
 use crate::script::{ChoicePoint, SimOracle, StableHash, StateHash};
 use crate::task::{MissPolicy, StagingMode, TaskSet};
@@ -236,95 +237,9 @@ pub struct TaskStats {
     pub shed: u64,
     /// Jobs dropped by [`MissPolicy::Abort`].
     pub aborted: u64,
-    /// Log₂-bucketed response-time histogram: bucket `k` counts
-    /// responses in `[2^k, 2^(k+1))` cycles (bucket 0 covers 0–1).
-    pub response_hist: ResponseHist,
-}
-
-/// Number of buckets in [`ResponseHist`] — one per bit of `u64`, so
-/// every representable response has its own bucket and
-/// [`ResponseHist::percentile_upper`] is an upper bound unconditionally.
-pub const RESPONSE_HIST_BUCKETS: usize = 64;
-
-/// A 64-bucket logarithmic response-time histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ResponseHist {
-    buckets: [u64; RESPONSE_HIST_BUCKETS],
-}
-
-impl Default for ResponseHist {
-    fn default() -> Self {
-        ResponseHist {
-            buckets: [0; RESPONSE_HIST_BUCKETS],
-        }
-    }
-}
-
-impl ResponseHist {
-    /// Records one response time.
-    pub fn record(&mut self, response: Cycles) {
-        // k = floor(log2(max(response, 1))) ∈ 0..=63 — one bucket per
-        // bit of u64, so no clamp is needed (or sound: the former
-        // 32-bucket clamp silently broke the percentile upper bound for
-        // responses ≥ 2^32).
-        let k = 64 - response.get().max(1).leading_zeros() as usize - 1;
-        self.buckets[k] += 1;
-    }
-
-    /// Number of recorded responses, saturating at `u64::MAX`. Merged
-    /// histograms (e.g. fleet-wide telemetry buckets) can hold more
-    /// than `u64::MAX` samples in total; the saturation only affects
-    /// this convenience accessor — [`ResponseHist::percentile_upper`]
-    /// ranks in `u128` and stays exact regardless.
-    pub fn count(&self) -> u64 {
-        self.buckets
-            .iter()
-            .fold(0u64, |acc, &c| acc.saturating_add(c))
-    }
-
-    /// An upper bound on the `pct`-th percentile response (the top of
-    /// the bucket containing it). Returns `None` when the histogram is
-    /// empty, and for `pct == 0`: the 0th percentile bounds an empty
-    /// prefix of the samples, so it has no witness bucket — answering
-    /// the minimum would silently alias it to `pct == 1`.
-    ///
-    /// All rank arithmetic is `u128` end to end: both `total * pct`
-    /// and the bucket sum itself can overflow `u64` on merged
-    /// long-horizon histograms.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pct > 100`.
-    pub fn percentile_upper(&self, pct: u64) -> Option<Cycles> {
-        assert!(pct <= 100, "percentile must be at most 100");
-        if pct == 0 {
-            return None;
-        }
-        let total: u128 = self.buckets.iter().map(|&c| u128::from(c)).sum();
-        if total == 0 {
-            return None;
-        }
-        let target = (total * u128::from(pct)).div_ceil(100);
-        let mut seen: u128 = 0;
-        for (k, &c) in self.buckets.iter().enumerate() {
-            seen += u128::from(c);
-            if seen >= target {
-                // Top of bucket k is 2^(k+1) − 1; the last bucket's top
-                // is u64::MAX exactly (2^64 − 1).
-                return Some(Cycles::new(
-                    2u64.checked_pow(k as u32 + 1).map_or(u64::MAX, |p| p - 1),
-                ));
-            }
-        }
-        // 1 ≤ pct ≤ 100 gives 0 < target ≤ total, and `seen` reaches
-        // `total` exactly on the last bucket.
-        unreachable!("percentile rank exceeds histogram total")
-    }
-
-    /// Raw bucket counts.
-    pub fn buckets(&self) -> &[u64; RESPONSE_HIST_BUCKETS] {
-        &self.buckets
-    }
+    /// Log₂-bucketed response-time histogram, in cycles: bucket `k`
+    /// counts responses in `[2^k, 2^(k+1))` (bucket 0 covers 0–1).
+    pub response_hist: Histogram,
 }
 
 /// Aggregate resource metrics of one run, accounted exactly in the
@@ -837,7 +752,7 @@ fn flush_global_metrics(result: &SimResult) {
         releases += s.releases;
         completions += s.completions;
         misses += s.misses;
-        g.merge_buckets("sim.response_cycles", s.response_hist.buckets());
+        g.merge("sim.response_cycles", &s.response_hist);
     }
     g.add("sim.releases", releases);
     g.add("sim.completions", completions);
@@ -1606,7 +1521,7 @@ impl Sim<'_> {
             stats.completions += 1;
             stats.max_response = stats.max_response.max(response);
             stats.total_response += response.get();
-            stats.response_hist.record(response);
+            stats.response_hist.record(response.get());
             if !job.miss_recorded && self.now > job.abs_deadline {
                 stats.misses += 1;
                 self.trace.push(
@@ -2079,6 +1994,7 @@ mod tests {
     use super::*;
     use crate::task::{Segment, SporadicTask};
     use rtmdm_mcusim::{ContentionModel, DEFAULT_MAX_RETRIES};
+    use rtmdm_obs::Timeline;
 
     fn cy(n: u64) -> Cycles {
         Cycles::new(n)
@@ -2434,26 +2350,8 @@ mod tests {
         assert_eq!(hist.count(), r.stats[0].completions);
         // All responses are exactly 30 cycles → bucket [16,32).
         let p95 = hist.percentile_upper(95).expect("non-empty");
-        assert!(p95 >= cy(30) && p95 <= cy(31), "{p95}");
-        assert!(hist.percentile_upper(50).expect("non-empty") >= cy(30));
-        // Empty histogram → None.
-        assert_eq!(ResponseHist::default().percentile_upper(95), None);
-    }
-
-    #[test]
-    fn percentile_rank_survives_huge_counts() {
-        // Regression: `total * pct` used to be computed in u64, which
-        // overflows once count() exceeds u64::MAX / 100. Populate two
-        // buckets whose total sits just under u64::MAX and check both
-        // percentile halves resolve to the right bucket tops.
-        let mut hist = ResponseHist::default();
-        hist.buckets[4] = u64::MAX / 100 * 49; // responses in [16, 32)
-        hist.buckets[9] = u64::MAX / 100 * 50; // responses in [512, 1024)
-        assert!(hist.count() > u64::MAX / 100);
-        assert_eq!(hist.percentile_upper(25), Some(cy(31)));
-        assert_eq!(hist.percentile_upper(100), Some(cy(1023)));
-        // The 50th percentile falls in the upper bucket (49% below it).
-        assert_eq!(hist.percentile_upper(50), Some(cy(1023)));
+        assert!((30..=31).contains(&p95), "{p95}");
+        assert!(hist.percentile_upper(50).expect("non-empty") >= 30);
     }
 
     #[test]
@@ -2466,7 +2364,7 @@ mod tests {
         for s in &r.stats {
             if s.completions > 0 {
                 let p100 = s.response_hist.percentile_upper(100).expect("non-empty");
-                assert!(p100 >= s.max_response);
+                assert!(p100 >= s.max_response.get());
                 let p50 = s.response_hist.percentile_upper(50).expect("non-empty");
                 assert!(p50 <= p100);
             }
@@ -2581,7 +2479,7 @@ mod tests {
         ] {
             let r = run(&ts, horizon);
             assert_eq!(
-                r.trace.cpu_idle_cycles(r.horizon),
+                Timeline::from_trace(&r.trace, r.horizon).traced_idle_cycles(),
                 r.metrics.cpu_idle_cycles,
                 "horizon {horizon}"
             );
@@ -2670,23 +2568,6 @@ mod tests {
         assert_eq!(r.stats[1].max_response, cy(1100));
     }
 
-    #[test]
-    fn histogram_resolves_responses_beyond_the_old_saturation_boundary() {
-        // Regression: buckets used to clamp at index 31, so any
-        // response ≥ 2^32 was folded into bucket 31 and
-        // `percentile_upper` returned 2^32 − 1 — *below* the recorded
-        // response, violating its upper-bound contract.
-        let mut hist = ResponseHist::default();
-        hist.record(cy(1u64 << 32));
-        let p100 = hist.percentile_upper(100).expect("non-empty");
-        assert!(p100 >= cy(1u64 << 32), "upper bound violated: {p100}");
-        assert_eq!(p100, cy((1u64 << 33) - 1));
-        // The very top bucket's upper bound is exactly u64::MAX.
-        let mut top = ResponseHist::default();
-        top.record(Cycles::new(u64::MAX));
-        assert_eq!(top.percentile_upper(100), Some(Cycles::new(u64::MAX)));
-    }
-
     fn fault_plan(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
@@ -2760,7 +2641,7 @@ mod tests {
         let stat_retries: u64 = r.stats.iter().map(|s| s.retries).sum();
         assert_eq!(stat_retries, m.fetch_retries);
         assert_eq!(
-            r.trace.injected_faults() as u64,
+            Timeline::from_trace(&r.trace, r.horizon).faults().len() as u64,
             m.injected_faults,
             "every injected fault is visible in the trace"
         );
@@ -2809,7 +2690,9 @@ mod tests {
         assert!(r.stats[0].aborted > 0);
         assert_eq!(r.stats[0].completions, 0);
         assert_eq!(r.metrics.aborted_jobs, r.stats[0].aborted);
-        assert_eq!(r.trace.shed_or_aborted() as u64, r.stats[0].aborted);
+        let tl = Timeline::from_trace(&r.trace, r.horizon);
+        assert_eq!(tl.aborts().len() as u64, r.stats[0].aborted);
+        assert!(tl.sheds().is_empty());
     }
 
     #[test]
@@ -2853,7 +2736,9 @@ mod tests {
         assert!(r.stats[0].completions > 0);
         assert!(r.stats[0].releases >= r.stats[0].shed + r.stats[0].completions);
         assert_eq!(r.metrics.shed_jobs, r.stats[0].shed);
-        assert_eq!(r.trace.shed_or_aborted() as u64, r.stats[0].shed);
+        let tl = Timeline::from_trace(&r.trace, r.horizon);
+        assert_eq!(tl.sheds().len() as u64, r.stats[0].shed);
+        assert!(tl.aborts().is_empty());
         // Shedding relieved the overload: the backlog stays bounded, so
         // fewer misses than under Continue.
         let cont = run(
@@ -2922,35 +2807,5 @@ mod tests {
         assert!(m.cpu_stall_cycles <= m.cpu_busy_cycles);
         assert!(m.dma_stall_cycles <= m.dma_busy_cycles);
         assert!(m.dma_busy_cycles <= cy(50_000));
-    }
-
-    #[test]
-    fn percentile_zero_has_no_witness() {
-        let mut hist = ResponseHist::default();
-        hist.record(cy(30));
-        assert_eq!(hist.percentile_upper(0), None);
-        assert_eq!(ResponseHist::default().percentile_upper(0), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "percentile must be at most 100")]
-    fn percentile_above_100_panics() {
-        let mut hist = ResponseHist::default();
-        hist.record(cy(30));
-        let _ = hist.percentile_upper(101);
-    }
-
-    #[test]
-    fn percentile_stays_exact_when_count_saturates() {
-        // Two full buckets: the true total (2·u64::MAX) overflows u64,
-        // so `count()` saturates — but the rank walk is u128 and still
-        // resolves each half to the right bucket top.
-        let mut hist = ResponseHist::default();
-        hist.buckets[3] = u64::MAX; // responses in [8, 16)
-        hist.buckets[10] = u64::MAX; // responses in [1024, 2048)
-        assert_eq!(hist.count(), u64::MAX);
-        assert_eq!(hist.percentile_upper(50), Some(cy(15)));
-        assert_eq!(hist.percentile_upper(51), Some(cy(2047)));
-        assert_eq!(hist.percentile_upper(100), Some(cy(2047)));
     }
 }

@@ -4,6 +4,7 @@
 use proptest::prelude::*;
 
 use rtmdm_mcusim::{Cycles, FaultPlan, PlatformConfig};
+use rtmdm_obs::Timeline;
 use rtmdm_sched::gen::{generate, TasksetParams};
 use rtmdm_sched::sim::{simulate, Engine, Policy, SimConfig};
 use rtmdm_sched::StagingMode;
@@ -61,7 +62,9 @@ proptest! {
                 prop_assert!(stats.total_response >= stats.max_response.get());
             }
         }
-        prop_assert!(run.trace.cpu_busy_cycles() <= horizon);
+        let tl = Timeline::from_trace(&run.trace, horizon);
+        prop_assert_eq!(tl.cpu_busy(), run.metrics.cpu_busy_cycles);
+        prop_assert!(tl.cpu_busy() <= horizon);
     }
 
     /// Bit-determinism: the same configuration yields the same trace,
@@ -218,7 +221,10 @@ proptest! {
         let m = a.metrics;
         prop_assert_eq!(m.cpu_busy_cycles + m.cpu_idle_cycles, horizon);
         prop_assert_eq!(m.fetch_retries, m.injected_faults);
-        prop_assert_eq!(a.trace.injected_faults() as u64, m.injected_faults);
+        prop_assert_eq!(
+            Timeline::from_trace(&a.trace, horizon).faults().len() as u64,
+            m.injected_faults
+        );
         let stat_retries: u64 = a.stats.iter().map(|s| s.retries).sum();
         prop_assert_eq!(stat_retries, m.fetch_retries);
         // Faults delay but never wedge: released work still completes

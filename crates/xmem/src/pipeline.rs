@@ -6,7 +6,6 @@
 use serde::{Deserialize, Serialize};
 
 use rtmdm_mcusim::{Cycles, PlatformConfig};
-use rtmdm_obs::Registry;
 
 use crate::plan::ModelSegmentation;
 
@@ -145,34 +144,6 @@ pub fn isolated_latency(
         _ => Cycles::ZERO,
     };
     lead_in + body
-}
-
-/// Record pipeline stage telemetry into a metrics [`Registry`].
-///
-/// Counters: `pipeline.stages`, `pipeline.compute_cycles`,
-/// `pipeline.fetch_cycles`, `pipeline.stage_cycles`, and — for stages
-/// that actually transfer data — `pipeline.hidden_fetches` vs.
-/// `pipeline.exposed_fetches`. Stage wall times also feed the
-/// `pipeline.stage_cycles_hist` histogram. A disabled registry makes
-/// this a no-op.
-pub fn record_stage_metrics(stages: &[StageTiming], registry: &mut Registry) {
-    if !registry.is_enabled() {
-        return;
-    }
-    for st in stages {
-        registry.add("pipeline.stages", 1);
-        registry.add("pipeline.compute_cycles", st.compute_work.get());
-        registry.add("pipeline.fetch_cycles", st.fetch_work.get());
-        registry.add("pipeline.stage_cycles", st.stage.get());
-        if !st.fetch_work.is_zero() {
-            if st.fetch_hidden {
-                registry.add("pipeline.hidden_fetches", 1);
-            } else {
-                registry.add("pipeline.exposed_fetches", 1);
-            }
-        }
-        registry.observe("pipeline.stage_cycles_hist", st.stage.get());
-    }
 }
 
 /// The fraction of staging time hidden by overlap, in percent:
@@ -335,37 +306,6 @@ mod tests {
         for st in stage_timings(&s, &ideal, ExecutionStrategy::OverlappedPrefetch) {
             assert!(st.fetch_hidden);
         }
-    }
-
-    #[test]
-    fn record_stage_metrics_accumulates_counters() {
-        let s = seg(40 * 1024);
-        let p = PlatformConfig::stm32f746_qspi();
-        let stages = stage_timings(&s, &p, ExecutionStrategy::OverlappedPrefetch);
-        let mut reg = Registry::new();
-        record_stage_metrics(&stages, &mut reg);
-        assert_eq!(reg.counter("pipeline.stages"), stages.len() as u64);
-        let compute: u64 = stages.iter().map(|st| st.compute_work.get()).sum();
-        let fetch: u64 = stages.iter().map(|st| st.fetch_work.get()).sum();
-        let wall: u64 = stages.iter().map(|st| st.stage.get()).sum();
-        assert_eq!(reg.counter("pipeline.compute_cycles"), compute);
-        assert_eq!(reg.counter("pipeline.fetch_cycles"), fetch);
-        assert_eq!(reg.counter("pipeline.stage_cycles"), wall);
-        let fetching = stages.iter().filter(|st| !st.fetch_work.is_zero()).count() as u64;
-        assert_eq!(
-            reg.counter("pipeline.hidden_fetches") + reg.counter("pipeline.exposed_fetches"),
-            fetching
-        );
-    }
-
-    #[test]
-    fn record_stage_metrics_is_noop_when_disabled() {
-        let s = seg(40 * 1024);
-        let p = PlatformConfig::stm32f746_qspi();
-        let stages = stage_timings(&s, &p, ExecutionStrategy::OverlappedPrefetch);
-        let mut reg = Registry::disabled();
-        record_stage_metrics(&stages, &mut reg);
-        assert_eq!(reg.counter("pipeline.stages"), 0);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use rt_mdm::core::{RtMdm, TaskSpec};
 use rt_mdm::dnn::zoo;
 use rt_mdm::mcusim::PlatformConfig;
+use rt_mdm::obs::{gantt, Timeline};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Pick a platform: 200 MHz Cortex-M7, 320 KiB SRAM, weights in
@@ -48,9 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", run.to_table());
     assert_eq!(run.deadline_misses(), 0, "admitted set must not miss");
 
-    // 5. A compact Gantt of the first 500 ms.
+    // 5. A compact Gantt of the first 500 ms (segments past the window
+    //    paint nothing).
     println!("gantt (first 500 ms):");
     let horizon = run.cpu.cycles_from_micros(500_000);
-    print!("{}", run.result.trace.gantt(horizon, 100));
+    let timeline = Timeline::from_trace(&run.result.trace, horizon);
+    print!("{}", gantt::render(&timeline, 100, &run.names));
     Ok(())
 }

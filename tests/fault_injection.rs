@@ -11,7 +11,7 @@
 use rt_mdm::core::{FrameworkOptions, RtMdm, TaskSpec};
 use rt_mdm::dnn::zoo;
 use rt_mdm::mcusim::{FaultPlan, PlatformConfig};
-use rt_mdm::obs::chrome_trace_json;
+use rt_mdm::obs::{chrome_trace_json, Timeline};
 use rt_mdm::sched::MissPolicy;
 
 fn framework(options: FrameworkOptions) -> RtMdm {
@@ -74,7 +74,9 @@ fn seeded_faults_are_reproducible_and_exported() {
         "injected faults must be visible in the Chrome export"
     );
     assert_eq!(
-        a.result.trace.injected_faults() as u64,
+        Timeline::from_trace(&a.result.trace, a.result.horizon)
+            .faults()
+            .len() as u64,
         a.result.metrics.injected_faults
     );
 }

@@ -115,7 +115,7 @@ fn check_invariants(result: &SimResult) -> Result<(), TestCaseError> {
         "timeline busy disagrees with simulator counter"
     );
     prop_assert_eq!(
-        result.trace.cpu_idle_cycles(horizon),
+        tl.traced_idle_cycles(),
         result.metrics.cpu_idle_cycles,
         "trace idle intervals disagree with simulator counter"
     );

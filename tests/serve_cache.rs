@@ -11,12 +11,17 @@
 //! hit-versus-miss marker, so the only way the invariant can hold is
 //! for both memo levels (spec lowerings and whole answers) to cache the
 //! exact value the direct computation produces.
+//!
+//! The same generator also feeds the robustness gate: arbitrary bytes
+//! and single-byte damage to valid lines never panic the service, and
+//! every line still gets exactly one JSON answer carrying `ok`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rt_mdm::core::Service;
+use serde::Content;
 
 const PLATFORMS: &[&str] = &[
     "cortex-m4-lowend",
@@ -146,6 +151,24 @@ fn cold(line: &str) -> String {
     Service::new().answer_line(line)
 }
 
+/// Answers `bytes` (decoded as lossy UTF-8, the way a line reader
+/// would hand them over) and checks the answer is one JSON line whose
+/// `ok` field is a boolean.
+fn answers_one_json_line(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let line = String::from_utf8_lossy(bytes);
+    let answer = cold(&line);
+    prop_assert!(!answer.contains('\n'), "multi-line answer to {:?}", line);
+    let parsed = serde_json::from_str::<Content>(&answer);
+    let ok = parsed.as_ref().ok().and_then(|v| v.get("ok"));
+    prop_assert!(
+        matches!(ok, Some(Content::Bool(_))),
+        "answer to {:?} is not JSON carrying a boolean ok: {}",
+        line,
+        answer
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
 
@@ -193,6 +216,42 @@ proptest! {
         prop_assert_eq!(&one, &eight, "worker count changed batch bytes");
         prop_assert_eq!(one.len(), lines.len());
         prop_assert!(one.last().unwrap().contains(r#""ok":false"#));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Arbitrary bytes up to 512 long never panic the service.
+    #[test]
+    fn arbitrary_bytes_get_one_json_answer(
+        bytes in proptest::collection::vec(0u8..=255, 0..513),
+    ) {
+        answers_one_json_line(&bytes)?;
+    }
+
+    /// A valid request line cut short at any byte, or with one byte
+    /// replaced — by an arbitrary byte, or by a byte copied from
+    /// elsewhere in the line, which often keeps the line well-formed
+    /// and reaches validation past the parser — never panics the
+    /// service.
+    #[test]
+    fn damaged_requests_get_one_json_answer(
+        seed in 0u64..u64::MAX,
+        at in 0usize..usize::MAX,
+        from in 0usize..usize::MAX,
+        byte in 0u8..=255,
+        damage in 0u8..3,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut line = random_request(&mut rng, "q").into_bytes();
+        let at = at % line.len();
+        match damage {
+            0 => line.truncate(at),
+            1 => line[at] = byte,
+            _ => line[at] = line[from % line.len()],
+        }
+        answers_one_json_line(&line)?;
     }
 }
 

@@ -176,6 +176,26 @@ cmp -s "$threads1_out" "$threads8_out" || {
   echo "explore smoke: output differs between 1 and 8 threads" >&2; exit 1; }
 rm -f "$fork_report" "$fork_witness" "$replay_report" "$replay_witness" \
   "$threads1_out" "$threads8_out"
+# A search with many merges: most paths of this fault search merge into
+# one explored earlier and stop there. Both strategies at 1 and 8
+# threads must print the same report, and its counts must be the ones
+# every path run to the horizon gives.
+merge_dir="$(mktemp -d)"
+for strategy in fork replay; do
+  for threads in 1 8; do
+    ./target/release/rtmdm check --platform stm32f746-qspi --task kws=ds-cnn@60 \
+      --task ic=resnet8@300 --explore --fault-rate 20000 --fault-retries 2 \
+      --strategy "$strategy" --threads "$threads" > "$merge_dir/$strategy-$threads"
+    grep -q 'explored 20000 states over 19617 runs (1666949 transitions)' \
+      "$merge_dir/$strategy-$threads" || {
+      echo "explore smoke: merge-heavy search moved off its counts" \
+        "($strategy, $threads threads)" >&2; exit 1; }
+    cmp -s "$merge_dir/fork-1" "$merge_dir/$strategy-$threads" || {
+      echo "explore smoke: merge-heavy search differs" \
+        "($strategy, $threads threads)" >&2; exit 1; }
+  done
+done
+rm -rf "$merge_dir"
 ./target/release/rtmdm check --explain RTM050 > "$explore_out"
 grep -q 'RTM050' "$explore_out" || {
   echo "explore smoke: --explain RTM050 failed" >&2; exit 1; }

@@ -9,15 +9,16 @@
 //! or produces a concrete violating path as a replayable [`Witness`].
 //!
 //! The transition function is not a model of the scheduler: it *is* the
-//! scheduler, driven through the
-//! [`SimOracle`](rtmdm_sched::script::SimOracle) hook. That makes every
+//! scheduler, driven through the [`SimOracle`] hook. That makes every
 //! counterexample exact by construction — replaying the witness script
 //! through [`simulate_with_oracle`] reproduces the violating run byte
 //! for byte.
 //!
 //! Search is depth-first over forced-choice prefixes, with converging
 //! interleavings merged through the canonical state fingerprint (see
-//! [`crate::state`]). Two orthogonal levers set how each path is
+//! [`crate::state`]). A path that merges into one explored earlier ends
+//! its run after the merge instant: its tail would repeat a tail that
+//! was already checked. Two orthogonal levers set how each path is
 //! executed, neither of which changes a single output byte:
 //!
 //! - **Strategy** ([`ExploreStrategy`]): under `Fork` (the default),
@@ -29,12 +30,15 @@
 //!   property test pins that the two produce identical verdicts, stats,
 //!   and witness JSON.
 //! - **Threads** ([`ExploreLimits::threads`]): paths near the top of
-//!   the work stack are executed *speculatively* in parallel. Because a
-//!   path's run is a pure function of its prefix (the oracle holds no
-//!   shared state; visited bookkeeping happens at merge time, in one
-//!   canonical stack order), speculation changes only when a run is
-//!   computed, never what it contains — verdicts, state counts, and
-//!   witnesses are byte-identical at any thread count.
+//!   the work stack are executed *speculatively* in parallel. A
+//!   speculative run reads the visited set as it was when its batch
+//!   started, so it stops at or after the true merge point; the merge
+//!   step, which consumes paths in one canonical stack order, cuts it
+//!   there. The merged result is therefore a pure function of the
+//!   prefix and the merge order: speculation changes only when and how
+//!   far a run is computed, never what the merge consumes — verdicts,
+//!   state counts, and witnesses are byte-identical at any thread
+//!   count.
 //!
 //! The search is bounded: when the state budget is hit, the verdict is
 //! `RTM053` — explicitly inconclusive, never silently safe.
@@ -45,7 +49,7 @@ use std::sync::Arc;
 use rtmdm_mcusim::{Cycles, JobId, PlatformConfig, TaskId, TraceKind};
 use rtmdm_obs::attribute;
 use rtmdm_par::par_map_with_threads;
-use rtmdm_sched::script::{Choice, ScriptedChoice};
+use rtmdm_sched::script::{Choice, ScriptedChoice, SimOracle};
 use rtmdm_sched::sim::{
     simulate_with_oracle, simulate_with_oracle_forked, RaceKind, SimConfig, SimResult, SimSnapshot,
 };
@@ -188,6 +192,8 @@ struct PathRun {
     consumed: usize,
     /// Snapshots this run captured, ascending by absolute position.
     snaps: Vec<ForkBase>,
+    /// Whether the run ended where the path merges, before the horizon.
+    stopped: bool,
 }
 
 /// The violating event of one explored run, before rule classification.
@@ -201,19 +207,21 @@ struct RawViolation {
 
 /// Executes one path. Under `Fork` the run resumes from the item's
 /// base snapshot (when it has one) and captures snapshots for the
-/// branches it will schedule; under `Replay` it runs the full horizon
-/// from time zero and captures nothing.
+/// branches it will schedule; under `Replay` it runs from time zero and
+/// captures nothing. Either way the run ends early where the path
+/// merges into `visited`.
 fn run_path(
     ts: &TaskSet,
     platform: &PlatformConfig,
     cfg: &SimConfig,
     domains: &Domains,
+    visited: &VisitedSet,
     item: &WorkItem,
     fork: bool,
 ) -> PathRun {
     let consumed = item.base.as_ref().map_or(0, |b| b.consumed);
     let mut caps: Vec<SimSnapshot> = Vec::new();
-    let mut oracle = PathOracle::new(item.prefix[consumed..].to_vec(), domains);
+    let mut oracle = PathOracle::new(item.prefix[consumed..].to_vec(), domains, visited);
     let result = simulate_with_oracle_forked(
         ts,
         platform,
@@ -231,6 +239,7 @@ fn run_path(
         .collect();
     PathRun {
         result,
+        stopped: oracle.stop_after_instant(),
         log: oracle.log,
         consumed,
         snaps,
@@ -297,8 +306,10 @@ pub fn explore(
             if threads > 1 && !stack.is_empty() && cache.len() < SPECULATION_CAP {
                 // Speculate: the popped item plus the next uncached
                 // items from the top of the stack run concurrently.
-                // Pure path execution makes the results independent of
-                // this batching; only the wall clock notices.
+                // Runs read the visited set as it is now; the merge
+                // step cuts each at its true merge point, so results
+                // are independent of this batching and only the wall
+                // clock notices.
                 let mut batch: Vec<(u64, &WorkItem)> = vec![(id, &item)];
                 for (sid, sitem) in stack.iter().rev() {
                     if batch.len() >= threads.saturating_mul(2) {
@@ -309,7 +320,10 @@ pub fn explore(
                     }
                 }
                 let runs = par_map_with_threads(threads, batch, |(bid, bitem)| {
-                    (bid, run_path(ts, platform, &cfg, &domains, bitem, fork))
+                    (
+                        bid,
+                        run_path(ts, platform, &cfg, &domains, &visited, bitem, fork),
+                    )
                 });
                 let mut popped = None;
                 for (bid, brun) in runs {
@@ -321,16 +335,16 @@ pub fn explore(
                 }
                 popped.expect("the popped item is always in the batch")
             } else {
-                run_path(ts, platform, &cfg, &domains, &item, fork)
+                run_path(ts, platform, &cfg, &domains, &visited, &item, fork)
             }
         });
         stats.runs += 1;
-        stats.transitions += (run.consumed + run.log.len()) as u64;
 
         // Merge before the violation check: the canonical sequential
         // consume order expands each path's novel pairs even on a
         // violating run, exactly as an in-run oracle would have.
-        let expansions = merge_path(&run.log, &mut visited);
+        let merged = merge_path(&run.log, &mut visited);
+        stats.transitions += (run.consumed + merged.len) as u64;
 
         if let Some(raw) = first_violation(&run.result) {
             stats.states = visited.len();
@@ -341,8 +355,8 @@ pub fn explore(
         // Push order decides which scheduled branch pops next (LIFO):
         // pushing deepest-first leaves the shallowest on top.
         let scheduled: Vec<usize> = match limits.order {
-            ExploreOrder::ShallowFirst => expansions.iter().rev().copied().collect(),
-            ExploreOrder::DeepFirst => expansions.clone(),
+            ExploreOrder::ShallowFirst => merged.expansions.iter().rev().copied().collect(),
+            ExploreOrder::DeepFirst => merged.expansions,
         };
         for i in scheduled {
             for &alt in &run.log[i].branches {
@@ -444,17 +458,22 @@ fn violation_outcome(
     raw: RawViolation,
     stats: ExploreStats,
 ) -> ExploreOutcome {
-    // A forked run's log starts at its snapshot: recover the absolute
-    // record sequence (choice points from time zero, as the witness
-    // schema requires) by replaying the complete path once. Replay-
-    // strategy runs and from-zero forked runs already have it.
-    let full: Option<(SimResult, Vec<QueryRecord>)> = (run.consumed > 0).then(|| {
-        let mut forced: Vec<Choice> = item.prefix[..run.consumed].to_vec();
-        forced.extend(run.log.iter().map(|r| r.chosen));
-        let mut oracle = PathOracle::new(forced, domains);
-        let result = simulate_with_oracle(ts, platform, cfg, &mut oracle);
-        (result, oracle.log)
-    });
+    // A forked run's log starts at its snapshot, and a run that stopped
+    // where it merged ends before the horizon: recover the absolute
+    // record sequence to the horizon (choice points from time zero, as
+    // the witness schema requires) and the full trace (the blame
+    // decomposition needs the victim to complete) by replaying the
+    // complete path once, with nothing visited so that it runs to the
+    // end. From-zero runs that reached the horizon already have both.
+    let full: Option<(SimResult, Vec<QueryRecord>)> =
+        (run.consumed > 0 || run.stopped).then(|| {
+            let mut forced: Vec<Choice> = item.prefix[..run.consumed].to_vec();
+            forced.extend(run.log.iter().map(|r| r.chosen));
+            let unvisited = VisitedSet::new();
+            let mut oracle = PathOracle::new(forced, domains, &unvisited);
+            let result = simulate_with_oracle(ts, platform, cfg, &mut oracle);
+            (result, oracle.log)
+        });
     let (result, log) = match &full {
         Some((result, log)) => (result, log.as_slice()),
         None => (&run.result, run.log.as_slice()),

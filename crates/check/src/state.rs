@@ -5,29 +5,40 @@
 //! Each explored path is one simulator run driven by a [`PathOracle`]
 //! — a forced prefix of choices replayed positionally, then the
 //! deterministic default answer for every further query, with every
-//! query logged together with its untaken candidates. The oracle is
-//! deliberately **pure**: a path's entire behavior is a function of its
-//! forced prefix alone, which is what lets the explorer execute paths
-//! speculatively in parallel (and resume them from mid-run snapshots)
-//! without any result depending on execution order or thread count.
+//! query logged together with its untaken candidates.
 //!
-//! The shared [`VisitedSet`] is consulted at *merge time* instead —
-//! when the explorer consumes a finished path, it walks the logged
-//! free-region queries in order ([`merge_path`]), keyed on the
-//! canonical state fingerprint *and* the choice point: once a
-//! `(state, point)` pair has been expanded on some path, every
-//! alternative at that pair is already scheduled, so a later path
-//! reaching it stops branching (it keeps running on defaults — a
-//! violation in the tail is still real and still reported). Because
-//! paths are consumed in one canonical order, this is step-for-step the
-//! same bookkeeping a sequential in-run oracle would do.
+//! The [`VisitedSet`] is updated at *merge time* — when the explorer
+//! consumes a finished path, it walks the logged free-region queries in
+//! order ([`merge_path`]), keyed on the canonical state fingerprint
+//! *and* the choice point: once a `(state, point)` pair has been
+//! expanded on some path, every alternative at that pair is already
+//! scheduled, so a later path reaching it stops branching — the path
+//! *merges*. Because paths are consumed in one canonical order, this is
+//! step-for-step the same bookkeeping a sequential in-run oracle would
+//! do.
+//!
+//! A merged path also stops *running*. The oracle reads the visited set
+//! (it never writes it) and asks the simulator to end the run after the
+//! instant in which a free, branching query hits an expanded pair. The
+//! cut tail is a tail already checked: the pair's first path answered
+//! only defaults from that pair on, equal fingerprints at the same
+//! point imply identical futures, that path had no violation (or the
+//! search would have ended), and it expanded every pair it reached. The
+//! set records, for each pair, the number of queries from it to the end
+//! of that first path, so a merged path still counts the full length it
+//! would have had. Speculative runs read the set as it was when their
+//! batch started — a subset of the set at merge time — so they stop at
+//! or after the true merge point, and the merge step's cut is the one
+//! that counts: the merged result is a pure function of the prefix and
+//! the merge order, whatever thread executed the run.
 //!
 //! Keying on the pair rather than the state alone matters: consecutive
 //! choice points within one instant (a release's jitter query followed
 //! by its exec-scale query) can observe identical state fingerprints,
 //! and merging those would silently drop the second dimension.
 
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -109,7 +120,9 @@ pub struct QueryRecord {
     pub branches: Vec<Choice>,
 }
 
-/// The shared dominance store: `(state, point)` pairs already expanded.
+/// The shared dominance store: `(state, point)` pairs already expanded,
+/// each with its tail length — the number of queries from the pair to
+/// the end of the path that first reached it.
 ///
 /// Exact-fingerprint equality is the dominance relation implemented —
 /// a state dominates (subsumes) another exactly when their canonical
@@ -117,7 +130,7 @@ pub struct QueryRecord {
 /// fingerprint's contract implies identical reachable futures.
 #[derive(Debug, Default)]
 pub struct VisitedSet {
-    seen: HashSet<(StateHash, ChoicePoint)>,
+    seen: HashMap<(StateHash, ChoicePoint), usize>,
 }
 
 impl VisitedSet {
@@ -126,9 +139,22 @@ impl VisitedSet {
         VisitedSet::default()
     }
 
-    /// Marks `(state, point)` expanded; `true` when it was novel.
-    pub fn insert(&mut self, state: StateHash, point: ChoicePoint) -> bool {
-        self.seen.insert((state, point))
+    /// Marks `(state, point)` expanded with `tail` queries from it to
+    /// the end of its path; `true` when it was novel (a known pair keeps
+    /// its first tail).
+    pub fn insert(&mut self, state: StateHash, point: ChoicePoint, tail: usize) -> bool {
+        match self.seen.entry((state, point)) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(v) => {
+                v.insert(tail);
+                true
+            }
+        }
+    }
+
+    /// The tail length of an expanded pair, `None` when it is novel.
+    pub fn tail(&self, state: StateHash, point: ChoicePoint) -> Option<usize> {
+        self.seen.get(&(state, point)).copied()
     }
 
     /// Number of distinct expanded pairs — the explorer's state count.
@@ -147,23 +173,31 @@ impl VisitedSet {
 /// query with its untaken candidates and the state fingerprint it
 /// observed.
 ///
-/// The oracle holds no shared state — a path's log (and therefore its
-/// run) is a pure function of its prefix. Visited bookkeeping happens
-/// when the explorer consumes the log (see [`merge_path`]), which is
-/// what makes speculative parallel path execution exact.
+/// The oracle only reads the visited set: it asks the simulator to stop
+/// after the instant in which a free query with untaken candidates hits
+/// an expanded pair — the condition on which [`merge_path`] merges.
+/// Every other piece of bookkeeping happens when the explorer consumes
+/// the log.
 pub struct PathOracle<'a> {
     prefix: Vec<Choice>,
     domains: &'a Domains,
+    visited: &'a VisitedSet,
+    /// Whether a query hit an expanded pair, ending the run after the
+    /// current instant.
+    stopped: bool,
     /// Every query of the run, in order.
     pub log: Vec<QueryRecord>,
 }
 
 impl<'a> PathOracle<'a> {
-    /// An oracle forcing `prefix`, then defaults.
-    pub fn new(prefix: Vec<Choice>, domains: &'a Domains) -> Self {
+    /// An oracle forcing `prefix`, then defaults, stopping where the
+    /// path merges into `visited`.
+    pub fn new(prefix: Vec<Choice>, domains: &'a Domains, visited: &'a VisitedSet) -> Self {
         PathOracle {
             prefix,
             domains,
+            visited,
+            stopped: false,
             log: Vec::new(),
         }
     }
@@ -179,6 +213,9 @@ impl SimOracle for PathOracle<'_> {
         } else {
             let mut cands = self.domains.candidates(&point);
             let chosen = cands.remove(0);
+            if !cands.is_empty() && self.visited.tail(state, point).is_some() {
+                self.stopped = true;
+            }
             (chosen, cands)
         };
         self.log.push(QueryRecord {
@@ -189,41 +226,69 @@ impl SimOracle for PathOracle<'_> {
         });
         chosen
     }
+
+    fn stop_after_instant(&self) -> bool {
+        self.stopped
+    }
+}
+
+/// What merging one consumed path yields.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MergedPath {
+    /// Log indices whose branches the explorer must schedule.
+    pub expansions: Vec<usize>,
+    /// The number of queries the path answers from the start of its log
+    /// to the horizon: the log length, or — for a path that merges — the
+    /// queries before its merge pair plus that pair's tail length, so a
+    /// path cut at its merge pair reports the length of its uncut run.
+    pub len: usize,
 }
 
 /// Merge-time visited bookkeeping over one consumed path: walks the
 /// logged queries in order, expands each novel multi-candidate
 /// `(state, point)` pair into `visited`, and stops at the first
 /// already-expanded pair — the path *merges*; its remaining subtrees
-/// were covered from the pair's first visit. Returns the log indices
-/// whose branches the explorer must schedule.
+/// were covered from the pair's first visit.
 ///
 /// Paths are consumed in one canonical order regardless of how many
 /// threads executed them, so this reproduces exactly the insertions an
-/// in-run sequential oracle would have made.
-pub fn merge_path(log: &[QueryRecord], visited: &mut VisitedSet) -> Vec<usize> {
+/// in-run sequential oracle would have made. A choice point names its
+/// task and job (and, for transfers, segment and attempt), so one path
+/// never reaches the same pair twice.
+pub fn merge_path(log: &[QueryRecord], visited: &mut VisitedSet) -> MergedPath {
     let mut expansions = Vec::new();
+    let mut len = log.len();
     for (i, rec) in log.iter().enumerate() {
         if rec.branches.is_empty() {
             continue;
         }
-        if visited.insert(rec.state, rec.point) {
-            expansions.push(i);
-        } else {
-            break;
+        match visited.tail(rec.state, rec.point) {
+            Some(tail) => {
+                len = i + tail;
+                break;
+            }
+            None => expansions.push(i),
         }
     }
-    expansions
+    for &i in &expansions {
+        visited.insert(log[i].state, log[i].point, len - i);
+    }
+    MergedPath { expansions, len }
 }
 
 /// Counters of one exploration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExploreStats {
-    /// Complete simulator runs executed (paths).
+    /// Simulator runs executed, one per explored path. A path that
+    /// merges into one explored earlier ends its run after the instant
+    /// of its merge pair instead of at the horizon.
     pub runs: usize,
     /// Distinct canonical `(state, choice-point)` pairs expanded.
     pub states: usize,
-    /// Oracle queries answered across all runs.
+    /// Oracle queries across all paths, each path counted to the
+    /// horizon: a merged path counts the queries before its merge pair
+    /// plus the pair's tail length (see [`MergedPath::len`]), so the
+    /// total equals that of running every path to the end.
     pub transitions: u64,
     /// Whether the schedule space was covered to the horizon. `false`
     /// means the budget cut exploration short — RTM053, never silently
@@ -288,12 +353,13 @@ mod tests {
         let d = jitter_domains(0);
         let p = ChoicePoint::ReleaseJitter { task: 0, job: 0 };
         assert_eq!(d.candidates(&p).len(), 1);
-        let mut oracle = PathOracle::new(Vec::new(), &d);
+        let mut visited = VisitedSet::new();
+        let mut oracle = PathOracle::new(Vec::new(), &d, &visited);
         let c = oracle.choose(p, StateHash(1));
         assert_eq!(c, Choice::ReleaseJitter(Cycles::ZERO));
         assert!(oracle.log[0].branches.is_empty());
-        let mut visited = VisitedSet::new();
-        assert!(merge_path(&oracle.log, &mut visited).is_empty());
+        let log = oracle.log;
+        assert!(merge_path(&log, &mut visited).expansions.is_empty());
         assert!(visited.is_empty(), "non-branching points cost no budget");
     }
 
@@ -303,7 +369,7 @@ mod tests {
         let p = ChoicePoint::ReleaseJitter { task: 0, job: 0 };
         let mut visited = VisitedSet::new();
         {
-            let mut oracle = PathOracle::new(Vec::new(), &d);
+            let mut oracle = PathOracle::new(Vec::new(), &d, &visited);
             assert_eq!(
                 oracle.choose(p, StateHash(1)),
                 Choice::ReleaseJitter(Cycles::ZERO)
@@ -312,17 +378,24 @@ mod tests {
                 oracle.log[0].branches,
                 vec![Choice::ReleaseJitter(Cycles::new(50))]
             );
-            assert_eq!(merge_path(&oracle.log, &mut visited), vec![0]);
+            assert!(
+                !oracle.stop_after_instant(),
+                "a novel pair does not stop the run"
+            );
+            let log = oracle.log;
+            assert_eq!(merge_path(&log, &mut visited).expansions, vec![0]);
         }
         // A second path reaching the same (state, point) merges: its
-        // branches are not scheduled, and the rest of that path stops
-        // expanding — even a novel later pair.
+        // branches are not scheduled, the rest of that path stops
+        // expanding — even a novel later pair — and its run stops.
         {
-            let mut oracle = PathOracle::new(Vec::new(), &d);
+            let mut oracle = PathOracle::new(Vec::new(), &d, &visited);
             oracle.choose(p, StateHash(1));
+            assert!(oracle.stop_after_instant(), "the merge pair stops the run");
             let later = ChoicePoint::ReleaseJitter { task: 0, job: 1 };
             oracle.choose(later, StateHash(2));
-            assert!(merge_path(&oracle.log, &mut visited).is_empty());
+            let log = oracle.log;
+            assert!(merge_path(&log, &mut visited).expansions.is_empty());
         }
         assert_eq!(visited.len(), 1);
     }
@@ -336,7 +409,8 @@ mod tests {
             jitter_max_cycles: 50,
             explore_faults: false,
         };
-        let mut oracle = PathOracle::new(Vec::new(), &d);
+        let mut visited = VisitedSet::new();
+        let mut oracle = PathOracle::new(Vec::new(), &d, &visited);
         let jitter = ChoicePoint::ReleaseJitter { task: 0, job: 0 };
         let exec = ChoicePoint::ExecScale {
             task: 0,
@@ -345,9 +419,9 @@ mod tests {
         };
         oracle.choose(jitter, StateHash(7));
         oracle.choose(exec, StateHash(7));
-        let mut visited = VisitedSet::new();
+        let log = oracle.log;
         assert_eq!(
-            merge_path(&oracle.log, &mut visited),
+            merge_path(&log, &mut visited).expansions,
             vec![0, 1],
             "not merged away"
         );
@@ -358,26 +432,105 @@ mod tests {
     fn prefix_region_is_forced_verbatim() {
         let d = jitter_domains(50);
         let forced = vec![Choice::ReleaseJitter(Cycles::new(50))];
-        let mut oracle = PathOracle::new(forced, &d);
+        let mut visited = VisitedSet::new();
         let p = ChoicePoint::ReleaseJitter { task: 0, job: 0 };
+        // Even a visited pair does not stop a forced query: the forced
+        // region belongs to the run that scheduled the prefix.
+        visited.insert(StateHash(3), p, 1);
+        let mut oracle = PathOracle::new(forced, &d, &visited);
         assert_eq!(
             oracle.choose(p, StateHash(3)),
             Choice::ReleaseJitter(Cycles::new(50))
         );
         assert!(oracle.log[0].branches.is_empty());
+        assert!(!oracle.stop_after_instant());
+        let log = oracle.log;
+        let mut unvisited = VisitedSet::new();
+        assert!(merge_path(&log, &mut unvisited).expansions.is_empty());
+        assert!(unvisited.is_empty(), "forced region does no bookkeeping");
+    }
+
+    /// Feeds `oracle` one jitter query per `(job, state)`, stopping
+    /// after the first query that asks the run to stop when `cut` is
+    /// set (the simulator ends the run after that instant; here every
+    /// query is its own instant).
+    fn feed(oracle: &mut PathOracle<'_>, queries: &[(u64, u128)], cut: bool) {
+        for &(job, state) in queries {
+            oracle.choose(
+                ChoicePoint::ReleaseJitter { task: 0, job },
+                StateHash(state),
+            );
+            if cut && oracle.stop_after_instant() {
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn a_path_cut_at_its_merge_pair_reports_its_uncut_length() {
+        let d = jitter_domains(50);
         let mut visited = VisitedSet::new();
-        assert!(merge_path(&oracle.log, &mut visited).is_empty());
-        assert!(visited.is_empty(), "forced region does no bookkeeping");
+        // The first path expands four pairs; each records its tail.
+        let first = [(0, 10), (1, 11), (2, 12), (3, 13)];
+        let mut oracle = PathOracle::new(Vec::new(), &d, &visited);
+        feed(&mut oracle, &first, true);
+        let log = oracle.log;
+        let merged = merge_path(&log, &mut visited);
+        assert_eq!(merged.expansions, vec![0, 1, 2, 3]);
+        assert_eq!(merged.len, 4);
+        assert_eq!(
+            visited.tail(
+                StateHash(12),
+                ChoicePoint::ReleaseJitter { task: 0, job: 2 }
+            ),
+            Some(2)
+        );
+        // A second path forces job 0 elsewhere, reaches a novel state
+        // at job 1, and converges on the first path's state at job 2:
+        // from there its tail is the first path's tail.
+        let forced = vec![Choice::ReleaseJitter(Cycles::new(50))];
+        let second = [(0, 20), (1, 21), (2, 12), (3, 13)];
+        let mut cut = PathOracle::new(forced.clone(), &d, &visited);
+        feed(&mut cut, &second, true);
+        assert!(cut.stop_after_instant());
+        assert_eq!(cut.log.len(), 3, "the run ends at its merge pair");
+        let mut uncut = PathOracle::new(forced, &d, &visited);
+        feed(&mut uncut, &second, false);
+        assert_eq!(uncut.log.len(), 4);
+        let (cut_log, uncut_log) = (cut.log, uncut.log);
+        for (a, b) in cut_log.iter().zip(&uncut_log) {
+            assert_eq!((a.point, a.chosen, a.state), (b.point, b.chosen, b.state));
+        }
+        let mut for_uncut = VisitedSet::new();
+        for (i, rec) in log.iter().enumerate() {
+            for_uncut.insert(rec.state, rec.point, merged.len - i);
+        }
+        let from_uncut = merge_path(&uncut_log, &mut for_uncut);
+        let from_cut = merge_path(&cut_log, &mut visited);
+        assert_eq!(from_cut, from_uncut);
+        assert_eq!(from_cut.len, uncut_log.len());
+        assert_eq!(from_cut.expansions, vec![1]);
+        assert_eq!(visited.len(), 5);
+        // The novel pair's tail runs to the end of the uncut path.
+        assert_eq!(
+            visited.tail(
+                StateHash(21),
+                ChoicePoint::ReleaseJitter { task: 0, job: 1 }
+            ),
+            Some(3)
+        );
     }
 
     /// The purity contract the parallel frontier rests on: two oracles
-    /// with the same prefix over the same query sequence produce
-    /// identical logs — no shared state, no order dependence.
+    /// with the same prefix and visited set over the same query
+    /// sequence produce identical logs — no order dependence.
     #[test]
     fn path_logs_are_a_pure_function_of_the_prefix() {
         let d = jitter_domains(50);
+        let visited = VisitedSet::new();
         let drive = || {
-            let mut oracle = PathOracle::new(vec![Choice::ReleaseJitter(Cycles::new(50))], &d);
+            let mut oracle =
+                PathOracle::new(vec![Choice::ReleaseJitter(Cycles::new(50))], &d, &visited);
             for job in 0..4 {
                 oracle.choose(
                     ChoicePoint::ReleaseJitter { task: 0, job },

@@ -110,6 +110,28 @@ fn deeply_nested_serve_lines_get_error_records() {
     }
 }
 
+/// A period so long that 16 periods overflow `u64` cycles is not a
+/// divergent response-time iteration: the set is admitted, with only
+/// the hyperperiod warning, by `check` and by `serve` alike.
+#[test]
+fn very_long_periods_are_not_reported_divergent() {
+    for task in ["kws=ds-cnn@600000000000", "kws=ds-cnn@6000000000000"] {
+        let out = rtmdm(&["check", "--platform", "stm32f746-qspi", "--task", task]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{task}: {stdout}");
+        assert!(stdout.contains("RTM025"), "{task}: {stdout}");
+        assert!(!stdout.contains("RTM026"), "{task}: {stdout}");
+    }
+    let line =
+        r#"{"id":"a","tasks":[{"name":"kws","model":"ds-cnn","period_us":18446744073709551615}]}"#;
+    let out = serve(&[], &[], &format!("{line}\n"));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains(r#""verdict":"admit""#), "{stdout}");
+    assert!(stdout.contains("RTM025"), "{stdout}");
+    assert!(!stdout.contains("RTM026"), "{stdout}");
+}
+
 #[test]
 fn listing_subcommands_work() {
     let p = rtmdm(&["platforms"]);

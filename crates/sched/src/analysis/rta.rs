@@ -278,7 +278,8 @@ fn blocking_bound(timings: &[TaskTiming], i: usize, mode: SchedulerMode) -> Cycl
 
 /// Iterates the response-time fixed point for task `i` with the given
 /// initial value. Returns `None` if it fails to converge within
-/// [`MAX_ITERATIONS`] or overflows the divergence cap (16 × period).
+/// [`MAX_ITERATIONS`] or overflows the divergence cap (16 × period,
+/// saturating: a period too long to multiply caps at `u64::MAX`).
 fn fixed_point(
     ts: &TaskSet,
     timings: &[TaskTiming],
@@ -286,7 +287,7 @@ fn fixed_point(
     base: Cycles,
     mode: SchedulerMode,
 ) -> Option<Cycles> {
-    let cap = ts.tasks()[i].period.checked_mul(16)?;
+    let cap = divergence_cap(ts.tasks()[i].period);
     let _ = mode; // interference is mode-independent; blocking differs
     let mut r = base;
     for _ in 0..MAX_ITERATIONS {
@@ -310,6 +311,13 @@ fn fixed_point(
     None
 }
 
+/// The response time past which a fixed point is taken to diverge:
+/// 16 periods, saturating at `u64::MAX` for very long periods rather
+/// than reporting them as divergent.
+fn divergence_cap(period: Cycles) -> Cycles {
+    Cycles::new(period.get().saturating_mul(16))
+}
+
 /// Baseline B4: classic fully-preemptive response-time analysis on raw
 /// compute times, ignoring staging, contention, context switches, and
 /// blocking. **Unsound for this system** — provided to reproduce the
@@ -319,14 +327,7 @@ pub fn rta_memory_oblivious(ts: &TaskSet, _platform: &PlatformConfig) -> Analysi
     let mut response = Vec::with_capacity(ts.len());
     let mut schedulable = true;
     for (i, task) in ts.tasks().iter().enumerate() {
-        let cap = match task.period.checked_mul(16) {
-            Some(c) => c,
-            None => {
-                schedulable = false;
-                response.push(None);
-                continue;
-            }
-        };
+        let cap = divergence_cap(task.period);
         let mut r = comps[i];
         let mut converged = None;
         for _ in 0..MAX_ITERATIONS {
@@ -451,6 +452,26 @@ mod tests {
         // bound must lie past the deadline.
         if let Some(r) = out.response.last().copied().flatten() {
             assert!(r > cy(100), "bound {r} must exceed the deadline");
+        }
+    }
+
+    #[test]
+    fn periods_past_a_sixteenth_of_u64_are_not_divergent() {
+        // 16 × period overflows u64 here; the cap saturates instead of
+        // declaring the fixed point divergent.
+        for period in [u64::MAX / 16 + 1, u64::MAX / 2, u64::MAX] {
+            let ts = TaskSet::from_tasks(vec![
+                resident("hi", 1_000, 100),
+                resident("lo", period, 300),
+            ]);
+            let out = rta_limited_preemption(&ts, &bare_platform());
+            assert!(out.schedulable, "period {period}: {out:?}");
+            // 300 own plus two jobs of hi (its suspension jitter of
+            // 900 widens the window to two releases).
+            assert_eq!(out.response_of(1), Some(cy(500)), "period {period}");
+            let oblivious = rta_memory_oblivious(&ts, &bare_platform());
+            assert!(oblivious.schedulable, "period {period}: {oblivious:?}");
+            assert_eq!(oblivious.response_of(1), Some(cy(400)), "period {period}");
         }
     }
 

@@ -228,6 +228,13 @@ pub trait SimOracle {
     /// tolerated and degrades to the deterministic default for the
     /// point.
     fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice;
+
+    /// Whether the run should end once the instant being processed is
+    /// complete. The simulator asks after every processed instant; the
+    /// provided answer never stops, so the run reaches the horizon.
+    fn stop_after_instant(&self) -> bool {
+        false
+    }
 }
 
 /// A replay oracle: answers queries from a fixed script in order, then

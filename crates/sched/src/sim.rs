@@ -246,14 +246,19 @@ pub struct TaskStats {
 /// simulator hot loop (not re-derived from the trace).
 ///
 /// Wall time is partitioned: `cpu_busy_cycles + cpu_idle_cycles` equals
-/// the horizon exactly, every run, and all values are integer sums — so
-/// they are byte-identical across `RTMDM_THREADS` settings.
+/// the horizon exactly in every run that reaches it, and all values are
+/// integer sums — so they are byte-identical across `RTMDM_THREADS`
+/// settings. The only runs that end early are those whose oracle asks
+/// to stop ([`SimOracle::stop_after_instant`]), which the explorer does
+/// alone; their two counters partition the span up to the instant the
+/// run stopped after.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct SimMetrics {
     /// Wall cycles the CPU held a segment (compute + context-switch
     /// charge + contention stall).
     pub cpu_busy_cycles: Cycles,
-    /// Wall cycles the CPU sat idle: exactly `horizon - cpu_busy_cycles`.
+    /// Wall cycles the CPU sat idle: exactly `horizon - cpu_busy_cycles`
+    /// in a run that reaches the horizon.
     pub cpu_idle_cycles: Cycles,
     /// Wall cycles the DMA channel was streaming a transfer.
     pub dma_busy_cycles: Cycles,
@@ -289,7 +294,8 @@ pub struct SimMetrics {
 pub struct SimResult {
     /// The full event trace.
     pub trace: Trace,
-    /// Horizon the run covered.
+    /// Horizon the run covered (the configured one; a run its oracle
+    /// stopped early covers only up to the instant it stopped after).
     pub horizon: Cycles,
     /// Per-task statistics, index-aligned with the task set.
     pub stats: Vec<TaskStats>,
@@ -615,7 +621,10 @@ pub fn simulate(ts: &TaskSet, platform: &PlatformConfig, config: &SimConfig) -> 
 /// deterministic event order, so the query sequence — and therefore a
 /// replayed run — is reproducible. An oracle that answers every query
 /// with its deterministic default produces a run byte-identical to
-/// [`simulate`] of the same config (pinned by tests).
+/// [`simulate`] of the same config (pinned by tests). An oracle whose
+/// [`SimOracle::stop_after_instant`] answers `true` ends the run after
+/// the instant being processed: its trace and query sequence are then
+/// exact prefixes of the full run's.
 pub fn simulate_with_oracle(
     ts: &TaskSet,
     platform: &PlatformConfig,
@@ -808,8 +817,11 @@ impl Sim<'_> {
     /// the two resources' finish instants, settle the elapsed interval,
     /// then process the instant — resource completions first (they may
     /// unblock tasks), then its timer events, then the dispatch
-    /// fixpoint.
+    /// fixpoint. An oracle may end the run after any processed instant
+    /// ([`SimOracle::stop_after_instant`]); the run then covers only up
+    /// to that instant.
     fn run(&mut self) {
+        let mut end = self.config.horizon;
         loop {
             let cpu_fin = self.cpu_finish_estimate();
             let dma_fin = self.dma_finish_estimate();
@@ -847,13 +859,19 @@ impl Sim<'_> {
             self.dispatch_dma();
             self.dispatch_cpu();
             self.note_cpu_idle();
+            if self
+                .oracle
+                .as_deref()
+                .is_some_and(|o| o.stop_after_instant())
+            {
+                end = self.now;
+                break;
+            }
         }
-        // Exact partition of the horizon — the headline invariant every
-        // derived utilization figure rests on.
-        self.metrics.cpu_idle_cycles = self
-            .config
-            .horizon
-            .saturating_sub(self.metrics.cpu_busy_cycles);
+        // Exact partition of the covered span (the horizon, unless the
+        // oracle stopped the run) — the headline invariant every derived
+        // utilization figure rests on.
+        self.metrics.cpu_idle_cycles = end.saturating_sub(self.metrics.cpu_busy_cycles);
     }
 
     /// Whether the instant `t` the loop is about to process can reach

@@ -400,3 +400,90 @@ fn resume_answers_only_suffix_queries() {
     assert_eq!(resumed.n, full.n - last.queries_before());
     assert!(resumed.n < full.n);
 }
+
+/// An oracle that answers defaults, records every query, and asks the
+/// simulator to stop once it has answered query `stop_at`.
+struct StopAfter {
+    stop_at: Option<usize>,
+    queries: Vec<(ChoicePoint, StateHash)>,
+}
+
+impl SimOracle for StopAfter {
+    fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice {
+        self.queries.push((point, state));
+        Choice::default_for(&point)
+    }
+
+    fn stop_after_instant(&self) -> bool {
+        self.stop_at.is_some_and(|k| self.queries.len() > k)
+    }
+}
+
+/// Early-stop contract: a run whose oracle stops it after the instant
+/// of query `k` is an exact prefix of the full run — its trace and its
+/// query log, with the whole instant finished and nothing after it —
+/// and the snapshots it captured before stopping resume exactly like
+/// the full run's. The explorer cuts merged paths this way and forks
+/// their branches from those snapshots.
+#[test]
+fn an_oracle_stop_yields_a_prefix_of_the_full_run() {
+    let p = platform();
+    let ts = generate(&TasksetParams::baseline(3, 500_000), &p, 5);
+    let horizon = ts.tasks().iter().map(|t| t.period.get()).max().unwrap() * 3;
+    let mut cfg = config(horizon);
+    cfg.exec_scale_min_ppm = 500_000;
+    let mut full_snaps = Vec::new();
+    let mut full_oracle = StopAfter {
+        stop_at: None,
+        queries: Vec::new(),
+    };
+    let full =
+        simulate_with_oracle_forked(&ts, &p, &cfg, &mut full_oracle, None, Some(&mut full_snaps));
+    let n = full_oracle.queries.len();
+    assert!(n > 8, "scenario asks too few queries ({n})");
+    let full_events = full.trace.events();
+    for k in [0, 1, n / 3, n / 2, 2 * n / 3] {
+        let mut snaps = Vec::new();
+        let mut oracle = StopAfter {
+            stop_at: Some(k),
+            queries: Vec::new(),
+        };
+        let cut = simulate_with_oracle_forked(&ts, &p, &cfg, &mut oracle, None, Some(&mut snaps));
+        let ctx = format!("stop after query {k}");
+        let q = oracle.queries.len();
+        assert!(q > k && q < n, "{ctx}: {q} of {n} queries");
+        assert_eq!(
+            oracle.queries[..],
+            full_oracle.queries[..q],
+            "{ctx}: queries"
+        );
+        let events = cut.trace.events();
+        assert!(events.len() < full_events.len(), "{ctx}: ran to the end");
+        assert_eq!(events[..], full_events[..events.len()], "{ctx}: trace");
+        let last = events.last().expect("events before the stop").time;
+        assert!(
+            full_events[events.len()..].iter().all(|e| e.time > last),
+            "{ctx}: the stop instant was left unfinished"
+        );
+        assert!(
+            !snaps.is_empty() && snaps.len() < full_snaps.len(),
+            "{ctx}: snapshots"
+        );
+        for (i, (snap, full_snap)) in snaps.iter().zip(&full_snaps).enumerate() {
+            assert_eq!(snap.instant(), full_snap.instant(), "{ctx}: snapshot {i}");
+            assert_eq!(snap.queries_before(), full_snap.queries_before());
+            assert_eq!(snap.size_hint(), full_snap.size_hint());
+            let mut a = DefaultOracle;
+            let mut b = DefaultOracle;
+            let from_cut = simulate_with_oracle_forked(&ts, &p, &cfg, &mut a, Some(snap), None);
+            let from_full =
+                simulate_with_oracle_forked(&ts, &p, &cfg, &mut b, Some(full_snap), None);
+            assert_same_run(&from_cut, &from_full, &format!("{ctx}: resume {i}"));
+            assert_eq!(from_cut.metrics, from_full.metrics, "{ctx}: resume {i}");
+        }
+        // The covered span, up to the stop instant, stays exactly
+        // partitioned.
+        let m = cut.metrics;
+        assert_eq!(m.cpu_busy_cycles + m.cpu_idle_cycles, last, "{ctx}");
+    }
+}

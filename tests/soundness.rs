@@ -11,6 +11,7 @@
 
 use proptest::prelude::*;
 
+use rt_mdm::check::{explore, ExploreLimits, ExploreOrder, Rule};
 use rt_mdm::mcusim::{Cycles, FaultPlan, PlatformConfig};
 use rt_mdm::sched::analysis::{rta_limited_preemption_with, SchedulerMode};
 use rt_mdm::sched::assign::dm_order;
@@ -144,6 +145,100 @@ proptest! {
         params.fetch_compute_ratio_ppm = 0;
         let ts = generate(&params, &platform(), seed);
         check_soundness(&ts, SchedulerMode::Gated, 1_000_000, seed)?;
+    }
+}
+
+/// The four platform presets, by index.
+fn preset(i: usize) -> PlatformConfig {
+    match i {
+        0 => PlatformConfig::cortex_m4_lowend(),
+        1 => PlatformConfig::stm32f746_qspi(),
+        2 => PlatformConfig::stm32h743_ospi(),
+        _ => PlatformConfig::ideal_sram(),
+    }
+}
+
+/// The explorer's soundness differential: when the gated analysis
+/// admits a set *in the priority order the explorer runs*, no explored
+/// interleaving may reach a violation. An admitted set may still end
+/// inconclusive (`RTM053`) at the state budget, never with a witness.
+fn check_explore_soundness(
+    ts: &TaskSet,
+    p: &PlatformConfig,
+    horizon_periods: u64,
+    exec_scale_min_ppm: u64,
+    order: ExploreOrder,
+) -> Result<(), TestCaseError> {
+    if !rta_limited_preemption_with(ts, p, SchedulerMode::Gated).schedulable {
+        return Ok(());
+    }
+    let longest = ts.tasks().iter().map(|t| t.period).max().unwrap();
+    let config = SimConfig {
+        horizon: longest * horizon_periods,
+        policy: Policy::FixedPriority,
+        exec_scale_min_ppm,
+        seed: 0,
+        work_conserving: false,
+        fault: FaultPlan::NONE,
+        engine: Engine::Des,
+        attribution: true,
+        staging_window: 2,
+    };
+    let limits = ExploreLimits {
+        max_states: 2_000,
+        threads: 1,
+        order,
+        ..ExploreLimits::default()
+    };
+    let out = explore(ts, p, &config, &limits);
+    prop_assert!(
+        out.witness.is_none(),
+        "admitted set reached {:?}",
+        out.findings.first().map(|f| &f.message)
+    );
+    prop_assert!(out.findings.iter().all(|f| f.rule == Rule::Rtm053));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: std::env::var("PROPTEST_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(160),
+        .. ProptestConfig::default()
+    })]
+
+    /// Generated sets on the four presets, explored in their generated
+    /// priority order or in deadline-monotonic order, with the analysis
+    /// run on that same order.
+    #[test]
+    fn rta_admitted_sets_have_no_explorer_witness(
+        seed in 0u64..100_000,
+        platform in 0usize..4,
+        n_tasks in 1usize..9,
+        util_pct in 5u64..50,
+        horizon_periods in 2u64..7,
+        exec_pct in 30u64..101,
+        dm in proptest::bool::ANY,
+        deep_first in proptest::bool::ANY,
+    ) {
+        let p = preset(platform);
+        let mut params =
+            TasksetParams::baseline(n_tasks, util_pct * 10_000).with_grid_periods();
+        params.segments_range = (2, 4);
+        let generated = generate(&params, &p, seed);
+        let ts = if dm {
+            generated.reordered(&dm_order(&generated))
+        } else {
+            generated
+        };
+        let order = if deep_first {
+            ExploreOrder::DeepFirst
+        } else {
+            ExploreOrder::ShallowFirst
+        };
+        check_explore_soundness(&ts, &p, horizon_periods, exec_pct * 10_000, order)?;
     }
 }
 

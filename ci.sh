@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI: the exact gate .github/workflows/ci.yml runs.
+# The CI gate: .github/workflows/ci.yml checks out, installs the
+# toolchain, and runs this script; run it locally for the same result.
 set -euo pipefail
 cd "$(dirname "$0")"
 

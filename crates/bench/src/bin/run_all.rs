@@ -1,12 +1,19 @@
-//! Regenerates every table and figure of the evaluation in one go,
-//! reporting per-experiment wall time. Worker count comes from
-//! `RTMDM_THREADS` (default: available parallelism); the emitted tables
-//! are byte-identical for any thread count.
+//! Regenerates the tables and figures of the evaluation.
 //!
-//! Besides the tables, the run records telemetry through the global
-//! metrics registry and writes `results/metrics.json` plus the
+//! `run_all` runs every experiment in one go, reporting per-experiment
+//! wall time. Besides the tables, it records telemetry through the
+//! global metrics registry and writes `results/metrics.json` plus the
 //! schema-stable `BENCH_run_all.json` at the repo root (see
 //! [`rtmdm_bench::telemetry`]).
+//!
+//! `run_all <id>…` (for example `run_all f2_sched_ratio t3_wcrt`) emits
+//! only the named experiments' tables and writes no telemetry, which
+//! describes a full run. An unknown id exits with status 2 and lists
+//! the known ones.
+//!
+//! Worker count comes from `RTMDM_THREADS` (default: available
+//! parallelism); the emitted tables are byte-identical for any thread
+//! count.
 use std::time::Instant;
 
 use rtmdm_bench::{emit, experiments as e, results_dir, telemetry};
@@ -34,6 +41,11 @@ fn main() {
         ("f14_explore_scale", e::f14_explore_scale),
         ("f15_fleet", e::f15_fleet),
     ];
+    let ids: Vec<String> = std::env::args().skip(1).collect();
+    if !ids.is_empty() {
+        run_selected(&experiments, &ids);
+        return;
+    }
     let registry = rtmdm_obs::metrics::global();
     registry.enable(true);
     registry.reset();
@@ -104,4 +116,21 @@ fn main() {
         doc.totals.sim_cycles,
         metrics_path.display()
     );
+}
+
+/// Emits the tables of the experiments named by `ids`, in the order
+/// given, after checking that every id is known.
+fn run_selected(experiments: &[Experiment], ids: &[String]) {
+    let find = |id: &str| experiments.iter().find(|(known, _)| *known == id);
+    if let Some(unknown) = ids.iter().find(|id| find(id).is_none()) {
+        let known: Vec<&str> = experiments.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "run_all: unknown experiment `{unknown}` (known: {})",
+            known.join(", ")
+        );
+        std::process::exit(2);
+    }
+    for (id, run) in ids.iter().filter_map(|id| find(id)) {
+        emit(id, &run());
+    }
 }

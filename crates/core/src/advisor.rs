@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 use rtmdm_sched::analysis::critical_scaling_ppm;
 
 use crate::error::AdmitError;
-use crate::framework::{scheduler_mode, RtMdm};
+use crate::framework::{scheduler_mode, DirectHooks, RtMdm};
 use crate::spec::Strategy;
 
 /// Upper bound on tasks the exhaustive strategy search accepts.
@@ -71,8 +71,8 @@ impl RtMdm {
                 })
                 .collect();
             candidate.set_strategies(&strategies);
-            let admission = match candidate.admit() {
-                Ok(a) => a,
+            let (admission, ordered, _) = match candidate.admit_hooked(&DirectHooks) {
+                Ok(admitted) => admitted,
                 Err(AdmitError::Memory(_)) => continue, // does not fit
                 Err(e) => return Err(e),
             };
@@ -82,10 +82,7 @@ impl RtMdm {
             admissible += 1;
             let sram_used = admission.sram_total();
             if best.as_ref().is_none_or(|b| sram_used < b.sram_used) {
-                let (ts, _) = candidate.build_public()?;
-                let order = candidate.priority_order_public(&ts);
-                let scaling =
-                    critical_scaling_ppm(&ts.reordered(&order), candidate.platform(), mode);
+                let scaling = critical_scaling_ppm(&ordered, self.platform(), mode);
                 best = Some(OptimizeOutcome {
                     strategies,
                     sram_used,

@@ -9,14 +9,16 @@
 //!    lints (`RTM020`/`RTM021`), which need no platform;
 //! 3. per-task **plan** well-formedness (`RTM01x`) and **staging** race
 //!    detection (`RTM00x`) over the same lowering admission would use;
-//! 4. the **SRAM layout** replayed through the arena allocator and
-//!    checked for aliasing and overflow (`RTM003`/`RTM004`);
+//! 4. the **SRAM layout**, placed by the one function admission uses
+//!    and checked for aliasing and overflow (`RTM003`/`RTM004`);
 //! 5. set-level **admission** lints (`RTM02x`, `RTM041`) over the
 //!    priority-ordered task set.
 //!
-//! [`RtMdm::admit`] runs the same verification first and refuses
-//! admission with [`AdmitError::Check`](crate::AdmitError::Check) when
-//! any *structural* error is present (see
+//! [`RtMdm`](crate::RtMdm) wraps a `SystemSpec`, and
+//! [`RtMdm::admit`](crate::RtMdm::admit) places SRAM first (a layout
+//! that does not fit is [`AdmitError::Memory`]), then runs this
+//! verification and refuses admission with
+//! [`AdmitError::Check`] when any *structural* error is present (see
 //! [`Rule::blocks_admission`](rtmdm_check::Rule::blocks_admission));
 //! feasibility lints never block, so an overloaded-but-well-formed set
 //! still admits to an unschedulable verdict.
@@ -30,12 +32,11 @@ use rtmdm_mcusim::{Cycles, PlatformConfig};
 use rtmdm_sched::analysis::hyperperiod;
 use rtmdm_sched::sim::{Engine, Policy, SimConfig};
 use rtmdm_sched::TaskSet;
-use rtmdm_xmem::SramArena;
+use rtmdm_xmem::{PlanError, SramArena, RUNTIME_RESERVE};
 
 use crate::error::AdmitError;
 use crate::framework::{
-    compute_cap_for, priority_order_for, weight_region_bytes, AdmissionHooks, DirectHooks,
-    FrameworkOptions, RtMdm,
+    compute_cap_for, priority_order_for, AdmissionHooks, DirectHooks, FrameworkOptions, SramRow,
 };
 use crate::spec::{Strategy, TaskSpec};
 
@@ -111,10 +112,10 @@ pub struct CheckOutcome {
     pub explore_stats: Option<ExploreStats>,
 }
 
-/// A complete system specification for static verification: what
-/// [`RtMdm`] admission consumes, but constructible without going
-/// through (and being rejected by) `add_task`'s eager validation — the
-/// verifier's job is to explain broken specs, not to refuse them.
+/// A complete system specification for static verification: the value
+/// [`RtMdm`](crate::RtMdm) wraps and admits, but constructible without
+/// going through (and being rejected by) `add_task`'s eager validation —
+/// the verifier's job is to explain broken specs, not to refuse them.
 #[derive(Debug, Clone)]
 pub struct SystemSpec {
     /// Target platform (checked, not assumed valid).
@@ -218,7 +219,14 @@ impl SystemSpec {
             }
         }
 
-        report.extend(self.check_sram());
+        // The layout admission places, checked for aliasing and overflow.
+        report.extend(match self.layout_sram() {
+            Ok(placement) => check_sram_regions(&placement.regions, self.platform.sram_bytes),
+            Err((label, e)) => vec![Finding::new(
+                Rule::Rtm004,
+                format!("SRAM layout fails at region `{label}`: {e}"),
+            )],
+        });
 
         // Set-level lints need every task lowered.
         if tasks.is_empty() || tasks.len() != self.tasks.len() {
@@ -294,48 +302,77 @@ impl SystemSpec {
         }
     }
 
-    /// Replays the SRAM layout through the arena allocator and checks
-    /// the placed regions for aliasing and overflow.
-    fn check_sram(&self) -> Vec<Finding> {
+    /// Lays out SRAM exactly as admission does: the runtime reserve,
+    /// then each task's activation region and weight region in insertion
+    /// order, 8-byte aligned through the first-fit arena. Admission calls
+    /// this before the verifier, and the verifier again for its own
+    /// findings.
+    ///
+    /// # Errors
+    ///
+    /// The label of the first region that does not fit, with the arena's
+    /// error.
+    pub(crate) fn layout_sram(&self) -> Result<SramPlacement, (String, PlanError)> {
         let mut arena = SramArena::new(self.platform.sram_bytes);
-        let mut regions = Vec::new();
-        let mut place = |arena: &mut SramArena, label: String, bytes: u64| {
+        let mut regions = Vec::with_capacity(1 + 2 * self.tasks.len());
+        let mut place = |label: String, bytes: u64| {
             // The arena rejects zero-size requests; a degenerate spec
             // still gets a 1-byte region so layout checking proceeds.
-            match arena.alloc(label.clone(), bytes.max(1), 8) {
+            let bytes = bytes.max(1);
+            match arena.alloc(label.clone(), bytes, 8) {
                 Ok(handle) => {
                     if let Some(offset) = arena.offset_of(handle) {
-                        regions.push(SramRegion::new(label, offset, bytes.max(1)));
+                        regions.push(SramRegion::new(label, offset, bytes));
                     }
-                    None
+                    Ok(bytes)
                 }
-                Err(e) => Some(Finding::new(
-                    Rule::Rtm004,
-                    format!("SRAM layout fails at region `{label}`: {e}"),
-                )),
+                Err(e) => Err((label, e)),
             }
         };
-        let reserve = rtmdm_xmem::SramLayout::RUNTIME_RESERVE;
-        if let Some(f) = place(&mut arena, "runtime-reserve".to_owned(), reserve) {
-            return vec![f];
-        }
+        place("runtime-reserve".to_owned(), RUNTIME_RESERVE)?;
+        let mut rows = Vec::with_capacity(self.tasks.len());
         for spec in &self.tasks {
-            let act = spec.resolved_activation_bytes();
-            if let Some(f) = place(&mut arena, format!("{}-activations", spec.name), act) {
-                return vec![f];
-            }
-            let weights = weight_region_bytes(&self.options, spec);
-            if let Some(f) = place(&mut arena, format!("{}-weights", spec.name), weights) {
-                return vec![f];
-            }
+            let activation_bytes = place(
+                format!("{}-activations", spec.name),
+                spec.resolved_activation_bytes(),
+            )?;
+            let weight_bytes = place(
+                format!("{}-weights", spec.name),
+                weight_region_bytes(&self.options, spec),
+            )?;
+            rows.push(SramRow {
+                task: spec.name.clone(),
+                activation_bytes,
+                weight_bytes,
+            });
         }
-        check_sram_regions(&regions, self.platform.sram_bytes)
+        Ok(SramPlacement { rows, regions })
+    }
+}
+
+/// A placed SRAM layout: admission's per-task rows and the regions the
+/// verifier checks.
+pub(crate) struct SramPlacement {
+    /// Per-task rows, insertion order.
+    pub rows: Vec<SramRow>,
+    /// Every placed region, the runtime reserve first.
+    pub regions: Vec<SramRegion>,
+}
+
+/// The SRAM weight region a spec reserves under its effective strategy:
+/// a double buffer for streaming strategies, the full parameter
+/// footprint for whole-DNN staging and resident weights.
+fn weight_region_bytes(options: &FrameworkOptions, spec: &TaskSpec) -> u64 {
+    match options.force_strategy.unwrap_or(spec.strategy) {
+        Strategy::RtMdm | Strategy::FetchThenCompute => 2 * spec.resolved_buffer_bytes(),
+        Strategy::WholeDnn | Strategy::AllInSram => spec.model.total_weight_bytes().max(1),
     }
 }
 
 /// One hyperperiod plus the largest deadline — the synchronous-pattern
 /// coverage horizon — or three times the largest period when the
-/// hyperperiod overflows the simulation cap.
+/// hyperperiod overflows the simulation cap, saturating at
+/// [`Cycles::MAX`].
 fn auto_horizon(ts: &TaskSet) -> Cycles {
     let d_max = ts
         .tasks()
@@ -351,43 +388,14 @@ fn auto_horizon(ts: &TaskSet) -> Cycles {
         .unwrap_or(Cycles::ZERO);
     match hyperperiod(ts).and_then(|h| h.checked_add(d_max)) {
         Some(h) => h,
-        None => p_max * 3,
-    }
-}
-
-impl RtMdm {
-    /// Runs the static verifier over this framework's platform, options,
-    /// and task specifications. [`RtMdm::admit`] calls this implicitly
-    /// and rejects on error-level structural findings.
-    pub fn check(&self) -> Report {
-        self.system_spec().check()
-    }
-
-    /// [`RtMdm::check`] plus the opt-in exhaustive schedule-space
-    /// exploration (see [`SystemSpec::check_with`]).
-    pub fn check_with(&self, options: &CheckOptions) -> CheckOutcome {
-        self.system_spec().check_with(options)
-    }
-
-    /// [`RtMdm::check`] with lowering routed through `hooks` — the step
-    /// [`RtMdm::admit_hooked`](RtMdm) runs before analysis so the
-    /// admission service's cache also covers the verifier passes.
-    pub(crate) fn check_hooked(&self, hooks: &dyn AdmissionHooks) -> Report {
-        self.system_spec().check_hooked(hooks).0
-    }
-
-    fn system_spec(&self) -> SystemSpec {
-        SystemSpec {
-            platform: self.platform().clone(),
-            options: self.options().clone(),
-            tasks: self.specs().to_vec(),
-        }
+        None => p_max.checked_mul(3).unwrap_or(Cycles::MAX),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RtMdm;
     use rtmdm_dnn::zoo;
 
     fn platform() -> PlatformConfig {

@@ -2,6 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use rtmdm_check::Report;
 use rtmdm_dnn::CostModel;
 use rtmdm_mcusim::{Cycles, FaultPlan, PlatformConfig};
 use rtmdm_mcusim::{EnergyModel, EnergyReport};
@@ -14,9 +15,10 @@ use rtmdm_sched::baseline;
 use rtmdm_sched::sim::{simulate, Engine, Policy, SimConfig, SimResult};
 use rtmdm_sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
 use rtmdm_xmem::{
-    segment_model, segments_retry_budget, ModelSegmentation, PlanError, RetryPolicy, SramArena,
+    segment_model, segments_retry_budget, ModelSegmentation, RetryPolicy, RUNTIME_RESERVE,
 };
 
+use crate::check::{CheckOptions, CheckOutcome, SystemSpec};
 use crate::error::AdmitError;
 use crate::report;
 use crate::spec::{Strategy, TaskSpec};
@@ -126,9 +128,9 @@ impl Default for FrameworkOptions {
 /// ```
 #[derive(Debug, Clone)]
 pub struct RtMdm {
-    platform: PlatformConfig,
-    options: FrameworkOptions,
-    specs: Vec<TaskSpec>,
+    /// The platform, options, and specs admission runs on — the same
+    /// value [`RtMdm::check`] verifies, so nothing is copied to check it.
+    sys: SystemSpec,
 }
 
 impl RtMdm {
@@ -152,25 +154,23 @@ impl RtMdm {
     ) -> Result<Self, AdmitError> {
         platform.validate()?;
         Ok(RtMdm {
-            platform,
-            options,
-            specs: Vec::new(),
+            sys: SystemSpec::with_options(platform, options),
         })
     }
 
     /// The platform this framework targets.
     pub fn platform(&self) -> &PlatformConfig {
-        &self.platform
+        &self.sys.platform
     }
 
     /// The active options.
     pub fn options(&self) -> &FrameworkOptions {
-        &self.options
+        &self.sys.options
     }
 
     /// The task specifications added so far.
     pub fn specs(&self) -> &[TaskSpec] {
-        &self.specs
+        &self.sys.tasks
     }
 
     /// Adds a DNN task. Fails fast on duplicate names, inconsistent
@@ -181,7 +181,8 @@ impl RtMdm {
     /// [`AdmitError::DuplicateName`], [`AdmitError::Task`], or
     /// [`AdmitError::Memory`].
     pub fn add_task(&mut self, spec: TaskSpec) -> Result<(), AdmitError> {
-        if self.specs.iter().any(|s| s.name == spec.name) {
+        let sys = &mut self.sys;
+        if sys.tasks.iter().any(|s| s.name == spec.name) {
             return Err(AdmitError::DuplicateName {
                 name: spec.name.clone(),
             });
@@ -190,12 +191,12 @@ impl RtMdm {
         // undersized buffer at add time, not at admission.
         let _ = segment_model(
             &spec.model,
-            &self.options.cost_model,
+            &sys.options.cost_model,
             spec.resolved_buffer_bytes(),
         )?;
         // Validate timing by constructing a throwaway task.
-        let period = self.platform.cpu.cycles_from_micros(spec.period_us);
-        let deadline = self.platform.cpu.cycles_from_micros(spec.deadline_us);
+        let period = sys.platform.cpu.cycles_from_micros(spec.period_us);
+        let deadline = sys.platform.cpu.cycles_from_micros(spec.deadline_us);
         let _ = SporadicTask::new(
             spec.name.clone(),
             period,
@@ -203,7 +204,7 @@ impl RtMdm {
             vec![Segment::new(Cycles::new(1), 0)],
             StagingMode::Resident,
         )?;
-        self.specs.push(spec);
+        sys.tasks.push(spec);
         Ok(())
     }
 
@@ -213,26 +214,10 @@ impl RtMdm {
     ///
     /// Panics if `strategies.len()` differs from the task count.
     pub(crate) fn set_strategies(&mut self, strategies: &[Strategy]) {
-        assert_eq!(strategies.len(), self.specs.len());
-        for (spec, &s) in self.specs.iter_mut().zip(strategies) {
+        assert_eq!(strategies.len(), self.sys.tasks.len());
+        for (spec, &s) in self.sys.tasks.iter_mut().zip(strategies) {
             spec.strategy = s;
         }
-    }
-
-    /// Crate-internal access to the built task set (advisor support).
-    pub(crate) fn build_public(&self) -> Result<(TaskSet, Vec<ModelSegmentation>), AdmitError> {
-        self.build()
-    }
-
-    /// Crate-internal access to the priority permutation.
-    pub(crate) fn priority_order_public(&self, ts: &TaskSet) -> Vec<usize> {
-        self.priority_order(ts)
-    }
-
-    /// The per-segment compute cap used when segmenting: the explicit
-    /// option, or a quarter of the shortest deadline in the set.
-    fn compute_cap(&self) -> Option<Cycles> {
-        compute_cap_for(&self.platform, &self.options, &self.specs)
     }
 
     /// Builds the scheduler task set (insertion order) plus each task's
@@ -247,52 +232,32 @@ impl RtMdm {
         &self,
         hooks: &dyn AdmissionHooks,
     ) -> Result<(TaskSet, Vec<ModelSegmentation>), AdmitError> {
-        let cap = self.compute_cap();
-        let mut tasks = Vec::with_capacity(self.specs.len());
-        let mut plans = Vec::with_capacity(self.specs.len());
-        for spec in &self.specs {
-            let lowered = hooks.lower(&self.platform, &self.options, spec, cap)?;
+        let sys = &self.sys;
+        let cap = compute_cap_for(&sys.platform, &sys.options, &sys.tasks);
+        let mut tasks = Vec::with_capacity(sys.tasks.len());
+        let mut plans = Vec::with_capacity(sys.tasks.len());
+        for spec in &sys.tasks {
+            let lowered = hooks.lower(&sys.platform, &sys.options, spec, cap)?;
             tasks.push(lowered.task);
             plans.push(lowered.plan);
         }
         Ok((TaskSet::from_tasks(tasks), plans))
     }
 
-    /// The priority permutation for the built (insertion-order) set.
-    fn priority_order(&self, ts: &TaskSet) -> Vec<usize> {
-        priority_order_for(&self.platform, &self.options, ts)
+    /// Runs the static verifier over this framework's platform, options,
+    /// and task specifications. [`RtMdm::admit`] runs it too and rejects
+    /// on error-level structural findings.
+    pub fn check(&self) -> Report {
+        self.sys.check()
     }
 
-    /// Plans SRAM for the task set, honouring each task's strategy.
-    fn plan_sram(&self) -> Result<Vec<SramRow>, AdmitError> {
-        let mut arena = SramArena::new(self.platform.sram_bytes);
-        arena.alloc(
-            "runtime-reserve",
-            rtmdm_xmem::SramLayout::RUNTIME_RESERVE,
-            8,
-        )?;
-        let mut rows = Vec::with_capacity(self.specs.len());
-        for spec in &self.specs {
-            let act = spec.resolved_activation_bytes();
-            arena.alloc(format!("{}-activations", spec.name), act, 8)?;
-            let weights = weight_region_bytes(&self.options, spec);
-            arena.alloc(format!("{}-weights", spec.name), weights, 8)?;
-            rows.push(SramRow {
-                task: spec.name.clone(),
-                activation_bytes: act,
-                weight_bytes: weights,
-            });
-        }
-        if arena.used() > self.platform.sram_bytes {
-            return Err(AdmitError::Memory(PlanError::SramOverflow {
-                demanded: arena.used(),
-                available: self.platform.sram_bytes,
-            }));
-        }
-        Ok(rows)
+    /// [`RtMdm::check`] plus the opt-in exhaustive schedule-space
+    /// exploration (see [`SystemSpec::check_with`]).
+    pub fn check_with(&self, options: &CheckOptions) -> CheckOutcome {
+        self.sys.check_with(options)
     }
 
-    /// Runs admission control: static verification, SRAM layout, and
+    /// Runs admission control: SRAM layout, static verification, and
     /// the schedulability analysis.
     ///
     /// # Errors
@@ -316,26 +281,32 @@ impl RtMdm {
     pub(crate) fn admit_hooked(
         &self,
         hooks: &dyn AdmissionHooks,
-    ) -> Result<(Admission, TaskSet, rtmdm_check::Report), AdmitError> {
-        if self.specs.is_empty() {
+    ) -> Result<(Admission, TaskSet, Report), AdmitError> {
+        let sys = &self.sys;
+        if sys.tasks.is_empty() {
             return Err(AdmitError::NoTasks);
         }
-        let sram = self.plan_sram()?;
-        let report = self.check_hooked(hooks);
+        // The layout runs before the verifier (which places it again) so
+        // a set that does not fit fails on memory, not on findings.
+        let sram = sys
+            .layout_sram()
+            .map_err(|(_, e)| AdmitError::Memory(e))?
+            .rows;
+        let (report, _) = sys.check_hooked(hooks);
         if report.blocks_admission() {
             return Err(AdmitError::Check(report));
         }
         let (ts, plans) = self.build_hooked(hooks)?;
-        let order = self.priority_order(&ts);
+        let order = priority_order_for(&sys.platform, &sys.options, &ts);
         let ordered = ts.reordered(&order);
-        let mut analysis = direct_analysis(&ordered, &self.platform, &self.options);
+        let mut analysis = direct_analysis(&ordered, &sys.platform, &sys.options);
         // Retry-budget admission: under an active fault plan each task
         // must still meet its deadline after paying the worst tolerated
         // re-fetch pattern (bounded by `max_retries` per transfer).
         // Resident tasks stage nothing and are immune. EDF yields no
         // per-task bounds, so its verdict cannot be budget-adjusted —
         // a documented limitation of the demand test.
-        let retry = RetryPolicy::from_plan(&self.options.fault);
+        let retry = RetryPolicy::from_plan(&sys.options.fault);
         let retry_budgets: Vec<Cycles> = ordered
             .tasks()
             .iter()
@@ -345,7 +316,7 @@ impl RtMdm {
                 } else {
                     segments_retry_budget(
                         t.segments.iter().map(|s| s.fetch_bytes),
-                        &self.platform.ext_mem,
+                        &sys.platform.ext_mem,
                         &retry,
                     )
                 }
@@ -359,12 +330,12 @@ impl RtMdm {
                         .is_none_or(|r| r + retry_budgets[p] <= t.deadline)
                 });
         }
-        let occupancy_ppm = occupancy_utilization_ppm(&ordered, &self.platform);
+        let occupancy_ppm = occupancy_utilization_ppm(&ordered, &sys.platform);
         let admission = Admission {
             order,
             names: ordered.tasks().iter().map(|t| t.name.clone()).collect(),
             deadlines: ordered.tasks().iter().map(|t| t.deadline).collect(),
-            policy: self.options.policy,
+            policy: sys.options.policy,
             analysis,
             sram,
             occupancy_ppm,
@@ -396,27 +367,28 @@ impl RtMdm {
         exec_scale_min_ppm: u64,
         seed: u64,
     ) -> Result<RunReport, AdmitError> {
-        if self.specs.is_empty() {
+        let sys = &self.sys;
+        if sys.tasks.is_empty() {
             return Err(AdmitError::NoTasks);
         }
         let (ts, _) = self.build()?;
-        let order = self.priority_order(&ts);
+        let order = priority_order_for(&sys.platform, &sys.options, &ts);
         let ordered = ts.reordered(&order);
         let config = SimConfig {
-            horizon: self.platform.cpu.cycles_from_micros(horizon_us),
-            policy: self.options.policy,
+            horizon: sys.platform.cpu.cycles_from_micros(horizon_us),
+            policy: sys.options.policy,
             exec_scale_min_ppm,
             seed,
-            work_conserving: self.options.work_conserving,
-            fault: self.options.fault,
+            work_conserving: sys.options.work_conserving,
+            fault: sys.options.fault,
             engine: Engine::Des,
-            attribution: self.options.attribution,
+            attribution: sys.options.attribution,
             staging_window: 2,
         };
-        let result = simulate(&ordered, &self.platform, &config);
+        let result = simulate(&ordered, &sys.platform, &config);
         Ok(RunReport {
             names: ordered.tasks().iter().map(|t| t.name.clone()).collect(),
-            cpu: self.platform.cpu,
+            cpu: sys.platform.cpu,
             result,
         })
     }
@@ -598,16 +570,6 @@ pub(crate) fn priority_order_for(
     }
 }
 
-/// The SRAM weight region a spec reserves under its effective strategy:
-/// a double buffer for streaming strategies, the full parameter
-/// footprint for whole-DNN staging and resident weights.
-pub(crate) fn weight_region_bytes(options: &FrameworkOptions, spec: &TaskSpec) -> u64 {
-    match options.force_strategy.unwrap_or(spec.strategy) {
-        Strategy::RtMdm | Strategy::FetchThenCompute => 2 * spec.resolved_buffer_bytes(),
-        Strategy::WholeDnn | Strategy::AllInSram => spec.model.total_weight_bytes().max(1),
-    }
-}
-
 /// One SRAM-plan row.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SramRow {
@@ -664,7 +626,7 @@ impl Admission {
     /// Total SRAM the plan consumes (activations + weight buffers +
     /// runtime reserve).
     pub fn sram_total(&self) -> u64 {
-        rtmdm_xmem::SramLayout::RUNTIME_RESERVE
+        RUNTIME_RESERVE
             + self
                 .sram
                 .iter()
@@ -771,6 +733,7 @@ impl RunReport {
 mod tests {
     use super::*;
     use rtmdm_dnn::zoo;
+    use rtmdm_xmem::PlanError;
 
     fn fw() -> RtMdm {
         RtMdm::new(PlatformConfig::stm32f746_qspi()).expect("platform")
@@ -1089,7 +1052,7 @@ mod tests {
                 .with_miss_policy(MissPolicy::SkipNextRelease),
         )
         .expect("ic");
-        let (ts, _) = f.build_public().expect("build");
+        let (ts, _) = f.build().expect("build");
         let policy_of = |name: &str| {
             ts.tasks()
                 .iter()

@@ -133,3 +133,26 @@ fn check_sweeps_zoo_times_platforms() {
         }
     }
 }
+
+/// Periods whose cycle counts come near `u64::MAX`: the exploration
+/// horizon and the simulator's next release saturate instead of
+/// wrapping, so the first job is released and explored, it meets its
+/// deadline, and a release whose deadline cannot be represented counts
+/// as past the horizon. In a debug build a wrap would panic instead.
+#[test]
+fn explore_near_the_cycle_limit_releases_a_job_and_reports_no_miss() {
+    for period_ms in ["60000000000000", "18000000000000000"] {
+        let task = format!("kws=ds-cnn@{period_ms}");
+        let out = rtmdm(&["check", "--explore", "--task", &task]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{period_ms}: {stdout}{stderr}");
+        assert!(!stdout.contains("RTM050"), "{period_ms}: {stdout}");
+        let transitions: u64 = stdout
+            .split_once(" runs (")
+            .and_then(|(_, rest)| rest.split_once(" transitions)"))
+            .and_then(|(n, _)| n.parse().ok())
+            .unwrap_or_else(|| panic!("{period_ms}: no summary line in {stdout}"));
+        assert!(transitions > 0, "{period_ms}: no job released: {stdout}");
+    }
+}

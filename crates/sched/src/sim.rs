@@ -1085,13 +1085,19 @@ impl Sim<'_> {
         let task = &self.ts.tasks()[task_idx];
         let state = &mut self.tasks[task_idx];
         let release = state.next_release;
-        let abs_deadline = release + task.deadline;
-        if abs_deadline > self.config.horizon {
-            return; // job would not get its full window
-        }
+        // A deadline past the horizon — or past `u64` cycles — would not
+        // get its full window.
+        let Some(abs_deadline) = release
+            .checked_add(task.deadline)
+            .filter(|&d| d <= self.config.horizon)
+        else {
+            return;
+        };
         let id = state.released;
         state.released += 1;
-        state.next_release = release + task.period;
+        // Saturating: a next release at `Cycles::MAX` is past any
+        // deadline window, so it releases nothing.
+        state.next_release = release.saturating_add(task.period);
 
         if state.skip_next {
             // Overload shedding under [`MissPolicy::SkipNextRelease`]:

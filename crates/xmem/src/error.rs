@@ -21,14 +21,6 @@ pub enum PlanError {
     },
     /// The fetch buffer size is zero.
     ZeroBuffer,
-    /// The combined SRAM demand (activations + double buffers + runtime
-    /// reserve) exceeds the platform's SRAM.
-    SramOverflow {
-        /// Bytes demanded.
-        demanded: u64,
-        /// Bytes available.
-        available: u64,
-    },
     /// An arena allocation failed (out of space or name collision).
     ArenaExhausted {
         /// Allocation label.
@@ -53,10 +45,6 @@ impl fmt::Display for PlanError {
                 "layer {layer} of {model} needs {bytes} bytes, exceeding the {buffer_bytes}-byte fetch buffer"
             ),
             PlanError::ZeroBuffer => write!(f, "fetch buffer size must be positive"),
-            PlanError::SramOverflow {
-                demanded,
-                available,
-            } => write!(f, "sram demand of {demanded} bytes exceeds {available} available"),
             PlanError::ArenaExhausted { label, bytes, free } => write!(
                 f,
                 "cannot allocate {bytes} bytes for {label}; {free} bytes free"

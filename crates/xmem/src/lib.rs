@@ -5,9 +5,10 @@
 //! overlapping the fetch of segment *k+1* with the compute of segment
 //! *k* (double buffering). This crate provides:
 //!
-//! - [`SramArena`]: a deterministic first-fit SRAM allocator used to lay
-//!   out activation buffers and per-task fetch buffers,
-//! - [`SramLayout`]: the admission-time SRAM plan for a set of models,
+//! - [`SramArena`]: a deterministic first-fit SRAM allocator. Admission
+//!   (`rtmdm-core`) lays out the [`RUNTIME_RESERVE`] and each task's
+//!   activation and weight regions through it, in one function shared
+//!   with the static verifier,
 //! - [`segment_model`]: the layer→segment fetch planner — greedy grouping
 //!   of consecutive layers whose weights fit one fetch buffer,
 //! - [`pipeline`]: closed-form timing of the fetch/compute pipeline for a
@@ -49,6 +50,6 @@ pub use error::PlanError;
 pub use pipeline::{stage_timings, ExecutionStrategy, StageTiming};
 pub use plan::{
     segment_model, segment_model_capped, segment_model_tiled, ModelSegmentation, SegmentPlan,
-    SramLayout,
+    RUNTIME_RESERVE,
 };
 pub use retry::{job_retry_budget, segments_retry_budget, RetryPolicy};

@@ -1,11 +1,10 @@
-//! Layer→segment fetch planning and admission-time SRAM layout.
+//! Layer→segment fetch planning and the runtime SRAM reserve.
 
 use serde::{Deserialize, Serialize};
 
 use rtmdm_dnn::{CostModel, Model};
 use rtmdm_mcusim::Cycles;
 
-use crate::arena::SramArena;
 use crate::error::PlanError;
 
 /// One fetch segment: a run of consecutive layers whose weights are
@@ -251,72 +250,9 @@ pub fn segment_model_tiled(
     })
 }
 
-/// Admission-time SRAM layout for a set of tasks.
-///
-/// Each task gets a private double fetch buffer (2 × buffer size, so a
-/// prefetched segment survives preemption at segment boundaries) plus
-/// activation scratch sized for its model's two largest live tensors.
-/// A fixed runtime reserve models stacks and the scheduler itself.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SramLayout {
-    /// Per-task rows: `(task name, activation bytes, double-buffer bytes)`.
-    pub entries: Vec<(String, u64, u64)>,
-    /// Runtime reserve in bytes.
-    pub reserve: u64,
-    /// Total bytes consumed.
-    pub total_used: u64,
-    /// Platform SRAM capacity.
-    pub capacity: u64,
-}
-
-impl SramLayout {
-    /// Bytes the runtime keeps for stacks and bookkeeping.
-    pub const RUNTIME_RESERVE: u64 = 8 * 1024;
-
-    /// Plans SRAM for `tasks` (model + fetch-buffer size pairs) on a
-    /// platform with `sram_bytes` of SRAM.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PlanError::SramOverflow`] if the demand exceeds
-    /// capacity, and propagates arena errors (which also indicate
-    /// overflow, with the failing allocation named).
-    pub fn plan(sram_bytes: u64, tasks: &[(&Model, u64)]) -> Result<SramLayout, PlanError> {
-        let mut arena = SramArena::new(sram_bytes);
-        arena.alloc("runtime-reserve", Self::RUNTIME_RESERVE, 8)?;
-        let mut entries = Vec::with_capacity(tasks.len());
-        for (model, buffer_bytes) in tasks {
-            // In-flight activations: producing layer's input and output
-            // coexist; 2 × the largest tensor is a safe static bound.
-            let act = 2 * model.max_activation_bytes();
-            arena.alloc(format!("{}-activations", model.name()), act.max(1), 8)?;
-            let dbuf = 2 * *buffer_bytes;
-            arena.alloc(format!("{}-double-buffer", model.name()), dbuf.max(1), 8)?;
-            entries.push((model.name().to_owned(), act, dbuf));
-        }
-        let total_used = arena.used();
-        if total_used > sram_bytes {
-            return Err(PlanError::SramOverflow {
-                demanded: total_used,
-                available: sram_bytes,
-            });
-        }
-        Ok(SramLayout {
-            entries,
-            reserve: Self::RUNTIME_RESERVE,
-            total_used,
-            capacity: sram_bytes,
-        })
-    }
-
-    /// Fraction of SRAM used, in percent (rounded up).
-    pub fn utilization_pct(&self) -> u64 {
-        if self.capacity == 0 {
-            return 100;
-        }
-        (self.total_used * 100).div_ceil(self.capacity)
-    }
-}
+/// SRAM the runtime keeps for stacks and bookkeeping, placed first in
+/// every admission layout.
+pub const RUNTIME_RESERVE: u64 = 8 * 1024;
 
 #[cfg(test)]
 mod tests {
@@ -414,24 +350,6 @@ mod tests {
         let seg = segment_model(&model, &m7(), 40 * 1024).expect("plan");
         let total = m7().model_cost(&model).total_compute;
         assert_eq!(seg.total_compute(), total);
-    }
-
-    #[test]
-    fn sram_layout_fits_reasonable_mixes() {
-        let kws = zoo::ds_cnn();
-        let vww = zoo::mobilenet_v1_025();
-        let layout =
-            SramLayout::plan(320 * 1024, &[(&kws, 16 * 1024), (&vww, 32 * 1024)]).expect("layout");
-        assert_eq!(layout.entries.len(), 2);
-        assert!(layout.total_used <= layout.capacity);
-        assert!(layout.utilization_pct() <= 100);
-    }
-
-    #[test]
-    fn sram_layout_rejects_overflow() {
-        let vww = zoo::mobilenet_v1_025();
-        let err = SramLayout::plan(32 * 1024, &[(&vww, 16 * 1024)]).unwrap_err();
-        assert!(matches!(err, PlanError::ArenaExhausted { .. }));
     }
 
     #[test]

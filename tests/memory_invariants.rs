@@ -3,8 +3,11 @@
 //! determinism.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
-use rt_mdm::core::{RtMdm, TaskSpec};
+use rt_mdm::check::Rule;
+use rt_mdm::core::{AdmitError, FrameworkOptions, RtMdm, Strategy, SystemSpec, TaskSpec};
 use rt_mdm::dnn::{zoo, CostModel};
 use rt_mdm::mcusim::{Cycles, PlatformConfig};
 use rt_mdm::xmem::{pipeline, segment_model_capped, ExecutionStrategy, PlanError};
@@ -13,6 +16,13 @@ fn zoo_model(idx: usize) -> rt_mdm::dnn::Model {
     let all = zoo::all();
     all[idx % all.len()].clone()
 }
+
+const STRATEGIES: [Strategy; 4] = [
+    Strategy::RtMdm,
+    Strategy::FetchThenCompute,
+    Strategy::WholeDnn,
+    Strategy::AllInSram,
+];
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
@@ -89,6 +99,65 @@ proptest! {
             .expect("fits");
         prop_assert!(seg_lo.len() >= seg_hi.len());
         prop_assert!(seg_lo.max_segment_compute() <= seg_hi.max_segment_compute());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
+
+    /// Admission and the static verifier lay SRAM out alike: over spec
+    /// sets `add_task` accepts — every zoo model, default and odd fetch
+    /// buffers, every strategy, a forced strategy, the four presets and
+    /// squeezed SRAM — `admit` fails on memory exactly when `check`
+    /// reports RTM004, and an admitted layout fits the platform's SRAM.
+    #[test]
+    fn admission_and_verifier_agree_on_sram(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let presets = PlatformConfig::presets();
+        let mut platform = presets[rng.gen_range(0..presets.len())].clone();
+        if rng.gen_bool(0.5) {
+            let sram = platform.sram_bytes * rng.gen_range(5..=100u64) / 100;
+            platform = platform.with_sram_bytes(sram);
+        }
+        let mut options = FrameworkOptions::default();
+        if rng.gen_bool(0.25) {
+            options.force_strategy = Some(STRATEGIES[rng.gen_range(0..STRATEGIES.len())]);
+        }
+        // A squeeze below the platform's own minimum is not a framework.
+        let fw = RtMdm::with_options(platform.clone(), options.clone());
+        prop_assume!(fw.is_ok());
+        let mut fw = fw.expect("valid platform");
+        for i in 0..rng.gen_range(1..=4usize) {
+            let period_us = [20_000u64, 100_000, 500_000][rng.gen_range(0..3usize)];
+            let mut spec = TaskSpec::new(
+                format!("t{i}"),
+                zoo_model(rng.gen_range(0..6usize)),
+                period_us,
+                period_us,
+            )
+            .with_strategy(STRATEGIES[rng.gen_range(0..STRATEGIES.len())]);
+            if rng.gen_bool(0.5) {
+                let floor = spec.model.max_layer_weight_bytes();
+                spec = spec.with_buffer_bytes((floor + rng.gen_range(0..8192u64)) | 1);
+            }
+            if rng.gen_bool(0.25) {
+                spec = spec.with_activation_budget(rng.gen_range(1..64 * 1024u64));
+            }
+            // The property ranges over what `add_task` accepts.
+            let _ = fw.add_task(spec);
+        }
+        prop_assume!(!fw.specs().is_empty());
+        let mut sys = SystemSpec::with_options(platform.clone(), options);
+        for spec in fw.specs() {
+            sys.push(spec.clone());
+        }
+        let rtm004 = sys.check().findings.iter().any(|f| f.rule == Rule::Rtm004);
+        let admitted = fw.admit();
+        let memory = matches!(admitted, Err(AdmitError::Memory(_)));
+        prop_assert_eq!(memory, rtm004, "admit: {:?}", admitted.as_ref().err());
+        if let Ok(a) = &admitted {
+            prop_assert!(a.sram_total() <= platform.sram_bytes);
+        }
     }
 }
 

@@ -16,9 +16,8 @@ cargo clippy --all-targets --workspace -- -D warnings
 echo "== cargo fmt --check =="
 cargo fmt --check
 
-echo "== cargo doc (obs + check + sched + core + par) =="
-RUSTDOCFLAGS="-D warnings" cargo doc -q -p rtmdm-obs -p rtmdm-check -p rtmdm-sched \
-  -p rtmdm-core -p rtmdm-par --no-deps
+echo "== cargo doc (workspace) =="
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 
 echo "== examples =="
 # Each example asserts the admission guarantees it prints; a failed

@@ -2,35 +2,18 @@
 //!
 //! Spec-level timing sanity ([`check_timing`]) plus set-level
 //! schedulability lints over a built, priority-ordered [`TaskSet`]
-//! ([`check_taskset`]). The set-level lints re-derive the same numbers
-//! the admission analysis uses — occupancy utilization, the
-//! rate-monotonic bound, the hyperperiod, the response-time fixed
-//! point — and report *why* a set is hopeless before (or independent
-//! of) a full admission run. They are feasibility verdicts, not
-//! structural errors, so none of them block admission (see
-//! [`Rule::blocks_admission`]).
+//! ([`check_taskset`]). The set-level lints read the numbers admission
+//! computed for the set — its occupancy utilization and its
+//! response-time analysis — add the rate-monotonic bound and the
+//! hyperperiod, and report *why* a set is hopeless. They are
+//! feasibility verdicts, not structural errors, so none of them block
+//! admission (see [`Rule::blocks_admission`]).
 
 use rtmdm_mcusim::PlatformConfig;
-use rtmdm_sched::analysis::{
-    hyperperiod, occupancy_utilization_ppm, rm_utilization_bound_ppm, rta_limited_preemption_with,
-    rta_memory_oblivious, SchedulerMode, TaskTiming,
-};
+use rtmdm_sched::analysis::{hyperperiod, rm_utilization_bound_ppm, AnalysisOutcome, TaskTiming};
 use rtmdm_sched::TaskSet;
 
 use crate::diag::{ppm_pct, Finding, Rule};
-
-/// How the verified system schedules, mirrored from the framework's
-/// options so the lints model the same analysis admission runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AdmissionContext {
-    /// EDF policy (RM-bound and response-time lints are FP-only).
-    pub edf: bool,
-    /// Work-conserving dispatch (changes the RTA mode).
-    pub work_conserving: bool,
-    /// DMA-aware analysis; when `false` the memory-oblivious RTA is
-    /// linted instead, matching what admission will actually run.
-    pub dma_aware: bool,
-}
 
 /// Spec-level timing lints of one task: zero parameters (`RTM021`) and
 /// deadline beyond period (`RTM020`). Times are in microseconds.
@@ -56,11 +39,15 @@ pub fn check_timing(task: &str, period_us: u64, deadline_us: u64) -> Vec<Finding
     out
 }
 
-/// Set-level lints over a priority-ordered task set.
+/// Set-level lints over a priority-ordered task set, given the
+/// occupancy utilization admission computed for it and its
+/// fixed-priority response-time analysis — `None` under EDF, which
+/// yields no per-priority bounds and has no rate-monotonic bound.
 pub fn check_taskset(
     ts: &TaskSet,
     platform: &PlatformConfig,
-    ctx: &AdmissionContext,
+    occupancy_ppm: u64,
+    fp_analysis: Option<&AnalysisOutcome>,
 ) -> Vec<Finding> {
     let mut out = Vec::new();
     if ts.is_empty() {
@@ -90,23 +77,22 @@ pub fn check_taskset(
         }
     }
 
-    let occupancy = occupancy_utilization_ppm(ts, platform);
-    if occupancy > 1_000_000 {
+    if occupancy_ppm > 1_000_000 {
         out.push(Finding::new(
             Rule::Rtm023,
             format!(
                 "occupancy utilization {} exceeds 100% of the platform",
-                ppm_pct(occupancy)
+                ppm_pct(occupancy_ppm)
             ),
         ));
-    } else if !ctx.edf && ts.len() >= 2 {
+    } else if fp_analysis.is_some() && ts.len() >= 2 {
         let bound = rm_utilization_bound_ppm(ts.len());
-        if occupancy > bound {
+        if occupancy_ppm > bound {
             out.push(Finding::new(
                 Rule::Rtm024,
                 format!(
                     "occupancy utilization {} exceeds the {}-task rate-monotonic bound {}",
-                    ppm_pct(occupancy),
+                    ppm_pct(occupancy_ppm),
                     ts.len(),
                     ppm_pct(bound)
                 ),
@@ -123,17 +109,7 @@ pub fn check_taskset(
         ));
     }
 
-    if !ctx.edf {
-        let mode = if ctx.work_conserving {
-            SchedulerMode::WorkConserving
-        } else {
-            SchedulerMode::Gated
-        };
-        let outcome = if ctx.dma_aware {
-            rta_limited_preemption_with(ts, platform, mode)
-        } else {
-            rta_memory_oblivious(ts, platform)
-        };
+    if let Some(outcome) = fp_analysis {
         for (i, response) in outcome.response.iter().enumerate() {
             if response.is_none() {
                 out.push(
@@ -155,6 +131,7 @@ pub fn check_taskset(
 mod tests {
     use super::*;
     use rtmdm_mcusim::Cycles;
+    use rtmdm_sched::analysis::occupancy_utilization_ppm;
     use rtmdm_sched::{Segment, SporadicTask, StagingMode};
 
     fn platform() -> PlatformConfig {
@@ -170,6 +147,20 @@ mod tests {
             StagingMode::Overlapped,
         )
         .expect("valid task")
+    }
+
+    /// Lints `ts` at its own occupancy under `fp_analysis`.
+    fn lint(ts: &TaskSet, fp_analysis: Option<&AnalysisOutcome>) -> Vec<Finding> {
+        let occupancy = occupancy_utilization_ppm(ts, &platform());
+        check_taskset(ts, &platform(), occupancy, fp_analysis)
+    }
+
+    /// A fixed-priority analysis that bounds every priority.
+    fn bounded(ts: &TaskSet) -> AnalysisOutcome {
+        AnalysisOutcome {
+            schedulable: true,
+            response: vec![Some(Cycles::new(1)); ts.len()],
+        }
     }
 
     #[test]
@@ -190,7 +181,7 @@ mod tests {
     #[test]
     fn rtm022_fires_once_on_zero_wcet() {
         let ts = TaskSet::from_tasks(vec![task("idle", 1_000_000, 0, 0)]);
-        let hits: Vec<_> = check_taskset(&ts, &platform(), &AdmissionContext::default())
+        let hits: Vec<_> = lint(&ts, Some(&bounded(&ts)))
             .into_iter()
             .filter(|f| f.rule == Rule::Rtm022)
             .collect();
@@ -200,11 +191,7 @@ mod tests {
     #[test]
     fn rtm023_fires_once_on_overload() {
         let ts = TaskSet::from_tasks(vec![task("hog", 100_000, 200_000, 0)]);
-        let ctx = AdmissionContext {
-            dma_aware: true,
-            ..AdmissionContext::default()
-        };
-        let findings = check_taskset(&ts, &platform(), &ctx);
+        let findings = lint(&ts, Some(&bounded(&ts)));
         let hits: Vec<_> = findings.iter().filter(|f| f.rule == Rule::Rtm023).collect();
         assert_eq!(hits.len(), 1, "{findings:?}");
     }
@@ -218,22 +205,11 @@ mod tests {
             task("a", 100_000, 38_000, 0),
             task("b", 100_000, 38_000, 0),
         ]);
-        let ctx = AdmissionContext {
-            dma_aware: true,
-            ..AdmissionContext::default()
-        };
-        let findings = check_taskset(&ts, &platform(), &ctx);
+        let findings = lint(&ts, Some(&bounded(&ts)));
         let hits: Vec<_> = findings.iter().filter(|f| f.rule == Rule::Rtm024).collect();
         assert_eq!(hits.len(), 1, "{findings:?}");
         // Under EDF the RM bound does not apply.
-        let edf = AdmissionContext {
-            edf: true,
-            dma_aware: true,
-            ..AdmissionContext::default()
-        };
-        assert!(check_taskset(&ts, &platform(), &edf)
-            .iter()
-            .all(|f| f.rule != Rule::Rtm024));
+        assert!(lint(&ts, None).iter().all(|f| f.rule != Rule::Rtm024));
     }
 
     #[test]
@@ -243,7 +219,7 @@ mod tests {
             task("a", (1 << 21) + 1, 10, 0),
             task("b", (1 << 21) - 1, 10, 0),
         ]);
-        let hits: Vec<_> = check_taskset(&ts, &platform(), &AdmissionContext::default())
+        let hits: Vec<_> = lint(&ts, Some(&bounded(&ts)))
             .into_iter()
             .filter(|f| f.rule == Rule::Rtm025)
             .collect();
@@ -253,22 +229,24 @@ mod tests {
     #[test]
     fn rtm026_fires_once_per_diverging_task() {
         // A higher-priority task with utilization above 1 makes the
-        // victim's interference grow without bound: its fixed point
-        // blows past the divergence cap.
+        // victim's interference grow without bound: the analysis gives
+        // the victim no bound, and the lint names exactly that priority.
         let ts = TaskSet::from_tasks(vec![
             task("hog", 100_000, 200_000, 0),
             task("victim", 1_000_000, 10_000, 0),
         ]);
-        let ctx = AdmissionContext {
-            dma_aware: true,
-            ..AdmissionContext::default()
+        let analysis = AnalysisOutcome {
+            schedulable: false,
+            response: vec![Some(Cycles::new(200_000)), None],
         };
-        let hits: Vec<_> = check_taskset(&ts, &platform(), &ctx)
+        let hits: Vec<_> = lint(&ts, Some(&analysis))
             .into_iter()
             .filter(|f| f.rule == Rule::Rtm026)
             .collect();
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].task.as_deref(), Some("victim"));
+        // EDF yields no per-priority bounds, so nothing diverges.
+        assert!(lint(&ts, None).iter().all(|f| f.rule != Rule::Rtm026));
     }
 
     #[test]
@@ -276,11 +254,7 @@ mod tests {
         // 1 MiB of weights against a 10k-cycle deadline: staging alone
         // cannot finish in time on any realistic bus.
         let ts = TaskSet::from_tasks(vec![task("fetchy", 10_000, 1_000, 1 << 20)]);
-        let ctx = AdmissionContext {
-            dma_aware: true,
-            ..AdmissionContext::default()
-        };
-        let hits: Vec<_> = check_taskset(&ts, &platform(), &ctx)
+        let hits: Vec<_> = lint(&ts, Some(&bounded(&ts)))
             .into_iter()
             .filter(|f| f.rule == Rule::Rtm041)
             .collect();
@@ -293,11 +267,7 @@ mod tests {
             task("a", 10_000_000, 100_000, 1024),
             task("b", 20_000_000, 200_000, 2048),
         ]);
-        let ctx = AdmissionContext {
-            dma_aware: true,
-            ..AdmissionContext::default()
-        };
-        let findings = check_taskset(&ts, &platform(), &ctx);
+        let findings = lint(&ts, Some(&bounded(&ts)));
         assert!(findings.is_empty(), "{findings:?}");
     }
 }

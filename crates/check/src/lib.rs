@@ -48,7 +48,7 @@ pub mod platform;
 pub mod staging;
 pub mod state;
 
-pub use admission::{check_taskset, check_timing, AdmissionContext};
+pub use admission::{check_taskset, check_timing};
 pub use diag::{
     Category, Finding, JsonFinding, JsonReport, Report, Rule, RuleFilter, Severity, SCHEMA,
 };

@@ -123,16 +123,6 @@ struct Cli {
     witness: Option<String>,
 }
 
-fn parse_strategy(s: &str) -> Option<Strategy> {
-    match s {
-        "rt-mdm" => Some(Strategy::RtMdm),
-        "fetch-then-compute" => Some(Strategy::FetchThenCompute),
-        "whole-dnn" => Some(Strategy::WholeDnn),
-        "all-in-sram" => Some(Strategy::AllInSram),
-        _ => None,
-    }
-}
-
 fn parse_task(arg: &str) -> Option<TaskSpec> {
     // name=model@period_ms[/deadline_ms][:strategy]
     let (name, rest) = arg.split_once('=')?;
@@ -156,7 +146,7 @@ fn parse_task(arg: &str) -> Option<TaskSpec> {
         deadline_ms.checked_mul(1000)?,
     );
     if let Some(s) = strategy {
-        spec = spec.with_strategy(parse_strategy(s)?);
+        spec = spec.with_strategy(Strategy::from_name(s)?);
     }
     Some(spec)
 }
@@ -186,9 +176,7 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
         match a.as_str() {
             "--platform" => {
                 let name = it.next().ok_or(CliError::Usage)?;
-                platform = PlatformConfig::presets()
-                    .into_iter()
-                    .find(|p| &p.name == name)
+                platform = PlatformConfig::preset(name)
                     .ok_or_else(|| CliError::Msg(format!("unknown platform `{name}`")))?;
             }
             "--task" => {
@@ -242,16 +230,11 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
             }
             "--miss-policy" => {
                 let p = it.next().ok_or(CliError::Usage)?;
-                options.miss_policy = match p.as_str() {
-                    "continue" => MissPolicy::Continue,
-                    "abort" => MissPolicy::Abort,
-                    "skip-next" => MissPolicy::SkipNextRelease,
-                    _ => {
-                        return Err(CliError::Msg(format!(
-                            "unknown --miss-policy `{p}` (expected `continue`, `abort`, or `skip-next`)"
-                        )))
-                    }
-                };
+                options.miss_policy = MissPolicy::from_name(p).ok_or_else(|| {
+                    CliError::Msg(format!(
+                        "unknown --miss-policy `{p}` (expected `continue`, `abort`, or `skip-next`)"
+                    ))
+                })?;
             }
             "--attribution" => {
                 let v = it.next().ok_or(CliError::Usage)?;
@@ -337,7 +320,7 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
     })
 }
 
-fn build(cli: &Cli) -> Result<RtMdm, String> {
+fn framework(cli: &Cli) -> Result<RtMdm, String> {
     let mut fw = RtMdm::with_options(cli.platform.clone(), cli.options.clone())
         .map_err(|e| e.to_string())?;
     for t in &cli.tasks {
@@ -848,7 +831,7 @@ fn main() -> ExitCode {
         eprintln!("rtmdm: at least one --task is required");
         return usage();
     }
-    let fw = match build(&cli) {
+    let fw = match framework(&cli) {
         Ok(fw) => fw,
         Err(e) => {
             eprintln!("rtmdm: {e}");

@@ -8,35 +8,37 @@
 //! 2. per-task **graph** lints (`RTM03x`) and spec-level **timing**
 //!    lints (`RTM020`/`RTM021`), which need no platform;
 //! 3. per-task **plan** well-formedness (`RTM01x`) and **staging** race
-//!    detection (`RTM00x`) over the same lowering admission would use;
-//! 4. the **SRAM layout**, placed by the one function admission uses
-//!    and checked for aliasing and overflow (`RTM003`/`RTM004`);
-//! 5. set-level **admission** lints (`RTM02x`, `RTM041`) over the
-//!    priority-ordered task set.
+//!    detection (`RTM00x`) over admission's own lowering;
+//! 4. the **SRAM layout** admission reads, checked for aliasing and
+//!    overflow (`RTM003`/`RTM004`);
+//! 5. set-level **admission** lints (`RTM02x`, `RTM041`) reading
+//!    admission's occupancy and analysis of the priority-ordered set.
 //!
 //! [`RtMdm`](crate::RtMdm) wraps a `SystemSpec`, and
-//! [`RtMdm::admit`](crate::RtMdm::admit) places SRAM first (a layout
-//! that does not fit is [`AdmitError::Memory`]), then runs this
-//! verification and refuses admission with
-//! [`AdmitError::Check`] when any *structural* error is present (see
+//! [`RtMdm::admit`](crate::RtMdm::admit) runs this same pass once and
+//! reads its verdict from it: a layout that does not fit is
+//! [`AdmitError::Memory`] (ahead of any finding), and any *structural*
+//! error refuses admission with [`AdmitError::Check`] (see
 //! [`Rule::blocks_admission`](rtmdm_check::Rule::blocks_admission));
 //! feasibility lints never block, so an overloaded-but-well-formed set
 //! still admits to an unschedulable verdict.
 
 use rtmdm_check::{
     check_model, check_plan, check_platform, check_sram_regions, check_staging, check_taskset,
-    check_timing, AdmissionContext, ExploreLimits, ExploreStats, ExploreStrategy, Finding, Report,
-    Rule, SramRegion, Witness,
+    check_timing, ExploreLimits, ExploreStats, ExploreStrategy, Finding, Report, Rule, SramRegion,
+    Witness,
 };
 use rtmdm_mcusim::{Cycles, PlatformConfig};
-use rtmdm_sched::analysis::hyperperiod;
+use rtmdm_sched::analysis::{hyperperiod, occupancy_utilization_ppm, AnalysisOutcome};
+use rtmdm_sched::assign::{audsley, dm_order, rm_order};
 use rtmdm_sched::sim::{Engine, Policy, SimConfig};
-use rtmdm_sched::TaskSet;
-use rtmdm_xmem::{PlanError, SramArena, RUNTIME_RESERVE};
+use rtmdm_sched::{SporadicTask, TaskSet};
+use rtmdm_xmem::{ModelSegmentation, PlanError, SramArena, RUNTIME_RESERVE};
 
 use crate::error::AdmitError;
 use crate::framework::{
-    compute_cap_for, priority_order_for, AdmissionHooks, DirectHooks, FrameworkOptions, SramRow,
+    direct_analysis, AdmissionHooks, DirectHooks, FrameworkOptions, Lowered, PriorityAssignment,
+    SramRow,
 };
 use crate::spec::{Strategy, TaskSpec};
 
@@ -150,22 +152,56 @@ impl SystemSpec {
 
     /// Runs every static pass and returns the combined report.
     pub fn check(&self) -> Report {
-        self.check_hooked(&DirectHooks).0
+        self.pass(&DirectHooks).report
     }
 
-    /// [`SystemSpec::check`] with lowering routed through `hooks`: the
-    /// admission service substitutes its content-addressed lowering
-    /// cache so the plan/staging passes run on cached artifacts instead
-    /// of re-segmenting every model per query.
-    ///
-    /// Also returns the lowered, priority-ordered task set the set-level
-    /// lints ran on — `None` when the platform is invalid, the spec is
-    /// empty, or any task fails to lower (the report says why).
-    pub(crate) fn check_hooked(&self, hooks: &dyn AdmissionHooks) -> (Report, Option<TaskSet>) {
+    /// Lowers every spec as admission does: the set's segment compute
+    /// cap is derived once — the explicit option, clamped to at least
+    /// one cycle, or a quarter of the shortest deadline — then each spec
+    /// goes through `hooks.lower` in insertion order.
+    pub(crate) fn lower_all<'a>(
+        &'a self,
+        hooks: &'a dyn AdmissionHooks,
+    ) -> impl Iterator<Item = Result<Lowered, AdmitError>> + 'a {
+        let cpu = self.platform.cpu;
+        let cap = match self.options.segment_compute_cap_us {
+            Some(us) => Some(cpu.cycles_from_micros(us).max(Cycles::new(1))),
+            None => self
+                .tasks
+                .iter()
+                .map(|s| cpu.cycles_from_micros(s.deadline_us))
+                .min()
+                .map(|d| (d / 4).max(Cycles::new(1))),
+        };
+        self.tasks
+            .iter()
+            .map(move |spec| hooks.lower(&self.platform, &self.options, spec, cap))
+    }
+
+    /// Orders lowered tasks (insertion order) by the configured priority
+    /// assignment: the permutation and the reordered set.
+    pub(crate) fn order(&self, tasks: Vec<SporadicTask>) -> (Vec<usize>, TaskSet) {
+        let ts = TaskSet::from_tasks(tasks);
+        let order = match self.options.assignment {
+            PriorityAssignment::InsertionOrder => (0..ts.len()).collect(),
+            PriorityAssignment::DeadlineMonotonic => dm_order(&ts),
+            PriorityAssignment::RateMonotonic => rm_order(&ts),
+            PriorityAssignment::Audsley => {
+                audsley(&ts, &self.platform).unwrap_or_else(|| dm_order(&ts))
+            }
+        };
+        let ordered = ts.reordered(&order);
+        (order, ordered)
+    }
+
+    /// The one pass over the system: every static pass, plus everything
+    /// admission reads — the SRAM layout, and the set lowered, ordered
+    /// and analyzed once. Lowering goes through `hooks`, so the
+    /// admission service can substitute its lowering memo.
+    pub(crate) fn pass(&self, hooks: &dyn AdmissionHooks) -> Pass {
         let mut report = Report::new();
 
         report.extend(check_platform(&self.platform));
-        let platform_ok = report.is_clean();
 
         // Platform-independent passes run unconditionally.
         for spec in &self.tasks {
@@ -176,20 +212,23 @@ impl SystemSpec {
             );
             report.extend(check_timing(&spec.name, spec.period_us, spec.deadline_us));
         }
-        if !platform_ok {
+        let sram = self.layout_sram();
+        if let Err(e) = self.platform.validate() {
             // Cycle conversions and bus timings are meaningless (or
             // divide by zero) on an invalid platform.
-            return (report, None);
+            let set = Err(AdmitError::Platform(e));
+            return Pass { report, sram, set };
         }
 
-        // Lower each task exactly as admission would and check the
-        // resulting plans. Staging-race analysis applies to the
-        // pre-spill plan: spill extras are additional staging traffic,
-        // not part of the double-buffered weight discipline.
-        let cap = compute_cap_for(&self.platform, &self.options, &self.tasks);
+        // Check the plans of each lowered task. Staging-race analysis
+        // applies to the pre-spill plan: spill extras are additional
+        // staging traffic, not part of the double-buffered weight
+        // discipline.
         let mut tasks = Vec::with_capacity(self.tasks.len());
-        for spec in &self.tasks {
-            match hooks.lower(&self.platform, &self.options, spec, cap) {
+        let mut plans = Vec::with_capacity(self.tasks.len());
+        let mut first_error = None;
+        for (spec, lowered) in self.tasks.iter().zip(self.lower_all(hooks)) {
+            match lowered {
                 Ok(lowered) => {
                     report.extend(
                         check_plan(&lowered.pre_plan, &spec.model, &self.options.cost_model)
@@ -204,23 +243,26 @@ impl SystemSpec {
                         );
                     }
                     tasks.push(lowered.task);
+                    plans.push(lowered.plan);
                 }
-                Err(AdmitError::Memory(e)) => {
-                    // An unrealizable segmentation is a plan error.
-                    report.push(
-                        Finding::new(Rule::Rtm012, e.to_string())
-                            .with_task(spec.name.clone())
-                            .with_model(spec.model.name().to_owned()),
-                    );
+                Err(e) => {
+                    // An unrealizable segmentation is a plan error;
+                    // timing inconsistencies are already covered by
+                    // `check_timing` above.
+                    if let AdmitError::Memory(e) = &e {
+                        report.push(
+                            Finding::new(Rule::Rtm012, e.to_string())
+                                .with_task(spec.name.clone())
+                                .with_model(spec.model.name().to_owned()),
+                        );
+                    }
+                    first_error.get_or_insert(e);
                 }
-                // Timing inconsistencies are already covered by
-                // `check_timing` above.
-                Err(_) => {}
             }
         }
 
         // The layout admission places, checked for aliasing and overflow.
-        report.extend(match self.layout_sram() {
+        report.extend(match &sram {
             Ok(placement) => check_sram_regions(&placement.regions, self.platform.sram_bytes),
             Err((label, e)) => vec![Finding::new(
                 Rule::Rtm004,
@@ -228,20 +270,27 @@ impl SystemSpec {
             )],
         });
 
-        // Set-level lints need every task lowered.
-        if tasks.is_empty() || tasks.len() != self.tasks.len() {
-            return (report, None);
-        }
-        let ts = TaskSet::from_tasks(tasks);
-        let order = priority_order_for(&self.platform, &self.options, &ts);
-        let ordered = ts.reordered(&order);
-        let ctx = AdmissionContext {
-            edf: matches!(self.options.policy, Policy::Edf),
-            work_conserving: self.options.work_conserving,
-            dma_aware: self.options.dma_aware_analysis,
+        // Set-level lints read admission's analysis, which needs every
+        // task lowered.
+        let set = match first_error {
+            Some(e) => Err(e),
+            None if tasks.is_empty() => Err(AdmitError::NoTasks),
+            None => {
+                let (order, ordered) = self.order(tasks);
+                let occupancy_ppm = occupancy_utilization_ppm(&ordered, &self.platform);
+                let analysis = direct_analysis(&ordered, &self.platform, &self.options);
+                let fp = (self.options.policy != Policy::Edf).then_some(&analysis);
+                report.extend(check_taskset(&ordered, &self.platform, occupancy_ppm, fp));
+                Ok(AnalyzedSet {
+                    order,
+                    ordered,
+                    plans,
+                    analysis,
+                    occupancy_ppm,
+                })
+            }
         };
-        report.extend(check_taskset(&ordered, &self.platform, &ctx));
-        (report, Some(ordered))
+        Pass { report, sram, set }
     }
 
     /// Runs the static passes, then — when requested and the spec has
@@ -252,18 +301,11 @@ impl SystemSpec {
     /// report; a violation additionally carries a self-contained
     /// [`Witness`] that replays the violating run byte for byte.
     pub fn check_with(&self, options: &CheckOptions) -> CheckOutcome {
-        let (report, ordered) = self.check_hooked(&DirectHooks);
-        let Some(x) = &options.explore else {
-            return CheckOutcome {
-                report,
-                witness: None,
-                explore_stats: None,
-            };
-        };
+        let Pass { report, set, .. } = self.pass(&DirectHooks);
         // A structurally broken spec cannot be lowered and simulated;
         // the blocking findings already tell the whole story.
-        let ordered = ordered.filter(|_| !report.blocks_admission());
-        let Some(ordered) = ordered else {
+        let set = set.ok().filter(|_| !report.blocks_admission());
+        let (Some(x), Some(AnalyzedSet { ordered, .. })) = (&options.explore, set) else {
             return CheckOutcome {
                 report,
                 witness: None,
@@ -302,17 +344,16 @@ impl SystemSpec {
         }
     }
 
-    /// Lays out SRAM exactly as admission does: the runtime reserve,
-    /// then each task's activation region and weight region in insertion
-    /// order, 8-byte aligned through the first-fit arena. Admission calls
-    /// this before the verifier, and the verifier again for its own
-    /// findings.
+    /// Lays out SRAM: the runtime reserve, then each task's activation
+    /// region and weight region in insertion order, 8-byte aligned
+    /// through the first-fit arena. Admission reads the rows, the
+    /// verifier checks the regions.
     ///
     /// # Errors
     ///
     /// The label of the first region that does not fit, with the arena's
     /// error.
-    pub(crate) fn layout_sram(&self) -> Result<SramPlacement, (String, PlanError)> {
+    fn layout_sram(&self) -> Result<SramPlacement, (String, PlanError)> {
         let mut arena = SramArena::new(self.platform.sram_bytes);
         let mut regions = Vec::with_capacity(1 + 2 * self.tasks.len());
         let mut place = |label: String, bytes: u64| {
@@ -348,6 +389,34 @@ impl SystemSpec {
         }
         Ok(SramPlacement { rows, regions })
     }
+}
+
+/// What [`SystemSpec::pass`] computes: the verifier's report and
+/// everything admission reads from it.
+pub(crate) struct Pass {
+    /// Every static finding.
+    pub report: Report,
+    /// The SRAM layout, or the label of the first region that does not
+    /// fit with the arena's error.
+    pub sram: Result<SramPlacement, (String, PlanError)>,
+    /// The lowered, ordered and analyzed set, or why there is none: the
+    /// platform is invalid, the spec is empty, or a task fails to lower
+    /// (the first lowering error, in insertion order).
+    pub set: Result<AnalyzedSet, AdmitError>,
+}
+
+/// A lowered set in priority order with admission's analysis of it.
+pub(crate) struct AnalyzedSet {
+    /// Priority permutation over the insertion order.
+    pub order: Vec<usize>,
+    /// The lowered tasks in priority order.
+    pub ordered: TaskSet,
+    /// Per-task post-spill segmentation plans, insertion order.
+    pub plans: Vec<ModelSegmentation>,
+    /// The analysis admission runs (see `direct_analysis`).
+    pub analysis: AnalysisOutcome,
+    /// Occupancy utilization of the ordered set, in ppm.
+    pub occupancy_ppm: u64,
 }
 
 /// A placed SRAM layout: admission's per-task rows and the regions the

@@ -7,10 +7,9 @@ use rtmdm_dnn::CostModel;
 use rtmdm_mcusim::{Cycles, FaultPlan, PlatformConfig};
 use rtmdm_mcusim::{EnergyModel, EnergyReport};
 use rtmdm_sched::analysis::{
-    edf_demand_test, occupancy_utilization_ppm, rta_limited_preemption_with, rta_memory_oblivious,
-    AnalysisOutcome, SchedulerMode,
+    edf_demand_test, rta_limited_preemption_with, rta_memory_oblivious, AnalysisOutcome,
+    SchedulerMode,
 };
-use rtmdm_sched::assign::{audsley, dm_order, rm_order};
 use rtmdm_sched::baseline;
 use rtmdm_sched::sim::{simulate, Engine, Policy, SimConfig, SimResult};
 use rtmdm_sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
@@ -18,7 +17,7 @@ use rtmdm_xmem::{
     segment_model, segments_retry_budget, ModelSegmentation, RetryPolicy, RUNTIME_RESERVE,
 };
 
-use crate::check::{CheckOptions, CheckOutcome, SystemSpec};
+use crate::check::{AnalyzedSet, CheckOptions, CheckOutcome, SystemSpec};
 use crate::error::AdmitError;
 use crate::report;
 use crate::spec::{Strategy, TaskSpec};
@@ -220,30 +219,6 @@ impl RtMdm {
         }
     }
 
-    /// Builds the scheduler task set (insertion order) plus each task's
-    /// segmentation plan.
-    fn build(&self) -> Result<(TaskSet, Vec<ModelSegmentation>), AdmitError> {
-        self.build_hooked(&DirectHooks)
-    }
-
-    /// [`RtMdm::build`] with lowering routed through `hooks` so the
-    /// admission service can substitute its content-addressed cache.
-    fn build_hooked(
-        &self,
-        hooks: &dyn AdmissionHooks,
-    ) -> Result<(TaskSet, Vec<ModelSegmentation>), AdmitError> {
-        let sys = &self.sys;
-        let cap = compute_cap_for(&sys.platform, &sys.options, &sys.tasks);
-        let mut tasks = Vec::with_capacity(sys.tasks.len());
-        let mut plans = Vec::with_capacity(sys.tasks.len());
-        for spec in &sys.tasks {
-            let lowered = hooks.lower(&sys.platform, &sys.options, spec, cap)?;
-            tasks.push(lowered.task);
-            plans.push(lowered.plan);
-        }
-        Ok((TaskSet::from_tasks(tasks), plans))
-    }
-
     /// Runs the static verifier over this framework's platform, options,
     /// and task specifications. [`RtMdm::admit`] runs it too and rejects
     /// on error-level structural findings.
@@ -276,8 +251,11 @@ impl RtMdm {
     /// admission service substitutes its memoized version),
     /// additionally returning the lowered, priority-ordered task set —
     /// so the caller can run follow-up analyses (e.g. sensitivity)
-    /// without re-lowering — and the non-blocking verifier report that
-    /// `admit` computes and discards.
+    /// without re-lowering — and the non-blocking verifier report.
+    ///
+    /// Admission reads everything from one [`SystemSpec`] pass: each
+    /// spec is lowered, the set ordered, placed in SRAM and analyzed
+    /// once, and the verifier's lints read that same analysis.
     pub(crate) fn admit_hooked(
         &self,
         hooks: &dyn AdmissionHooks,
@@ -286,20 +264,20 @@ impl RtMdm {
         if sys.tasks.is_empty() {
             return Err(AdmitError::NoTasks);
         }
-        // The layout runs before the verifier (which places it again) so
-        // a set that does not fit fails on memory, not on findings.
-        let sram = sys
-            .layout_sram()
-            .map_err(|(_, e)| AdmitError::Memory(e))?
-            .rows;
-        let (report, _) = sys.check_hooked(hooks);
-        if report.blocks_admission() {
-            return Err(AdmitError::Check(report));
+        let pass = sys.pass(hooks);
+        // A set that does not fit fails on memory, not on the findings
+        // its layout also produces.
+        let sram = pass.sram.map_err(|(_, e)| AdmitError::Memory(e))?.rows;
+        if pass.report.blocks_admission() {
+            return Err(AdmitError::Check(pass.report));
         }
-        let (ts, plans) = self.build_hooked(hooks)?;
-        let order = priority_order_for(&sys.platform, &sys.options, &ts);
-        let ordered = ts.reordered(&order);
-        let mut analysis = direct_analysis(&ordered, &sys.platform, &sys.options);
+        let AnalyzedSet {
+            order,
+            ordered,
+            plans,
+            mut analysis,
+            occupancy_ppm,
+        } = pass.set?;
         // Retry-budget admission: under an active fault plan each task
         // must still meet its deadline after paying the worst tolerated
         // re-fetch pattern (bounded by `max_retries` per transfer).
@@ -327,10 +305,9 @@ impl RtMdm {
                 && ordered.tasks().iter().enumerate().all(|(p, t)| {
                     analysis
                         .response_of(p)
-                        .is_none_or(|r| r + retry_budgets[p] <= t.deadline)
+                        .is_none_or(|r| r.saturating_add(retry_budgets[p]) <= t.deadline)
                 });
         }
-        let occupancy_ppm = occupancy_utilization_ppm(&ordered, &sys.platform);
         let admission = Admission {
             order,
             names: ordered.tasks().iter().map(|t| t.name.clone()).collect(),
@@ -342,7 +319,7 @@ impl RtMdm {
             plans,
             retry_budgets,
         };
-        Ok((admission, ordered, report))
+        Ok((admission, ordered, pass.report))
     }
 
     /// Simulates the task set for `horizon_us` microseconds at
@@ -371,9 +348,11 @@ impl RtMdm {
         if sys.tasks.is_empty() {
             return Err(AdmitError::NoTasks);
         }
-        let (ts, _) = self.build()?;
-        let order = priority_order_for(&sys.platform, &sys.options, &ts);
-        let ordered = ts.reordered(&order);
+        let tasks = sys
+            .lower_all(&DirectHooks)
+            .map(|lowered| lowered.map(|l| l.task))
+            .collect::<Result<Vec<_>, _>>()?;
+        let (_, ordered) = sys.order(tasks);
         let config = SimConfig {
             horizon: sys.platform.cpu.cycles_from_micros(horizon_us),
             policy: sys.options.policy,
@@ -396,10 +375,10 @@ impl RtMdm {
 
 /// One spec lowered to scheduler form: its segmentation before and
 /// after activation-spill pricing, plus the strategy-transformed task.
-/// Shared between [`RtMdm::build`] and the static verifier, which needs
-/// the pre-spill plan (spill extras are staging traffic, not part of
-/// the double-buffered weight discipline). `Clone` so the admission
-/// service can hand out cached copies of the artifact.
+/// Admission reads the post-spill plan and the task; the static
+/// verifier reads the pre-spill plan (spill extras are staging traffic,
+/// not part of the double-buffered weight discipline). `Clone` so the
+/// admission service can hand out cached copies of the artifact.
 #[derive(Debug, Clone)]
 pub(crate) struct Lowered {
     /// Segmentation as planned, before spill extras.
@@ -415,9 +394,9 @@ pub(crate) struct Lowered {
 /// The substitution point of the admission pipeline: lowering specs to
 /// scheduler form. The default implementation computes directly; the
 /// admission service overrides it with a content-addressed cache (see
-/// `crate::service`), since the static checks and the build of one
-/// admission lower every spec twice. `Sync` because the service shards
-/// query batches across worker threads that share one hook instance.
+/// `crate::service`) shared across queries. `Sync` because the service
+/// shards query batches across worker threads that share one hook
+/// instance.
 pub(crate) trait AdmissionHooks: Sync {
     /// Lowers one spec (defaults to [`lower_spec`]).
     fn lower(
@@ -448,7 +427,7 @@ pub(crate) fn scheduler_mode(options: &FrameworkOptions) -> SchedulerMode {
 
 /// The schedulability analysis admission runs on the priority-ordered
 /// set, selected by policy and analysis options.
-fn direct_analysis(
+pub(crate) fn direct_analysis(
     ordered: &TaskSet,
     platform: &PlatformConfig,
     options: &FrameworkOptions,
@@ -469,24 +448,6 @@ fn direct_analysis(
         // like fixed priority.
         _ => rta_limited_preemption_with(ordered, platform, mode),
     }
-}
-
-/// The per-segment compute cap for a spec set: the explicit option
-/// (clamped to at least one cycle), or a quarter of the shortest
-/// deadline.
-pub(crate) fn compute_cap_for(
-    platform: &PlatformConfig,
-    options: &FrameworkOptions,
-    specs: &[TaskSpec],
-) -> Option<Cycles> {
-    if let Some(us) = options.segment_compute_cap_us {
-        return Some(platform.cpu.cycles_from_micros(us).max(Cycles::new(1)));
-    }
-    specs
-        .iter()
-        .map(|s| platform.cpu.cycles_from_micros(s.deadline_us))
-        .min()
-        .map(|d| (d / 4).max(Cycles::new(1)))
 }
 
 /// Lowers one spec: segmentation (tiled or capped), activation-spill
@@ -556,20 +517,6 @@ pub(crate) fn lower_spec(
     })
 }
 
-/// The priority permutation of `ts` under the configured assignment.
-pub(crate) fn priority_order_for(
-    platform: &PlatformConfig,
-    options: &FrameworkOptions,
-    ts: &TaskSet,
-) -> Vec<usize> {
-    match options.assignment {
-        PriorityAssignment::InsertionOrder => (0..ts.len()).collect(),
-        PriorityAssignment::DeadlineMonotonic => dm_order(ts),
-        PriorityAssignment::RateMonotonic => rm_order(ts),
-        PriorityAssignment::Audsley => audsley(ts, platform).unwrap_or_else(|| dm_order(ts)),
-    }
-}
-
 /// One SRAM-plan row.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SramRow {
@@ -634,6 +581,17 @@ impl Admission {
                 .sum::<u64>()
     }
 
+    /// Whether priority `p` meets its deadline: its bound plus its retry
+    /// budget fits, or — under EDF, which yields no bounds — the
+    /// set-level verdict holds.
+    pub fn meets(&self, p: usize) -> bool {
+        match (self.policy, self.analysis.response_of(p)) {
+            (_, Some(r)) => r.saturating_add(self.retry_budget_of(p)) <= self.deadlines[p],
+            (Policy::Edf, None) => self.analysis.schedulable,
+            (_, None) => false,
+        }
+    }
+
     /// Renders the admission report as an ASCII table.
     pub fn to_table(&self) -> String {
         let rows: Vec<Vec<String>> = self
@@ -650,16 +608,7 @@ impl Admission {
                         (Policy::Edf, None) => "n/a (edf)".to_owned(),
                         (_, None) => "diverged".to_owned(),
                     },
-                    match (self.policy, self.analysis.response_of(p)) {
-                        // The bound must hold with the task's retry
-                        // budget charged against its slack (zero when
-                        // no fault plan is active).
-                        (_, Some(r)) if r + self.retry_budget_of(p) <= self.deadlines[p] => {
-                            "yes".to_owned()
-                        }
-                        (Policy::Edf, None) if self.analysis.schedulable => "yes".to_owned(),
-                        _ => "NO".to_owned(),
-                    },
+                    if self.meets(p) { "yes" } else { "NO" }.to_owned(),
                 ]
             })
             .collect();
@@ -1052,9 +1001,13 @@ mod tests {
                 .with_miss_policy(MissPolicy::SkipNextRelease),
         )
         .expect("ic");
-        let (ts, _) = f.build().expect("build");
+        let tasks: Vec<SporadicTask> = f
+            .sys
+            .lower_all(&DirectHooks)
+            .map(|l| l.expect("lowers").task)
+            .collect();
         let policy_of = |name: &str| {
-            ts.tasks()
+            tasks
                 .iter()
                 .find(|t| t.name == name)
                 .map(|t| t.miss_policy)
@@ -1082,6 +1035,42 @@ mod tests {
             a.result.metrics.fetch_retries,
             a.result.metrics.injected_faults
         );
+    }
+
+    /// Lowers directly, counting the calls.
+    #[derive(Default)]
+    struct CountingHooks {
+        lowerings: std::sync::atomic::AtomicUsize,
+    }
+
+    impl AdmissionHooks for CountingHooks {
+        fn lower(
+            &self,
+            platform: &PlatformConfig,
+            options: &FrameworkOptions,
+            spec: &TaskSpec,
+            cap: Option<Cycles>,
+        ) -> Result<Lowered, AdmitError> {
+            self.lowerings
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            lower_spec(platform, options, spec, cap)
+        }
+    }
+
+    #[test]
+    fn admission_lowers_each_spec_once() {
+        let mut f = fw();
+        f.add_task(TaskSpec::new("control", zoo::micro_mlp(), 20_000, 20_000))
+            .expect("control");
+        f.add_task(TaskSpec::new("kws", zoo::ds_cnn(), 100_000, 100_000))
+            .expect("kws");
+        f.add_task(TaskSpec::new("ic", zoo::resnet8(), 400_000, 400_000))
+            .expect("ic");
+        let hooks = CountingHooks::default();
+        let (admission, _, report) = f.admit_hooked(&hooks).expect("admit");
+        assert!(admission.schedulable(), "{}", admission.to_table());
+        assert!(report.is_clean(), "{}", report.render_text());
+        assert_eq!(hooks.lowerings.into_inner(), 3);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! near-identical device configurations asks the same questions over
 //! and over, so the service memoizes whole answers under a canonical
 //! key ([`rtmdm_sched::analysis::canonical_key`]) and answers repeats
-//! from the cache. It also memoizes spec lowerings, which the static
-//! checks and the build of one admission both ask for. The RTA fixed
-//! point and the headroom search are recomputed on every answer miss:
-//! keying them costs more than computing them.
+//! from the cache. It also memoizes spec lowerings: one admission lowers
+//! each spec once, so the memo hits only across queries that share a
+//! spec (and the set-derived segment cap). The RTA fixed point and the
+//! headroom search are recomputed on every answer miss: keying them
+//! costs more than computing them.
 //!
 //! # Wire format
 //!
@@ -162,7 +163,7 @@ struct ErrorRecord {
 }
 
 /// The admission service: a shared, content-addressed memo of whole
-/// answers and of the spec lowerings one admission asks for twice.
+/// answers and of spec lowerings.
 ///
 /// All methods take `&self`; the caches are interior-mutable behind
 /// reader-writer locks, so one `Service` can be shared by the worker
@@ -323,7 +324,7 @@ impl Service {
                     options: req.options.clone(),
                     tasks: req.tasks.clone(),
                 };
-                sys.check_hooked(hooks).0.to_json_report()
+                sys.pass(hooks).report.to_json_report()
             }
         };
         Answer {
@@ -438,27 +439,18 @@ fn request_key(req: &ParsedRequest) -> String {
     canonical_key("query", &doc)
 }
 
-/// RTA table rows mirroring [`crate::Admission::to_table`]'s verdict
-/// logic (retry budgets charged, EDF's set-level verdict spread over
-/// its bound-less rows).
+/// RTA table rows with [`crate::Admission::to_table`]'s verdict per
+/// priority ([`crate::Admission::meets`]).
 fn rta_rows(a: &crate::Admission) -> Vec<RtaRow> {
     a.names
         .iter()
         .enumerate()
-        .map(|(p, name)| {
-            let response = a.analysis.response_of(p);
-            let meets = match (a.policy, response) {
-                (_, Some(r)) => r + a.retry_budget_of(p) <= a.deadlines[p],
-                (Policy::Edf, None) => a.analysis.schedulable,
-                (_, None) => false,
-            };
-            RtaRow {
-                priority: p,
-                task: name.clone(),
-                deadline_cycles: a.deadlines[p].get(),
-                wcrt_cycles: response.map(Cycles::get),
-                meets,
-            }
+        .map(|(p, name)| RtaRow {
+            priority: p,
+            task: name.clone(),
+            deadline_cycles: a.deadlines[p].get(),
+            wcrt_cycles: a.analysis.response_of(p).map(Cycles::get),
+            meets: a.meets(p),
         })
         .collect()
 }
@@ -545,42 +537,41 @@ fn parse_assignment(v: &Content) -> Result<PriorityAssignment, String> {
     }
 }
 
+/// `names` rendered as the "known" list of an error message.
+fn known<T: ToString>(names: impl IntoIterator<Item = T>) -> String {
+    let names: Vec<String> = names.into_iter().map(|n| n.to_string()).collect();
+    names.join(", ")
+}
+
 fn parse_strategy(v: &Content, field: &str) -> Result<Strategy, String> {
-    match want_str(v, field)? {
-        "rt-mdm" => Ok(Strategy::RtMdm),
-        "fetch-then-compute" => Ok(Strategy::FetchThenCompute),
-        "whole-dnn" => Ok(Strategy::WholeDnn),
-        "all-in-sram" => Ok(Strategy::AllInSram),
-        other => Err(format!(
-            "unknown strategy `{other}` (known: rt-mdm, fetch-then-compute, \
-             whole-dnn, all-in-sram)"
-        )),
-    }
+    let name = want_str(v, field)?;
+    Strategy::from_name(name).ok_or_else(|| {
+        format!(
+            "unknown strategy `{name}` (known: {})",
+            known(Strategy::ALL)
+        )
+    })
 }
 
 fn parse_miss_policy(v: &Content, field: &str) -> Result<MissPolicy, String> {
-    match want_str(v, field)? {
-        "continue" => Ok(MissPolicy::Continue),
-        "abort" => Ok(MissPolicy::Abort),
-        "skip-next" => Ok(MissPolicy::SkipNextRelease),
-        other => Err(format!(
-            "unknown miss policy `{other}` (known: continue, abort, skip-next)"
-        )),
-    }
+    let name = want_str(v, field)?;
+    MissPolicy::from_name(name).ok_or_else(|| {
+        format!(
+            "unknown miss policy `{name}` (known: {})",
+            known(MissPolicy::ALL)
+        )
+    })
 }
 
 fn parse_platform(v: &Content) -> Result<PlatformConfig, String> {
     let name = want_str(v, "platform")?;
-    PlatformConfig::presets()
-        .into_iter()
-        .find(|p| p.name == name)
-        .ok_or_else(|| {
-            let known: Vec<String> = PlatformConfig::presets()
-                .into_iter()
-                .map(|p| p.name)
-                .collect();
-            format!("unknown platform `{name}` (known: {})", known.join(", "))
-        })
+    PlatformConfig::preset(name).ok_or_else(|| {
+        let presets = PlatformConfig::presets();
+        format!(
+            "unknown platform `{name}` (known: {})",
+            known(presets.iter().map(|p| &p.name))
+        )
+    })
 }
 
 fn parse_options(v: &Content) -> Result<FrameworkOptions, String> {

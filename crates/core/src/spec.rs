@@ -23,15 +23,33 @@ pub enum Strategy {
     AllInSram,
 }
 
-impl std::fmt::Display for Strategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl Strategy {
+    /// Every strategy, in declaration order.
+    pub const ALL: [Strategy; 4] = [
+        Strategy::RtMdm,
+        Strategy::FetchThenCompute,
+        Strategy::WholeDnn,
+        Strategy::AllInSram,
+    ];
+
+    /// The strategy whose [`Display`](std::fmt::Display) name is `name`.
+    pub fn from_name(name: &str) -> Option<Strategy> {
+        Strategy::ALL.into_iter().find(|s| s.name() == name)
+    }
+
+    fn name(self) -> &'static str {
+        match self {
             Strategy::RtMdm => "rt-mdm",
             Strategy::FetchThenCompute => "fetch-then-compute",
             Strategy::WholeDnn => "whole-dnn",
             Strategy::AllInSram => "all-in-sram",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl std::fmt::Display for Strategy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -161,5 +179,13 @@ mod tests {
         assert_eq!(spec.strategy, Strategy::WholeDnn);
         assert_eq!(Strategy::RtMdm.to_string(), "rt-mdm");
         assert_eq!(Strategy::default(), Strategy::RtMdm);
+    }
+
+    #[test]
+    fn strategy_names_round_trip() {
+        for s in Strategy::ALL {
+            assert_eq!(Strategy::from_name(&s.to_string()), Some(s));
+        }
+        assert_eq!(Strategy::from_name("nope"), None);
     }
 }

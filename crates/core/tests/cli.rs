@@ -269,3 +269,48 @@ fn strategy_suffix_is_honoured() {
         String::from_utf8_lossy(&out.stdout)
     );
 }
+
+#[test]
+fn huge_fault_jitter_saturates_the_retry_budget_instead_of_wrapping() {
+    // 2^62 cycles of jitter per attempt: the summed retry budget
+    // overflows u64, and bound + budget must saturate past the
+    // deadline, not wrap below it into a false admission.
+    let out = rtmdm(&[
+        "admit",
+        "--task",
+        "a=ds-cnn@100",
+        "--fault-rate",
+        "100000",
+        "--fault-jitter",
+        "4611686018427387904",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stdout}{stderr}");
+    assert!(stdout.contains("NOT SCHEDULABLE"), "{stdout}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn maximal_fault_jitter_simulates_without_panicking() {
+    // A jitter bound of u64::MAX draws over the whole word range, and
+    // the DMA work it adds saturates.
+    let out = rtmdm(&[
+        "trace",
+        "--task",
+        "a=micro-mlp@1",
+        "--seconds",
+        "1",
+        "--fault-rate",
+        "100000",
+        "--fault-jitter",
+        "18446744073709551615",
+        "--format",
+        "jsonl",
+        "--out",
+        "/dev/null",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

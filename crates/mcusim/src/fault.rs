@@ -184,7 +184,11 @@ impl FaultInjector {
             seg as u64,
             u64::from(attempt),
         );
-        Cycles::new(word % (self.plan.jitter_max_cycles + 1))
+        // At `u64::MAX` the interval spans every word.
+        match self.plan.jitter_max_cycles.checked_add(1) {
+            Some(span) => Cycles::new(word % span),
+            None => Cycles::new(word),
+        }
     }
 
     /// Worst-case extra staging cycles for one segment whose clean

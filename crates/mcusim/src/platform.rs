@@ -157,6 +157,13 @@ impl PlatformConfig {
         ]
     }
 
+    /// The built-in preset named `name`.
+    pub fn preset(name: &str) -> Option<PlatformConfig> {
+        PlatformConfig::presets()
+            .into_iter()
+            .find(|p| p.name == name)
+    }
+
     /// Checks configuration invariants.
     ///
     /// # Errors
@@ -302,6 +309,14 @@ mod tests {
         for p in PlatformConfig::presets() {
             p.validate().unwrap_or_else(|e| panic!("{}: {e}", p.name));
         }
+    }
+
+    #[test]
+    fn presets_are_found_by_name() {
+        for p in PlatformConfig::presets() {
+            assert_eq!(PlatformConfig::preset(&p.name), Some(p));
+        }
+        assert_eq!(PlatformConfig::preset("zx81"), None);
     }
 
     #[test]

@@ -1429,7 +1429,8 @@ impl Sim<'_> {
             let attempt = d.attempt + 1;
             let bytes = self.ts.tasks()[d.task].segments[d.seg].fetch_bytes;
             let base = self.platform.ext_mem.transfer_cycles(bytes);
-            let work = base + self.injector.transfer_jitter(d.task, d.job, d.seg, attempt);
+            let work =
+                base.saturating_add(self.injector.transfer_jitter(d.task, d.job, d.seg, attempt));
             self.stats[d.task].retries += 1;
             self.metrics.injected_faults += 1;
             self.metrics.fetch_retries += 1;
@@ -1633,10 +1634,10 @@ impl Sim<'_> {
             job.staged = job.staged.max(next_fetch + 1);
             return;
         }
-        let work = base
-            + self
-                .injector
-                .transfer_jitter(task_idx, job_id, next_fetch, 0);
+        let work = base.saturating_add(
+            self.injector
+                .transfer_jitter(task_idx, job_id, next_fetch, 0),
+        );
         let job_mut = self.tasks[task_idx].jobs.front_mut().expect("head job");
         job_mut.fetch_requested = next_fetch + 1;
         self.dma_queue.push(DmaRequest {

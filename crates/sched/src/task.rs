@@ -44,13 +44,31 @@ pub enum MissPolicy {
     SkipNextRelease,
 }
 
+impl MissPolicy {
+    /// Every policy, in declaration order.
+    pub const ALL: [MissPolicy; 3] = [
+        MissPolicy::Continue,
+        MissPolicy::Abort,
+        MissPolicy::SkipNextRelease,
+    ];
+
+    /// The policy whose [`Display`](std::fmt::Display) name is `name`.
+    pub fn from_name(name: &str) -> Option<MissPolicy> {
+        MissPolicy::ALL.into_iter().find(|p| p.name() == name)
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            MissPolicy::Continue => "continue",
+            MissPolicy::Abort => "abort",
+            MissPolicy::SkipNextRelease => "skip-next",
+        }
+    }
+}
+
 impl std::fmt::Display for MissPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MissPolicy::Continue => write!(f, "continue"),
-            MissPolicy::Abort => write!(f, "abort"),
-            MissPolicy::SkipNextRelease => write!(f, "skip-next"),
-        }
+        f.write_str(self.name())
     }
 }
 
@@ -298,6 +316,14 @@ mod tests {
 
     fn cy(n: u64) -> Cycles {
         Cycles::new(n)
+    }
+
+    #[test]
+    fn miss_policy_names_round_trip() {
+        for p in MissPolicy::ALL {
+            assert_eq!(MissPolicy::from_name(&p.to_string()), Some(p));
+        }
+        assert_eq!(MissPolicy::from_name("skip"), None);
     }
 
     fn task(name: &str, period: u64, segs: &[(u64, u64)]) -> SporadicTask {

@@ -86,9 +86,9 @@ impl RetryPolicy {
     }
 
     /// Worst-case staged duration of one transfer *including* retries:
-    /// `transfer + worst_case_extra(transfer)`.
+    /// `transfer + worst_case_extra(transfer)`, saturating.
     pub fn worst_case_transfer(&self, transfer: Cycles) -> Cycles {
-        transfer + self.worst_case_extra(transfer)
+        transfer.saturating_add(self.worst_case_extra(transfer))
     }
 }
 
@@ -119,7 +119,7 @@ pub fn job_retry_budget(
                 policy.worst_case_extra(transfer)
             }
         })
-        .sum()
+        .fold(Cycles::ZERO, Cycles::saturating_add)
 }
 
 /// Worst-case extra staging cycles for a task described directly by
@@ -143,7 +143,7 @@ pub fn segments_retry_budget(
                 policy.worst_case_extra(transfer)
             }
         })
-        .sum()
+        .fold(Cycles::ZERO, Cycles::saturating_add)
 }
 
 #[cfg(test)]

@@ -20,7 +20,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rt_mdm::core::Service;
+use rt_mdm::check::Rule;
+use rt_mdm::core::{
+    AdmitError, FrameworkOptions, PriorityAssignment, RtMdm, Service, Strategy, TaskSpec,
+};
+use rt_mdm::dnn::zoo;
+use rt_mdm::mcusim::PlatformConfig;
+use rt_mdm::sched::sim::Policy;
+use rt_mdm::sched::MissPolicy;
 use serde::Content;
 
 const PLATFORMS: &[&str] = &[
@@ -139,6 +146,94 @@ fn mutate_period(line: &str, new_period: u64) -> String {
     format!("{}{}{}", &line[..start], new_period, &line[end..])
 }
 
+fn str_of(v: &Content) -> &str {
+    match v {
+        Content::Str(s) => s,
+        other => panic!("expected a string, found {other:?}"),
+    }
+}
+
+fn u64_of(v: &Content) -> u64 {
+    match v {
+        Content::U64(n) => *n,
+        other => panic!("expected an integer, found {other:?}"),
+    }
+}
+
+fn bool_of(v: &Content) -> bool {
+    match v {
+        Content::Bool(b) => *b,
+        other => panic!("expected a boolean, found {other:?}"),
+    }
+}
+
+/// The framework a [`random_request`] line describes, built through the
+/// public API with the wire format's defaults — independent of the
+/// service's own parser.
+fn framework_of(line: &str) -> Result<RtMdm, AdmitError> {
+    let doc: Content = serde_json::from_str(line).expect("generated lines are JSON");
+    let platform = PlatformConfig::preset(str_of(doc.get("platform").expect("platform")))
+        .expect("generated platforms are presets");
+    let mut options = FrameworkOptions::default();
+    if let Some(Content::Map(entries)) = doc.get("options") {
+        for (key, value) in entries {
+            match key.as_str() {
+                "policy" => {
+                    assert_eq!(str_of(value), "edf");
+                    options.policy = Policy::Edf;
+                }
+                "assignment" => {
+                    options.assignment = match str_of(value) {
+                        "deadline-monotonic" => PriorityAssignment::DeadlineMonotonic,
+                        "rate-monotonic" => PriorityAssignment::RateMonotonic,
+                        "insertion-order" => PriorityAssignment::InsertionOrder,
+                        "audsley" => PriorityAssignment::Audsley,
+                        other => panic!("unknown assignment {other}"),
+                    }
+                }
+                "dma_aware_analysis" => options.dma_aware_analysis = bool_of(value),
+                "work_conserving" => options.work_conserving = bool_of(value),
+                "tile_oversized_layers" => options.tile_oversized_layers = bool_of(value),
+                "segment_compute_cap_us" => options.segment_compute_cap_us = Some(u64_of(value)),
+                "miss_policy" => {
+                    options.miss_policy = MissPolicy::from_name(str_of(value)).expect("policy");
+                }
+                other => panic!("unknown option {other}"),
+            }
+        }
+    }
+    let mut fw = RtMdm::with_options(platform, options)?;
+    let Some(Content::Seq(tasks)) = doc.get("tasks") else {
+        panic!("tasks is an array");
+    };
+    for task in tasks {
+        let field = |key: &str| task.get(key);
+        let period = u64_of(field("period_us").expect("period"));
+        let model = zoo::by_name(str_of(field("model").expect("model"))).expect("zoo model");
+        let deadline = field("deadline_us").map_or(period, u64_of);
+        let mut spec = TaskSpec::new(
+            str_of(field("name").expect("name")),
+            model,
+            period,
+            deadline,
+        );
+        if let Some(v) = field("buffer_bytes") {
+            spec = spec.with_buffer_bytes(u64_of(v));
+        }
+        if let Some(v) = field("activation_budget_bytes") {
+            spec = spec.with_activation_budget(u64_of(v));
+        }
+        if let Some(v) = field("strategy") {
+            spec = spec.with_strategy(Strategy::from_name(str_of(v)).expect("strategy"));
+        }
+        if let Some(v) = field("miss_policy") {
+            spec = spec.with_miss_policy(MissPolicy::from_name(str_of(v)).expect("policy"));
+        }
+        fw.add_task(spec)?;
+    }
+    Ok(fw)
+}
+
 /// The id is echoed verbatim; strip it so responses to the same
 /// question under different ids can be compared.
 fn strip_id(answer: &str) -> String {
@@ -216,6 +311,68 @@ proptest! {
         prop_assert_eq!(&one, &eight, "worker count changed batch bytes");
         prop_assert_eq!(one.len(), lines.len());
         prop_assert!(one.last().unwrap().contains(r#""ok":false"#));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The service answers exactly what `RtMdm::admit` decides — the
+    /// verdict, the occupancy and every RTA row — and on fixed-priority
+    /// sets the verifier's RTM026 names exactly the priorities the
+    /// admission analysis leaves without a bound (EDF: none).
+    #[test]
+    fn service_matches_admission_and_rtm026_matches_its_bounds(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let line = random_request(&mut rng, "q");
+        let answer: Content = serde_json::from_str(&cold(&line)).expect("answer is JSON");
+        let verdict = str_of(answer.get("verdict").expect("verdict")).to_owned();
+        let occupancy = u64_of(answer.get("occupancy_ppm").expect("occupancy"));
+        let Some(Content::Seq(rows)) = answer.get("rta") else {
+            panic!("rta is an array: {line}");
+        };
+        let admitted = framework_of(&line).and_then(|fw| fw.admit().map(|a| (fw, a)));
+        let Ok((fw, admission)) = admitted else {
+            prop_assert_eq!(verdict, "reject");
+            prop_assert_eq!(occupancy, 0);
+            prop_assert!(rows.is_empty());
+            return Ok(());
+        };
+        let expected = if admission.schedulable() { "admit" } else { "reject" };
+        prop_assert_eq!(verdict, expected, "{}", line);
+        prop_assert_eq!(occupancy, admission.occupancy_ppm);
+        prop_assert_eq!(rows.len(), admission.names.len());
+        for (p, row) in rows.iter().enumerate() {
+            let wcrt = admission
+                .analysis
+                .response_of(p)
+                .map_or(Content::Null, |r| Content::U64(r.get()));
+            prop_assert_eq!(row.get("priority"), Some(&Content::U64(p as u64)));
+            prop_assert_eq!(row.get("task"), Some(&Content::Str(admission.names[p].clone())));
+            prop_assert_eq!(
+                row.get("deadline_cycles"),
+                Some(&Content::U64(admission.deadlines[p].get()))
+            );
+            prop_assert_eq!(row.get("wcrt_cycles"), Some(&wcrt));
+            prop_assert_eq!(row.get("meets"), Some(&Content::Bool(admission.meets(p))));
+        }
+
+        let diverged: Vec<String> = fw
+            .check()
+            .findings
+            .into_iter()
+            .filter(|f| f.rule == Rule::Rtm026)
+            .map(|f| f.task.expect("RTM026 names its task"))
+            .collect();
+        let unbounded: Vec<String> = if admission.policy == Policy::Edf {
+            Vec::new()
+        } else {
+            (0..admission.names.len())
+                .filter(|&p| admission.analysis.response_of(p).is_none())
+                .map(|p| admission.names[p].clone())
+                .collect()
+        };
+        prop_assert_eq!(diverged, unbounded, "{}", line);
     }
 }
 

@@ -243,6 +243,33 @@ for out in "$serve_out" "$serve_out2"; do
   [[ "$(sed -n 2p "$out")" == *'"ok":false'* ]] || {
     echo "serve smoke: deep line produced no error record" >&2; exit 1; }
 done
+# Sizes and periods near u64::MAX. A release build wraps instead of
+# panicking, so only a release run shows a wrong verdict here: a double
+# buffer (b) or an activation region (j) past u64::MAX bytes fits no
+# SRAM, and two jobs per ~2^64 cycles (k) is a light EDF load. A line
+# with a 1 MiB id must be answered, the id echoed, without the string
+# parser going quadratic.
+cat > "$serve_in" <<'JSONL'
+{"id":"b","tasks":[{"name":"t","model":"ds-cnn","period_us":100000,"buffer_bytes":9223372036854775808}]}
+{"id":"j","tasks":[{"name":"t","model":"ds-cnn","period_us":100000,"activation_budget_bytes":18446744073709551615}]}
+{"id":"k","options":{"policy":"edf"},"tasks":[{"name":"t","model":"ds-cnn","period_us":18446744073709551615},{"name":"u","model":"micro-mlp","period_us":18446744073709551614}]}
+JSONL
+long_id="$(head -c 1048576 /dev/zero | tr '\0' x)"
+printf '{"id":"%s","tasks":[{"name":"kws","model":"ds-cnn","period_us":100000}]}\n' \
+  "$long_id" >> "$serve_in"
+timeout 60 ./target/release/rtmdm serve --once --input "$serve_in" > "$serve_out" || {
+  echo "serve smoke: edge batch failed or timed out" >&2; exit 1; }
+[[ "$(wc -l < "$serve_out")" -eq 4 ]] || {
+  echo "serve smoke: edge batch did not answer 4 lines" >&2; exit 1; }
+for id in b j; do
+  grep -q "\"id\":\"$id\".*\"verdict\":\"reject\".*memory planning: cannot allocate" \
+    "$serve_out" || {
+    echo "serve smoke: line $id did not reject on memory" >&2; exit 1; }
+done
+grep -q '"id":"k".*"verdict":"admit"' "$serve_out" || {
+  echo "serve smoke: light EDF line k did not admit" >&2; exit 1; }
+[[ "$(sed -n 4p "$serve_out")" == '{"schema":"rtmdm-serve/1","id":"'"$long_id"'","ok":true,"verdict":"admit"'* ]] || {
+  echo "serve smoke: long-id line was not answered with its id" >&2; exit 1; }
 rm -f "$serve_in" "$serve_out" "$serve_out2"
 
 echo "== rtbench self-tests and workload smokes =="

@@ -73,8 +73,8 @@ impl RtMdm {
             candidate.set_strategies(&strategies);
             let (admission, ordered, _) = match candidate.admit_hooked(&DirectHooks) {
                 Ok(admitted) => admitted,
-                Err(AdmitError::Memory(_)) => continue, // does not fit
-                Err(e) => return Err(e),
+                Err((AdmitError::Memory(_), _)) => continue, // does not fit
+                Err((e, _)) => return Err(e),
             };
             if !admission.schedulable() {
                 continue;

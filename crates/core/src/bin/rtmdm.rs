@@ -64,7 +64,7 @@
 
 use std::process::ExitCode;
 
-use rtmdm_core::{report, FrameworkOptions, RtMdm, Strategy, TaskSpec};
+use rtmdm_core::{report, RtMdm, Strategy, SystemSpec, TaskSpec};
 use rtmdm_dnn::zoo;
 use rtmdm_mcusim::PlatformConfig;
 use rtmdm_obs::Timeline;
@@ -101,13 +101,12 @@ enum CliError {
 }
 
 struct Cli {
-    platform: PlatformConfig,
-    tasks: Vec<TaskSpec>,
+    /// The system `--platform`, the option flags and `--task` describe.
+    sys: SystemSpec,
     /// Simulated horizon of `simulate`/`trace`/`explain`, from `--seconds`.
     horizon_us: u64,
     jitter_pct: u64,
     seed: u64,
-    options: FrameworkOptions,
     out: Option<String>,
     format: TraceFormat,
     gantt: bool,
@@ -151,13 +150,18 @@ fn parse_task(arg: &str) -> Option<TaskSpec> {
     Some(spec)
 }
 
+/// The next argument parsed as a number, or a usage error.
+fn value<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>) -> Result<T, CliError> {
+    it.next()
+        .and_then(|v| v.parse().ok())
+        .ok_or(CliError::Usage)
+}
+
 fn parse(args: &[String]) -> Result<Cli, CliError> {
-    let mut platform = PlatformConfig::stm32f746_qspi();
-    let mut tasks = Vec::new();
+    let mut sys = SystemSpec::new(PlatformConfig::stm32f746_qspi());
     let mut horizon_us = 2_000_000u64;
     let mut jitter_pct = 0u64;
     let mut seed = 0u64;
-    let mut options = FrameworkOptions::default();
     let mut out = None;
     let mut format = TraceFormat::Chrome;
     let mut gantt = false;
@@ -176,61 +180,29 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
         match a.as_str() {
             "--platform" => {
                 let name = it.next().ok_or(CliError::Usage)?;
-                platform = PlatformConfig::preset(name)
+                sys.platform = PlatformConfig::preset(name)
                     .ok_or_else(|| CliError::Msg(format!("unknown platform `{name}`")))?;
             }
             "--task" => {
                 let spec = it.next().ok_or(CliError::Usage)?;
-                tasks.push(parse_task(spec).ok_or(CliError::Usage)?);
+                sys.tasks.push(parse_task(spec).ok_or(CliError::Usage)?);
             }
             "--seconds" => {
-                horizon_us = it
-                    .next()
-                    .and_then(|v| v.parse::<u64>().ok())
-                    .and_then(|s| s.checked_mul(1_000_000))
+                horizon_us = value::<u64>(&mut it)?
+                    .checked_mul(1_000_000)
                     .ok_or(CliError::Usage)?;
             }
-            "--jitter" => {
-                jitter_pct = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(CliError::Usage)?;
-            }
-            "--seed" => {
-                seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(CliError::Usage)?;
-            }
-            "--edf" => options.policy = Policy::Edf,
-            "--work-conserving" => options.work_conserving = true,
-            "--fault-rate" => {
-                options.fault.dma_fault_rate_ppm = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(CliError::Usage)?;
-            }
-            "--fault-seed" => {
-                options.fault.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(CliError::Usage)?;
-            }
-            "--fault-retries" => {
-                options.fault.max_retries = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(CliError::Usage)?;
-            }
-            "--fault-jitter" => {
-                options.fault.jitter_max_cycles = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(CliError::Usage)?;
-            }
+            "--jitter" => jitter_pct = value(&mut it)?,
+            "--seed" => seed = value(&mut it)?,
+            "--edf" => sys.options.policy = Policy::Edf,
+            "--work-conserving" => sys.options.work_conserving = true,
+            "--fault-rate" => sys.options.fault.dma_fault_rate_ppm = value(&mut it)?,
+            "--fault-seed" => sys.options.fault.seed = value(&mut it)?,
+            "--fault-retries" => sys.options.fault.max_retries = value(&mut it)?,
+            "--fault-jitter" => sys.options.fault.jitter_max_cycles = value(&mut it)?,
             "--miss-policy" => {
                 let p = it.next().ok_or(CliError::Usage)?;
-                options.miss_policy = MissPolicy::from_name(p).ok_or_else(|| {
+                sys.options.miss_policy = MissPolicy::from_name(p).ok_or_else(|| {
                     CliError::Msg(format!(
                         "unknown --miss-policy `{p}` (expected `continue`, `abort`, or `skip-next`)"
                     ))
@@ -238,7 +210,7 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
             }
             "--attribution" => {
                 let v = it.next().ok_or(CliError::Usage)?;
-                options.attribution = match v.as_str() {
+                sys.options.attribution = match v.as_str() {
                     "on" => true,
                     "off" => false,
                     _ => {
@@ -268,13 +240,7 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
             "--deny" => deny.push(it.next().ok_or(CliError::Usage)?.clone()),
             "--explain" => explain = Some(it.next().ok_or(CliError::Usage)?.clone()),
             "--explore" => explore = true,
-            "--max-states" => {
-                max_states = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or(CliError::Usage)?,
-                );
-            }
+            "--max-states" => max_states = Some(value(&mut it)?),
             "--strategy" => {
                 let s = it.next().ok_or(CliError::Usage)?;
                 explore_strategy = match s.as_str() {
@@ -287,23 +253,16 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
                     }
                 };
             }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or(CliError::Usage)?;
-            }
+            "--threads" => threads = value(&mut it)?,
             "--witness" => witness = Some(it.next().ok_or(CliError::Usage)?.clone()),
             _ => return Err(CliError::Usage),
         }
     }
     Ok(Cli {
-        platform,
-        tasks,
+        sys,
         horizon_us,
         jitter_pct: jitter_pct.min(99),
         seed,
-        options,
         out,
         format,
         gantt,
@@ -318,15 +277,6 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
         threads,
         witness,
     })
-}
-
-fn framework(cli: &Cli) -> Result<RtMdm, String> {
-    let mut fw = RtMdm::with_options(cli.platform.clone(), cli.options.clone())
-        .map_err(|e| e.to_string())?;
-    for t in &cli.tasks {
-        fw.add_task(t.clone()).map_err(|e| e.to_string())?;
-    }
-    Ok(fw)
 }
 
 fn cmd_platforms() -> ExitCode {
@@ -611,16 +561,16 @@ fn cmd_explain_rule(id: &str) -> ExitCode {
 
 /// Run the static verifier over the spec without admitting it.
 ///
-/// Unlike the other subcommands, `check` does not go through
-/// `RtMdm::add_task` — eager validation there would reject exactly the
-/// broken specs the verifier exists to explain. JSON output is
-/// re-parsed with the bundled `serde_json` before printing, mirroring
-/// the `trace` export validation.
+/// Unlike the other subcommands, `check` verifies the parsed system as
+/// it is, without building an [`RtMdm`] — eager validation there would
+/// reject exactly the broken specs the verifier exists to explain. JSON
+/// output is re-parsed with the bundled `serde_json` before printing,
+/// mirroring the `trace` export validation.
 fn cmd_check(cli: &Cli) -> ExitCode {
     if let Some(id) = &cli.explain {
         return cmd_explain_rule(id);
     }
-    if cli.tasks.is_empty() {
+    if cli.sys.tasks.is_empty() {
         eprintln!("rtmdm: at least one --task is required");
         return usage();
     }
@@ -646,10 +596,6 @@ fn cmd_check(cli: &Cli) -> ExitCode {
     if cli.deny_warnings {
         filter = filter.deny_warnings(true);
     }
-    let mut spec = rtmdm_core::SystemSpec::with_options(cli.platform.clone(), cli.options.clone());
-    for task in &cli.tasks {
-        spec.push(task.clone());
-    }
     let check_options = rtmdm_core::CheckOptions {
         explore: cli.explore.then(|| rtmdm_core::ExploreOptions {
             max_states: cli
@@ -665,7 +611,7 @@ fn cmd_check(cli: &Cli) -> ExitCode {
             ..rtmdm_core::ExploreOptions::default()
         }),
     };
-    let outcome = spec.check_with(&check_options);
+    let outcome = cli.sys.check_with(&check_options);
     let report = filter.apply(&outcome.report);
     // The witness export mirrors the trace export: round-tripped
     // through the bundled `serde_json` before the file is trusted.
@@ -798,6 +744,12 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     }
 }
 
+/// Reports why the framework refused the system: exit 2.
+fn refused(e: rtmdm_core::AdmitError) -> ExitCode {
+    eprintln!("rtmdm: {e}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().cloned() else {
@@ -820,23 +772,20 @@ fn main() -> ExitCode {
     };
     // Forensics need the causal anchors: explain always records them.
     if cmd == "explain" {
-        cli.options.attribution = true;
+        cli.sys.options.attribution = true;
     }
     // `check` validates its own task requirement so that
     // `check --explain RTM0xx` works without a spec.
     if cmd == "check" {
         return cmd_check(&cli);
     }
-    if cli.tasks.is_empty() {
+    if cli.sys.tasks.is_empty() {
         eprintln!("rtmdm: at least one --task is required");
         return usage();
     }
-    let fw = match framework(&cli) {
+    let fw = match RtMdm::try_from(cli.sys.clone()) {
         Ok(fw) => fw,
-        Err(e) => {
-            eprintln!("rtmdm: {e}");
-            return ExitCode::from(2);
-        }
+        Err(e) => return refused(e),
     };
     match cmd.as_str() {
         "admit" => match fw.admit() {
@@ -856,15 +805,18 @@ fn main() -> ExitCode {
                     ExitCode::from(2)
                 }
             }
-            Err(e) => {
-                eprintln!("rtmdm: {e}");
-                ExitCode::from(2)
-            }
+            Err(e) => refused(e),
         },
-        "simulate" => {
+        "simulate" | "trace" | "explain" => {
             let scale_min = 1_000_000 - cli.jitter_pct * 10_000;
-            match fw.simulate_with(cli.horizon_us, scale_min, cli.seed) {
-                Ok(run) => {
+            let run = match fw.simulate_with(cli.horizon_us, scale_min, cli.seed) {
+                Ok(run) => run,
+                Err(e) => return refused(e),
+            };
+            match cmd.as_str() {
+                "trace" => cmd_trace(&cli, &run),
+                "explain" => cmd_explain(&cli, &run),
+                _ => {
                     println!("{}", run.to_table());
                     println!("misses: {}", run.deadline_misses());
                     // Only fault/policy runs grow the extra line, so
@@ -883,30 +835,6 @@ fn main() -> ExitCode {
                         );
                     }
                     ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("rtmdm: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
-        "trace" => {
-            let scale_min = 1_000_000 - cli.jitter_pct * 10_000;
-            match fw.simulate_with(cli.horizon_us, scale_min, cli.seed) {
-                Ok(run) => cmd_trace(&cli, &run),
-                Err(e) => {
-                    eprintln!("rtmdm: {e}");
-                    ExitCode::from(2)
-                }
-            }
-        }
-        "explain" => {
-            let scale_min = 1_000_000 - cli.jitter_pct * 10_000;
-            match fw.simulate_with(cli.horizon_us, scale_min, cli.seed) {
-                Ok(run) => cmd_explain(&cli, &run),
-                Err(e) => {
-                    eprintln!("rtmdm: {e}");
-                    ExitCode::from(2)
                 }
             }
         }
@@ -931,10 +859,7 @@ fn main() -> ExitCode {
                 println!("no admissible configuration found");
                 ExitCode::from(2)
             }
-            Err(e) => {
-                eprintln!("rtmdm: {e}");
-                ExitCode::from(2)
-            }
+            Err(e) => refused(e),
         },
         _ => usage(),
     }

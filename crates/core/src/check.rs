@@ -433,7 +433,9 @@ pub(crate) struct SramPlacement {
 /// footprint for whole-DNN staging and resident weights.
 fn weight_region_bytes(options: &FrameworkOptions, spec: &TaskSpec) -> u64 {
     match options.force_strategy.unwrap_or(spec.strategy) {
-        Strategy::RtMdm | Strategy::FetchThenCompute => 2 * spec.resolved_buffer_bytes(),
+        Strategy::RtMdm | Strategy::FetchThenCompute => {
+            spec.resolved_buffer_bytes().saturating_mul(2)
+        }
         Strategy::WholeDnn | Strategy::AllInSram => spec.model.total_weight_bytes().max(1),
     }
 }

@@ -151,10 +151,7 @@ impl RtMdm {
         platform: PlatformConfig,
         options: FrameworkOptions,
     ) -> Result<Self, AdmitError> {
-        platform.validate()?;
-        Ok(RtMdm {
-            sys: SystemSpec::with_options(platform, options),
-        })
+        RtMdm::try_from(SystemSpec::with_options(platform, options))
     }
 
     /// The platform this framework targets.
@@ -245,13 +242,15 @@ impl RtMdm {
     pub fn admit(&self) -> Result<Admission, AdmitError> {
         self.admit_hooked(&DirectHooks)
             .map(|(admission, _, _)| admission)
+            .map_err(|(e, _)| e)
     }
 
     /// [`RtMdm::admit`] with lowering routed through `hooks` (the
     /// admission service substitutes its memoized version),
     /// additionally returning the lowered, priority-ordered task set —
     /// so the caller can run follow-up analyses (e.g. sensitivity)
-    /// without re-lowering — and the non-blocking verifier report.
+    /// without re-lowering — and the verifier report, which a refusal
+    /// carries too.
     ///
     /// Admission reads everything from one [`SystemSpec`] pass: each
     /// spec is lowered, the set ordered, placed in SRAM and analyzed
@@ -259,17 +258,21 @@ impl RtMdm {
     pub(crate) fn admit_hooked(
         &self,
         hooks: &dyn AdmissionHooks,
-    ) -> Result<(Admission, TaskSet, Report), AdmitError> {
+    ) -> Result<(Admission, TaskSet, Report), (AdmitError, Report)> {
         let sys = &self.sys;
-        if sys.tasks.is_empty() {
-            return Err(AdmitError::NoTasks);
-        }
         let pass = sys.pass(hooks);
+        let report = pass.report;
+        if sys.tasks.is_empty() {
+            return Err((AdmitError::NoTasks, report));
+        }
         // A set that does not fit fails on memory, not on the findings
         // its layout also produces.
-        let sram = pass.sram.map_err(|(_, e)| AdmitError::Memory(e))?.rows;
-        if pass.report.blocks_admission() {
-            return Err(AdmitError::Check(pass.report));
+        let sram = match pass.sram {
+            Ok(placement) => placement.rows,
+            Err((_, e)) => return Err((AdmitError::Memory(e), report)),
+        };
+        if report.blocks_admission() {
+            return Err((AdmitError::Check(report.clone()), report));
         }
         let AnalyzedSet {
             order,
@@ -277,7 +280,10 @@ impl RtMdm {
             plans,
             mut analysis,
             occupancy_ppm,
-        } = pass.set?;
+        } = match pass.set {
+            Ok(set) => set,
+            Err(e) => return Err((e, report)),
+        };
         // Retry-budget admission: under an active fault plan each task
         // must still meet its deadline after paying the worst tolerated
         // re-fetch pattern (bounded by `max_retries` per transfer).
@@ -319,7 +325,7 @@ impl RtMdm {
             plans,
             retry_budgets,
         };
-        Ok((admission, ordered, pass.report))
+        Ok((admission, ordered, report))
     }
 
     /// Simulates the task set for `horizon_us` microseconds at
@@ -370,6 +376,25 @@ impl RtMdm {
             cpu: sys.platform.cpu,
             result,
         })
+    }
+}
+
+/// Validates a whole system into a framework: the platform first, then
+/// each task in insertion order through [`RtMdm::add_task`]'s checks,
+/// failing on the first error. The CLI and the admission service both
+/// build through it, and [`RtMdm::with_options`] is it on an empty
+/// system.
+impl TryFrom<SystemSpec> for RtMdm {
+    type Error = AdmitError;
+
+    fn try_from(mut sys: SystemSpec) -> Result<RtMdm, AdmitError> {
+        sys.platform.validate()?;
+        let tasks = std::mem::take(&mut sys.tasks);
+        let mut fw = RtMdm { sys };
+        for spec in tasks {
+            fw.add_task(spec)?;
+        }
+        Ok(fw)
     }
 }
 

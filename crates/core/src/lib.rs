@@ -23,6 +23,10 @@
 //!   └─ simulate(horizon)        — execution on the platform model
 //! ```
 //!
+//! `RtMdm::try_from(SystemSpec)` runs the first two steps on a whole
+//! system at once; the CLI and the admission service both build through
+//! it.
+//!
 //! ## Example
 //!
 //! ```rust

@@ -40,8 +40,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+use rtmdm_check::Report;
 use rtmdm_dnn::zoo;
 use rtmdm_mcusim::{Cycles, PlatformConfig};
 use rtmdm_sched::analysis::{canonical_key, critical_scaling_ppm};
@@ -103,15 +104,6 @@ pub struct CacheStats {
     /// Kept only because the repository benchmark still reads it; goes
     /// once it stops.
     pub headrooms_reused: u64,
-}
-
-/// One fully parsed admission request.
-#[derive(Debug, Clone)]
-struct ParsedRequest {
-    id: String,
-    platform: PlatformConfig,
-    options: FrameworkOptions,
-    tasks: Vec<TaskSpec>,
 }
 
 /// One row of the response's RTA table (priority order).
@@ -218,11 +210,11 @@ impl Service {
                 ok: false,
                 error,
             }),
-            Ok(req) => {
-                let answer = self.answer_for(&req);
+            Ok((id, sys)) => {
+                let answer = self.answer_for(&sys);
                 to_json(&Response {
                     schema: SERVE_SCHEMA.to_owned(),
-                    id: req.id.clone(),
+                    id,
                     ok: true,
                     verdict: answer.verdict.to_owned(),
                     schedulable: answer.schedulable,
@@ -262,13 +254,13 @@ impl Service {
     }
 
     /// The answer for a parsed request, via the full-query cache.
-    fn answer_for(&self, req: &ParsedRequest) -> Answer {
-        let key = request_key(req);
+    fn answer_for(&self, sys: &SystemSpec) -> Answer {
+        let key = request_key(sys);
         if let Some(hit) = read(&self.answers).get(&key).cloned() {
             self.stats.answers_reused.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
-        let answer = self.evaluate(req);
+        let answer = self.evaluate(sys);
         write(&self.answers)
             .entry(key)
             .or_insert_with(|| answer.clone());
@@ -276,23 +268,18 @@ impl Service {
     }
 
     /// Runs the admission pipeline with the memoizing lowering hook
-    /// installed.
-    fn evaluate(&self, req: &ParsedRequest) -> Answer {
+    /// installed: one validation, then one pass.
+    fn evaluate(&self, sys: &SystemSpec) -> Answer {
         let hooks = CachedHooks { service: self };
-        let mut fw = match RtMdm::with_options(req.platform.clone(), req.options.clone()) {
+        let fw = match RtMdm::try_from(sys.clone()) {
             Ok(fw) => fw,
-            Err(e) => return self.rejected(req, &hooks, e),
+            Err(e) => return rejected(sys, &hooks, e, None),
         };
-        for spec in &req.tasks {
-            if let Err(e) = fw.add_task(spec.clone()) {
-                return self.rejected(req, &hooks, e);
-            }
-        }
         match fw.admit_hooked(&hooks) {
             Ok((admission, ordered, report)) => {
                 let schedulable = admission.schedulable();
                 let headroom_ppm = if schedulable {
-                    headroom_ppm(&ordered, &req.platform, &req.options)
+                    headroom_ppm(&ordered, &sys.platform, &sys.options)
                 } else {
                     0
                 };
@@ -307,35 +294,31 @@ impl Service {
                     findings: report.to_json_report(),
                 }
             }
-            Err(e) => self.rejected(req, &hooks, e),
+            Err((e, report)) => rejected(sys, &hooks, e, Some(report)),
         }
     }
+}
 
-    /// The answer for a request admission refuses outright (memory,
-    /// timing, blocking findings, …). The static verifier still runs —
-    /// through the same caching hooks — so the caller gets findings
-    /// explaining *why*, not just an error string.
-    fn rejected(&self, req: &ParsedRequest, hooks: &dyn AdmissionHooks, e: AdmitError) -> Answer {
-        let findings = match &e {
-            AdmitError::Check(report) => report.to_json_report(),
-            _ => {
-                let sys = SystemSpec {
-                    platform: req.platform.clone(),
-                    options: req.options.clone(),
-                    tasks: req.tasks.clone(),
-                };
-                sys.pass(hooks).report.to_json_report()
-            }
-        };
-        Answer {
-            verdict: "reject",
-            schedulable: false,
-            reject_reason: Some(e.to_string()),
-            occupancy_ppm: 0,
-            headroom_ppm: 0,
-            rta: Vec::new(),
-            findings,
-        }
+/// The answer for a request admission refuses outright (memory,
+/// timing, blocking findings, …), with the verifier's findings
+/// explaining *why*: the `report` of admission's own pass, or, when
+/// validation refused the request before any pass ran, of the one
+/// pass run here through the same caching hooks.
+fn rejected(
+    sys: &SystemSpec,
+    hooks: &CachedHooks<'_>,
+    e: AdmitError,
+    report: Option<Report>,
+) -> Answer {
+    let report = report.unwrap_or_else(|| sys.pass(hooks).report);
+    Answer {
+        verdict: "reject",
+        schedulable: false,
+        reject_reason: Some(e.to_string()),
+        occupancy_ppm: 0,
+        headroom_ppm: 0,
+        rta: Vec::new(),
+        findings: report.to_json_report(),
     }
 }
 
@@ -427,13 +410,13 @@ fn task_key_content(spec: &TaskSpec) -> Content {
 /// Canonical full-query key: the resolved request with the `id`
 /// stripped, so textual variations (field order, defaults spelled out
 /// or omitted) of the same question share one cache entry.
-fn request_key(req: &ParsedRequest) -> String {
+fn request_key(sys: &SystemSpec) -> String {
     let doc = Content::Map(vec![
-        ("options".to_owned(), req.options.to_content()),
-        ("platform".to_owned(), req.platform.to_content()),
+        ("options".to_owned(), sys.options.to_content()),
+        ("platform".to_owned(), sys.platform.to_content()),
         (
             "tasks".to_owned(),
-            Content::Seq(req.tasks.iter().map(task_key_content).collect()),
+            Content::Seq(sys.tasks.iter().map(task_key_content).collect()),
         ),
     ]);
     canonical_key("query", &doc)
@@ -611,20 +594,6 @@ fn parse_options(v: &Content) -> Result<FrameworkOptions, String> {
     Ok(options)
 }
 
-/// The model zoo, built once. [`zoo::by_name`] constructs the model's
-/// layer list on every call, which is far too slow for the per-query
-/// hot path; a lookup against this table plus a clone is a pointer copy
-/// (models share their immutable node storage).
-fn zoo_table() -> &'static [rtmdm_dnn::Model] {
-    static ZOO: OnceLock<Vec<rtmdm_dnn::Model>> = OnceLock::new();
-    ZOO.get_or_init(zoo::all)
-}
-
-/// Resolves a zoo model by name from the memoized table.
-fn zoo_model(name: &str) -> Option<rtmdm_dnn::Model> {
-    zoo_table().iter().find(|m| m.name() == name).cloned()
-}
-
 fn parse_task(v: &Content, index: usize) -> Result<TaskSpec, String> {
     let Content::Map(entries) = v else {
         return Err(format!(
@@ -646,10 +615,11 @@ fn parse_task(v: &Content, index: usize) -> Result<TaskSpec, String> {
             "name" => name = Some(want_str(value, &field)?.to_owned()),
             "model" => {
                 let model_name = want_str(value, &field)?;
-                model = Some(zoo_model(model_name).ok_or_else(|| {
-                    let known: Vec<String> =
-                        zoo_table().iter().map(|m| m.name().to_owned()).collect();
-                    format!("unknown model `{model_name}` (known: {})", known.join(", "))
+                model = Some(zoo::by_name(model_name).ok_or_else(|| {
+                    format!(
+                        "unknown model `{model_name}` (known: {})",
+                        known(zoo::all().iter().map(|m| m.name()))
+                    )
                 })?);
             }
             "period_us" => period_us = Some(want_u64(value, &field)?),
@@ -667,26 +637,20 @@ fn parse_task(v: &Content, index: usize) -> Result<TaskSpec, String> {
     let model = model.ok_or_else(|| format!("tasks[{index}] is missing required field `model`"))?;
     let period_us =
         period_us.ok_or_else(|| format!("tasks[{index}] is missing required field `period_us`"))?;
-    let mut spec = TaskSpec::new(name, model, period_us, deadline_us.unwrap_or(period_us));
-    if let Some(bytes) = buffer_bytes {
-        spec = spec.with_buffer_bytes(bytes);
-    }
-    if let Some(bytes) = activation_budget_bytes {
-        spec = spec.with_activation_budget(bytes);
-    }
-    if let Some(s) = strategy {
-        spec = spec.with_strategy(s);
-    }
-    if let Some(p) = miss_policy {
-        spec = spec.with_miss_policy(p);
-    }
-    Ok(spec)
+    Ok(TaskSpec {
+        buffer_bytes,
+        activation_budget_bytes,
+        strategy: strategy.unwrap_or_default(),
+        miss_policy,
+        ..TaskSpec::new(name, model, period_us, deadline_us.unwrap_or(period_us))
+    })
 }
 
-/// Parses one request line. On error, returns the request `id` (when
-/// the line was at least valid JSON with a readable `id`) plus the
-/// message, so the error record can still be correlated.
-fn parse_request(line: &str) -> Result<ParsedRequest, (String, String)> {
+/// Parses one request line into its `id` and the system it asks about.
+/// On error, returns the request `id` (when the line was at least valid
+/// JSON with a readable `id`) plus the message, so the error record can
+/// still be correlated.
+fn parse_request(line: &str) -> Result<(String, SystemSpec), (String, String)> {
     let doc: Content = serde_json::from_str(line.trim())
         .map_err(|e| (String::new(), format!("invalid JSON: {e}")))?;
     let Content::Map(entries) = &doc else {
@@ -735,12 +699,14 @@ fn parse_request(line: &str) -> Result<ParsedRequest, (String, String)> {
         .map(|(i, item)| parse_task(item, i))
         .collect::<Result<Vec<_>, _>>()
         .map_err(&fail)?;
-    Ok(ParsedRequest {
+    Ok((
         id,
-        platform,
-        options,
-        tasks,
-    })
+        SystemSpec {
+            platform,
+            options,
+            tasks,
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -815,7 +781,7 @@ mod tests {
         const MAX_KEY_BYTES: usize = 8 * 1024;
         let s = Service::new();
         for platform in PlatformConfig::presets() {
-            for model in zoo_table() {
+            for model in zoo::all() {
                 s.answer_line(&format!(
                     r#"{{"id":"k","platform":"{}","tasks":[{{"name":"a","model":"{}","period_us":1000000}},{{"name":"b","model":"micro-mlp","period_us":50000}}]}}"#,
                     platform.name,
@@ -850,6 +816,41 @@ mod tests {
         );
         assert!(out.contains(r#""verdict":"reject""#), "{out}");
         assert!(out.contains("memory planning"), "{out}");
+    }
+
+    #[test]
+    fn a_memory_rejection_lowers_each_task_once() {
+        // The layout refuses the set after admission's pass lowered both
+        // tasks; the findings come from that pass, not from a second one
+        // answered out of the lowering memo.
+        let s = Service::new();
+        let out = s.answer_line(
+            r#"{"id":"m4","platform":"cortex-m4-lowend","tasks":[{"name":"kws","model":"ds-cnn","period_us":100000},{"name":"vww","model":"mobilenet-v1-025","period_us":500000,"strategy":"all-in-sram"}]}"#,
+        );
+        assert!(out.contains(r#""verdict":"reject""#), "{out}");
+        assert!(out.contains("memory planning: cannot allocate"), "{out}");
+        assert!(out.contains("RTM004"), "{out}");
+        assert_eq!(s.stats().lowerings_reused, 0, "{:?}", s.stats());
+    }
+
+    #[test]
+    fn sizes_and_periods_near_u64_max_get_exact_verdicts() {
+        let s = Service::new();
+        // A double buffer or an activation region past `u64::MAX` bytes
+        // fits no SRAM.
+        for task in [
+            r#"{"name":"t","model":"ds-cnn","period_us":100000,"buffer_bytes":9223372036854775808}"#,
+            r#"{"name":"t","model":"ds-cnn","period_us":100000,"activation_budget_bytes":18446744073709551615}"#,
+        ] {
+            let out = s.answer_line(&line("huge", task));
+            assert!(out.contains(r#""verdict":"reject""#), "{out}");
+            assert!(out.contains("memory planning: cannot allocate"), "{out}");
+        }
+        // Two jobs per ~2^64 cycles is a light EDF load.
+        let out = s.answer_line(
+            r#"{"id":"k","options":{"policy":"edf"},"tasks":[{"name":"t","model":"ds-cnn","period_us":18446744073709551615},{"name":"u","model":"micro-mlp","period_us":18446744073709551614}]}"#,
+        );
+        assert!(out.contains(r#""verdict":"admit""#), "{out}");
     }
 
     #[test]

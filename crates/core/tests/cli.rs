@@ -314,3 +314,207 @@ fn maximal_fault_jitter_simulates_without_panicking() {
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+/// A line whose `id` is 1 MiB long is answered, the `id` echoed, well
+/// within a bound that re-validating the rest of the line at every
+/// character of a string (minutes at this size) misses.
+#[test]
+fn a_megabyte_id_is_answered_promptly() {
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
+    let id = "x".repeat(1 << 20);
+    let line = format!(
+        r#"{{"id":"{id}","tasks":[{{"name":"kws","model":"ds-cnn","period_us":100000}}]}}"#
+    );
+    let mut child = Command::new(env!("CARGO_BIN_EXE_rtmdm"))
+        .arg("serve")
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let reader = std::thread::spawn(move || {
+        let mut out = String::new();
+        stdout.read_to_string(&mut out).map(|_| out)
+    });
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    stdin.write_all(line.as_bytes()).expect("stdin written");
+    stdin.write_all(b"\n").expect("stdin written");
+    drop(stdin);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("child status").is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            child.wait().ok();
+            panic!("a 1 MiB id was not answered within 10 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = reader.join().expect("reader").expect("stdout read");
+    assert!(out.contains(&format!(r#""id":"{id}""#)), "id not echoed");
+    assert!(out.contains(r#""verdict":"admit""#));
+}
+
+/// One task set, spelled as `rtmdm admit` flags and as a `serve` line.
+struct FrontEndCase {
+    platform: &'static str,
+    edf: bool,
+    /// `(name, model, period_ms, strategy)`.
+    tasks: &'static [(&'static str, &'static str, u64, Option<&'static str>)],
+}
+
+impl FrontEndCase {
+    fn cli_args(&self) -> Vec<String> {
+        let mut args = vec![
+            "admit".to_owned(),
+            "--platform".to_owned(),
+            self.platform.to_owned(),
+        ];
+        if self.edf {
+            args.push("--edf".to_owned());
+        }
+        for (name, model, period_ms, strategy) in self.tasks {
+            args.push("--task".to_owned());
+            let suffix = strategy.map(|s| format!(":{s}")).unwrap_or_default();
+            args.push(format!("{name}={model}@{period_ms}{suffix}"));
+        }
+        args
+    }
+
+    fn serve_line(&self) -> String {
+        let tasks: Vec<String> = self
+            .tasks
+            .iter()
+            .map(|(name, model, period_ms, strategy)| {
+                let strategy = strategy
+                    .map(|s| format!(r#","strategy":"{s}""#))
+                    .unwrap_or_default();
+                format!(
+                    r#"{{"name":"{name}","model":"{model}","period_us":{}{strategy}}}"#,
+                    period_ms * 1000
+                )
+            })
+            .collect();
+        let policy = if self.edf { "edf" } else { "fixed-priority" };
+        format!(
+            r#"{{"id":"x","platform":"{}","options":{{"policy":"{policy}"}},"tasks":[{}]}}"#,
+            self.platform,
+            tasks.join(",")
+        )
+    }
+}
+
+/// `rtmdm admit`'s verdict and `(task, wcrt bound)` rows in priority
+/// order; a refusal before analysis has no rows and reports its reason.
+fn cli_verdict(case: &FrontEndCase) -> (bool, Vec<(String, Option<u64>)>, String) {
+    let args = case.cli_args();
+    let out = rtmdm(&args.iter().map(String::as_str).collect::<Vec<_>>());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let rows = stdout
+        .lines()
+        .skip(2)
+        .take_while(|l| l.contains('|'))
+        .map(|l| {
+            let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+            (
+                cells[1].to_owned(),
+                cells[3]
+                    .strip_suffix("cy")
+                    .map(|n| n.parse().expect("cycles")),
+            )
+        })
+        .collect();
+    let reason = String::from_utf8_lossy(&out.stderr)
+        .trim()
+        .trim_start_matches("rtmdm: ")
+        .to_owned();
+    (out.status.code() == Some(0), rows, reason)
+}
+
+/// The same triple from `serve`'s answer.
+fn serve_verdict(case: &FrontEndCase) -> (bool, Vec<(String, Option<u64>)>, String) {
+    use serde::Content;
+    let out = serve(&[], &[], &format!("{}\n", case.serve_line()));
+    let answer: Content =
+        serde_json::from_str(String::from_utf8_lossy(&out.stdout).trim()).expect("one answer");
+    let field = |k: &str| answer.get(k).unwrap_or_else(|| panic!("no `{k}`"));
+    let Content::Seq(rta) = field("rta") else {
+        panic!("rta is not an array");
+    };
+    let rows = rta
+        .iter()
+        .map(|row| {
+            let Some(Content::Str(task)) = row.get("task") else {
+                panic!("row without task");
+            };
+            let wcrt = match row.get("wcrt_cycles") {
+                Some(Content::U64(n)) => Some(*n),
+                _ => None,
+            };
+            (task.clone(), wcrt)
+        })
+        .collect();
+    let reason = match field("reject_reason") {
+        Content::Str(r) if !rta.is_empty() => {
+            assert_eq!(r, "schedulability analysis rejected the set");
+            String::new()
+        }
+        Content::Str(r) => r.clone(),
+        _ => String::new(),
+    };
+    let admitted = field("verdict") == &Content::Str("admit".to_owned());
+    (admitted, rows, reason)
+}
+
+/// The CLI and `serve` build the same system from their inputs and run
+/// the same admission on it: for each set the two agree on the verdict,
+/// the priority order, every WCRT bound, and the reason for a refusal.
+#[test]
+fn admit_and_serve_agree_on_every_verdict_and_bound() {
+    let cases = [
+        FrontEndCase {
+            platform: "stm32f746-qspi",
+            edf: false,
+            tasks: &[
+                ("control", "micro-mlp", 20, None),
+                ("kws", "ds-cnn", 100, None),
+                ("vww", "mobilenet-v1-025", 500, None),
+            ],
+        },
+        FrontEndCase {
+            platform: "stm32f746-qspi",
+            edf: false,
+            tasks: &[
+                ("ic", "resnet8", 10, None),
+                ("kws", "ds-cnn", 100, Some("whole-dnn")),
+            ],
+        },
+        FrontEndCase {
+            platform: "stm32h743-ospi",
+            edf: true,
+            tasks: &[("kws", "ds-cnn", 100, None), ("ic", "resnet8", 400, None)],
+        },
+        FrontEndCase {
+            platform: "cortex-m4-lowend",
+            edf: false,
+            tasks: &[
+                ("kws", "ds-cnn", 100, None),
+                ("vww", "mobilenet-v1-025", 500, Some("all-in-sram")),
+            ],
+        },
+    ];
+    for case in &cases {
+        let cli = cli_verdict(case);
+        let served = serve_verdict(case);
+        assert_eq!(cli, served, "{}", case.serve_line());
+    }
+    // The cases cover an admission, an overload, EDF and a refusal.
+    let verdicts: Vec<_> = cases.iter().map(cli_verdict).collect();
+    assert!(verdicts[0].0 && verdicts[0].1.iter().all(|(_, b)| b.is_some()));
+    assert!(!verdicts[1].0 && !verdicts[1].1.is_empty());
+    assert!(verdicts[2].0 && verdicts[2].1.iter().all(|(_, b)| b.is_none()));
+    assert!(verdicts[3]
+        .2
+        .starts_with("memory planning: cannot allocate"));
+}

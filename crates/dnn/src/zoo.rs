@@ -15,6 +15,8 @@
 //! | [`lenet5`] | digit classification | 61 k | 28×28×1 |
 //! | [`micro_mlp`] | sensor classification | 0.7 k | 16 features |
 
+use std::sync::OnceLock;
+
 use crate::builder::ModelBuilder;
 use crate::graph::Model;
 use crate::layer::Padding;
@@ -129,29 +131,31 @@ pub fn micro_mlp() -> Model {
         .build()
 }
 
+/// The zoo, built once per process. Building a model synthesizes every
+/// weight byte; a clone of a built one only copies a pointer (models
+/// share their node storage).
+fn table() -> &'static [Model] {
+    static ZOO: OnceLock<Vec<Model>> = OnceLock::new();
+    ZOO.get_or_init(|| {
+        vec![
+            micro_mlp(),
+            ds_cnn(),
+            lenet5(),
+            resnet8(),
+            mobilenet_v1_025(),
+            autoencoder(),
+        ]
+    })
+}
+
 /// Every zoo model, in ascending weight-size order.
 pub fn all() -> Vec<Model> {
-    vec![
-        micro_mlp(),
-        ds_cnn(),
-        lenet5(),
-        resnet8(),
-        mobilenet_v1_025(),
-        autoencoder(),
-    ]
+    table().to_vec()
 }
 
 /// Looks a zoo model up by its [`Model::name`].
 pub fn by_name(name: &str) -> Option<Model> {
-    match name {
-        "micro-mlp" => Some(micro_mlp()),
-        "ds-cnn" => Some(ds_cnn()),
-        "lenet5" => Some(lenet5()),
-        "resnet8" => Some(resnet8()),
-        "mobilenet-v1-025" => Some(mobilenet_v1_025()),
-        "autoencoder" => Some(autoencoder()),
-        _ => None,
-    }
+    table().iter().find(|m| m.name() == name).cloned()
 }
 
 #[cfg(test)]

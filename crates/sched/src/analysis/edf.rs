@@ -97,15 +97,17 @@ pub fn edf_demand_test(ts: &TaskSet, platform: &PlatformConfig) -> bool {
     let horizon = d_max.max(Cycles::new(la));
 
     // Enumerate absolute deadlines ≤ horizon, in order, via a heap-free
-    // merge: step each task's deadline sequence.
-    let mut next_deadline: Vec<Cycles> = ts.tasks().iter().map(|t| t.deadline).collect();
+    // merge: step each task's deadline sequence. A point past `u64`
+    // cycles is past any horizon, so it ends its task's sequence.
+    let mut next_deadline: Vec<Option<Cycles>> =
+        ts.tasks().iter().map(|t| Some(t.deadline)).collect();
     let mut checked = 0usize;
     loop {
-        let Some((idx, &t)) = next_deadline
+        let Some((idx, t)) = next_deadline
             .iter()
             .enumerate()
-            .filter(|(_, &d)| d <= horizon)
-            .min_by_key(|(_, &d)| d)
+            .filter_map(|(i, d)| d.filter(|&d| d <= horizon).map(|d| (i, d)))
+            .min_by_key(|&(_, d)| d)
         else {
             return true; // all deadline points passed
         };
@@ -143,7 +145,7 @@ pub fn edf_demand_test(ts: &TaskSet, platform: &PlatformConfig) -> bool {
         {
             return false;
         }
-        next_deadline[idx] += ts.tasks()[idx].period;
+        next_deadline[idx] = t.checked_add(ts.tasks()[idx].period);
     }
 }
 
@@ -265,6 +267,18 @@ mod tests {
         // …but not alongside anything else.
         let ts = TaskSet::from_tasks(vec![heavy_fetch, resident("r", 1_000, 1_000, 200)]);
         assert!(!edf_demand_test(&ts, &p));
+    }
+
+    #[test]
+    fn deadline_points_past_u64_cycles_end_their_sequence() {
+        // A light set whose every next deadline point lies past `u64`
+        // cycles: each sequence ends after its first point instead of
+        // wrapping back below the horizon.
+        let ts = TaskSet::from_tasks(vec![
+            resident("t", u64::MAX, u64::MAX, 1_000),
+            resident("u", u64::MAX - 1, u64::MAX - 1, 1_000),
+        ]);
+        assert!(edf_demand_test(&ts, &bare_platform()));
     }
 
     #[test]

@@ -107,22 +107,23 @@ impl SramArena {
         let mut regions: Vec<&Region> = self.live.values().collect();
         regions.sort_by_key(|r| r.offset);
 
+        // The first aligned offset from `cursor` where `bytes` end by
+        // `limit`; an offset or end past `u64::MAX` fits nowhere.
+        let fit = |cursor: u64, limit: u64| {
+            cursor
+                .checked_next_multiple_of(align)
+                .filter(|start| start.checked_add(bytes).is_some_and(|end| end <= limit))
+        };
         let mut cursor = 0u64;
-        let mut chosen: Option<u64> = None;
+        let mut chosen = None;
         for r in &regions {
-            let aligned = align_up(cursor, align);
-            if aligned + bytes <= r.offset {
-                chosen = Some(aligned);
+            chosen = fit(cursor, r.offset);
+            if chosen.is_some() {
                 break;
             }
             cursor = cursor.max(r.offset + r.bytes);
         }
-        if chosen.is_none() {
-            let aligned = align_up(cursor, align);
-            if aligned + bytes <= self.capacity {
-                chosen = Some(aligned);
-            }
-        }
+        let chosen = chosen.or_else(|| fit(cursor, self.capacity));
         let Some(offset) = chosen else {
             return Err(PlanError::ArenaExhausted {
                 label,
@@ -170,10 +171,6 @@ impl SramArena {
     }
 }
 
-fn align_up(value: u64, align: u64) -> u64 {
-    (value + align - 1) & !(align - 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +213,22 @@ mod tests {
         let _ = a.alloc("x", 100, 1).unwrap();
         let err = a.alloc("y", 64, 1).unwrap_err();
         assert!(matches!(err, PlanError::ArenaExhausted { free: 28, .. }));
+    }
+
+    #[test]
+    fn sizes_near_the_word_limit_exhaust_instead_of_wrapping() {
+        let mut a = SramArena::new(1000);
+        let _ = a.alloc("x", 100, 8).unwrap();
+        for bytes in [u64::MAX, u64::MAX - 7, 1 << 63] {
+            let err = a.alloc("huge", bytes, 8).unwrap_err();
+            assert!(matches!(err, PlanError::ArenaExhausted { free: 900, .. }));
+        }
+        // A cursor at the word's end cannot be aligned up.
+        let mut a = SramArena::new(u64::MAX);
+        let h = a.alloc("hole", 16, 8).unwrap();
+        let _ = a.alloc("tail", u64::MAX - 16, 1).unwrap();
+        a.free(h);
+        assert!(a.alloc("wide", 17, 8).is_err());
     }
 
     #[test]

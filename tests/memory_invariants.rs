@@ -17,6 +17,17 @@ fn zoo_model(idx: usize) -> rt_mdm::dnn::Model {
     all[idx % all.len()].clone()
 }
 
+/// A size within 16 KiB above `2^63` (whose double just passes
+/// `u64::MAX`) or below `u64::MAX`.
+fn huge(rng: &mut StdRng) -> u64 {
+    let near = if rng.gen_bool(0.5) {
+        1 << 63
+    } else {
+        u64::MAX - (1 << 14)
+    };
+    near + rng.gen_range(0..1u64 << 14)
+}
+
 const STRATEGIES: [Strategy; 4] = [
     Strategy::RtMdm,
     Strategy::FetchThenCompute,
@@ -106,10 +117,12 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 96, .. ProptestConfig::default() })]
 
     /// Admission and the static verifier lay SRAM out alike: over spec
-    /// sets `add_task` accepts — every zoo model, default and odd fetch
-    /// buffers, every strategy, a forced strategy, the four presets and
-    /// squeezed SRAM — `admit` fails on memory exactly when `check`
-    /// reports RTM004, and an admitted layout fits the platform's SRAM.
+    /// sets `add_task` accepts — every zoo model, default, odd and
+    /// near-`u64::MAX` fetch buffers and activation budgets, every
+    /// strategy, a forced strategy, the four presets and squeezed SRAM —
+    /// `admit` fails on memory exactly when `check` reports RTM004, and
+    /// an admitted layout fits the platform's SRAM and reserves each
+    /// spec's activation budget and double buffer in full.
     #[test]
     fn admission_and_verifier_agree_on_sram(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -139,9 +152,14 @@ proptest! {
             if rng.gen_bool(0.5) {
                 let floor = spec.model.max_layer_weight_bytes();
                 spec = spec.with_buffer_bytes((floor + rng.gen_range(0..8192u64)) | 1);
+            } else if rng.gen_bool(0.2) {
+                // Sizes whose double buffer passes `u64::MAX`.
+                spec = spec.with_buffer_bytes(huge(&mut rng));
             }
             if rng.gen_bool(0.25) {
                 spec = spec.with_activation_budget(rng.gen_range(1..64 * 1024u64));
+            } else if rng.gen_bool(0.2) {
+                spec = spec.with_activation_budget(huge(&mut rng));
             }
             // The property ranges over what `add_task` accepts.
             let _ = fw.add_task(spec);
@@ -157,6 +175,18 @@ proptest! {
         prop_assert_eq!(memory, rtm004, "admit: {:?}", admitted.as_ref().err());
         if let Ok(a) = &admitted {
             prop_assert!(a.sram_total() <= platform.sram_bytes);
+            for (row, spec) in a.sram.iter().zip(fw.specs()) {
+                prop_assert!(row.activation_bytes >= spec.resolved_activation_bytes());
+                let streams = matches!(
+                    fw.options().force_strategy.unwrap_or(spec.strategy),
+                    Strategy::RtMdm | Strategy::FetchThenCompute
+                );
+                if streams {
+                    prop_assert!(
+                        u128::from(row.weight_bytes) >= 2 * u128::from(spec.resolved_buffer_bytes())
+                    );
+                }
+            }
         }
     }
 }

@@ -248,7 +248,12 @@ done
 # buffer (b) or an activation region (j) past u64::MAX bytes fits no
 # SRAM, and two jobs per ~2^64 cycles (k) is a light EDF load. A line
 # with a 1 MiB id must be answered, the id echoed, without the string
-# parser going quadratic.
+# parser going quadratic. A higher-priority deadline near 2^64 cycles
+# (c8) is a light fixed-priority load with an exact bound, and an
+# overloaded task over a 2^64-cycle period (c9) makes the
+# memory-oblivious iterate overflow, which is a divergence. Audsley's
+# search admits what deadline-monotonic admits, gated (o1) and
+# work-conserving (o2).
 cat > "$serve_in" <<'JSONL'
 {"id":"b","tasks":[{"name":"t","model":"ds-cnn","period_us":100000,"buffer_bytes":9223372036854775808}]}
 {"id":"j","tasks":[{"name":"t","model":"ds-cnn","period_us":100000,"activation_budget_bytes":18446744073709551615}]}
@@ -257,10 +262,16 @@ JSONL
 long_id="$(head -c 1048576 /dev/zero | tr '\0' x)"
 printf '{"id":"%s","tasks":[{"name":"kws","model":"ds-cnn","period_us":100000}]}\n' \
   "$long_id" >> "$serve_in"
+cat >> "$serve_in" <<'JSONL'
+{"id":"c8","tasks":[{"name":"t","model":"ds-cnn","period_us":18446744073709551615},{"name":"u","model":"resnet8","period_us":18446744073709551614}]}
+{"id":"c9","options":{"work_conserving":true,"dma_aware_analysis":false},"tasks":[{"name":"t","model":"ds-cnn","period_us":18446744073709551615},{"name":"u","model":"autoencoder","period_us":1000}]}
+{"id":"o1","options":{"assignment":"audsley"},"tasks":[{"name":"t0","model":"micro-mlp","period_us":10000,"deadline_us":6000},{"name":"t1","model":"lenet5","period_us":30000,"deadline_us":18000},{"name":"t2","model":"resnet8","period_us":400000,"deadline_us":360000}]}
+{"id":"o2","options":{"assignment":"audsley","work_conserving":true},"tasks":[{"name":"t0","model":"ds-cnn","period_us":100000,"deadline_us":70000},{"name":"t1","model":"lenet5","period_us":200000,"deadline_us":160000},{"name":"t2","model":"micro-mlp","period_us":400000,"deadline_us":240000},{"name":"t3","model":"ds-cnn","period_us":100000,"deadline_us":100000}]}
+JSONL
 timeout 60 ./target/release/rtmdm serve --once --input "$serve_in" > "$serve_out" || {
   echo "serve smoke: edge batch failed or timed out" >&2; exit 1; }
-[[ "$(wc -l < "$serve_out")" -eq 4 ]] || {
-  echo "serve smoke: edge batch did not answer 4 lines" >&2; exit 1; }
+[[ "$(wc -l < "$serve_out")" -eq 8 ]] || {
+  echo "serve smoke: edge batch did not answer 8 lines" >&2; exit 1; }
 for id in b j; do
   grep -q "\"id\":\"$id\".*\"verdict\":\"reject\".*memory planning: cannot allocate" \
     "$serve_out" || {
@@ -268,6 +279,12 @@ for id in b j; do
 done
 grep -q '"id":"k".*"verdict":"admit"' "$serve_out" || {
   echo "serve smoke: light EDF line k did not admit" >&2; exit 1; }
+for id in c8 o1 o2; do
+  grep -q "\"id\":\"$id\".*\"verdict\":\"admit\"" "$serve_out" || {
+    echo "serve smoke: line $id did not admit" >&2; exit 1; }
+done
+grep -q '"id":"c9".*"verdict":"reject"' "$serve_out" || {
+  echo "serve smoke: line c9 did not reject" >&2; exit 1; }
 [[ "$(sed -n 4p "$serve_out")" == '{"schema":"rtmdm-serve/1","id":"'"$long_id"'","ok":true,"verdict":"admit"'* ]] || {
   echo "serve smoke: long-id line was not answered with its id" >&2; exit 1; }
 rm -f "$serve_in" "$serve_out" "$serve_out2"

@@ -50,7 +50,9 @@ fn bench_edf(c: &mut Criterion) {
 fn bench_audsley(c: &mut Criterion) {
     let p = platform();
     let ts = generate(&TasksetParams::baseline(8, 250_000), &p, 7);
-    c.bench_function("audsley_opa_8", |b| b.iter(|| audsley(&ts, &p)));
+    c.bench_function("audsley_opa_8", |b| {
+        b.iter(|| audsley(&ts, &p, SchedulerMode::Gated))
+    });
 }
 
 criterion_group!(

@@ -281,7 +281,7 @@ pub fn f7_opa() -> String {
         [
             rta_limited_preemption(&ts.reordered(&rm_order(&ts)), &p).schedulable,
             rta_limited_preemption(&ts.reordered(&dm_order(&ts)), &p).schedulable,
-            audsley(&ts, &p).is_some(),
+            audsley(&ts, &p, SchedulerMode::Gated).is_some(),
         ]
     });
     let mut rows = Vec::new();

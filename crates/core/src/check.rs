@@ -37,8 +37,8 @@ use rtmdm_xmem::{ModelSegmentation, PlanError, SramArena, RUNTIME_RESERVE};
 
 use crate::error::AdmitError;
 use crate::framework::{
-    direct_analysis, AdmissionHooks, DirectHooks, FrameworkOptions, Lowered, PriorityAssignment,
-    SramRow,
+    direct_analysis, scheduler_mode, AdmissionHooks, DirectHooks, FrameworkOptions, Lowered,
+    PriorityAssignment, SramRow,
 };
 use crate::spec::{Strategy, TaskSpec};
 
@@ -187,7 +187,8 @@ impl SystemSpec {
             PriorityAssignment::DeadlineMonotonic => dm_order(&ts),
             PriorityAssignment::RateMonotonic => rm_order(&ts),
             PriorityAssignment::Audsley => {
-                audsley(&ts, &self.platform).unwrap_or_else(|| dm_order(&ts))
+                audsley(&ts, &self.platform, scheduler_mode(&self.options))
+                    .unwrap_or_else(|| dm_order(&ts))
             }
         };
         let ordered = ts.reordered(&order);

@@ -14,7 +14,7 @@ use rtmdm_sched::baseline;
 use rtmdm_sched::sim::{simulate, Engine, Policy, SimConfig, SimResult};
 use rtmdm_sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
 use rtmdm_xmem::{
-    segment_model, segments_retry_budget, ModelSegmentation, RetryPolicy, RUNTIME_RESERVE,
+    check_buffer_fits, segments_retry_budget, ModelSegmentation, RetryPolicy, RUNTIME_RESERVE,
 };
 
 use crate::check::{AnalyzedSet, CheckOptions, CheckOutcome, SystemSpec};
@@ -183,13 +183,9 @@ impl RtMdm {
                 name: spec.name.clone(),
             });
         }
-        // Validate segmentation eagerly so the caller learns about an
+        // Check the fetch buffer eagerly so the caller learns about an
         // undersized buffer at add time, not at admission.
-        let _ = segment_model(
-            &spec.model,
-            &sys.options.cost_model,
-            spec.resolved_buffer_bytes(),
-        )?;
+        check_buffer_fits(&spec.model, spec.resolved_buffer_bytes())?;
         // Validate timing by constructing a throwaway task.
         let period = sys.platform.cpu.cycles_from_micros(spec.period_us);
         let deadline = sys.platform.cpu.cycles_from_micros(spec.deadline_us);

@@ -851,6 +851,37 @@ mod tests {
             r#"{"id":"k","options":{"policy":"edf"},"tasks":[{"name":"t","model":"ds-cnn","period_us":18446744073709551615},{"name":"u","model":"micro-mlp","period_us":18446744073709551614}]}"#,
         );
         assert!(out.contains(r#""verdict":"admit""#), "{out}");
+        // A higher-priority deadline near 2^64 cycles widens the window
+        // past u64: still a light set, with an exact bound.
+        let out = s.answer_line(
+            r#"{"id":"c8","tasks":[{"name":"t","model":"ds-cnn","period_us":18446744073709551615},{"name":"u","model":"resnet8","period_us":18446744073709551614}]}"#,
+        );
+        assert!(out.contains(r#""verdict":"admit""#), "{out}");
+        assert!(!out.contains(r#""wcrt_cycles":null"#), "{out}");
+        // The memory-oblivious iterate under an overloaded task
+        // overflows u64: a divergence, not a wrapped bound.
+        let out = s.answer_line(
+            r#"{"id":"c9","options":{"work_conserving":true,"dma_aware_analysis":false},"tasks":[{"name":"t","model":"ds-cnn","period_us":18446744073709551615},{"name":"u","model":"autoencoder","period_us":1000}]}"#,
+        );
+        assert!(out.contains(r#""verdict":"reject""#), "{out}");
+        assert!(
+            out.contains(r#""task":"t","deadline_cycles":18446744073709551615,"wcrt_cycles":null"#),
+            "{out}"
+        );
+    }
+
+    #[test]
+    fn audsley_admits_sets_that_deadline_monotonic_admits() {
+        let s = Service::new();
+        for q in [
+            r#"{"id":"o1","options":{"assignment":"audsley"},"tasks":[{"name":"t0","model":"micro-mlp","period_us":10000,"deadline_us":6000},{"name":"t1","model":"lenet5","period_us":30000,"deadline_us":18000},{"name":"t2","model":"resnet8","period_us":400000,"deadline_us":360000}]}"#,
+            r#"{"id":"o2","options":{"assignment":"audsley","work_conserving":true},"tasks":[{"name":"t0","model":"ds-cnn","period_us":100000,"deadline_us":70000},{"name":"t1","model":"lenet5","period_us":200000,"deadline_us":160000},{"name":"t2","model":"micro-mlp","period_us":400000,"deadline_us":240000},{"name":"t3","model":"ds-cnn","period_us":100000,"deadline_us":100000}]}"#,
+        ] {
+            let dm = s.answer_line(&q.replace("audsley", "deadline-monotonic"));
+            assert!(dm.contains(r#""verdict":"admit""#), "{dm}");
+            let out = s.answer_line(q);
+            assert!(out.contains(r#""verdict":"admit""#), "{out}");
+        }
     }
 
     #[test]

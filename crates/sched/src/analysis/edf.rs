@@ -1,8 +1,10 @@
 //! Processor-demand schedulability test for segment-level EDF.
 //!
-//! Suspension-oblivious: each task's demand per job is its full isolated
-//! pipeline latency `P_i` (suspension charged as computation), which is
-//! sound for EDF. Limited preemption adds a blocking term: at any
+//! Suspension-oblivious: each task's demand per job is its occupancy
+//! `occ_i = Σe_i + ΣF_i`, every cycle of CPU or DMA work the job can
+//! take. Since `occ_i ≥ P_i`, the isolated pipeline latency, this also
+//! charges the job's own DMA waits as computation, which is sound for
+//! EDF. Limited preemption adds a blocking term: at any
 //! absolute deadline `t`, a job with a later deadline may hold the CPU
 //! for one non-preemptive segment.
 
@@ -21,10 +23,10 @@ const MAX_CHECKPOINTS: usize = 200_000;
 /// analysis horizon,
 ///
 /// ```text
-/// B(t) + Σ_i max(0, ⌊(t − D_i)/T_i⌋ + 1) · P_i  ≤  t
+/// B(t) + Σ_i max(0, ⌊(t − D_i)/T_i⌋ + 1) · occ_i  ≤  t
 /// ```
 ///
-/// where `P_i` is the isolated pipeline latency and `B(t)` the largest
+/// where `occ_i` is the task's occupancy and `B(t)` the largest
 /// non-preemptive segment (CPU + one DMA transfer) of any task with
 /// `D_l > t`. The horizon is the standard busy-period bound; if the
 /// occupancy utilization is ≥ 1 the set is rejected immediately.

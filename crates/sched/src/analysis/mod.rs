@@ -25,6 +25,7 @@ pub use rta::{
     interference_bounds, rta_limited_preemption, rta_limited_preemption_with, rta_memory_oblivious,
     AnalysisOutcome, InterferenceBound, SchedulerMode,
 };
+pub(crate) use rta::{interferer, task_bound, Interferer};
 pub use sensitivity::{critical_scaling_ppm, scaled_taskset};
 pub use util::{occupancy_utilization_ppm, rm_utilization_bound_ppm, rm_utilization_test};
 pub use wcet::TaskTiming;

@@ -29,7 +29,7 @@ use serde::{Deserialize, Serialize};
 use rtmdm_mcusim::{Cycles, PlatformConfig};
 
 use crate::analysis::wcet::TaskTiming;
-use crate::task::TaskSet;
+use crate::task::{SporadicTask, TaskSet};
 
 /// Result of a schedulability analysis over a task set.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -137,36 +137,21 @@ pub fn rta_limited_preemption_with(
     platform: &PlatformConfig,
     mode: SchedulerMode,
 ) -> AnalysisOutcome {
-    let timings: Vec<TaskTiming> = ts
+    let response = interference_bounds(ts, platform, mode)
+        .into_iter()
+        .map(|b| b.map(|b| b.response))
+        .collect();
+    verdict(ts, response)
+}
+
+/// Assembles an outcome: schedulable iff every bound converged within
+/// its task's deadline.
+fn verdict(ts: &TaskSet, response: Vec<Option<Cycles>>) -> AnalysisOutcome {
+    let schedulable = ts
         .tasks()
         .iter()
-        .map(|t| TaskTiming::derive(t, platform))
-        .collect();
-    let mut response = Vec::with_capacity(ts.len());
-    let mut schedulable = true;
-
-    for (i, task) in ts.tasks().iter().enumerate() {
-        let blocking = blocking_bound(&timings, i, mode);
-        let r = fixed_point(
-            ts,
-            &timings,
-            i,
-            blocking + timings[i].pipeline_latency,
-            mode,
-        );
-        match r {
-            Some(r) => {
-                if r > task.deadline {
-                    schedulable = false;
-                }
-                response.push(Some(r));
-            }
-            None => {
-                schedulable = false;
-                response.push(None);
-            }
-        }
-    }
+        .zip(&response)
+        .all(|(t, r)| r.is_some_and(|r| r <= t.deadline));
     AnalysisOutcome {
         schedulable,
         response,
@@ -240,64 +225,80 @@ pub fn interference_bounds(
         .iter()
         .map(|t| TaskTiming::derive(t, platform))
         .collect();
+    let hp: Vec<Interferer> = ts.tasks().iter().zip(&timings).map(interferer).collect();
     (0..ts.len())
         .map(|i| {
-            let blocking = blocking_bound(&timings, i, mode);
-            let pipeline = timings[i].pipeline_latency;
-            let response = fixed_point(ts, &timings, i, blocking + pipeline, mode)?;
-            // At the fixed point R = base + Σ interference, so the
-            // higher-priority term is exactly the remainder.
-            let interference = response.saturating_sub(blocking + pipeline);
-            Some(InterferenceBound {
-                blocking,
-                pipeline,
-                interference,
-                response,
-            })
+            let lp_exec = timings[i + 1..]
+                .iter()
+                .map(|t| t.max_exec_segment)
+                .max()
+                .unwrap_or(Cycles::ZERO);
+            task_bound(&ts.tasks()[i], &timings[i], &hp[..i], lp_exec, mode)
         })
         .collect()
 }
 
-/// Blocking bound of task `i` from lower-priority non-preemptive
-/// segments.
-fn blocking_bound(timings: &[TaskTiming], i: usize, mode: SchedulerMode) -> Cycles {
-    let max_lp_exec = timings[i + 1..]
-        .iter()
-        .map(|t| t.max_exec_segment)
-        .max()
-        .unwrap_or(Cycles::ZERO);
-    match mode {
-        // Gated: lower-priority segments cannot start while i is active,
-        // so only a segment already in flight at i's release blocks.
-        SchedulerMode::Gated => max_lp_exec,
-        // Work-conserving: every DMA wait of i lets one more
-        // lower-priority segment in.
-        SchedulerMode::WorkConserving => max_lp_exec * timings[i].resume_points,
-    }
+/// One higher-priority task as the fixed point sees it: its per-job
+/// demand `C_j`, release jitter `J_j` and period `T_j`.
+pub(crate) type Interferer = (Cycles, Cycles, Cycles);
+
+/// Task `j` as an RT-MDM interferer: demand `occ_j`, jitter
+/// `J_j = D_j − occ_j` (its suspension-induced release jitter).
+pub(crate) fn interferer((task, timing): (&SporadicTask, &TaskTiming)) -> Interferer {
+    (
+        timing.occupancy,
+        timing.interference_jitter(task.deadline),
+        task.period,
+    )
 }
 
-/// Iterates the response-time fixed point for task `i` with the given
-/// initial value. Returns `None` if it fails to converge within
-/// [`MAX_ITERATIONS`] or overflows the divergence cap (16 × period,
-/// saturating: a period too long to multiply caps at `u64::MAX`).
-fn fixed_point(
-    ts: &TaskSet,
-    timings: &[TaskTiming],
-    i: usize,
-    base: Cycles,
+/// The RT-MDM bound of `task` with exactly the tasks `hp` above it and
+/// `lp_exec` the largest segment of any task below it: blocking for
+/// `mode` plus the pipeline `P_i`, iterated through the fixed point.
+/// `None` when the fixed point diverges.
+pub(crate) fn task_bound(
+    task: &SporadicTask,
+    timing: &TaskTiming,
+    hp: &[Interferer],
+    lp_exec: Cycles,
     mode: SchedulerMode,
-) -> Option<Cycles> {
-    let cap = divergence_cap(ts.tasks()[i].period);
-    let _ = mode; // interference is mode-independent; blocking differs
+) -> Option<InterferenceBound> {
+    let blocking = match mode {
+        // Gated: lower-priority segments cannot start while the task is
+        // active, so only a segment already in flight at its release
+        // blocks.
+        SchedulerMode::Gated => lp_exec,
+        // Work-conserving: every DMA wait lets one more lower-priority
+        // segment in.
+        SchedulerMode::WorkConserving => lp_exec.checked_mul(timing.resume_points)?,
+    };
+    let pipeline = timing.pipeline_latency;
+    let base = blocking.checked_add(pipeline)?;
+    let response = fixed_point(base, hp, task.period)?;
+    Some(InterferenceBound {
+        blocking,
+        pipeline,
+        // At the fixed point R = base + Σ interference, so the
+        // higher-priority term is exactly the remainder.
+        interference: response - base,
+        response,
+    })
+}
+
+/// Iterates `R = base + Σ_{hp} ⌈(R + J_j)/T_j⌉ · C_j` from `R = base`.
+/// The window and its ceiling division run in `u128`, so a jitter near
+/// `u64::MAX` costs no precision. Returns `None` if the iterate fails to
+/// converge within [`MAX_ITERATIONS`], passes the divergence cap
+/// (16 × `period`, saturating: a period too long to multiply caps at
+/// `u64::MAX`), or its demand overflows `u64`.
+fn fixed_point(base: Cycles, hp: &[Interferer], period: Cycles) -> Option<Cycles> {
+    let cap = divergence_cap(period);
     let mut r = base;
     for _ in 0..MAX_ITERATIONS {
         let mut next = base;
-        // Higher-priority occupancy with suspension-induced jitter.
-        for (j, hp) in ts.tasks().iter().enumerate().take(i) {
-            let demand = timings[j].occupancy;
-            let jitter = hp.deadline.saturating_sub(demand);
-            let window = r.checked_add(jitter)?;
-            let jobs = window.get().div_ceil(hp.period.get());
+        for &(demand, jitter, hp_period) in hp {
+            let window = u128::from(r.get()) + u128::from(jitter.get());
+            let jobs = u64::try_from(window.div_ceil(u128::from(hp_period.get()))).ok()?;
             next = next.checked_add(demand.checked_mul(jobs)?)?;
         }
         if next == r {
@@ -323,45 +324,15 @@ fn divergence_cap(period: Cycles) -> Cycles {
 /// blocking. **Unsound for this system** — provided to reproduce the
 /// admits-then-misses behaviour of memory-oblivious admission.
 pub fn rta_memory_oblivious(ts: &TaskSet, _platform: &PlatformConfig) -> AnalysisOutcome {
-    let comps: Vec<Cycles> = ts.tasks().iter().map(|t| t.total_compute()).collect();
-    let mut response = Vec::with_capacity(ts.len());
-    let mut schedulable = true;
-    for (i, task) in ts.tasks().iter().enumerate() {
-        let cap = divergence_cap(task.period);
-        let mut r = comps[i];
-        let mut converged = None;
-        for _ in 0..MAX_ITERATIONS {
-            let mut next = comps[i];
-            for (j, hp) in ts.tasks().iter().enumerate().take(i) {
-                let jobs = r.get().div_ceil(hp.period.get());
-                next += comps[j] * jobs;
-            }
-            if next == r {
-                converged = Some(r);
-                break;
-            }
-            if next > cap {
-                break;
-            }
-            r = next;
-        }
-        match converged {
-            Some(r) => {
-                if r > task.deadline {
-                    schedulable = false;
-                }
-                response.push(Some(r));
-            }
-            None => {
-                schedulable = false;
-                response.push(None);
-            }
-        }
-    }
-    AnalysisOutcome {
-        schedulable,
-        response,
-    }
+    let hp: Vec<Interferer> = ts
+        .tasks()
+        .iter()
+        .map(|t| (t.total_compute(), Cycles::ZERO, t.period))
+        .collect();
+    let response = (0..ts.len())
+        .map(|i| fixed_point(hp[i].0, &hp[..i], hp[i].2))
+        .collect();
+    verdict(ts, response)
 }
 
 #[cfg(test)]
@@ -473,6 +444,43 @@ mod tests {
             assert!(oblivious.schedulable, "period {period}: {oblivious:?}");
             assert_eq!(oblivious.response_of(1), Some(cy(400)), "period {period}");
         }
+    }
+
+    #[test]
+    fn higher_priority_deadline_near_u64_max_gives_the_exact_bound() {
+        // hi's jitter D − occ = u64::MAX − 100 pushes lo's window R + J
+        // past u64; in u128 it spans two of hi's releases.
+        for period in [u64::MAX - 1, u64::MAX] {
+            let ts = TaskSet::from_tasks(vec![
+                resident("hi", period, 100),
+                resident("lo", u64::MAX, 300),
+            ]);
+            for mode in [SchedulerMode::Gated, SchedulerMode::WorkConserving] {
+                let out = rta_limited_preemption_with(&ts, &bare_platform(), mode);
+                assert!(out.schedulable, "period {period}: {out:?}");
+                assert_eq!(out.response_of(1), Some(cy(500)), "period {period}");
+            }
+        }
+    }
+
+    #[test]
+    fn oblivious_demand_past_u64_diverges_without_wrapping() {
+        // a alone needs twice its period, so b's iterate doubles until
+        // its demand overflows u64 long before its saturated cap.
+        let ts = TaskSet::from_tasks(vec![
+            SporadicTask::new(
+                "a",
+                cy(1_000),
+                cy(1_000),
+                vec![Segment::new(cy(2_000), 0)],
+                StagingMode::Resident,
+            )
+            .expect("valid"),
+            resident("b", u64::MAX, 10),
+        ]);
+        let out = rta_memory_oblivious(&ts, &bare_platform());
+        assert!(!out.schedulable);
+        assert_eq!(out.response_of(1), None);
     }
 
     #[test]

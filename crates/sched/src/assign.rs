@@ -7,11 +7,19 @@
 //!   bound depends on *which* tasks have higher priority (through their
 //!   occupancy and deadline-derived jitter) and on the lower-priority
 //!   tasks only through their maximum segment lengths — not on the
-//!   relative order within either group.
+//!   relative order within either group. The search tests each
+//!   candidate with that very per-task bound, with the tasks already
+//!   placed below it as its lower-priority group, so every order it
+//!   returns is one the analysis admits under the same
+//!   [`SchedulerMode`]. Under gated dispatch the search is optimal.
+//!   Under work-conserving dispatch a task moved up is blocked once per
+//!   resume point by the task it passed, which can outweigh the
+//!   interference it sheds, so the search may miss an order that
+//!   exists.
 
-use rtmdm_mcusim::PlatformConfig;
+use rtmdm_mcusim::{Cycles, PlatformConfig};
 
-use crate::analysis::rta_limited_preemption;
+use crate::analysis::{interferer, task_bound, Interferer, SchedulerMode, TaskTiming};
 use crate::task::TaskSet;
 
 /// Indices of tasks sorted rate-monotonically (shortest period first,
@@ -37,19 +45,23 @@ pub fn dm_order(ts: &TaskSet) -> Vec<usize> {
 }
 
 /// Audsley's optimal priority assignment using
-/// [`rta_limited_preemption`] as the schedulability oracle.
+/// [`rta_limited_preemption_with`](crate::analysis::rta_limited_preemption_with) under `mode` as the schedulability
+/// oracle.
 ///
 /// Returns `Some(order)` — where `order[p]` is the original index of the
 /// task assigned priority `p` (0 highest) — if an assignment exists
 /// under which the analysis deems every task schedulable, `None`
 /// otherwise. The returned order is deterministic (lowest original
-/// index wins ties at each level).
+/// index wins ties at each level). Each candidate is tested with the
+/// exact bound the analysis computes for it in the final order: the
+/// other unassigned tasks above it, the tasks already placed below it.
 ///
 /// # Examples
 ///
 /// ```rust
 /// use rtmdm_mcusim::{Cycles, PlatformConfig};
 /// use rtmdm_sched::{Segment, SporadicTask, StagingMode, TaskSet};
+/// use rtmdm_sched::analysis::SchedulerMode;
 /// use rtmdm_sched::assign::audsley;
 ///
 /// # fn main() -> Result<(), rtmdm_sched::TaskError> {
@@ -58,57 +70,41 @@ pub fn dm_order(ts: &TaskSet) -> Vec<usize> {
 ///     vec![rtmdm_sched::Segment::new(Cycles::new(c), 0)],
 ///     StagingMode::Resident,
 /// );
-/// let ts = TaskSet::from_tasks(vec![mk("slow", 10_000, 900)?, mk("fast", 1_000, 90)?]);
-/// let order = audsley(&ts, &PlatformConfig::ideal_sram()).expect("schedulable");
+/// let ts = TaskSet::from_tasks(vec![mk("slow", 10_000, 900)?, mk("fast", 2_000, 90)?]);
+/// let order = audsley(&ts, &PlatformConfig::ideal_sram(), SchedulerMode::Gated)
+///     .expect("schedulable");
 /// // "fast" (original index 1) must get the top priority.
 /// assert_eq!(order, vec![1, 0]);
 /// # Ok(())
 /// # }
 /// ```
-pub fn audsley(ts: &TaskSet, platform: &PlatformConfig) -> Option<Vec<usize>> {
-    let n = ts.len();
-    let mut unassigned: Vec<usize> = (0..n).collect();
+pub fn audsley(ts: &TaskSet, platform: &PlatformConfig, mode: SchedulerMode) -> Option<Vec<usize>> {
+    let tasks = ts.tasks();
+    let timings: Vec<TaskTiming> = tasks
+        .iter()
+        .map(|t| TaskTiming::derive(t, platform))
+        .collect();
+    let interferers: Vec<Interferer> = tasks.iter().zip(&timings).map(interferer).collect();
+    let mut unassigned: Vec<usize> = (0..ts.len()).collect();
+    let mut lp_exec = Cycles::ZERO;
     // Fill priorities from the lowest level upward.
-    let mut order_rev: Vec<usize> = Vec::with_capacity(n);
+    let mut order_rev: Vec<usize> = Vec::with_capacity(ts.len());
     while !unassigned.is_empty() {
-        let mut placed = None;
-        for (pos, &cand) in unassigned.iter().enumerate() {
-            if feasible_at_lowest(ts, &unassigned, cand, platform) {
-                placed = Some(pos);
-                break;
-            }
-        }
-        let pos = placed?;
-        order_rev.push(unassigned.remove(pos));
+        let pos = unassigned.iter().position(|&cand| {
+            let hp: Vec<Interferer> = unassigned
+                .iter()
+                .filter(|&&j| j != cand)
+                .map(|&j| interferers[j])
+                .collect();
+            task_bound(&tasks[cand], &timings[cand], &hp, lp_exec, mode)
+                .is_some_and(|b| b.response <= tasks[cand].deadline)
+        })?;
+        let placed = unassigned.remove(pos);
+        lp_exec = lp_exec.max(timings[placed].max_exec_segment);
+        order_rev.push(placed);
     }
     order_rev.reverse();
     Some(order_rev)
-}
-
-/// Whether task `cand` meets its deadline at the lowest priority among
-/// `group` (all other group members strictly higher, in any order).
-fn feasible_at_lowest(
-    ts: &TaskSet,
-    group: &[usize],
-    cand: usize,
-    platform: &PlatformConfig,
-) -> bool {
-    // Build a task set: higher-priority members first (arbitrary
-    // internal order — the analysis is order-insensitive for them),
-    // candidate last.
-    let mut tasks: Vec<_> = group
-        .iter()
-        .filter(|&&i| i != cand)
-        .map(|&i| ts.tasks()[i].clone())
-        .collect();
-    tasks.push(ts.tasks()[cand].clone());
-    let subset = TaskSet::from_tasks(tasks);
-    let outcome = rta_limited_preemption(&subset, platform);
-    // Only the candidate's (last) bound matters at this level.
-    match outcome.response.last().copied().flatten() {
-        Some(r) => r <= ts.tasks()[cand].deadline,
-        None => false,
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +112,7 @@ mod tests {
     use super::*;
     use crate::analysis::rta_limited_preemption;
     use crate::task::{Segment, SporadicTask, StagingMode};
-    use rtmdm_mcusim::{ContentionModel, Cycles};
+    use rtmdm_mcusim::ContentionModel;
 
     fn cy(n: u64) -> Cycles {
         Cycles::new(n)
@@ -161,7 +157,7 @@ mod tests {
             t("slow", 10_000, 10_000, 900),
             t("fast", 1_000, 1_000, 90),
         ]);
-        let order = audsley(&ts, &bare_platform()).expect("schedulable");
+        let order = audsley(&ts, &bare_platform(), SchedulerMode::Gated).expect("schedulable");
         let reordered = ts.reordered(&order);
         assert!(rta_limited_preemption(&reordered, &bare_platform()).schedulable);
         assert_eq!(reordered.tasks()[0].name, "fast");
@@ -170,7 +166,7 @@ mod tests {
     #[test]
     fn audsley_returns_none_for_infeasible_sets() {
         let ts = TaskSet::from_tasks(vec![t("a", 100, 100, 80), t("b", 100, 100, 80)]);
-        assert_eq!(audsley(&ts, &bare_platform()), None);
+        assert_eq!(audsley(&ts, &bare_platform(), SchedulerMode::Gated), None);
     }
 
     #[test]
@@ -180,7 +176,7 @@ mod tests {
         let ts = TaskSet::from_tasks(vec![t("loose", 100, 100, 40), t("tight", 400, 50, 9)]);
         let rm = ts.reordered(&rm_order(&ts));
         let rm_ok = rta_limited_preemption(&rm, &bare_platform()).schedulable;
-        let opa = audsley(&ts, &bare_platform());
+        let opa = audsley(&ts, &bare_platform(), SchedulerMode::Gated);
         assert!(opa.is_some(), "OPA should find an order");
         assert!(!rm_ok, "RM should fail on this set");
     }
@@ -192,13 +188,16 @@ mod tests {
             t("b", 1000, 1000, 100),
             t("c", 1000, 1000, 100),
         ]);
-        let o1 = audsley(&ts, &bare_platform());
-        let o2 = audsley(&ts, &bare_platform());
+        let o1 = audsley(&ts, &bare_platform(), SchedulerMode::Gated);
+        let o2 = audsley(&ts, &bare_platform(), SchedulerMode::Gated);
         assert_eq!(o1, o2);
     }
 
     #[test]
     fn empty_set_yields_empty_order() {
-        assert_eq!(audsley(&TaskSet::new(), &bare_platform()), Some(vec![]));
+        assert_eq!(
+            audsley(&TaskSet::new(), &bare_platform(), SchedulerMode::Gated),
+            Some(vec![])
+        );
     }
 }

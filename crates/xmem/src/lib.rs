@@ -49,7 +49,7 @@ pub use arena::{AllocHandle, SramArena};
 pub use error::PlanError;
 pub use pipeline::{stage_timings, ExecutionStrategy, StageTiming};
 pub use plan::{
-    segment_model, segment_model_capped, segment_model_tiled, ModelSegmentation, SegmentPlan,
-    RUNTIME_RESERVE,
+    check_buffer_fits, segment_model, segment_model_capped, segment_model_tiled, ModelSegmentation,
+    SegmentPlan, RUNTIME_RESERVE,
 };
 pub use retry::{job_retry_budget, segments_retry_budget, RetryPolicy};

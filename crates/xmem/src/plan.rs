@@ -83,6 +83,35 @@ impl ModelSegmentation {
     }
 }
 
+/// Checks that every layer of `model` can be staged through a
+/// `buffer_bytes` fetch buffer, without running the cost model: the
+/// planner's own up-front check.
+///
+/// # Errors
+///
+/// - [`PlanError::ZeroBuffer`] if `buffer_bytes == 0`.
+/// - [`PlanError::LayerTooLarge`] for the first layer whose weights
+///   exceed the buffer.
+pub fn check_buffer_fits(model: &Model, buffer_bytes: u64) -> Result<(), PlanError> {
+    if buffer_bytes == 0 {
+        return Err(PlanError::ZeroBuffer);
+    }
+    match model
+        .nodes()
+        .iter()
+        .map(|node| &node.layer)
+        .find(|layer| layer.weight_bytes() > buffer_bytes)
+    {
+        Some(layer) => Err(PlanError::LayerTooLarge {
+            model: model.name().to_owned(),
+            layer: layer.name.clone(),
+            bytes: layer.weight_bytes(),
+            buffer_bytes,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Splits `model` into fetch segments for a `buffer_bytes` fetch buffer.
 ///
 /// The planner is greedy: it extends the current segment while the
@@ -137,9 +166,7 @@ pub fn segment_model_capped(
     buffer_bytes: u64,
     compute_cap: Option<Cycles>,
 ) -> Result<ModelSegmentation, PlanError> {
-    if buffer_bytes == 0 {
-        return Err(PlanError::ZeroBuffer);
-    }
+    check_buffer_fits(model, buffer_bytes)?;
     let costs = cost.model_cost(model);
 
     let mut segments: Vec<SegmentPlan> = Vec::new();
@@ -150,14 +177,6 @@ pub fn segment_model_capped(
 
     for (idx, layer_cost) in costs.layers.iter().enumerate() {
         let bytes = layer_cost.weight_bytes;
-        if bytes > buffer_bytes {
-            return Err(PlanError::LayerTooLarge {
-                model: model.name().to_owned(),
-                layer: layer_cost.name.clone(),
-                bytes,
-                buffer_bytes,
-            });
-        }
         let over_compute = compute_cap.is_some_and(|cap| acc_compute + layer_cost.compute > cap);
         if any_open && (acc_bytes + bytes > buffer_bytes || over_compute) {
             segments.push(SegmentPlan {

@@ -8,7 +8,7 @@
 
 use rt_mdm::core::report;
 use rt_mdm::mcusim::PlatformConfig;
-use rt_mdm::sched::analysis::rta_limited_preemption;
+use rt_mdm::sched::analysis::{rta_limited_preemption, SchedulerMode};
 use rt_mdm::sched::assign::{audsley, dm_order, rm_order};
 use rt_mdm::sched::gen::{generate, TasksetParams};
 use rt_mdm::sched::StagingMode;
@@ -36,7 +36,7 @@ fn main() {
             if rta_limited_preemption(&dm, &platform).schedulable {
                 wins[1] += 1;
             }
-            if audsley(&ts, &platform).is_some() {
+            if audsley(&ts, &platform, SchedulerMode::Gated).is_some() {
                 wins[2] += 1;
             }
         }

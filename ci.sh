@@ -287,6 +287,20 @@ grep -q '"id":"c9".*"verdict":"reject"' "$serve_out" || {
   echo "serve smoke: line c9 did not reject" >&2; exit 1; }
 [[ "$(sed -n 4p "$serve_out")" == '{"schema":"rtmdm-serve/1","id":"'"$long_id"'","ok":true,"verdict":"admit"'* ]] || {
   echo "serve smoke: long-id line was not answered with its id" >&2; exit 1; }
+# A 1 µs deadline derives a compute cap of a few cycles. Tiling counts
+# its slices before allocating and refuses past its limit, so one such
+# task, and four, are each rejected within a 256 MiB address space.
+tiny='"period_us":1,"deadline_us":1'
+tiny_one='{"id":"s1","platform":"cortex-m4-lowend","tasks":[{"name":"t1","model":"mobilenet-v1-025",'"$tiny"'}]}'
+tiny_four='{"id":"s4","platform":"cortex-m4-lowend","tasks":[{"name":"t1","model":"mobilenet-v1-025",'"$tiny"'},{"name":"t2","model":"resnet8",'"$tiny"'},{"name":"t3","model":"ds-cnn",'"$tiny"'},{"name":"t4","model":"autoencoder",'"$tiny"'}]}'
+for line in "$tiny_one" "$tiny_four"; do
+  printf '%s\n' "$line" > "$serve_in"
+  (ulimit -v 262144; timeout 10 ./target/release/rtmdm serve --once --input "$serve_in") \
+    > "$serve_out" || {
+    echo "serve smoke: tiny-deadline line failed or timed out" >&2; exit 1; }
+  [[ "$(grep -c '"verdict":"reject"' "$serve_out")" -eq 1 ]] || {
+    echo "serve smoke: tiny-deadline line was not rejected" >&2; exit 1; }
+done
 rm -f "$serve_in" "$serve_out" "$serve_out2"
 
 echo "== rtbench self-tests and workload smokes =="

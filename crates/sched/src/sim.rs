@@ -55,7 +55,7 @@ use rtmdm_mcusim::{
 };
 use rtmdm_obs::Histogram;
 
-use crate::script::{ChoicePoint, SimOracle, StableHash, StateHash};
+use crate::script::{Choice, ChoicePoint, SimOracle, StableHash, StateHash};
 use crate::task::{MissPolicy, StagingMode, TaskSet};
 
 /// Scheduling policy of the CPU (and the DMA request queue).
@@ -162,23 +162,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_fault(mut self, fault: FaultPlan) -> Self {
         self.fault = fault;
-        self
-    }
-
-    /// Enables or disables causal-attribution anchor events (builder
-    /// style; see [`SimConfig::attribution`]).
-    #[must_use]
-    pub fn with_attribution(mut self, attribution: bool) -> Self {
-        self.attribution = attribution;
-        self
-    }
-
-    /// Overrides the staging-window width (builder style; see
-    /// [`SimConfig::staging_window`]). Widths other than 2 are for
-    /// directed race-reachability experiments only.
-    #[must_use]
-    pub fn with_staging_window(mut self, window: u32) -> Self {
-        self.staging_window = window;
         self
     }
 }
@@ -395,8 +378,11 @@ struct CpuExec {
     nominal: Cycles,
 }
 
+/// One DMA transfer, queued or on the channel. A suspended transfer
+/// returns to the queue as it stands, so preemption never discards
+/// partial work.
 #[derive(Debug, Clone, Copy)]
-struct DmaExec {
+struct Transfer {
     task: usize,
     seg: usize,
     /// Owning job, so fault decisions are keyed to the exact transfer
@@ -411,52 +397,71 @@ struct DmaExec {
     credit: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct DmaRequest {
-    task: usize,
-    seg: usize,
-    /// Owning job (see [`DmaExec::job`]).
-    job: u64,
-    /// 0-based retry attempt of this transfer.
-    attempt: u32,
-    work: Cycles,
-    deadline: Cycles, // EDF key
-    /// Progress credit preserved when an in-flight transfer is
-    /// suspended, so preemption never discards partial work.
-    credit: u64,
+impl Transfer {
+    /// Mixes every word of the transfer after its task index into a
+    /// state fingerprint.
+    fn mix_after_task(&self, h: &mut StableHash) {
+        h.mix(self.seg as u64);
+        h.mix(self.job);
+        h.mix(u64::from(self.attempt));
+        h.mix(self.remaining.get());
+        h.mix(self.deadline.get());
+        h.mix(self.credit);
+    }
+}
+
+/// The simulator's dynamic state: everything a [`SimSnapshot`] restores
+/// and nothing else. The trace, the RNG, the stateless fault injector
+/// and the oracle with its query count stay in `Sim`; [`SimSnapshot`]
+/// says how a resume recovers the trace and the query position.
+///
+/// The fingerprint ([`State::oracle_state_hash`]) covers every field
+/// that decides future behavior and leaves four out:
+/// - `stats`, `metrics` and `races` record the past: no dispatch, fetch
+///   or choice point reads them.
+/// - `idle_open` only decides whether the next idle stretch emits a
+///   fresh [`TraceKind::CpuIdle`] marker, never a dispatch, a stat or a
+///   metric.
+///
+/// Equal fingerprints therefore still imply identical future schedules.
+#[derive(Debug, Clone)]
+struct State {
+    now: Cycles,
+    events: EventQueue<TimedEvent>,
+    tasks: Vec<TaskState>,
+    cpu: Option<CpuExec>,
+    dma: Option<Transfer>,
+    dma_queue: Vec<Transfer>,
+    last_cpu_task: Option<usize>,
+    stats: Vec<TaskStats>,
+    metrics: SimMetrics,
+    /// Whether a [`TraceKind::CpuIdle`] is open (no `CpuIdleEnd` yet).
+    idle_open: bool,
+    /// Staging-race observations (see [`StagingRace`]).
+    races: Vec<StagingRace>,
 }
 
 /// A resumable mid-run image of the simulator, captured at an instant
 /// boundary (loop top, before the clock advances into the instant).
 ///
-/// A snapshot holds everything that determines future behavior — the
-/// pending-event heap, both resource slots with their sub-cycle
-/// credits, per-task job queues, the staging request queue,
-/// stats/metrics accumulators — plus the *position* of the run
-/// at capture: how many oracle queries were answered and how many trace
-/// events were emitted before the captured instant. The trace itself is
-/// not copied per snapshot: traces are append-only, so every snapshot
-/// of a run shares one `Arc` of the finished trace and a resume
-/// truncates it back to the captured length
+/// A snapshot is one `State` — the pending-event heap, both resource
+/// slots with their sub-cycle credits, per-task job queues, the staging
+/// request queue, stats/metrics accumulators — plus the *position* of
+/// the run at capture: how many oracle queries were answered and how
+/// many trace events were emitted before the captured instant. The
+/// trace itself is not copied per snapshot: traces are append-only, so
+/// every snapshot of a run shares one `Arc` of the finished trace and a
+/// resume truncates it back to the captured length
 /// ([`Trace::truncated`]).
 ///
 /// Deliberately **excluded** is the RNG, which is never consulted in
-/// oracle mode (the only mode snapshots exist in). A run resumed from a
-/// snapshot is byte-identical to the run that captured it, including
-/// the oracle fingerprint sequence (pinned by tests).
+/// oracle mode (the only mode snapshots exist in); the fault injector
+/// is stateless. A run resumed from a snapshot is byte-identical to the
+/// run that captured it, including the oracle fingerprint sequence
+/// (pinned by tests).
 #[derive(Debug, Clone)]
 pub struct SimSnapshot {
-    now: Cycles,
-    idle_open: bool,
-    last_cpu_task: Option<usize>,
-    cpu: Option<CpuExec>,
-    dma: Option<DmaExec>,
-    dma_queue: Vec<DmaRequest>,
-    tasks: Vec<TaskState>,
-    events: EventQueue<TimedEvent>,
-    stats: Vec<TaskStats>,
-    metrics: SimMetrics,
-    races: Vec<StagingRace>,
+    state: State,
     trace_len: usize,
     queries_before: usize,
     /// The capturing run's full trace, attached once when that run
@@ -476,7 +481,7 @@ impl SimSnapshot {
     /// The instant the snapshot was captured at (the boundary *before*
     /// this instant is processed).
     pub fn instant(&self) -> Cycles {
-        self.now
+        self.state.now
     }
 
     /// Approximate heap footprint of the snapshot in bytes — the cost
@@ -485,21 +490,22 @@ impl SimSnapshot {
     /// a pointer, not as the trace.
     pub fn size_hint(&self) -> usize {
         use std::mem::size_of;
-        let jobs: usize = self.tasks.iter().map(|t| t.jobs.len()).sum();
-        let seg_cycles: usize = self
+        let s = &self.state;
+        let jobs: usize = s.tasks.iter().map(|t| t.jobs.len()).sum();
+        let seg_cycles: usize = s
             .tasks
             .iter()
             .flat_map(|t| t.jobs.iter())
             .map(|j| j.seg_compute.len())
             .sum();
         size_of::<SimSnapshot>()
-            + self.tasks.len() * size_of::<TaskState>()
+            + s.tasks.len() * size_of::<TaskState>()
             + jobs * size_of::<Job>()
             + seg_cycles * size_of::<Cycles>()
-            + self.events.len() * (size_of::<TimedEvent>() + 2 * size_of::<u64>())
-            + self.dma_queue.len() * size_of::<DmaRequest>()
-            + self.stats.len() * size_of::<TaskStats>()
-            + self.races.len() * size_of::<StagingRace>()
+            + s.events.len() * (size_of::<TimedEvent>() + 2 * size_of::<u64>())
+            + s.dma_queue.len() * size_of::<Transfer>()
+            + s.stats.len() * size_of::<TaskStats>()
+            + s.races.len() * size_of::<StagingRace>()
     }
 }
 
@@ -507,18 +513,8 @@ struct Sim<'a> {
     ts: &'a TaskSet,
     platform: &'a PlatformConfig,
     config: &'a SimConfig,
-    now: Cycles,
-    events: EventQueue<TimedEvent>,
-    tasks: Vec<TaskState>,
-    cpu: Option<CpuExec>,
-    dma: Option<DmaExec>,
-    dma_queue: Vec<DmaRequest>,
-    last_cpu_task: Option<usize>,
+    state: State,
     trace: Trace,
-    stats: Vec<TaskStats>,
-    metrics: SimMetrics,
-    /// Whether a [`TraceKind::CpuIdle`] is open (no `CpuIdleEnd` yet).
-    idle_open: bool,
     rng: StdRng,
     /// Fault decisions for DMA transfers; inactive injectors answer
     /// every query with a constant zero and touch no RNG.
@@ -527,8 +523,6 @@ struct Sim<'a> {
     /// the RNG or the injector — answers every nondeterministic
     /// question, and the run consults no RNG at all.
     oracle: Option<&'a mut dyn SimOracle>,
-    /// Staging-race observations (see [`StagingRace`]).
-    races: Vec<StagingRace>,
     /// Oracle queries answered so far in *this* run (resumed runs count
     /// from the snapshot, not from time zero). Positions snapshots
     /// relative to the choice sequence.
@@ -551,35 +545,34 @@ impl<'a> Sim<'a> {
         oracle: Option<&'a mut dyn SimOracle>,
         capture: Option<&'a mut Vec<SimSnapshot>>,
     ) -> Sim<'a> {
+        let task = TaskState {
+            jobs: std::collections::VecDeque::new(),
+            next_release: Cycles::ZERO,
+            released: 0,
+            skip_next: false,
+            wait_open: None,
+        };
         Sim {
             ts,
             platform,
             config,
-            now: Cycles::ZERO,
-            events: EventQueue::new(),
-            tasks: ts
-                .tasks()
-                .iter()
-                .map(|_| TaskState {
-                    jobs: std::collections::VecDeque::new(),
-                    next_release: Cycles::ZERO,
-                    released: 0,
-                    skip_next: false,
-                    wait_open: None,
-                })
-                .collect(),
-            cpu: None,
-            dma: None,
-            dma_queue: Vec::new(),
-            last_cpu_task: None,
+            state: State {
+                now: Cycles::ZERO,
+                events: EventQueue::new(),
+                tasks: vec![task; ts.len()],
+                cpu: None,
+                dma: None,
+                dma_queue: Vec::new(),
+                last_cpu_task: None,
+                stats: vec![TaskStats::default(); ts.len()],
+                metrics: SimMetrics::default(),
+                idle_open: false,
+                races: Vec::new(),
+            },
             trace: Trace::new(),
-            stats: vec![TaskStats::default(); ts.len()],
-            metrics: SimMetrics::default(),
-            idle_open: false,
             rng: StdRng::seed_from_u64(config.seed),
             injector: FaultInjector::new(config.fault),
             oracle,
-            races: Vec::new(),
             queries: 0,
             capture,
             pending_walk: Vec::new(),
@@ -694,9 +687,9 @@ fn run_sim<'a>(
     let result = SimResult {
         trace: sim.trace,
         horizon: config.horizon,
-        stats: sim.stats,
-        metrics: sim.metrics,
-        races: sim.races,
+        stats: sim.state.stats,
+        metrics: sim.state.metrics,
+        races: sim.state.races,
     };
     // Finalize this run's snapshots: all of them share one Arc of the
     // finished trace, from which a resume copies back its prefix.
@@ -784,20 +777,49 @@ fn contended_progress(delta: Cycles, inflation_ppm: u32, credit: &mut u64) -> Cy
     Cycles::new(u64::try_from(retired).expect("retired work overflow"))
 }
 
-/// Wall cycles until `remaining` work retires at the contended rate,
-/// given accumulated `credit`. With zero credit this equals
+/// Wall cycles until one resource's `remaining` work retires, given
+/// its accumulated `credit`: one work cycle per wall cycle while it
+/// runs alone, or at the contended rate `inflation_ppm` (`Some` while
+/// both masters are busy). With zero credit the contended figure equals
 /// `ContentionModel::inflate_cpu`/`inflate_dma` of the remaining work.
-fn contended_eta(remaining: Cycles, inflation_ppm: u32, credit: u64) -> Cycles {
+fn finish_after(remaining: Cycles, credit: u64, inflation_ppm: Option<u32>) -> Cycles {
+    let Some(inflation_ppm) = inflation_ppm else {
+        return remaining;
+    };
     let den = u128::from(PPM) + u128::from(inflation_ppm);
     let need = (u128::from(remaining.get()) * den).saturating_sub(u128::from(credit));
     Cycles::new(u64::try_from(need.div_ceil(u128::from(PPM))).expect("eta overflow"))
+}
+
+/// Settles `delta` wall cycles of one resource's work at the rate
+/// [`finish_after`] assumes and returns its contention stall: the wall
+/// cycles that retired no work. `finishes` marks an interval ending at
+/// the resource's finish instant, which retires exactly the remaining
+/// work; any other interval retires less (see `Sim::settle_interval`).
+fn settle_work(
+    remaining: &mut Cycles,
+    credit: &mut u64,
+    inflation_ppm: Option<u32>,
+    delta: Cycles,
+    finishes: bool,
+) -> Cycles {
+    let done = if finishes {
+        debug_assert!(delta >= *remaining, "finish estimate below remaining");
+        *remaining
+    } else {
+        let done = inflation_ppm.map_or(delta, |i| contended_progress(delta, i, credit));
+        debug_assert!(done < *remaining, "undetected completion");
+        done
+    };
+    *remaining = remaining.saturating_sub(done);
+    delta.saturating_sub(done)
 }
 
 impl Sim<'_> {
     /// Enqueues a timer event. The queue is FIFO among same-instant
     /// events, so every handler side effect happens in a fixed order.
     fn schedule(&mut self, time: Cycles, ev: TimedEvent) {
-        self.events.push(time, ev);
+        self.state.events.push(time, ev);
     }
 
     fn handle_timed(&mut self, ev: TimedEvent) {
@@ -823,9 +845,15 @@ impl Sim<'_> {
     fn run(&mut self) {
         let mut end = self.config.horizon;
         loop {
-            let cpu_fin = self.cpu_finish_estimate();
-            let dma_fin = self.dma_finish_estimate();
-            let timed = self.events.peek_time();
+            let (cpu_rate, dma_rate) = self.inflation();
+            let s = &self.state;
+            let cpu_fin = s
+                .cpu
+                .map(|c| s.now + finish_after(c.remaining, c.credit, cpu_rate));
+            let dma_fin = s
+                .dma
+                .map(|d| s.now + finish_after(d.remaining, d.credit, dma_rate));
+            let timed = s.events.peek_time();
             let next = [cpu_fin, dma_fin, timed].into_iter().flatten().min();
             let Some(next) = next else {
                 // No events left (e.g. an empty task set): the CPU is
@@ -837,23 +865,23 @@ impl Sim<'_> {
                 // Account the tail [now, horizon) — resources may still
                 // be busy — without processing the past-horizon event.
                 self.settle_interval(self.config.horizon, cpu_fin, dma_fin);
-                self.now = self.config.horizon;
+                self.state.now = self.config.horizon;
                 break;
             }
             if self.capture.is_some() && self.may_query_at(next, dma_fin == Some(next)) {
                 self.capture_snapshot();
             }
             self.settle_interval(next, cpu_fin, dma_fin);
-            self.now = next;
+            self.state.now = next;
 
-            if self.dma.is_some_and(|d| d.remaining.is_zero()) {
+            if self.state.dma.is_some_and(|d| d.remaining.is_zero()) {
                 self.complete_dma();
             }
-            if self.cpu.is_some_and(|c| c.remaining.is_zero()) {
+            if self.state.cpu.is_some_and(|c| c.remaining.is_zero()) {
                 self.complete_cpu_segment();
             }
-            while self.events.peek_time() == Some(self.now) {
-                let (_, ev) = self.events.pop().expect("peeked");
+            while self.state.events.peek_time() == Some(self.state.now) {
+                let (_, ev) = self.state.events.pop().expect("peeked");
                 self.handle_timed(ev);
             }
             self.dispatch_dma();
@@ -864,14 +892,14 @@ impl Sim<'_> {
                 .as_deref()
                 .is_some_and(|o| o.stop_after_instant())
             {
-                end = self.now;
+                end = self.state.now;
                 break;
             }
         }
         // Exact partition of the covered span (the horizon, unless the
         // oracle stopped the run) — the headline invariant every derived
         // utilization figure rests on.
-        self.metrics.cpu_idle_cycles = end.saturating_sub(self.metrics.cpu_busy_cycles);
+        self.state.metrics.cpu_idle_cycles = end.saturating_sub(self.state.metrics.cpu_busy_cycles);
     }
 
     /// Whether the instant `t` the loop is about to process can reach
@@ -882,15 +910,17 @@ impl Sim<'_> {
     /// superfluous snapshot costs memory, never correctness — and the
     /// check is an O(pending) heap scan with no allocation.
     fn may_query_at(&self, t: Cycles, dma_done: bool) -> bool {
+        let fault = &self.config.fault;
         if dma_done
-            && self.config.fault.dma_fault_rate_ppm > 0
+            && fault.dma_fault_rate_ppm > 0
             && self
+                .state
                 .dma
-                .is_some_and(|d| d.attempt < self.config.fault.max_retries)
+                .is_some_and(|d| d.attempt < fault.max_retries)
         {
             return true;
         }
-        self.events.any_at(t, |ev| {
+        self.state.events.any_at(t, |ev| {
             matches!(
                 ev,
                 TimedEvent::Release(_) | TimedEvent::JitteredRelease { .. }
@@ -904,17 +934,7 @@ impl Sim<'_> {
     /// to `now` and re-enterable.
     fn capture_snapshot(&mut self) {
         let snap = SimSnapshot {
-            now: self.now,
-            idle_open: self.idle_open,
-            last_cpu_task: self.last_cpu_task,
-            cpu: self.cpu,
-            dma: self.dma,
-            dma_queue: self.dma_queue.clone(),
-            tasks: self.tasks.clone(),
-            events: self.events.clone(),
-            stats: self.stats.clone(),
-            metrics: self.metrics,
-            races: self.races.clone(),
+            state: self.state.clone(),
             trace_len: self.trace.len(),
             queries_before: self.queries,
             trace_src: None,
@@ -925,23 +945,13 @@ impl Sim<'_> {
             .push(snap);
     }
 
-    /// Re-enters a captured instant boundary: every field is restored
-    /// and the trace is truncated back to the captured prefix. The
-    /// event heap clone preserves its FIFO sequence counter, so events
-    /// pushed after the resume tie-break exactly as they did in the
-    /// capturing run.
+    /// Re-enters a captured instant boundary: the state is restored
+    /// whole and the trace is truncated back to the captured prefix.
+    /// The event heap clone preserves its FIFO sequence counter, so
+    /// events pushed after the resume tie-break exactly as they did in
+    /// the capturing run.
     fn restore(&mut self, snap: &SimSnapshot) {
-        self.now = snap.now;
-        self.idle_open = snap.idle_open;
-        self.last_cpu_task = snap.last_cpu_task;
-        self.cpu = snap.cpu;
-        self.dma = snap.dma;
-        self.dma_queue = snap.dma_queue.clone();
-        self.tasks = snap.tasks.clone();
-        self.events = snap.events.clone();
-        self.stats = snap.stats.clone();
-        self.metrics = snap.metrics;
-        self.races = snap.races.clone();
+        self.state = snap.state.clone();
         self.trace = snap
             .trace_src
             .as_ref()
@@ -954,44 +964,24 @@ impl Sim<'_> {
     /// emitted by `dispatch_cpu`; a trace can therefore end mid-idle,
     /// and consumers clamp the open interval at the horizon.
     fn note_cpu_idle(&mut self) {
-        if self.cpu.is_none() && !self.idle_open && self.now < self.config.horizon {
-            self.idle_open = true;
-            self.trace.push(self.now, TraceKind::CpuIdle);
+        if self.state.cpu.is_none() && !self.state.idle_open && self.state.now < self.config.horizon
+        {
+            self.state.idle_open = true;
+            self.trace.push(self.state.now, TraceKind::CpuIdle);
         }
     }
 
     // --- time advancement -------------------------------------------------
 
-    fn both_busy(&self) -> bool {
-        self.cpu.is_some() && self.dma.is_some()
-    }
-
-    fn cpu_finish_estimate(&self) -> Option<Cycles> {
-        let c = self.cpu?;
-        let dur = if self.both_busy() {
-            contended_eta(
-                c.remaining,
-                self.platform.contention.cpu_inflation_ppm,
-                c.credit,
-            )
-        } else {
-            c.remaining
-        };
-        Some(self.now + dur)
-    }
-
-    fn dma_finish_estimate(&self) -> Option<Cycles> {
-        let d = self.dma?;
-        let dur = if self.both_busy() {
-            contended_eta(
-                d.remaining,
-                self.platform.contention.dma_inflation_ppm,
-                d.credit,
-            )
-        } else {
-            d.remaining
-        };
-        Some(self.now + dur)
+    /// Each resource's contended rate: `Some` only while both masters
+    /// are busy.
+    fn inflation(&self) -> (Option<u32>, Option<u32>) {
+        let c = &self.platform.contention;
+        let both = self.state.cpu.is_some() && self.state.dma.is_some();
+        (
+            both.then_some(c.cpu_inflation_ppm),
+            both.then_some(c.dma_inflation_ppm),
+        )
     }
 
     /// Settles the interval `[now, to]`: charges busy wall time, retires
@@ -1017,65 +1007,31 @@ impl Sim<'_> {
     /// any future violation into a loud failure instead of a silent
     /// undercount.
     fn settle_interval(&mut self, to: Cycles, cpu_fin: Option<Cycles>, dma_fin: Option<Cycles>) {
-        debug_assert!(to >= self.now, "settlement must move forward");
-        let delta = to.saturating_sub(self.now);
+        debug_assert!(to >= self.state.now, "settlement must move forward");
+        let delta = to.saturating_sub(self.state.now);
         if delta.is_zero() {
             return;
         }
         debug_assert!(
-            self.cpu.is_none() || cpu_fin.is_some_and(|f| f >= to),
+            self.state.cpu.is_none() || cpu_fin.is_some_and(|f| f >= to),
             "CPU would finish strictly inside a settled interval"
         );
         debug_assert!(
-            self.dma.is_none() || dma_fin.is_some_and(|f| f >= to),
+            self.state.dma.is_none() || dma_fin.is_some_and(|f| f >= to),
             "DMA would finish strictly inside a settled interval"
         );
-        let both = self.both_busy();
-        let cpu_inflation = self.platform.contention.cpu_inflation_ppm;
-        let dma_inflation = self.platform.contention.dma_inflation_ppm;
-        if let Some(c) = self.cpu.as_mut() {
-            self.metrics.cpu_busy_cycles += delta;
-            if cpu_fin == Some(to) {
-                // The interval retires exactly the remaining work; the
-                // surplus wall time is contention stall.
-                debug_assert!(delta >= c.remaining, "finish estimate below remaining");
-                if both {
-                    self.metrics.cpu_stall_cycles += delta.saturating_sub(c.remaining);
-                }
-                c.remaining = Cycles::ZERO;
-            } else {
-                let done = if both {
-                    contended_progress(delta, cpu_inflation, &mut c.credit)
-                } else {
-                    delta
-                };
-                debug_assert!(done < c.remaining, "undetected CPU completion");
-                if both {
-                    self.metrics.cpu_stall_cycles += delta.saturating_sub(done);
-                }
-                c.remaining = c.remaining.saturating_sub(done);
-            }
+        let (cpu_rate, dma_rate) = self.inflation();
+        let (cpu_done, dma_done) = (cpu_fin == Some(to), dma_fin == Some(to));
+        let s = &mut self.state;
+        if let Some(c) = s.cpu.as_mut() {
+            let stall = settle_work(&mut c.remaining, &mut c.credit, cpu_rate, delta, cpu_done);
+            s.metrics.cpu_busy_cycles += delta;
+            s.metrics.cpu_stall_cycles += stall;
         }
-        if let Some(d) = self.dma.as_mut() {
-            self.metrics.dma_busy_cycles += delta;
-            if dma_fin == Some(to) {
-                debug_assert!(delta >= d.remaining, "finish estimate below remaining");
-                if both {
-                    self.metrics.dma_stall_cycles += delta.saturating_sub(d.remaining);
-                }
-                d.remaining = Cycles::ZERO;
-            } else {
-                let done = if both {
-                    contended_progress(delta, dma_inflation, &mut d.credit)
-                } else {
-                    delta
-                };
-                debug_assert!(done < d.remaining, "undetected DMA completion");
-                if both {
-                    self.metrics.dma_stall_cycles += delta.saturating_sub(done);
-                }
-                d.remaining = d.remaining.saturating_sub(done);
-            }
+        if let Some(d) = s.dma.as_mut() {
+            let stall = settle_work(&mut d.remaining, &mut d.credit, dma_rate, delta, dma_done);
+            s.metrics.dma_busy_cycles += delta;
+            s.metrics.dma_stall_cycles += stall;
         }
     }
 
@@ -1083,7 +1039,7 @@ impl Sim<'_> {
 
     fn release(&mut self, task_idx: usize) {
         let task = &self.ts.tasks()[task_idx];
-        let state = &mut self.tasks[task_idx];
+        let state = &mut self.state.tasks[task_idx];
         let release = state.next_release;
         // A deadline past the horizon — or past `u64` cycles — would not
         // get its full window.
@@ -1107,11 +1063,11 @@ impl Sim<'_> {
             // advances — only the job itself never enters the system.
             state.skip_next = false;
             let next_release = state.next_release;
-            self.stats[task_idx].releases += 1;
-            self.stats[task_idx].shed += 1;
-            self.metrics.shed_jobs += 1;
+            self.state.stats[task_idx].releases += 1;
+            self.state.stats[task_idx].shed += 1;
+            self.state.metrics.shed_jobs += 1;
             self.trace.push(
-                self.now,
+                self.state.now,
                 TraceKind::ReleaseShed {
                     task: TaskId(task_idx),
                     job: JobId(id),
@@ -1125,24 +1081,17 @@ impl Sim<'_> {
         // strictly periodic, so none of this path exists for them and
         // their event order is untouched.
         if self.oracle.is_some() {
-            let state = self.oracle_state_hash();
             let point = ChoicePoint::ReleaseJitter {
                 task: task_idx,
                 job: id,
             };
-            self.queries += 1;
-            let jitter = self
-                .oracle
-                .as_deref_mut()
-                .expect("oracle checked above")
-                .choose(point, state)
-                .release_jitter_or_zero();
+            let jitter = self.ask(point).release_jitter_or_zero();
             // Clamp the entry instant into the horizon so the jittered
             // event is always processed (a past-horizon entry would
             // silently drop the job and its deadline check with it).
             let jitter = jitter.min(self.config.horizon.saturating_sub(release));
             if !jitter.is_zero() {
-                let next_release = self.tasks[task_idx].next_release;
+                let next_release = self.state.tasks[task_idx].next_release;
                 self.schedule(
                     release + jitter,
                     TimedEvent::JitteredRelease {
@@ -1162,7 +1111,7 @@ impl Sim<'_> {
     /// drawn (RNG, or the oracle when attached), the job joins its
     /// task's queue, and its deadline check is scheduled. `release` is
     /// the *nominal* release instant — under oracle-drawn jitter the
-    /// entry instant `self.now` is later, while the deadline (and the
+    /// entry instant `now` is later, while the deadline (and the
     /// response-time accounting) stays anchored at the nominal release.
     /// `schedule_next` preserves the original event order of the
     /// unjittered path, where the next periodic release is scheduled
@@ -1179,19 +1128,12 @@ impl Sim<'_> {
             PPM
         } else if self.oracle.is_some() {
             let min_ppm = self.config.exec_scale_min_ppm;
-            let state = self.oracle_state_hash();
             let point = ChoicePoint::ExecScale {
                 task: task_idx,
                 job: id,
                 min_ppm,
             };
-            self.queries += 1;
-            self.oracle
-                .as_deref_mut()
-                .expect("oracle checked above")
-                .choose(point, state)
-                .exec_scale_or(PPM)
-                .clamp(min_ppm, PPM)
+            self.ask(point).exec_scale_or(PPM).clamp(min_ppm, PPM)
         } else {
             self.rng.gen_range(self.config.exec_scale_min_ppm..=PPM)
         };
@@ -1209,7 +1151,7 @@ impl Sim<'_> {
             StagingMode::Resident => n,
             StagingMode::Overlapped => 0,
         };
-        let state = &mut self.tasks[task_idx];
+        let state = &mut self.state.tasks[task_idx];
         state.jobs.push_back(Job {
             id,
             release,
@@ -1222,9 +1164,9 @@ impl Sim<'_> {
             abort_pending: false,
         });
         let next_release = state.next_release;
-        self.stats[task_idx].releases += 1;
+        self.state.stats[task_idx].releases += 1;
         self.trace.push(
-            self.now,
+            self.state.now,
             TraceKind::JobReleased {
                 task: TaskId(task_idx),
                 job: JobId(id),
@@ -1236,7 +1178,7 @@ impl Sim<'_> {
         // it in the past would silently drop the miss. Identical to
         // `abs_deadline` on the unjittered path, where `now == release`.
         self.schedule(
-            abs_deadline.max(self.now),
+            abs_deadline.max(self.state.now),
             TimedEvent::DeadlineCheck(task_idx, id),
         );
         if schedule_next {
@@ -1246,7 +1188,7 @@ impl Sim<'_> {
         // Kick off the first fetch of the *head* job only; queued-behind
         // jobs start fetching when they reach the head.
         self.maybe_request_fetch(task_idx);
-        if self.tasks[task_idx].jobs.len() == 1 {
+        if self.state.tasks[task_idx].jobs.len() == 1 {
             // The released job became the head; a queued-behind job is
             // accounted when it surfaces (see `complete_cpu_segment`).
             self.note_leadin_block(task_idx);
@@ -1263,12 +1205,12 @@ impl Sim<'_> {
         if self.ts.tasks()[task_idx].mode != StagingMode::Overlapped {
             return;
         }
-        if self.tasks[task_idx]
+        if self.state.tasks[task_idx]
             .jobs
             .front()
             .is_some_and(|j| j.next_seg == 0 && j.staged == 0)
         {
-            self.metrics.blocking_fetches += 1;
+            self.state.metrics.blocking_fetches += 1;
         }
     }
 
@@ -1285,17 +1227,17 @@ impl Sim<'_> {
         if !self.config.attribution {
             return;
         }
-        let want = self.tasks[task_idx].jobs.front().and_then(|j| {
+        let want = self.state.tasks[task_idx].jobs.front().and_then(|j| {
             (j.next_seg < j.seg_compute.len() && j.staged <= j.next_seg)
                 .then_some((j.id, j.next_seg))
         });
-        let open = self.tasks[task_idx].wait_open;
+        let open = self.state.tasks[task_idx].wait_open;
         if open == want {
             return;
         }
         if let Some((job, seg)) = open {
             self.trace.push(
-                self.now,
+                self.state.now,
                 TraceKind::FetchWaitEnded {
                     task: TaskId(task_idx),
                     job: JobId(job),
@@ -1305,7 +1247,7 @@ impl Sim<'_> {
         }
         if let Some((job, seg)) = want {
             self.trace.push(
-                self.now,
+                self.state.now,
                 TraceKind::FetchWaitBegan {
                     task: TaskId(task_idx),
                     job: JobId(job),
@@ -1313,25 +1255,25 @@ impl Sim<'_> {
                 },
             );
         }
-        self.tasks[task_idx].wait_open = want;
+        self.state.tasks[task_idx].wait_open = want;
     }
 
     fn deadline_check(&mut self, task_idx: usize, job_id: u64) {
-        let Some(pos) = self.tasks[task_idx]
+        let Some(pos) = self.state.tasks[task_idx]
             .jobs
             .iter()
             .position(|j| j.id == job_id)
         else {
             return; // already completed
         };
-        let job = &mut self.tasks[task_idx].jobs[pos];
+        let job = &mut self.state.tasks[task_idx].jobs[pos];
         if job.miss_recorded {
             return;
         }
         job.miss_recorded = true;
-        self.stats[task_idx].misses += 1;
+        self.state.stats[task_idx].misses += 1;
         self.trace.push(
-            self.now,
+            self.state.now,
             TraceKind::DeadlineMissed {
                 task: TaskId(task_idx),
                 job: JobId(job_id),
@@ -1340,14 +1282,14 @@ impl Sim<'_> {
         match self.ts.tasks()[task_idx].miss_policy {
             MissPolicy::Continue => {}
             MissPolicy::SkipNextRelease => {
-                self.tasks[task_idx].skip_next = true;
+                self.state.tasks[task_idx].skip_next = true;
             }
             MissPolicy::Abort => {
                 // Segments are non-preemptive: a job holding the CPU is
                 // dropped at its next segment boundary; anything else
                 // (waiting, fetching, queued behind) is dropped now.
-                if pos == 0 && self.cpu.is_some_and(|c| c.task == task_idx) {
-                    self.tasks[task_idx].jobs[pos].abort_pending = true;
+                if pos == 0 && self.state.cpu.is_some_and(|c| c.task == task_idx) {
+                    self.state.tasks[task_idx].jobs[pos].abort_pending = true;
                 } else {
                     self.drop_job(task_idx, pos);
                 }
@@ -1359,11 +1301,14 @@ impl Sim<'_> {
     /// queued and in-flight DMA transfers, records the abort, and — when
     /// the head job changed — restarts staging for the new head.
     fn drop_job(&mut self, task_idx: usize, pos: usize) {
-        let job = self.tasks[task_idx].jobs.remove(pos).expect("job to drop");
-        self.stats[task_idx].aborted += 1;
-        self.metrics.aborted_jobs += 1;
+        let job = self.state.tasks[task_idx]
+            .jobs
+            .remove(pos)
+            .expect("job to drop");
+        self.state.stats[task_idx].aborted += 1;
+        self.state.metrics.aborted_jobs += 1;
         self.trace.push(
-            self.now,
+            self.state.now,
             TraceKind::JobAborted {
                 task: TaskId(task_idx),
                 job: JobId(job.id),
@@ -1371,13 +1316,10 @@ impl Sim<'_> {
         );
         // Only a head job ever has staging traffic; the job id on each
         // request pins the cancellation to exactly this job's transfers.
-        self.dma_queue
-            .retain(|r| !(r.task == task_idx && r.job == job.id));
-        if self
-            .dma
-            .is_some_and(|d| d.task == task_idx && d.job == job.id)
-        {
-            self.dma = None;
+        let doomed = |t: &Transfer| t.task == task_idx && t.job == job.id;
+        self.state.dma_queue.retain(|t| !doomed(t));
+        if self.state.dma.as_ref().is_some_and(doomed) {
+            self.state.dma = None;
         }
         if pos == 0 {
             // A new head surfaced (or the queue emptied).
@@ -1388,8 +1330,8 @@ impl Sim<'_> {
     }
 
     fn complete_dma(&mut self) {
-        let d = self.dma.take().expect("dma completion without transfer");
-        let head_id = self.tasks[d.task].jobs.front().map(|j| j.id);
+        let d = self.state.dma.take().expect("a transfer to complete");
+        let head_id = self.state.tasks[d.task].jobs.front().map(|j| j.id);
         let faulted = head_id == Some(d.job)
             && if self.oracle.is_some() {
                 // The oracle decides, under the injector's own contract:
@@ -1398,19 +1340,13 @@ impl Sim<'_> {
                 if self.config.fault.dma_fault_rate_ppm > 0
                     && d.attempt < self.config.fault.max_retries
                 {
-                    let state = self.oracle_state_hash();
                     let point = ChoicePoint::TransferFault {
                         task: d.task,
                         job: d.job,
                         seg: d.seg,
                         attempt: d.attempt,
                     };
-                    self.queries += 1;
-                    self.oracle
-                        .as_deref_mut()
-                        .expect("oracle checked above")
-                        .choose(point, state)
-                        .transfer_fault_or_false()
+                    self.ask(point).transfer_fault_or_false()
                 } else {
                     false
                 }
@@ -1431,12 +1367,12 @@ impl Sim<'_> {
             let base = self.platform.ext_mem.transfer_cycles(bytes);
             let work =
                 base.saturating_add(self.injector.transfer_jitter(d.task, d.job, d.seg, attempt));
-            self.stats[d.task].retries += 1;
-            self.metrics.injected_faults += 1;
-            self.metrics.fetch_retries += 1;
-            self.metrics.refetch_cycles += work;
+            self.state.stats[d.task].retries += 1;
+            self.state.metrics.injected_faults += 1;
+            self.state.metrics.fetch_retries += 1;
+            self.state.metrics.refetch_cycles += work;
             self.trace.push(
-                self.now,
+                self.state.now,
                 TraceKind::FetchFaulted {
                     task: TaskId(d.task),
                     job: JobId(d.job),
@@ -1445,7 +1381,7 @@ impl Sim<'_> {
                 },
             );
             self.trace.push(
-                self.now,
+                self.state.now,
                 TraceKind::FetchStarted {
                     task: TaskId(d.task),
                     job: JobId(d.job),
@@ -1453,18 +1389,15 @@ impl Sim<'_> {
                     bytes,
                 },
             );
-            self.dma_queue.push(DmaRequest {
-                task: d.task,
-                seg: d.seg,
-                job: d.job,
+            self.state.dma_queue.push(Transfer {
                 attempt,
-                work,
-                deadline: d.deadline,
+                remaining: work,
                 credit: 0,
+                ..d
             });
             return;
         }
-        if let Some(job) = self.tasks[d.task].jobs.front_mut() {
+        if let Some(job) = self.state.tasks[d.task].jobs.front_mut() {
             // Per-task fetches complete in segment order (the queue pops
             // the lowest segment of a task first). The job guard only
             // matters under `Abort`: a transfer finishing in the same
@@ -1475,7 +1408,7 @@ impl Sim<'_> {
                     job.staged = d.seg + 1;
                 }
                 self.trace.push(
-                    self.now,
+                    self.state.now,
                     TraceKind::FetchCompleted {
                         task: TaskId(d.task),
                         job: JobId(job.id),
@@ -1490,10 +1423,10 @@ impl Sim<'_> {
     }
 
     fn complete_cpu_segment(&mut self) {
-        let c = self.cpu.take().expect("cpu completion without segment");
+        let c = self.state.cpu.take().expect("a segment to complete");
         let task_idx = c.task;
         let (job_id, job_done, abort, response) = {
-            let job = self.tasks[task_idx]
+            let job = self.state.tasks[task_idx]
                 .jobs
                 .front_mut()
                 .expect("running task has a head job");
@@ -1507,22 +1440,28 @@ impl Sim<'_> {
             // already hidden behind the compute that just retired?
             if !done && !abort && self.ts.tasks()[task_idx].mode == StagingMode::Overlapped {
                 if job.staged > job.next_seg {
-                    self.metrics.prefetch_hits += 1;
+                    self.state.metrics.prefetch_hits += 1;
                 } else {
-                    self.metrics.blocking_fetches += 1;
+                    self.state.metrics.blocking_fetches += 1;
                 }
             }
-            (job.id, done, abort, self.now.saturating_sub(job.release))
+            (
+                job.id,
+                done,
+                abort,
+                self.state.now.saturating_sub(job.release),
+            )
         };
         // Attribution anchor: the occupancy's exact contention stall.
         // Occupancies are non-preemptive, so wall time minus nominal
         // work is precisely what the settlement accounting charged to
         // `cpu_stall_cycles` over this stretch.
         if self.config.attribution {
-            let stall = self.now.saturating_sub(c.started).saturating_sub(c.nominal);
+            let wall = self.state.now.saturating_sub(c.started);
+            let stall = wall.saturating_sub(c.nominal);
             if !stall.is_zero() {
                 self.trace.push(
-                    self.now,
+                    self.state.now,
                     TraceKind::SegmentStalled {
                         task: TaskId(task_idx),
                         job: JobId(job_id),
@@ -1533,7 +1472,7 @@ impl Sim<'_> {
             }
         }
         self.trace.push(
-            self.now,
+            self.state.now,
             TraceKind::SegmentCompleted {
                 task: TaskId(task_idx),
                 job: JobId(job_id),
@@ -1541,16 +1480,19 @@ impl Sim<'_> {
             },
         );
         if job_done {
-            let job = self.tasks[task_idx].jobs.pop_front().expect("head job");
-            let stats = &mut self.stats[task_idx];
+            let job = self.state.tasks[task_idx]
+                .jobs
+                .pop_front()
+                .expect("head job");
+            let stats = &mut self.state.stats[task_idx];
             stats.completions += 1;
             stats.max_response = stats.max_response.max(response);
             stats.total_response += response.get();
             stats.response_hist.record(response.get());
-            if !job.miss_recorded && self.now > job.abs_deadline {
+            if !job.miss_recorded && self.state.now > job.abs_deadline {
                 stats.misses += 1;
                 self.trace.push(
-                    self.now,
+                    self.state.now,
                     TraceKind::DeadlineMissed {
                         task: TaskId(task_idx),
                         job: JobId(job.id),
@@ -1558,7 +1500,7 @@ impl Sim<'_> {
                 );
             }
             self.trace.push(
-                self.now,
+                self.state.now,
                 TraceKind::JobCompleted {
                     task: TaskId(task_idx),
                     job: JobId(job.id),
@@ -1590,7 +1532,7 @@ impl Sim<'_> {
         if task.mode != StagingMode::Overlapped {
             return;
         }
-        let Some(job) = self.tasks[task_idx].jobs.front() else {
+        let Some(job) = self.state.tasks[task_idx].jobs.front() else {
             return;
         };
         if job.abort_pending {
@@ -1611,15 +1553,9 @@ impl Sim<'_> {
             return;
         }
         // No duplicate requests.
-        let in_flight = self
-            .dma
-            .map(|d| d.task == task_idx && d.seg == next_fetch)
-            .unwrap_or(false)
-            || self
-                .dma_queue
-                .iter()
-                .any(|r| r.task == task_idx && r.seg == next_fetch);
-        if in_flight {
+        let s = &self.state;
+        let mut transfers = s.dma.iter().chain(&s.dma_queue);
+        if transfers.any(|t| t.task == task_idx && t.seg == next_fetch) {
             return;
         }
         let bytes = task.segments[next_fetch].fetch_bytes;
@@ -1629,7 +1565,10 @@ impl Sim<'_> {
         if base.is_zero() {
             // Nothing to stage: mark immediately. Zero-byte segments
             // never touch the DMA, so neither faults nor jitter apply.
-            let job = self.tasks[task_idx].jobs.front_mut().expect("head job");
+            let job = self.state.tasks[task_idx]
+                .jobs
+                .front_mut()
+                .expect("head job");
             job.fetch_requested = next_fetch + 1;
             job.staged = job.staged.max(next_fetch + 1);
             return;
@@ -1638,19 +1577,22 @@ impl Sim<'_> {
             self.injector
                 .transfer_jitter(task_idx, job_id, next_fetch, 0),
         );
-        let job_mut = self.tasks[task_idx].jobs.front_mut().expect("head job");
+        let job_mut = self.state.tasks[task_idx]
+            .jobs
+            .front_mut()
+            .expect("head job");
         job_mut.fetch_requested = next_fetch + 1;
-        self.dma_queue.push(DmaRequest {
+        self.state.dma_queue.push(Transfer {
             task: task_idx,
             seg: next_fetch,
             job: job_id,
             attempt: 0,
-            work,
+            remaining: work,
             deadline,
             credit: 0,
         });
         self.trace.push(
-            self.now,
+            self.state.now,
             TraceKind::FetchStarted {
                 task: TaskId(task_idx),
                 job: JobId(job_id),
@@ -1660,11 +1602,11 @@ impl Sim<'_> {
         );
     }
 
-    /// Priority key of a DMA request under the active policy.
-    fn dma_key(&self, task: usize, seg: usize, deadline: Cycles) -> (Cycles, usize, usize) {
+    /// Priority key of a DMA transfer under the active policy.
+    fn dma_key(&self, t: &Transfer) -> (Cycles, usize, usize) {
         match self.config.policy {
-            Policy::FixedPriority => (Cycles::ZERO, task, seg),
-            Policy::Edf => (deadline, task, seg),
+            Policy::FixedPriority => (Cycles::ZERO, t.task, t.seg),
+            Policy::Edf => (t.deadline, t.task, t.seg),
         }
     }
 
@@ -1675,49 +1617,20 @@ impl Sim<'_> {
     /// setup charge. Preemptive priority-driven DMA is what removes
     /// lower-priority transfer interference from the analysis.
     fn dispatch_dma(&mut self) {
-        if self.dma_queue.is_empty() {
+        let queue = &self.state.dma_queue;
+        let Some(i) = (0..queue.len()).min_by_key(|&i| self.dma_key(&queue[i])) else {
             return;
-        }
-        let best = self
-            .dma_queue
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, r)| self.dma_key(r.task, r.seg, r.deadline))
-            .map(|(i, _)| i);
-        if let Some(i) = best {
-            if self.dma.is_some() {
-                let req = &self.dma_queue[i];
-                let best_key = self.dma_key(req.task, req.seg, req.deadline);
-                let current = self.dma.expect("checked in-flight");
-                let current_key = self.dma_key(current.task, current.seg, current.deadline);
-                if best_key >= current_key {
-                    return; // in-flight transfer keeps the channel
-                }
-                // The suspended transfer's remaining work (including
-                // sub-cycle progress) returns to the queue.
-                let current = self.dma.take().expect("checked in-flight");
-                self.dma_queue.push(DmaRequest {
-                    task: current.task,
-                    seg: current.seg,
-                    job: current.job,
-                    attempt: current.attempt,
-                    work: current.remaining,
-                    deadline: current.deadline,
-                    credit: current.credit,
-                });
+        };
+        if let Some(current) = self.state.dma {
+            if self.dma_key(&self.state.dma_queue[i]) >= self.dma_key(&current) {
+                return; // in-flight transfer keeps the channel
             }
-            let req = self.dma_queue.remove(i);
-            self.dma = Some(DmaExec {
-                task: req.task,
-                seg: req.seg,
-                job: req.job,
-                attempt: req.attempt,
-                remaining: req.work,
-                deadline: req.deadline,
-                credit: req.credit,
-            });
-            self.note_staging_races();
+            // The suspended transfer's remaining work (including
+            // sub-cycle progress) returns to the queue.
+            self.state.dma_queue.push(current);
         }
+        self.state.dma = Some(self.state.dma_queue.remove(i));
+        self.note_staging_races();
     }
 
     /// The always-on staging-race monitor: whenever a resource is
@@ -1732,15 +1645,15 @@ impl Sim<'_> {
     /// and every occurrence lands in [`SimResult::races`] exactly once
     /// per `(job, write, clobbered)` triple.
     fn note_staging_races(&mut self) {
-        let Some(d) = self.dma else { return };
-        let Some(job) = self.tasks[d.task].jobs.front() else {
+        let Some(d) = self.state.dma else { return };
+        let Some(job) = self.state.tasks[d.task].jobs.front() else {
             return;
         };
         if job.id != d.job {
             return;
         }
         let mut hits: Vec<(usize, RaceKind)> = Vec::new();
-        if let Some(c) = self.cpu {
+        if let Some(c) = self.state.cpu {
             if c.task == d.task && c.seg != d.seg && c.seg % 2 == d.seg % 2 {
                 hits.push((c.seg, RaceKind::CpuRead));
             }
@@ -1752,14 +1665,14 @@ impl Sim<'_> {
         }
         for (clobbered_seg, kind) in hits {
             let race = StagingRace {
-                at: self.now,
+                at: self.state.now,
                 task: d.task,
                 job: d.job,
                 write_seg: d.seg,
                 clobbered_seg,
                 kind,
             };
-            let dup = self.races.iter().any(|r| {
+            let dup = self.state.races.iter().any(|r| {
                 r.task == race.task
                     && r.job == race.job
                     && r.write_seg == race.write_seg
@@ -1767,7 +1680,7 @@ impl Sim<'_> {
                     && r.kind == race.kind
             });
             if !dup {
-                self.races.push(race);
+                self.state.races.push(race);
             }
         }
     }
@@ -1777,7 +1690,7 @@ impl Sim<'_> {
     /// Priority key of `task_idx`'s head job if it is *active*
     /// (released, incomplete), regardless of staging.
     fn active_key(&self, task_idx: usize) -> Option<(Cycles, usize)> {
-        let job = self.tasks[task_idx].jobs.front()?;
+        let job = self.state.tasks[task_idx].jobs.front()?;
         if job.next_seg >= job.seg_compute.len() {
             return None;
         }
@@ -1790,7 +1703,7 @@ impl Sim<'_> {
 
     /// Whether `task_idx`'s next segment is staged and runnable.
     fn is_ready(&self, task_idx: usize) -> bool {
-        self.tasks[task_idx]
+        self.state.tasks[task_idx]
             .jobs
             .front()
             .map(|j| j.next_seg < j.seg_compute.len() && j.staged > j.next_seg)
@@ -1798,7 +1711,7 @@ impl Sim<'_> {
     }
 
     fn dispatch_cpu(&mut self) {
-        if self.cpu.is_some() {
+        if self.state.cpu.is_some() {
             return;
         }
         let chosen = if self.config.work_conserving {
@@ -1820,19 +1733,19 @@ impl Sim<'_> {
         let Some(task_idx) = chosen else { return };
 
         // The CPU leaves idle: close the open idle interval.
-        if self.idle_open {
-            self.idle_open = false;
-            self.trace.push(self.now, TraceKind::CpuIdleEnd);
+        if self.state.idle_open {
+            self.state.idle_open = false;
+            self.trace.push(self.state.now, TraceKind::CpuIdleEnd);
         }
 
         // Preemption bookkeeping: if a different task was mid-job at the
         // last boundary, it has just been preempted.
-        if let Some(prev) = self.last_cpu_task {
+        if let Some(prev) = self.state.last_cpu_task {
             if prev != task_idx && self.task_has_started_job(prev) {
-                self.stats[prev].preemptions += 1;
-                self.metrics.preemptions += 1;
+                self.state.stats[prev].preemptions += 1;
+                self.state.metrics.preemptions += 1;
                 self.trace.push(
-                    self.now,
+                    self.state.now,
                     TraceKind::Preempted {
                         task: TaskId(prev),
                         by: TaskId(task_idx),
@@ -1841,16 +1754,16 @@ impl Sim<'_> {
             }
         }
 
-        let prev_cpu = self.last_cpu_task;
-        let switch = if self.last_cpu_task == Some(task_idx) {
+        let prev_cpu = self.state.last_cpu_task;
+        let switch = if self.state.last_cpu_task == Some(task_idx) {
             Cycles::ZERO
         } else {
             self.platform.context_switch_cycles
         };
-        self.last_cpu_task = Some(task_idx);
+        self.state.last_cpu_task = Some(task_idx);
 
         let (seg, work, job_id) = {
-            let job = self.tasks[task_idx].jobs.front().expect("ready job");
+            let job = self.state.tasks[task_idx].jobs.front().expect("ready job");
             (job.next_seg, job.seg_compute[job.next_seg], job.id)
         };
         // Attribution anchor: a mid-job task re-claiming the CPU after
@@ -1860,7 +1773,7 @@ impl Sim<'_> {
             if let Some(prev) = prev_cpu {
                 if prev != task_idx {
                     self.trace.push(
-                        self.now,
+                        self.state.now,
                         TraceKind::Resumed {
                             task: TaskId(task_idx),
                             job: JobId(job_id),
@@ -1870,16 +1783,16 @@ impl Sim<'_> {
                 }
             }
         }
-        self.cpu = Some(CpuExec {
+        self.state.cpu = Some(CpuExec {
             task: task_idx,
             seg,
             remaining: work + switch,
             credit: 0,
-            started: self.now,
+            started: self.state.now,
             nominal: work + switch,
         });
         self.trace.push(
-            self.now,
+            self.state.now,
             TraceKind::SegmentStarted {
                 task: TaskId(task_idx),
                 job: JobId(job_id),
@@ -1894,32 +1807,40 @@ impl Sim<'_> {
     }
 
     fn task_has_started_job(&self, task_idx: usize) -> bool {
-        self.tasks[task_idx]
+        self.state.tasks[task_idx]
             .jobs
             .front()
             .map(|j| j.next_seg > 0 && j.next_seg < j.seg_compute.len())
             .unwrap_or(false)
     }
 
-    // --- state fingerprinting (oracle mode) --------------------------------
+    // --- oracle queries ----------------------------------------------------
 
-    /// Fingerprints the simulator's dynamic state for an oracle query,
-    /// hashing exactly the state that determines future behavior: the
-    /// clock, every task's release bookkeeping and job queue, both
-    /// resource slots, the DMA request queue in its tie-breaking order,
-    /// the dispatcher memory (`last_cpu_task`), and the pending-event
-    /// set in drain order.
-    /// Traces, statistics, and metrics are deliberately excluded — they
-    /// record the past. `idle_open` is excluded too: it only decides
-    /// whether the next idle stretch emits a fresh
-    /// [`TraceKind::CpuIdle`] marker, never a dispatch, a stat, or a
-    /// metric, so equal hashes still imply identical future schedules.
+    /// Answers one choice point through the oracle: fingerprints the
+    /// state, counts the query and asks. Oracle mode only.
+    fn ask(&mut self, point: ChoicePoint) -> Choice {
+        let state = self.state.oracle_state_hash(&mut self.pending_walk);
+        self.queries += 1;
+        self.oracle
+            .as_deref_mut()
+            .expect("oracle mode")
+            .choose(point, state)
+    }
+}
+
+impl State {
+    /// Fingerprints the state for an oracle query, hashing exactly what
+    /// determines future behavior: the clock, every task's release
+    /// bookkeeping and job queue, both resource slots, the DMA request
+    /// queue in its tie-breaking order, the dispatcher memory
+    /// (`last_cpu_task`), and the pending-event set in drain order. The
+    /// fields it leaves out are listed, with the reasons, on [`State`].
     ///
     /// Only called in oracle mode, at most once per choice point, so
     /// the `O(state)` walk never taxes default runs. The pending events
-    /// are sorted in `pending_walk`, a buffer reused across calls, so
-    /// in steady state a call allocates nothing.
-    fn oracle_state_hash(&mut self) -> StateHash {
+    /// are sorted in `walk`, a buffer the caller reuses across calls,
+    /// so in steady state a call allocates nothing.
+    fn oracle_state_hash(&self, walk: &mut Vec<(Cycles, u64, TimedEvent)>) -> StateHash {
         let mut h = StableHash::new();
         h.mix(self.now.get());
         for t in &self.tasks {
@@ -1960,37 +1881,22 @@ impl Sim<'_> {
                 h.mix(c.nominal.get());
             }
         }
-        match self.dma {
-            None => h.mix_opt(None),
-            Some(d) => {
-                h.mix_opt(Some(d.task as u64));
-                h.mix(d.seg as u64);
-                h.mix(d.job);
-                h.mix(u64::from(d.attempt));
-                h.mix(d.remaining.get());
-                h.mix(d.deadline.get());
-                h.mix(d.credit);
-            }
+        h.mix_opt(self.dma.map(|d| d.task as u64));
+        if let Some(d) = &self.dma {
+            d.mix_after_task(&mut h);
         }
         h.mix(self.dma_queue.len() as u64);
         for r in &self.dma_queue {
             h.mix(r.task as u64);
-            h.mix(r.seg as u64);
-            h.mix(r.job);
-            h.mix(u64::from(r.attempt));
-            h.mix(r.work.get());
-            h.mix(r.deadline.get());
-            h.mix(r.credit);
+            r.mix_after_task(&mut h);
         }
         h.mix_opt(self.last_cpu_task.map(|t| t as u64));
-        self.pending_walk.clear();
-        self.pending_walk
-            .extend(self.events.entries().map(|(t, seq, &ev)| (t, seq, ev)));
+        walk.clear();
+        walk.extend(self.events.entries().map(|(t, seq, &ev)| (t, seq, ev)));
         // `seq` is unique, so the unstable sort is the drain order.
-        self.pending_walk
-            .sort_unstable_by_key(|&(t, seq, _)| (t, seq));
-        h.mix(self.pending_walk.len() as u64);
-        for &(time, _, ev) in &self.pending_walk {
+        walk.sort_unstable_by_key(|&(t, seq, _)| (t, seq));
+        h.mix(walk.len() as u64);
+        for &(time, _, ev) in walk.iter() {
             h.mix(time.get());
             match ev {
                 TimedEvent::Release(task) => {
@@ -2087,12 +1993,12 @@ mod tests {
             sim.schedule(cy(0), TimedEvent::Release(i));
             sim.schedule(cy(50 * (i as u64 + 1)), TimedEvent::DeadlineCheck(i, 0));
         }
-        let first = sim.oracle_state_hash();
+        let first = sim.state.oracle_state_hash(&mut sim.pending_walk);
         sim.pending_walk.reserve(64);
         let buffer = (sim.pending_walk.as_ptr(), sim.pending_walk.capacity());
         assert_eq!(sim.pending_walk.len(), 4);
         for _ in 0..3 {
-            assert_eq!(sim.oracle_state_hash(), first);
+            assert_eq!(sim.state.oracle_state_hash(&mut sim.pending_walk), first);
             assert_eq!(
                 (sim.pending_walk.as_ptr(), sim.pending_walk.capacity()),
                 buffer,
@@ -2118,20 +2024,23 @@ mod tests {
             ],
         )]);
         let p = PlatformConfig::stm32f746_qspi();
-        let cfg = SimConfig::new(cy(6_000_000), Policy::FixedPriority).with_staging_window(3);
+        let cfg = SimConfig {
+            staging_window: 3,
+            ..SimConfig::new(cy(6_000_000), Policy::FixedPriority)
+        };
         let mut oracle = crate::script::ScriptOracle::new(Vec::new());
         let mut snaps = Vec::new();
         let run = simulate_with_oracle_forked(&ts, &p, &cfg, &mut oracle, None, Some(&mut snaps));
         assert!(!run.races.is_empty(), "window 3 must reach a staging race");
         let snap = snaps
             .iter()
-            .find(|s| !s.races.is_empty())
+            .find(|s| !s.state.races.is_empty())
             .expect("a snapshot after the first race");
         let mut raceless = snap.clone();
-        raceless.races.clear();
+        raceless.state.races.clear();
         assert_eq!(
             snap.size_hint() - raceless.size_hint(),
-            snap.races.len() * std::mem::size_of::<StagingRace>()
+            snap.state.races.len() * std::mem::size_of::<StagingRace>()
         );
     }
 

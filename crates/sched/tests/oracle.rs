@@ -3,7 +3,7 @@
 //! script must replay identically every time — these two properties are
 //! what make explorer witnesses trustworthy.
 
-use rtmdm_mcusim::{Cycles, FaultPlan, PlatformConfig, TraceKind};
+use rtmdm_mcusim::{Cycles, FaultPlan, PlatformConfig, TaskId, TraceKind};
 use rtmdm_sched::gen::{generate, TasksetParams};
 use rtmdm_sched::script::{
     Choice, ChoicePoint, ScriptOracle, ScriptedChoice, SimOracle, StateHash,
@@ -12,7 +12,7 @@ use rtmdm_sched::sim::{
     simulate, simulate_with_oracle, simulate_with_oracle_forked, Engine, Policy, RaceKind,
     SimConfig, SimResult,
 };
-use rtmdm_sched::{Segment, SporadicTask, StagingMode, TaskSet};
+use rtmdm_sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
 
 fn cy(n: u64) -> Cycles {
     Cycles::new(n)
@@ -272,101 +272,269 @@ fn script_replay_is_deterministic() {
     assert_same_run(&replay(), &replay(), "replay determinism");
 }
 
-/// Fork contract, part 1: a run resumed from any captured snapshot is
-/// byte-identical — trace, stats, metrics, races — to the run that
-/// captured it, including under scripted jitter,
-/// scale, and fault choices. This is what lets the explorer branch
-/// from a snapshot instead of replaying from time zero.
-#[test]
-fn forked_resume_reproduces_the_capturing_run() {
-    let p = platform();
-    let ts = TaskSet::from_tasks(vec![
-        overlapped("a", 60_000, &[(4_000, 2_048), (5_000, 2_048)]),
-        resident("b", 90_000, 90_000, 12_000),
-    ]);
-    let script = vec![
-        ScriptedChoice {
-            point: ChoicePoint::ReleaseJitter { task: 0, job: 0 },
-            value: Choice::ReleaseJitter(cy(1_500)),
-        },
-        ScriptedChoice {
-            point: ChoicePoint::ExecScale {
-                task: 0,
-                job: 0,
-                min_ppm: 500_000,
-            },
-            value: Choice::ExecScale(700_000),
-        },
-        ScriptedChoice {
-            point: ChoicePoint::TransferFault {
-                task: 0,
-                job: 0,
-                seg: 0,
-                attempt: 0,
-            },
-            value: Choice::TransferFault(true),
-        },
-        ScriptedChoice {
-            point: ChoicePoint::ReleaseJitter { task: 1, job: 0 },
-            value: Choice::ReleaseJitter(cy(900)),
-        },
-    ];
-    let mut cfg = config(360_000);
-    cfg.exec_scale_min_ppm = 500_000;
-    cfg.fault = FaultPlan {
+/// Answers from a script and records every fingerprint it is shown.
+struct Recording {
+    script: ScriptOracle,
+    hashes: Vec<StateHash>,
+}
+
+impl Recording {
+    fn new(script: Vec<ScriptedChoice>) -> Recording {
+        Recording {
+            script: ScriptOracle::new(script),
+            hashes: Vec::new(),
+        }
+    }
+}
+
+impl SimOracle for Recording {
+    fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice {
+        self.hashes.push(state);
+        self.script.choose(point, state)
+    }
+}
+
+/// One scenario of the fork contract: a run, the script its oracle
+/// answers from, and the spans of that run during which the state the
+/// scenario exercises is live.
+struct ForkCase {
+    name: &'static str,
+    ts: TaskSet,
+    cfg: SimConfig,
+    script: Vec<ScriptedChoice>,
+    live: fn(&SimResult) -> Vec<(Cycles, Cycles)>,
+}
+
+/// Spans from each trace event `open` matches to the next event of the
+/// same task that `close` matches.
+fn spans(
+    run: &SimResult,
+    open: fn(&TraceKind) -> Option<TaskId>,
+    close: fn(&TraceKind) -> Option<TaskId>,
+) -> Vec<(Cycles, Cycles)> {
+    let events = run.trace.events();
+    let mut out = Vec::new();
+    for (i, e) in events.iter().enumerate() {
+        let Some(task) = open(&e.kind) else { continue };
+        if let Some(end) = events[i..].iter().find(|f| close(&f.kind) == Some(task)) {
+            out.push((e.time, end.time));
+        }
+    }
+    out
+}
+
+fn missed(k: &TraceKind) -> Option<TaskId> {
+    match *k {
+        TraceKind::DeadlineMissed { task, .. } => Some(task),
+        _ => None,
+    }
+}
+
+fn whole_run(run: &SimResult) -> Vec<(Cycles, Cycles)> {
+    vec![(Cycles::ZERO, run.horizon)]
+}
+
+/// A light lowest-priority task whose releases put a snapshot every
+/// `period` cycles, so some snapshot falls inside every live span.
+fn ticker(period: u64) -> SporadicTask {
+    resident("tick", period, period, 500)
+}
+
+fn resident_with(segs: &[u64], period: u64, deadline: u64, policy: MissPolicy) -> SporadicTask {
+    SporadicTask::new(
+        "hi",
+        cy(period),
+        cy(deadline),
+        segs.iter().map(|&c| Segment::new(cy(c), 0)).collect(),
+        StagingMode::Resident,
+    )
+    .expect("valid task")
+    .with_miss_policy(policy)
+}
+
+fn fork_cases() -> Vec<ForkCase> {
+    let mut scripted = config(360_000);
+    scripted.exec_scale_min_ppm = 500_000;
+    scripted.fault = FaultPlan {
         seed: 0,
         dma_fault_rate_ppm: 1,
         max_retries: 2,
         jitter_max_cycles: 0,
     };
-    let mut snaps = Vec::new();
-    let mut oracle = ScriptOracle::new(script.clone());
-    let full = simulate_with_oracle_forked(&ts, &p, &cfg, &mut oracle, None, Some(&mut snaps));
-    assert!(!snaps.is_empty(), "no snapshots captured");
-    for snap in &snaps {
-        assert!(snap.size_hint() > 0);
-        let suffix = script[snap.queries_before().min(script.len())..].to_vec();
-        let mut resume_oracle = ScriptOracle::new(suffix);
-        let resumed =
-            simulate_with_oracle_forked(&ts, &p, &cfg, &mut resume_oracle, Some(snap), None);
-        let ctx = format!("@ {:?}", snap.instant());
-        assert_same_run(&full, &resumed, &ctx);
-        assert_eq!(full.metrics, resumed.metrics, "{ctx}: metrics");
-    }
+    let mut attributed = config(240_000);
+    attributed.attribution = true;
+    let mut widened = config(2_000_000);
+    widened.staging_window = 3;
+    let mut edf = config(400_000);
+    edf.policy = Policy::Edf;
+    vec![
+        ForkCase {
+            name: "scripted jitter, scale and fault",
+            ts: TaskSet::from_tasks(vec![
+                overlapped("a", 60_000, &[(4_000, 2_048), (5_000, 2_048)]),
+                resident("b", 90_000, 90_000, 12_000),
+            ]),
+            cfg: scripted,
+            script: vec![
+                ScriptedChoice {
+                    point: ChoicePoint::ReleaseJitter { task: 0, job: 0 },
+                    value: Choice::ReleaseJitter(cy(1_500)),
+                },
+                ScriptedChoice {
+                    point: ChoicePoint::ExecScale {
+                        task: 0,
+                        job: 0,
+                        min_ppm: 500_000,
+                    },
+                    value: Choice::ExecScale(700_000),
+                },
+                ScriptedChoice {
+                    point: ChoicePoint::TransferFault {
+                        task: 0,
+                        job: 0,
+                        seg: 0,
+                        attempt: 0,
+                    },
+                    value: Choice::TransferFault(true),
+                },
+                ScriptedChoice {
+                    point: ChoicePoint::ReleaseJitter { task: 1, job: 0 },
+                    value: Choice::ReleaseJitter(cy(900)),
+                },
+            ],
+            live: whole_run,
+        },
+        // A job misses while it holds the CPU: it is dropped only at
+        // its segment boundary, so `abort_pending` is live in between.
+        ForkCase {
+            name: "abort_pending",
+            ts: TaskSet::from_tasks(vec![
+                resident_with(&[80_000; 3], 200_000, 100_000, MissPolicy::Abort),
+                ticker(30_000),
+            ]),
+            cfg: config(1_000_000),
+            script: Vec::new(),
+            live: |run| {
+                spans(run, missed, |k| match *k {
+                    TraceKind::JobAborted { task, .. } => Some(task),
+                    _ => None,
+                })
+            },
+        },
+        // With D < T, `skip_next` is live from the miss to the release
+        // it sheds.
+        ForkCase {
+            name: "skip_next",
+            ts: TaskSet::from_tasks(vec![
+                resident_with(&[150_000], 200_000, 100_000, MissPolicy::SkipNextRelease),
+                ticker(30_000),
+            ]),
+            cfg: config(1_000_000),
+            script: Vec::new(),
+            live: |run| {
+                spans(run, missed, |k| match *k {
+                    TraceKind::ReleaseShed { task, .. } => Some(task),
+                    _ => None,
+                })
+            },
+        },
+        ForkCase {
+            name: "wait_open",
+            ts: TaskSet::from_tasks(vec![
+                overlapped("a", 60_000, &[(4_000, 2_048), (5_000, 2_048)]),
+                ticker(500),
+            ]),
+            cfg: attributed,
+            script: Vec::new(),
+            live: |run| {
+                spans(
+                    run,
+                    |k| match *k {
+                        TraceKind::FetchWaitBegan { task, .. } => Some(task),
+                        _ => None,
+                    },
+                    |k| match *k {
+                        TraceKind::FetchWaitEnded { task, .. } => Some(task),
+                        _ => None,
+                    },
+                )
+            },
+        },
+        ForkCase {
+            name: "races",
+            ts: TaskSet::from_tasks(vec![
+                overlapped("a", 2_000_000, &[(200_000, 256); 4]),
+                ticker(100_000),
+            ]),
+            cfg: widened,
+            script: Vec::new(),
+            live: |run| {
+                run.races
+                    .first()
+                    .map(|r| (r.at, run.horizon))
+                    .into_iter()
+                    .collect()
+            },
+        },
+        ForkCase {
+            name: "edf",
+            ts: TaskSet::from_tasks(vec![
+                overlapped("a", 50_000, &[(4_000, 2_048), (4_000, 1_024)]),
+                resident("b", 80_000, 80_000, 10_000),
+            ]),
+            cfg: edf,
+            script: Vec::new(),
+            live: whole_run,
+        },
+    ]
 }
 
-/// Fork contract, part 2: a run resumed from a mid-run snapshot sees
-/// exactly the state hashes the capturing run saw from that choice
-/// position on — the fingerprints the explorer merges states by do not
-/// depend on whether a path was reached by replay or by fork.
+/// Fork contract: a run resumed from any captured snapshot is
+/// byte-identical — trace, stats, metrics, races — to the run that
+/// captured it, and sees exactly the fingerprints the capturing run saw
+/// from that choice position on. This is what lets the explorer branch
+/// from a snapshot instead of replaying from time zero, and merge
+/// states by fingerprint whether a path was reached by replay or by
+/// fork. Each scenario puts some snapshot inside a span where the
+/// state it exercises is live.
 #[test]
-fn forked_fingerprints_match_the_capturing_run() {
-    struct Recorder {
-        hashes: Vec<StateHash>,
-    }
-    impl SimOracle for Recorder {
-        fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice {
-            self.hashes.push(state);
-            Choice::default_for(&point)
+fn forked_resume_reproduces_the_capturing_run() {
+    let p = platform();
+    for case in fork_cases() {
+        let name = case.name;
+        let mut snaps = Vec::new();
+        let mut rec = Recording::new(case.script.clone());
+        let full =
+            simulate_with_oracle_forked(&case.ts, &p, &case.cfg, &mut rec, None, Some(&mut snaps));
+        let live = (case.live)(&full);
+        assert!(
+            snaps.iter().any(|s| live
+                .iter()
+                .any(|&(a, b)| a < s.instant() && s.instant() <= b)),
+            "{name}: no snapshot inside a live span {live:?}"
+        );
+        assert!(
+            snaps.iter().any(|s| s.queries_before() > 0),
+            "{name}: no mid-run snapshot"
+        );
+        for snap in &snaps {
+            assert!(snap.size_hint() > 0);
+            let q = snap.queries_before();
+            let mut resumed_rec = Recording::new(case.script[q.min(case.script.len())..].to_vec());
+            let resumed = simulate_with_oracle_forked(
+                &case.ts,
+                &p,
+                &case.cfg,
+                &mut resumed_rec,
+                Some(snap),
+                None,
+            );
+            let ctx = format!("{name} @ {:?}", snap.instant());
+            assert_same_run(&full, &resumed, &ctx);
+            assert_eq!(full.metrics, resumed.metrics, "{ctx}: metrics");
+            assert_eq!(resumed_rec.hashes, rec.hashes[q..], "{ctx}: fingerprints");
         }
     }
-    let p = platform();
-    let ts = TaskSet::from_tasks(vec![
-        overlapped("a", 50_000, &[(4_000, 2_048), (4_000, 1_024)]),
-        resident("b", 80_000, 80_000, 10_000),
-    ]);
-    let cfg = config(400_000);
-    let mut snaps = Vec::new();
-    let mut rec = Recorder { hashes: Vec::new() };
-    simulate_with_oracle_forked(&ts, &p, &cfg, &mut rec, None, Some(&mut snaps));
-    let full = rec.hashes;
-    // Resume from a mid-run snapshot and record the suffix.
-    let snap = &snaps[snaps.len() / 2];
-    let mut rec = Recorder { hashes: Vec::new() };
-    simulate_with_oracle_forked(&ts, &p, &cfg, &mut rec, Some(snap), None);
-    assert!(snap.queries_before() > 0, "snapshot is not mid-run");
-    assert!(!rec.hashes.is_empty());
-    assert_eq!(rec.hashes, full[snap.queries_before()..].to_vec());
 }
 
 /// Fork contract, part 3 (cost): resuming past a quiet prefix re-does

@@ -30,6 +30,17 @@ pub enum PlanError {
         /// Bytes still free (possibly fragmented).
         free: u64,
     },
+    /// Tiling at the compute cap would cut the model into more than
+    /// [`MAX_TILED_SEGMENTS`](crate::MAX_TILED_SEGMENTS) segments: the
+    /// cap is far too small for the model.
+    TooManySegments {
+        /// Model name.
+        model: String,
+        /// The compute cap tiling was asked for, in cycles.
+        cap: u64,
+        /// Segments tiling at that cap would need.
+        segments: u64,
+    },
 }
 
 impl fmt::Display for PlanError {
@@ -48,6 +59,15 @@ impl fmt::Display for PlanError {
             PlanError::ArenaExhausted { label, bytes, free } => write!(
                 f,
                 "cannot allocate {bytes} bytes for {label}; {free} bytes free"
+            ),
+            PlanError::TooManySegments {
+                model,
+                cap,
+                segments,
+            } => write!(
+                f,
+                "tiling {model} at a {cap}-cycle compute cap needs {segments} segments, more than the {} allowed",
+                crate::MAX_TILED_SEGMENTS
             ),
         }
     }

@@ -50,6 +50,6 @@ pub use error::PlanError;
 pub use pipeline::{stage_timings, ExecutionStrategy, StageTiming};
 pub use plan::{
     check_buffer_fits, segment_model, segment_model_capped, segment_model_tiled, ModelSegmentation,
-    SegmentPlan, RUNTIME_RESERVE,
+    SegmentPlan, MAX_TILED_SEGMENTS, RUNTIME_RESERVE,
 };
 pub use retry::{job_retry_budget, segments_retry_budget, RetryPolicy};

@@ -210,6 +210,12 @@ pub fn segment_model_capped(
     })
 }
 
+/// Most segments [`segment_model_tiled`] cuts one model into. Slices
+/// number `compute / cap`, so a cap far below a layer's compute — a
+/// quarter of a microsecond deadline, say — would otherwise allocate
+/// millions of them.
+pub const MAX_TILED_SEGMENTS: u64 = 4_096;
+
 /// Like [`segment_model_capped`], but additionally **tiles** any segment
 /// whose compute still exceeds the cap — splitting its compute into
 /// equal preemption-point slices. This lifts the blocking floor of
@@ -226,7 +232,9 @@ pub fn segment_model_capped(
 ///
 /// # Errors
 ///
-/// Same conditions as [`segment_model`].
+/// Same conditions as [`segment_model`], and
+/// [`PlanError::TooManySegments`] when the tiles would number more than
+/// [`MAX_TILED_SEGMENTS`]; that count is taken before any is allocated.
 pub fn segment_model_tiled(
     model: &Model,
     cost: &CostModel,
@@ -235,6 +243,16 @@ pub fn segment_model_tiled(
 ) -> Result<ModelSegmentation, PlanError> {
     assert!(!compute_cap.is_zero(), "tiling cap must be positive");
     let base = segment_model_capped(model, cost, buffer_bytes, Some(compute_cap))?;
+    let count = base.segments.iter().fold(0u64, |n, seg| {
+        n.saturating_add(seg.compute_cycles.get().div_ceil(compute_cap.get()).max(1))
+    });
+    if count > MAX_TILED_SEGMENTS {
+        return Err(PlanError::TooManySegments {
+            model: base.model,
+            cap: compute_cap.get(),
+            segments: count,
+        });
+    }
     let mut segments = Vec::with_capacity(base.segments.len());
     for seg in base.segments {
         if seg.compute_cycles <= compute_cap {
@@ -401,6 +419,27 @@ mod tests {
         let capped = segment_model_capped(&model, &m7(), 16 * 1024, Some(cap)).expect("plan");
         let tiled = segment_model_tiled(&model, &m7(), 16 * 1024, cap).expect("plan");
         assert_eq!(capped, tiled);
+    }
+
+    #[test]
+    fn tiling_refuses_a_cap_that_needs_too_many_segments() {
+        let model = zoo::resnet8();
+        let total = m7().model_cost(&model).total_compute.get();
+        let cap = Cycles::new(20);
+        let err = segment_model_tiled(&model, &m7(), 40 * 1024, cap).expect_err("too many");
+        match &err {
+            PlanError::TooManySegments { segments, cap, .. } => {
+                assert!(*segments > MAX_TILED_SEGMENTS && *segments >= total / 20);
+                assert_eq!(*cap, 20);
+            }
+            e => panic!("unexpected error: {e}"),
+        }
+        assert!(err.to_string().contains("resnet8"), "{err}");
+        // Slices of total / (limit / 2) cycles, plus at most one partial
+        // slice per base segment, stay within the limit.
+        let cap = Cycles::new(total.div_ceil(MAX_TILED_SEGMENTS / 2));
+        let tiled = segment_model_tiled(&model, &m7(), 40 * 1024, cap).expect("within the limit");
+        assert!(tiled.len() as u64 <= MAX_TILED_SEGMENTS);
     }
 
     #[test]

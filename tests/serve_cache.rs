@@ -448,3 +448,21 @@ fn malformed_lines_do_not_poison_the_batch() {
     assert!(out[2].contains(r#""ok":false"#));
     assert_eq!(out[0], cold(good));
 }
+
+/// A microsecond deadline derives a compute cap of a few cycles, and
+/// tiling at that cap would cut the model into hundreds of thousands of
+/// slices. Tiling counts them before allocating and refuses past its
+/// limit, so the line gets a prompt reject naming the refusal.
+#[test]
+fn a_microsecond_deadline_is_refused_before_tiling() {
+    let line = r#"{"id":"s1","platform":"cortex-m4-lowend","tasks":[{"name":"t1","model":"mobilenet-v1-025","period_us":1,"deadline_us":1}]}"#;
+    let started = std::time::Instant::now();
+    let answer = cold(line);
+    let elapsed = started.elapsed();
+    assert!(elapsed.as_secs() < 10, "took {elapsed:?}");
+    assert!(answer.contains(r#""verdict":"reject""#), "{answer}");
+    assert!(
+        answer.contains(r#""rule":"RTM012""#) && answer.contains("more than the 4096 allowed"),
+        "{answer}"
+    );
+}

@@ -30,10 +30,18 @@ echo "== rtmdm trace smoke =="
 trace_out="$(mktemp)"
 ./target/release/rtmdm trace --platform stm32f746-qspi --task kws=ds-cnn@100 \
   --seconds 1 --out "$trace_out" --format chrome --gantt
-# The export must re-parse through the bundled serde_json (the test
-# binary below does exactly that against the golden scenario too).
-cargo test -q --test observability chrome_export_round_trips_through_serde_json
-rm -f "$trace_out"
+# A faulted run's Gantt chart marks retried transfers on the DMA row
+# and ends with the CPU/DMA summary (whose DMA time counts faulted and
+# cancelled attempts, as the simulator's channel does).
+gantt_out="$(mktemp)"
+./target/release/rtmdm trace --platform stm32f746-qspi --task kws=ds-cnn@100 \
+  --seconds 1 --fault-rate 200000 --fault-seed 42 --fault-jitter 25 \
+  --out "$trace_out" --format chrome --gantt > "$gantt_out"
+grep -q '^ *DMA |.*!' "$gantt_out" || {
+  echo "trace smoke: no fault marker on the Gantt DMA row" >&2; exit 1; }
+grep -Eq '^cpu [0-9]+cy busy / [0-9]+cy idle, dma [0-9]+cy busy' "$gantt_out" || {
+  echo "trace smoke: Gantt summary line missing" >&2; exit 1; }
+rm -f "$trace_out" "$gantt_out"
 
 echo "== rtmdm fault-injection smoke =="
 # A fixed-seed nonzero-rate run must succeed and export re-parseable

@@ -18,7 +18,7 @@
 //! thereby spills into the half the previous group is still reading
 //! (`RTM002`).
 //!
-//! [`check_sram_regions`] covers the arena level: the planned weight
+//! [`check_sram_regions`] covers the SRAM layout: the planned weight
 //! ping/pong and activation regions must be pairwise disjoint
 //! (`RTM003`) and inside the platform's SRAM (`RTM004`).
 
@@ -196,7 +196,7 @@ pub fn check_staging(plan: &ModelSegmentation, platform: &PlatformConfig) -> Vec
     out
 }
 
-/// One planned SRAM region, as placed by the arena allocator.
+/// One planned SRAM region, as admission lays it out.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SramRegion {
     /// Region label (e.g. `kws-weights`, `kws-activations`).
@@ -218,7 +218,7 @@ impl SramRegion {
     }
 }
 
-/// The arena-level aliasing pass: planned regions must be pairwise
+/// The SRAM-layout aliasing pass: planned regions must be pairwise
 /// disjoint (`RTM003`) and end inside the platform's SRAM (`RTM004`).
 pub fn check_sram_regions(regions: &[SramRegion], sram_bytes: u64) -> Vec<Finding> {
     let mut out = Vec::new();

@@ -33,7 +33,7 @@ use rtmdm_sched::analysis::{hyperperiod, occupancy_utilization_ppm, AnalysisOutc
 use rtmdm_sched::assign::{audsley, dm_order, rm_order};
 use rtmdm_sched::sim::{Engine, Policy, SimConfig};
 use rtmdm_sched::{SporadicTask, TaskSet};
-use rtmdm_xmem::{ModelSegmentation, PlanError, SramArena, RUNTIME_RESERVE};
+use rtmdm_xmem::{ModelSegmentation, PlanError, RUNTIME_RESERVE};
 
 use crate::error::AdmitError;
 use crate::framework::{
@@ -346,30 +346,36 @@ impl SystemSpec {
     }
 
     /// Lays out SRAM: the runtime reserve, then each task's activation
-    /// region and weight region in insertion order, 8-byte aligned
-    /// through the first-fit arena. Admission reads the rows, the
-    /// verifier checks the regions.
+    /// region and weight region in insertion order, each 8-byte aligned
+    /// at the end of the one before (nothing is ever freed, so the
+    /// layout is a cursor). Admission reads the rows, the verifier
+    /// checks the regions.
     ///
     /// # Errors
     ///
-    /// The label of the first region that does not fit, with the arena's
-    /// error.
+    /// The label of the first region that does not fit, with
+    /// [`PlanError::ArenaExhausted`] naming the bytes still free
+    /// (alignment padding not counted).
     fn layout_sram(&self) -> Result<SramPlacement, (String, PlanError)> {
-        let mut arena = SramArena::new(self.platform.sram_bytes);
+        let capacity = self.platform.sram_bytes;
+        let (mut cursor, mut used) = (0u64, 0u64);
         let mut regions = Vec::with_capacity(1 + 2 * self.tasks.len());
         let mut place = |label: String, bytes: u64| {
-            // The arena rejects zero-size requests; a degenerate spec
-            // still gets a 1-byte region so layout checking proceeds.
+            // A degenerate spec still gets a 1-byte region so layout
+            // checking proceeds.
             let bytes = bytes.max(1);
-            match arena.alloc(label.clone(), bytes, 8) {
-                Ok(handle) => {
-                    if let Some(offset) = arena.offset_of(handle) {
-                        regions.push(SramRegion::new(label, offset, bytes));
-                    }
-                    Ok(bytes)
-                }
-                Err(e) => Err((label, e)),
-            }
+            let fits = |offset: &u64| offset.checked_add(bytes).is_some_and(|end| end <= capacity);
+            let Some(offset) = cursor.checked_next_multiple_of(8).filter(fits) else {
+                let free = capacity - used;
+                return Err((
+                    label.clone(),
+                    PlanError::ArenaExhausted { label, bytes, free },
+                ));
+            };
+            cursor = offset + bytes;
+            used += bytes;
+            regions.push(SramRegion::new(label, offset, bytes));
+            Ok(bytes)
         };
         place("runtime-reserve".to_owned(), RUNTIME_RESERVE)?;
         let mut rows = Vec::with_capacity(self.tasks.len());
@@ -398,7 +404,7 @@ pub(crate) struct Pass {
     /// Every static finding.
     pub report: Report,
     /// The SRAM layout, or the label of the first region that does not
-    /// fit with the arena's error.
+    /// fit with its [`PlanError::ArenaExhausted`].
     pub sram: Result<SramPlacement, (String, PlanError)>,
     /// The lowered, ordered and analyzed set, or why there is none: the
     /// platform is invalid, the spec is empty, or a task fails to lower

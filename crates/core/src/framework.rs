@@ -13,9 +13,7 @@ use rtmdm_sched::analysis::{
 use rtmdm_sched::baseline;
 use rtmdm_sched::sim::{simulate, Engine, Policy, SimConfig, SimResult};
 use rtmdm_sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
-use rtmdm_xmem::{
-    check_buffer_fits, segments_retry_budget, ModelSegmentation, RetryPolicy, RUNTIME_RESERVE,
-};
+use rtmdm_xmem::{check_buffer_fits, ModelSegmentation, RUNTIME_RESERVE};
 
 use crate::check::{AnalyzedSet, CheckOptions, CheckOutcome, SystemSpec};
 use crate::error::AdmitError;
@@ -286,23 +284,23 @@ impl RtMdm {
         // Resident tasks stage nothing and are immune. EDF yields no
         // per-task bounds, so its verdict cannot be budget-adjusted —
         // a documented limitation of the demand test.
-        let retry = RetryPolicy::from_plan(&sys.options.fault);
+        let fault = &sys.options.fault;
         let retry_budgets: Vec<Cycles> = ordered
             .tasks()
             .iter()
             .map(|t| {
                 if t.mode == StagingMode::Resident {
-                    Cycles::ZERO
-                } else {
-                    segments_retry_budget(
-                        t.segments.iter().map(|s| s.fetch_bytes),
-                        &sys.platform.ext_mem,
-                        &retry,
-                    )
+                    return Cycles::ZERO;
                 }
+                t.segments
+                    .iter()
+                    .map(|s| sys.platform.ext_mem.transfer_cycles(s.fetch_bytes))
+                    .filter(|transfer| !transfer.is_zero())
+                    .map(|transfer| fault.worst_case_extra(transfer))
+                    .fold(Cycles::ZERO, Cycles::saturating_add)
             })
             .collect();
-        if !retry.is_none() {
+        if fault.is_active() {
             analysis.schedulable = analysis.schedulable
                 && ordered.tasks().iter().enumerate().all(|(p, t)| {
                     analysis

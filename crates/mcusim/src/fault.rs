@@ -91,6 +91,31 @@ impl FaultPlan {
     pub const fn is_active(&self) -> bool {
         self.dma_fault_rate_ppm > 0 || self.jitter_max_cycles > 0
     }
+
+    /// Worst-case extra staging cycles of one transfer whose clean
+    /// duration is `transfer`: each of the `max_retries` tolerated faults
+    /// re-pays the full transfer plus maximal jitter, and the final
+    /// successful attempt still pays its own jitter. Retries count only
+    /// when faults are injected, so a jitter-only plan charges the
+    /// jitter alone and an inactive plan charges nothing. Saturating.
+    ///
+    /// Admission charges the sum of this bound over a task's nonzero
+    /// transfers against its slack (the retry budget).
+    pub fn worst_case_extra(&self, transfer: Cycles) -> Cycles {
+        let retries = if self.dma_fault_rate_ppm > 0 {
+            u64::from(self.max_retries)
+        } else {
+            0
+        };
+        let jitter = self.jitter_max_cycles;
+        Cycles::new(
+            transfer
+                .get()
+                .saturating_add(jitter)
+                .saturating_mul(retries)
+                .saturating_add(jitter),
+        )
+    }
 }
 
 impl Default for FaultPlan {
@@ -190,27 +215,6 @@ impl FaultInjector {
             None => Cycles::new(word),
         }
     }
-
-    /// Worst-case extra staging cycles for one segment whose clean
-    /// transfer takes `transfer` cycles: every tolerated fault re-pays
-    /// the full transfer plus maximal jitter, and the final successful
-    /// attempt still pays its own jitter.
-    pub fn worst_case_extra(&self, transfer: Cycles) -> Cycles {
-        if !self.is_active() {
-            return Cycles::ZERO;
-        }
-        let jitter = Cycles::new(self.plan.jitter_max_cycles);
-        let retries = if self.plan.dma_fault_rate_ppm > 0 {
-            u64::from(self.plan.max_retries)
-        } else {
-            0
-        };
-        Cycles::new(
-            (transfer.get().saturating_add(jitter.get()))
-                .saturating_mul(retries)
-                .saturating_add(jitter.get()),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -229,7 +233,10 @@ mod tests {
             assert!(!inj.transfer_faults(0, 0, seg, 0));
             assert_eq!(inj.transfer_jitter(0, 0, seg, 0), Cycles::ZERO);
         }
-        assert_eq!(inj.worst_case_extra(Cycles::new(1000)), Cycles::ZERO);
+        assert_eq!(
+            FaultPlan::NONE.worst_case_extra(Cycles::new(1000)),
+            Cycles::ZERO
+        );
     }
 
     #[test]
@@ -316,13 +323,33 @@ mod tests {
 
     #[test]
     fn worst_case_extra_covers_all_tolerated_faults() {
-        let inj = FaultInjector::new(FaultPlan {
+        let plan = FaultPlan {
             seed: 0,
             dma_fault_rate_ppm: 10_000,
             max_retries: 3,
             jitter_max_cycles: 50,
-        });
+        };
         // 3 retries × (1000 + 50) + final attempt's jitter 50.
-        assert_eq!(inj.worst_case_extra(Cycles::new(1000)), Cycles::new(3200));
+        assert_eq!(plan.worst_case_extra(Cycles::new(1000)), Cycles::new(3200));
+        // Without faults the retries cost nothing, but jitter still
+        // applies to the one attempt; an idle plan charges nothing.
+        let jitter_only = FaultPlan {
+            dma_fault_rate_ppm: 0,
+            ..plan
+        };
+        assert_eq!(
+            jitter_only.worst_case_extra(Cycles::new(1000)),
+            Cycles::new(50)
+        );
+        let idle = FaultPlan {
+            jitter_max_cycles: 0,
+            ..jitter_only
+        };
+        assert_eq!(idle.worst_case_extra(Cycles::new(1000)), Cycles::ZERO);
+        let saturated = FaultPlan {
+            jitter_max_cycles: u64::MAX,
+            ..plan
+        };
+        assert_eq!(saturated.worst_case_extra(Cycles::new(1000)), Cycles::MAX);
     }
 }

@@ -3,12 +3,11 @@
 //!
 //! The Chrome export lays the schedule out on fixed lanes:
 //!
-//! - `tid 1` (**CPU**): one complete event (`ph: "X"`) per
-//!   `SegmentStarted`/`SegmentCompleted` pair — the CPU's view of the
-//!   schedule;
-//! - `tid 2` (**DMA**): one complete event per
-//!   `FetchStarted`/`FetchCompleted` pair, plus instant events for
-//!   injected transfer faults;
+//! - `tid 1` (**CPU**): one complete event (`ph: "X"`) per CPU
+//!   occupancy — the CPU's view of the schedule;
+//! - `tid 2` (**DMA**): one complete event per transfer attempt that
+//!   completed, plus instant events for injected transfer faults (a
+//!   faulted attempt lies before its `fault` marker);
 //! - `tid 10 + k` (one lane per task `k`): one complete event per
 //!   finished job (aborted jobs get a release→abort slice instead),
 //!   plus instant events (`ph: "i"`) for deadline misses, preemptions,
@@ -16,14 +15,16 @@
 //!
 //! Timestamps and durations are raw simulation cycles (Perfetto treats
 //! them as microseconds; relative magnitudes are what matters).
-//! Intervals left open at the end of the trace are omitted. Export is a
+//! Intervals come from the crate's one
+//! [pairing pass](crate#trace-pairing); those left open at the end of the trace are omitted. Export is a
 //! pure function of the trace, so output bytes are deterministic.
-
-use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use rtmdm_mcusim::{Cycles, JobId, SegmentId, TaskId, Trace, TraceKind};
+use rtmdm_mcusim::{TaskId, Trace, TraceKind};
+
+use crate::pairing::{pair, Interval, Item, Kind};
+use crate::spans::{SpanFold, SpanKind};
 
 /// Lane (`tid`) of the aggregate CPU row in the Chrome export.
 pub const TID_CPU: u64 = 1;
@@ -64,11 +65,84 @@ pub struct ChromeTrace {
     pub traceEvents: Vec<ChromeEvent>,
 }
 
-fn task_label(names: &[String], task: TaskId) -> String {
-    names
-        .get(task.0)
-        .cloned()
-        .unwrap_or_else(|| task.to_string())
+/// Task `k`'s name from the label slice, or `T{k}` beyond it; formats
+/// in place, without a copy of the name.
+struct Label<'a>(&'a [String], TaskId);
+
+impl std::fmt::Display for Label<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0.get(self.1 .0) {
+            Some(name) => f.write_str(name),
+            None => write!(f, "{}", self.1),
+        }
+    }
+}
+
+/// An event of phase `ph` over `iv`: complete (`X`) or instant (`i`).
+fn event(name: String, cat: &str, ph: &str, iv: Interval, tid: u64) -> ChromeEvent {
+    ChromeEvent {
+        name,
+        cat: cat.to_owned(),
+        ph: ph.to_owned(),
+        ts: iv.start.get(),
+        dur: iv.len().get(),
+        pid: 0,
+        tid,
+    }
+}
+
+/// Appends the Chrome events of one pairing item (see the module docs).
+fn export(item: Item, names: &[String], events: &mut Vec<ChromeEvent>) {
+    let label = |task| Label(names, task);
+    let lane = |task: TaskId| TID_TASK_BASE + task.0 as u64;
+    match item {
+        Item::Closed(p) => {
+            let (task, segment, job) = (p.task, p.segment, p.job);
+            let (name, cat, tid) = match p.kind {
+                Kind::Occupancy => (format!("{} {segment}", label(task)), "segment", TID_CPU),
+                // The `fetch` slice is the attempt that completed; a
+                // faulted attempt lies before its `fault` marker, and
+                // neither it nor one an abort cancelled is drawn.
+                Kind::Attempt if p.completed => {
+                    (format!("fetch {} {segment}", label(task)), "fetch", TID_DMA)
+                }
+                Kind::Job if p.completed => (format!("{} {job}", label(task)), "job", lane(task)),
+                Kind::Job => {
+                    let name = format!("{} {job} aborted", label(task));
+                    (name, "abort", lane(task))
+                }
+                _ => return,
+            };
+            events.push(event(name, cat, "X", p.iv, tid));
+        }
+        Item::Instant(e) => {
+            let (start, end) = (e.time, e.time);
+            let (name, cat, tid) = match e.kind {
+                TraceKind::DeadlineMissed { task, job } => {
+                    (format!("miss {} {job}", label(task)), "miss", lane(task))
+                }
+                TraceKind::Preempted { task, by } => {
+                    let name = format!("{} preempted by {}", label(task), label(by));
+                    (name, "preempt", lane(task))
+                }
+                TraceKind::FetchFaulted {
+                    task,
+                    job,
+                    segment,
+                    attempt,
+                } => {
+                    let name = format!("fault {} {job} {segment} attempt {attempt}", label(task));
+                    (name, "fault", TID_DMA)
+                }
+                TraceKind::ReleaseShed { task, job } => {
+                    (format!("shed {} {job}", label(task)), "shed", lane(task))
+                }
+                _ => return,
+            };
+            events.push(event(name, cat, "i", Interval { start, end }, tid));
+        }
+        _ => {}
+    }
 }
 
 /// Converts a trace to the Chrome trace-event object.
@@ -77,144 +151,7 @@ fn task_label(names: &[String], task: TaskId) -> String {
 /// slice fall back to `T{k}`.
 pub fn chrome_trace(trace: &Trace, task_names: &[String]) -> ChromeTrace {
     let mut events = Vec::new();
-    let mut open_seg: BTreeMap<(TaskId, JobId, SegmentId), Cycles> = BTreeMap::new();
-    let mut open_fetch: BTreeMap<(TaskId, JobId, SegmentId), Cycles> = BTreeMap::new();
-    let mut open_job: BTreeMap<(TaskId, JobId), Cycles> = BTreeMap::new();
-
-    for e in trace.events() {
-        match e.kind {
-            TraceKind::SegmentStarted { task, job, segment } => {
-                open_seg.insert((task, job, segment), e.time);
-            }
-            TraceKind::SegmentCompleted { task, job, segment } => {
-                if let Some(start) = open_seg.remove(&(task, job, segment)) {
-                    events.push(ChromeEvent {
-                        name: format!("{} {}", task_label(task_names, task), segment),
-                        cat: "segment".to_owned(),
-                        ph: "X".to_owned(),
-                        ts: start.get(),
-                        dur: e.time.saturating_sub(start).get(),
-                        pid: 0,
-                        tid: TID_CPU,
-                    });
-                }
-            }
-            TraceKind::FetchStarted {
-                task, job, segment, ..
-            } => {
-                open_fetch.insert((task, job, segment), e.time);
-            }
-            TraceKind::FetchCompleted { task, job, segment } => {
-                if let Some(start) = open_fetch.remove(&(task, job, segment)) {
-                    events.push(ChromeEvent {
-                        name: format!("fetch {} {}", task_label(task_names, task), segment),
-                        cat: "fetch".to_owned(),
-                        ph: "X".to_owned(),
-                        ts: start.get(),
-                        dur: e.time.saturating_sub(start).get(),
-                        pid: 0,
-                        tid: TID_DMA,
-                    });
-                }
-            }
-            TraceKind::JobReleased { task, job, .. } => {
-                open_job.insert((task, job), e.time);
-            }
-            TraceKind::JobCompleted { task, job, .. } => {
-                if let Some(release) = open_job.remove(&(task, job)) {
-                    events.push(ChromeEvent {
-                        name: format!("{} {}", task_label(task_names, task), job),
-                        cat: "job".to_owned(),
-                        ph: "X".to_owned(),
-                        ts: release.get(),
-                        dur: e.time.saturating_sub(release).get(),
-                        pid: 0,
-                        tid: TID_TASK_BASE + task.0 as u64,
-                    });
-                }
-            }
-            TraceKind::DeadlineMissed { task, job } => {
-                events.push(ChromeEvent {
-                    name: format!("miss {} {}", task_label(task_names, task), job),
-                    cat: "miss".to_owned(),
-                    ph: "i".to_owned(),
-                    ts: e.time.get(),
-                    dur: 0,
-                    pid: 0,
-                    tid: TID_TASK_BASE + task.0 as u64,
-                });
-            }
-            TraceKind::Preempted { task, by } => {
-                events.push(ChromeEvent {
-                    name: format!(
-                        "{} preempted by {}",
-                        task_label(task_names, task),
-                        task_label(task_names, by)
-                    ),
-                    cat: "preempt".to_owned(),
-                    ph: "i".to_owned(),
-                    ts: e.time.get(),
-                    dur: 0,
-                    pid: 0,
-                    tid: TID_TASK_BASE + task.0 as u64,
-                });
-            }
-            TraceKind::FetchFaulted {
-                task,
-                job,
-                segment,
-                attempt,
-            } => {
-                // Instant on the DMA lane. The simulator re-emits
-                // `FetchStarted` for the retry, so the open-fetch entry
-                // is overwritten and the final `fetch` slice spans the
-                // successful attempt only — faulted spans are visible
-                // as the gap between this marker and that slice.
-                events.push(ChromeEvent {
-                    name: format!(
-                        "fault {} {} {} attempt {}",
-                        task_label(task_names, task),
-                        job,
-                        segment,
-                        attempt
-                    ),
-                    cat: "fault".to_owned(),
-                    ph: "i".to_owned(),
-                    ts: e.time.get(),
-                    dur: 0,
-                    pid: 0,
-                    tid: TID_DMA,
-                });
-            }
-            TraceKind::JobAborted { task, job } => {
-                // The job never completes, so close its open interval
-                // here: the slice spans release → abort.
-                if let Some(release) = open_job.remove(&(task, job)) {
-                    events.push(ChromeEvent {
-                        name: format!("{} {} aborted", task_label(task_names, task), job),
-                        cat: "abort".to_owned(),
-                        ph: "X".to_owned(),
-                        ts: release.get(),
-                        dur: e.time.saturating_sub(release).get(),
-                        pid: 0,
-                        tid: TID_TASK_BASE + task.0 as u64,
-                    });
-                }
-            }
-            TraceKind::ReleaseShed { task, job } => {
-                events.push(ChromeEvent {
-                    name: format!("shed {} {}", task_label(task_names, task), job),
-                    cat: "shed".to_owned(),
-                    ph: "i".to_owned(),
-                    ts: e.time.get(),
-                    dur: 0,
-                    pid: 0,
-                    tid: TID_TASK_BASE + task.0 as u64,
-                });
-            }
-            _ => {}
-        }
-    }
+    pair(trace, |item| export(item, task_names, &mut events));
     ChromeTrace {
         traceEvents: events,
     }
@@ -227,11 +164,16 @@ pub fn chrome_trace(trace: &Trace, task_names: &[String]) -> ChromeTrace {
 /// preempted-by / dispatch-wait (see [`crate::spans`]).
 ///
 /// The base events are exactly those of [`chrome_trace`]; the default
-/// export stays byte-identical when this function is not used.
+/// export stays byte-identical when this function is not used. The
+/// trace is paired once for both.
 pub fn chrome_trace_with_blame(trace: &Trace, task_names: &[String]) -> ChromeTrace {
-    use crate::spans::SpanKind;
-    let mut ct = chrome_trace(trace, task_names);
-    for js in crate::spans::reconstruct(trace) {
+    let mut events = Vec::new();
+    let mut spans = SpanFold::default();
+    pair(trace, |item| {
+        export(item, task_names, &mut events);
+        spans.read(item);
+    });
+    for js in spans.finish() {
         for span in &js.spans {
             let name = match span.kind {
                 SpanKind::Compute => "compute".to_owned(),
@@ -240,21 +182,16 @@ pub fn chrome_trace_with_blame(trace: &Trace, task_names: &[String]) -> ChromeTr
                 SpanKind::FaultRefetch => "fault-refetch".to_owned(),
                 SpanKind::DispatchWait => "dispatch-wait".to_owned(),
                 SpanKind::Preempted { by } => {
-                    format!("preempted by {}", task_label(task_names, by))
+                    format!("preempted by {}", Label(task_names, by))
                 }
             };
-            ct.traceEvents.push(ChromeEvent {
-                name,
-                cat: "blame".to_owned(),
-                ph: "X".to_owned(),
-                ts: span.interval.start.get(),
-                dur: span.len().get(),
-                pid: 0,
-                tid: TID_TASK_BASE + js.task.0 as u64,
-            });
+            let tid = TID_TASK_BASE + js.task.0 as u64;
+            events.push(event(name, "blame", "X", span.interval, tid));
         }
     }
-    ct
+    ChromeTrace {
+        traceEvents: events,
+    }
 }
 
 /// Serializes a trace straight to Chrome trace-event JSON text.
@@ -278,7 +215,7 @@ pub fn jsonl(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtmdm_mcusim::TraceEvent;
+    use rtmdm_mcusim::{Cycles, JobId, SegmentId, TraceEvent};
 
     fn cy(n: u64) -> Cycles {
         Cycles::new(n)

@@ -13,8 +13,10 @@
 //!   the simulator also keeps per task for response times;
 //! - [`timeline`] — exact interval analytics over a
 //!   [`Trace`](rtmdm_mcusim::Trace): per-task Gantt slices, CPU/DMA
-//!   utilization, idle intervals, and the fetch/compute overlap ratio,
-//!   with the invariant `cpu_busy + cpu_idle == horizon` by construction;
+//!   utilization (DMA time counting faulted and cancelled transfer
+//!   attempts, as the simulator's channel does), idle intervals, and the
+//!   fetch/compute overlap ratio, with the invariant
+//!   `cpu_busy + cpu_idle == horizon` by construction;
 //! - [`gantt`] — an ASCII Gantt renderer over a timeline (the `rtmdm
 //!   trace --gantt` output);
 //! - [`export`] — serializers to Chrome trace-event JSON (loadable in
@@ -32,6 +34,15 @@
 //! and every interval pairing, chart, and trace-derived count lives
 //! here.
 //!
+//! ## Trace pairing
+//!
+//! [`Timeline::from_trace`], [`reconstruct`] (and so [`attribute`]) and
+//! [`chrome_trace`] fold one private pass that pairs a trace's events
+//! into intervals by one set of rules (`DESIGN.md` §2.4). They differ
+//! only in what they do with what is still open when the trace ends:
+//! the timeline closes it at its horizon, the Chrome export omits it,
+//! and span reconstruction reads completed jobs only.
+//!
 //! Everything here is integer-exact and deterministic: derived metrics
 //! are pure functions of the trace, and registry totals are sums, so
 //! results are byte-identical for any `RTMDM_THREADS` setting.
@@ -43,6 +54,7 @@ pub mod blame;
 pub mod export;
 pub mod gantt;
 pub mod metrics;
+mod pairing;
 pub mod spans;
 pub mod timeline;
 
@@ -52,4 +64,4 @@ pub use export::{
 };
 pub use metrics::{global, GlobalRegistry, Histogram, Snapshot, HISTOGRAM_BUCKETS};
 pub use spans::{reconstruct, JobSpans, Span, SpanKind};
-pub use timeline::{FetchSlice, Interval, SegmentSlice, TaskTimeline, Timeline, TimelineSummary};
+pub use timeline::{FetchSlice, Interval, SegmentSlice, Timeline, TimelineSummary};

@@ -9,7 +9,9 @@
 //! — which is what lets [`crate::blame`] enforce its conservation
 //! invariant with zero tolerance.
 //!
-//! The precedence rule, applied within each job's window:
+//! Occupancies, fetch waits and fault episodes come from the crate's one
+//! [pairing pass](crate#trace-pairing). The precedence rule, applied
+//! within each job's window:
 //!
 //! 1. the job's **own segment slices** become [`SpanKind::Compute`],
 //!    with the tail `stall` cycles reported by
@@ -21,11 +23,8 @@
 //!    [`SpanKind::Preempted`] naming the occupant (the CPU is unique,
 //!    so slices never overlap; earlier jobs of the same task count too,
 //!    as happens under the `Continue` deadline-miss policy);
-//! 3. the job's **fetch-wait intervals**
-//!    ([`TraceKind::FetchWaitBegan`]/[`TraceKind::FetchWaitEnded`])
-//!    minus the time already attributed above, split by the job's own
-//!    fault episodes (first [`TraceKind::FetchFaulted`] to the next
-//!    [`TraceKind::FetchCompleted`] of the same transfer) into
+//! 3. the job's **fetch waits** minus the time already attributed
+//!    above, split by the job's own fault episodes into
 //!    [`SpanKind::FaultRefetch`] and [`SpanKind::BlockingFetch`];
 //! 4. whatever remains is [`SpanKind::DispatchWait`] — ready but
 //!    neither running, preempted, nor provably blocked on the DMA
@@ -43,9 +42,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use rtmdm_mcusim::{Cycles, JobId, SegmentId, TaskId, Trace, TraceKind};
+use rtmdm_mcusim::{Cycles, JobId, TaskId, Trace, TraceKind};
 
-use crate::timeline::Interval;
+use crate::pairing::{intersect, pair, subtract, Interval, Item, Kind, Pair};
 
 /// Why a span of a job's response window elapsed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -123,185 +122,127 @@ impl JobSpans {
     }
 }
 
-/// One CPU occupancy extracted from the trace.
-struct Slice {
-    start: Cycles,
-    end: Cycles,
-    task: TaskId,
-    job: JobId,
-    /// Tail cycles lost to bus contention (zero without attribution).
-    stall: Cycles,
-}
-
 /// Reconstructs the exact span partition of every completed job in
 /// `trace`, in completion order.
 ///
 /// See the module docs for the partition rule. The returned partitions
 /// satisfy `attributed() == response` for every job, exactly.
 pub fn reconstruct(trace: &Trace) -> Vec<JobSpans> {
-    let mut slices: Vec<Slice> = Vec::new();
-    let mut open_seg: BTreeMap<(TaskId, JobId, SegmentId), Cycles> = BTreeMap::new();
-    let mut stalls: BTreeMap<(TaskId, JobId, SegmentId), Cycles> = BTreeMap::new();
-    let mut waits: BTreeMap<(TaskId, JobId), Vec<Interval>> = BTreeMap::new();
-    let mut open_wait: BTreeMap<(TaskId, JobId), Cycles> = BTreeMap::new();
-    let mut episodes: BTreeMap<(TaskId, JobId), Vec<Interval>> = BTreeMap::new();
-    let mut open_episode: BTreeMap<(TaskId, JobId, SegmentId), Cycles> = BTreeMap::new();
-    let mut missed: BTreeSet<(TaskId, JobId)> = BTreeSet::new();
-    let mut completed: Vec<(TaskId, JobId, Cycles, Cycles)> = Vec::new();
+    let mut fold = SpanFold::default();
+    pair(trace, |item| fold.read(item));
+    fold.finish()
+}
 
-    for e in trace.events() {
-        match e.kind {
-            TraceKind::SegmentStarted { task, job, segment } => {
-                open_seg.insert((task, job, segment), e.time);
+/// What span reconstruction keeps from the pairing pass: every
+/// occupancy, the fetch waits and fault episodes of each job, and the
+/// completed jobs. Open intervals are ignored.
+#[derive(Default)]
+pub(crate) struct SpanFold {
+    slices: Vec<Pair>,
+    /// Nonempty fetch waits and fault episodes, by kind and job.
+    intervals: BTreeMap<(Kind, TaskId, JobId), Vec<Interval>>,
+    missed: BTreeSet<(TaskId, JobId)>,
+    completed: Vec<(TaskId, JobId, Cycles, Cycles)>,
+}
+
+impl SpanFold {
+    /// Keeps what the partition needs from one pairing item.
+    pub(crate) fn read(&mut self, item: Item) {
+        match item {
+            Item::Closed(p) if p.kind == Kind::Occupancy => self.slices.push(p),
+            Item::Closed(p) if matches!(p.kind, Kind::Wait | Kind::Episode) && !p.iv.is_empty() => {
+                let key = (p.kind, p.task, p.job);
+                self.intervals.entry(key).or_default().push(p.iv);
             }
-            TraceKind::SegmentStalled {
-                task,
-                job,
-                segment,
-                stall,
-            } => {
-                stalls.insert((task, job, segment), stall);
-            }
-            TraceKind::SegmentCompleted { task, job, segment } => {
-                if let Some(start) = open_seg.remove(&(task, job, segment)) {
-                    let stall = stalls
-                        .remove(&(task, job, segment))
-                        .unwrap_or(Cycles::ZERO)
-                        .min(e.time.saturating_sub(start));
-                    slices.push(Slice {
-                        start,
-                        end: e.time,
-                        task,
-                        job,
-                        stall,
-                    });
+            Item::Instant(e) => match e.kind {
+                TraceKind::DeadlineMissed { task, job } => {
+                    self.missed.insert((task, job));
                 }
-            }
-            TraceKind::FetchWaitBegan { task, job, .. } => {
-                open_wait.insert((task, job), e.time);
-            }
-            TraceKind::FetchWaitEnded { task, job, .. } => {
-                if let Some(start) = open_wait.remove(&(task, job)) {
-                    if start < e.time {
-                        waits
-                            .entry((task, job))
-                            .or_default()
-                            .push(Interval { start, end: e.time });
-                    }
+                TraceKind::JobCompleted {
+                    task,
+                    job,
+                    response,
+                } => {
+                    self.completed.push((task, job, e.time, response));
                 }
-            }
-            TraceKind::FetchFaulted {
-                task, job, segment, ..
-            } => {
-                // Episode opens at the first fault of the transfer and
-                // closes at its eventual successful completion; retries
-                // in between extend the same episode.
-                open_episode.entry((task, job, segment)).or_insert(e.time);
-            }
-            TraceKind::FetchCompleted { task, job, segment } => {
-                if let Some(start) = open_episode.remove(&(task, job, segment)) {
-                    if start < e.time {
-                        episodes
-                            .entry((task, job))
-                            .or_default()
-                            .push(Interval { start, end: e.time });
-                    }
-                }
-            }
-            TraceKind::DeadlineMissed { task, job } => {
-                missed.insert((task, job));
-            }
-            TraceKind::JobCompleted {
-                task,
-                job,
-                response,
-            } => {
-                completed.push((task, job, e.time, response));
-            }
+                _ => {}
+            },
             _ => {}
         }
     }
-    // The CPU is unique and occupancies retire in order, so slices are
-    // globally disjoint and already sorted by start == sorted by end.
-    slices.sort_by_key(|s| s.start);
 
-    let mut out = Vec::with_capacity(completed.len());
-    for (task, job, completion, response) in completed {
-        let release = completion.saturating_sub(response);
-        let window = Interval {
-            start: release,
-            end: completion,
-        };
-
-        // Steps 1–2: every CPU occupancy intersecting the window.
-        let mut spans: Vec<Span> = Vec::new();
-        let mut covered: Vec<Interval> = Vec::new();
-        let first = slices.partition_point(|s| s.end <= window.start);
-        for s in &slices[first..] {
-            if s.start >= window.end {
-                break;
-            }
-            let clipped = Interval {
-                start: s.start.max(window.start),
-                end: s.end.min(window.end),
+    /// The partition of every completed job read so far.
+    pub(crate) fn finish(mut self) -> Vec<JobSpans> {
+        // The CPU is unique and occupancies retire in order, so slices
+        // are globally disjoint and sorting by start sorts by end.
+        self.slices.sort_by_key(|s| s.iv.start);
+        let of = |key| self.intervals.get(&key).map_or(&[][..], Vec::as_slice);
+        let mut out = Vec::with_capacity(self.completed.len());
+        for &(task, job, completion, response) in &self.completed {
+            let release = completion.saturating_sub(response);
+            let window = Interval {
+                start: release,
+                end: completion,
             };
-            if clipped.is_empty() {
-                continue;
+
+            // Steps 1–2: every CPU occupancy intersecting the window.
+            let mut spans: Vec<Span> = Vec::new();
+            let mut covered: Vec<Interval> = Vec::new();
+            let first = self.slices.partition_point(|s| s.iv.end <= window.start);
+            for s in self.slices[first..]
+                .iter()
+                .take_while(|s| s.iv.start < window.end)
+            {
+                let clipped = Interval {
+                    start: s.iv.start.max(window.start),
+                    end: s.iv.end.min(window.end),
+                };
+                if clipped.is_empty() {
+                    continue;
+                }
+                covered.push(clipped);
+                if (s.task, s.job) == (task, job) {
+                    // Stall drawn at the slice tail; clip against the
+                    // window the same way the slice was.
+                    let tail = s.iv.end.saturating_sub(Cycles::new(s.amount));
+                    let split = tail.clamp(clipped.start, clipped.end);
+                    push_span(&mut spans, SpanKind::Compute, clipped.start, split);
+                    push_span(&mut spans, SpanKind::BusContention, split, clipped.end);
+                } else {
+                    let by = SpanKind::Preempted { by: s.task };
+                    push_span(&mut spans, by, clipped.start, clipped.end);
+                }
             }
-            covered.push(clipped);
-            if (s.task, s.job) == (task, job) {
-                // Stall drawn at the slice tail; clip against the
-                // window the same way the slice was.
-                let split = s
-                    .end
-                    .saturating_sub(s.stall)
-                    .clamp(clipped.start, clipped.end);
-                push_span(&mut spans, SpanKind::Compute, clipped.start, split);
-                push_span(&mut spans, SpanKind::BusContention, split, clipped.end);
-            } else {
-                push_span(
-                    &mut spans,
-                    SpanKind::Preempted { by: s.task },
-                    clipped.start,
-                    clipped.end,
-                );
+
+            // Step 3: uncovered fetch-wait time, split by fault episodes.
+            let gaps = subtract(&[window], &covered);
+            let wait = intersect(of((Kind::Wait, task, job)), &gaps);
+            let fault = intersect(&wait, of((Kind::Episode, task, job)));
+            for iv in &fault {
+                push_span(&mut spans, SpanKind::FaultRefetch, iv.start, iv.end);
             }
-        }
+            for iv in subtract(&wait, &fault) {
+                push_span(&mut spans, SpanKind::BlockingFetch, iv.start, iv.end);
+            }
 
-        // Step 3: uncovered fetch-wait time, split by fault episodes.
-        let gaps = subtract(&[window], &covered);
-        let wait = intersect(
-            waits.get(&(task, job)).map_or(&[][..], Vec::as_slice),
-            &gaps,
-        );
-        let fault = intersect(
-            &wait,
-            episodes.get(&(task, job)).map_or(&[][..], Vec::as_slice),
-        );
-        let blocking = subtract(&wait, &fault);
-        for iv in &fault {
-            push_span(&mut spans, SpanKind::FaultRefetch, iv.start, iv.end);
-        }
-        for iv in &blocking {
-            push_span(&mut spans, SpanKind::BlockingFetch, iv.start, iv.end);
-        }
+            // Step 4: the remainder.
+            for iv in subtract(&gaps, &wait) {
+                push_span(&mut spans, SpanKind::DispatchWait, iv.start, iv.end);
+            }
 
-        // Step 4: the remainder.
-        for iv in subtract(&gaps, &wait) {
-            push_span(&mut spans, SpanKind::DispatchWait, iv.start, iv.end);
+            spans.sort_by_key(|s| (s.interval.start, s.interval.end));
+            let missed = self.missed.contains(&(task, job));
+            out.push(JobSpans {
+                task,
+                job,
+                release,
+                response,
+                missed,
+                spans,
+            });
         }
-
-        spans.sort_by_key(|s| (s.interval.start, s.interval.end));
-        out.push(JobSpans {
-            task,
-            job,
-            release,
-            response,
-            missed: missed.contains(&(task, job)),
-            spans,
-        });
+        out
     }
-    out
 }
 
 fn push_span(spans: &mut Vec<Span>, kind: SpanKind, start: Cycles, end: Cycles) {
@@ -313,61 +254,10 @@ fn push_span(spans: &mut Vec<Span>, kind: SpanKind, start: Cycles, end: Cycles) 
     }
 }
 
-/// `base − cut` for disjoint ascending interval lists (cut need not be
-/// sorted relative to base gaps; both must be internally disjoint and
-/// ascending).
-fn subtract(base: &[Interval], cut: &[Interval]) -> Vec<Interval> {
-    let mut out = Vec::new();
-    let mut j = 0;
-    for b in base {
-        let mut cursor = b.start;
-        while j < cut.len() && cut[j].end <= cursor {
-            j += 1;
-        }
-        let mut k = j;
-        while k < cut.len() && cut[k].start < b.end {
-            if cut[k].start > cursor {
-                out.push(Interval {
-                    start: cursor,
-                    end: cut[k].start.min(b.end),
-                });
-            }
-            cursor = cursor.max(cut[k].end);
-            k += 1;
-        }
-        if cursor < b.end {
-            out.push(Interval {
-                start: cursor,
-                end: b.end,
-            });
-        }
-    }
-    out.retain(|iv| !iv.is_empty());
-    out
-}
-
-/// `a ∩ b` for disjoint ascending interval lists (two-pointer sweep).
-fn intersect(a: &[Interval], b: &[Interval]) -> Vec<Interval> {
-    let (mut i, mut j) = (0, 0);
-    let mut out = Vec::new();
-    while i < a.len() && j < b.len() {
-        let start = a[i].start.max(b[j].start);
-        let end = a[i].end.min(b[j].end);
-        if start < end {
-            out.push(Interval { start, end });
-        }
-        if a[i].end <= b[j].end {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rtmdm_mcusim::SegmentId;
 
     fn cy(n: u64) -> Cycles {
         Cycles::new(n)
@@ -378,32 +268,6 @@ mod tests {
             start: cy(s),
             end: cy(e),
         }
-    }
-
-    #[test]
-    fn subtract_carves_gaps() {
-        assert_eq!(
-            subtract(&[iv(0, 100)], &[iv(10, 20), iv(40, 60)]),
-            vec![iv(0, 10), iv(20, 40), iv(60, 100)]
-        );
-        assert_eq!(subtract(&[iv(0, 10)], &[iv(0, 10)]), vec![]);
-        assert_eq!(subtract(&[iv(5, 10)], &[]), vec![iv(5, 10)]);
-        // Cut spilling over both edges.
-        assert_eq!(subtract(&[iv(10, 20)], &[iv(0, 15)]), vec![iv(15, 20)]);
-        // Multiple base intervals against one long cut.
-        assert_eq!(
-            subtract(&[iv(0, 10), iv(20, 30)], &[iv(5, 25)]),
-            vec![iv(0, 5), iv(25, 30)]
-        );
-    }
-
-    #[test]
-    fn intersect_is_exact() {
-        assert_eq!(
-            intersect(&[iv(0, 10), iv(20, 30)], &[iv(5, 25)]),
-            vec![iv(5, 10), iv(20, 25)]
-        );
-        assert_eq!(intersect(&[iv(0, 10)], &[iv(10, 20)]), vec![]);
     }
 
     /// A hand-built trace exercising all six kinds:

@@ -1,38 +1,21 @@
 //! Timeline analytics over execution traces.
 //!
-//! [`Timeline::from_trace`] performs one pass over a [`Trace`] and
-//! derives exact interval data: per-task Gantt slices, CPU/DMA busy
-//! unions, idle intervals, and the fetch/compute overlap. All arithmetic
-//! is integer-exact over the event stream, so the headline invariant
+//! [`Timeline::from_trace`] folds the one pairing pass over a [`Trace`]
+//! (see [trace pairing](crate#trace-pairing)) into exact
+//! interval data: per-task Gantt slices, CPU/DMA busy unions, idle
+//! intervals, and the fetch/compute overlap. All arithmetic is
+//! integer-exact over the event stream, so the headline invariant
 //! `cpu_busy + cpu_idle == horizon` holds by construction and every
 //! derived number is identical regardless of worker-thread settings.
 
-use std::collections::BTreeMap;
+use std::collections::BTreeSet;
 
 use serde::{Deserialize, Serialize};
 
 use rtmdm_mcusim::{Cycles, JobId, SegmentId, TaskId, Trace, TraceKind};
 
-/// A half-open interval of simulation time `[start, end)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Interval {
-    /// First cycle of the interval.
-    pub start: Cycles,
-    /// One past the last cycle of the interval.
-    pub end: Cycles,
-}
-
-impl Interval {
-    /// Length of the interval.
-    pub fn len(&self) -> Cycles {
-        self.end.saturating_sub(self.start)
-    }
-
-    /// Whether the interval is empty.
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
-    }
-}
+pub use crate::pairing::Interval;
+use crate::pairing::{intersect, merge, pair, subtract, total, Item, Kind};
 
 /// One contiguous run of a segment on the CPU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,7 +33,7 @@ pub struct SegmentSlice {
     pub end: Cycles,
 }
 
-/// One DMA transfer staging a segment's weights.
+/// One DMA transfer attempt staging a segment's weights.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FetchSlice {
     /// Owning task.
@@ -61,35 +44,12 @@ pub struct FetchSlice {
     pub segment: SegmentId,
     /// Transfer size in bytes.
     pub bytes: u64,
-    /// When the DMA started.
+    /// When the attempt was issued.
     pub start: Cycles,
-    /// When the transfer finished (clamped to the horizon if the trace
-    /// ended mid-transfer).
+    /// When the attempt completed, faulted or was cancelled with its
+    /// aborted job (clamped to the horizon if the trace ended
+    /// mid-transfer).
     pub end: Cycles,
-}
-
-/// Per-task aggregates derived from the trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TaskTimeline {
-    /// CPU cycles spent executing this task's segments.
-    pub busy: Cycles,
-    /// Jobs released.
-    pub releases: u64,
-    /// Jobs completed.
-    pub completions: u64,
-    /// Deadline misses.
-    pub misses: u64,
-    /// Segment-boundary preemptions suffered.
-    pub preemptions: u64,
-    /// Largest observed response time, if any job completed.
-    pub max_response: Option<Cycles>,
-}
-
-impl TaskTimeline {
-    /// Observed CPU utilization over `horizon`, in parts per million.
-    pub fn utilization_ppm(&self, horizon: Cycles) -> u64 {
-        ratio_ppm(self.busy, horizon)
-    }
 }
 
 /// A compact, serializable digest of a timeline — what the benchmark
@@ -131,17 +91,14 @@ pub struct TimelineSummary {
 /// assert_eq!(tl.cpu_busy(), Cycles::new(30));
 /// assert_eq!(tl.cpu_busy() + tl.cpu_idle(), Cycles::new(100));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     horizon: Cycles,
     segments: Vec<SegmentSlice>,
     fetches: Vec<FetchSlice>,
     cpu_intervals: Vec<Interval>,
     dma_intervals: Vec<Interval>,
-    cpu_busy: Cycles,
-    dma_busy: Cycles,
-    overlap: Cycles,
-    tasks: BTreeMap<TaskId, TaskTimeline>,
+    tasks: BTreeSet<TaskId>,
     traced_idle: Vec<Interval>,
     faults: Vec<(Cycles, TaskId)>,
     aborts: Vec<(Cycles, TaskId)>,
@@ -151,175 +108,76 @@ pub struct Timeline {
 impl Timeline {
     /// Builds the timeline from `trace` over `[0, horizon)`.
     ///
-    /// Every event time is clamped to `horizon`. Intervals still open
-    /// when the trace ends (a segment, fetch, or idle period the
-    /// simulator never closed because the horizon hit) close at the
-    /// horizon. A segment or fetch starting at or beyond the horizon
-    /// becomes an empty slice: it adds no busy time and paints no
-    /// Gantt cell. Instant events beyond the horizon still count, at
-    /// the horizon: releases, completions, misses and preemptions in
-    /// [`Timeline::tasks`], and the fault, abort and shed markers.
+    /// Every event time is clamped to `horizon`, and intervals still
+    /// open when the trace ends (a segment, transfer attempt, or idle
+    /// period the simulator never closed because the horizon hit) close
+    /// there. A segment or transfer starting at or beyond the horizon
+    /// becomes an empty slice: it adds no busy time and paints no Gantt
+    /// cell. Instant events beyond the horizon still count, at the
+    /// horizon: the task set of [`Timeline::tasks`], and the fault,
+    /// abort and shed markers.
     pub fn from_trace(trace: &Trace, horizon: Cycles) -> Self {
-        let mut segments = Vec::new();
-        let mut fetches = Vec::new();
-        let mut tasks: BTreeMap<TaskId, TaskTimeline> = BTreeMap::new();
-        let mut open_seg: BTreeMap<(TaskId, JobId, SegmentId), Cycles> = BTreeMap::new();
-        let mut open_fetch: BTreeMap<(TaskId, JobId, SegmentId), (Cycles, u64)> = BTreeMap::new();
-        let mut traced_idle = Vec::new();
-        let mut open_idle: Option<Cycles> = None;
-        let mut faults = Vec::new();
-        let mut aborts = Vec::new();
-        let mut sheds = Vec::new();
-
-        for e in trace.events() {
-            let time = e.time.min(horizon);
-            match e.kind {
-                TraceKind::SegmentStarted { task, job, segment } => {
-                    open_seg.insert((task, job, segment), time);
+        let mut tl = Timeline {
+            horizon,
+            ..Timeline::default()
+        };
+        pair(trace, |item| match item {
+            Item::Closed(p) | Item::Open(p) => {
+                let (start, end) = (p.iv.start.min(horizon), p.iv.end.min(horizon));
+                let (task, job, segment) = (p.task, p.job, p.segment);
+                if matches!(p.kind, Kind::Occupancy | Kind::Job) {
+                    tl.tasks.insert(task);
                 }
-                TraceKind::SegmentCompleted { task, job, segment } => {
-                    if let Some(start) = open_seg.remove(&(task, job, segment)) {
-                        segments.push(SegmentSlice {
+                match p.kind {
+                    Kind::Occupancy => {
+                        let slice = SegmentSlice {
                             task,
                             job,
                             segment,
                             start,
-                            end: time,
-                        });
+                            end,
+                        };
+                        tl.segments.push(slice);
                     }
-                }
-                TraceKind::FetchStarted {
-                    task,
-                    job,
-                    segment,
-                    bytes,
-                } => {
-                    open_fetch.insert((task, job, segment), (time, bytes));
-                }
-                TraceKind::FetchCompleted { task, job, segment } => {
-                    if let Some((start, bytes)) = open_fetch.remove(&(task, job, segment)) {
-                        fetches.push(FetchSlice {
+                    Kind::Attempt => {
+                        let bytes = p.amount;
+                        let slice = FetchSlice {
                             task,
                             job,
                             segment,
                             bytes,
                             start,
-                            end: time,
-                        });
+                            end,
+                        };
+                        tl.fetches.push(slice);
                     }
+                    Kind::Idle if start < end => tl.traced_idle.push(Interval { start, end }),
+                    _ => {}
                 }
-                TraceKind::JobReleased { task, .. } => {
-                    tasks.entry(task).or_default().releases += 1;
-                }
-                TraceKind::JobCompleted { task, response, .. } => {
-                    let t = tasks.entry(task).or_default();
-                    t.completions += 1;
-                    t.max_response = Some(t.max_response.map_or(response, |m| m.max(response)));
-                }
-                TraceKind::DeadlineMissed { task, .. } => {
-                    tasks.entry(task).or_default().misses += 1;
-                }
-                TraceKind::Preempted { task, .. } => {
-                    tasks.entry(task).or_default().preemptions += 1;
-                }
-                TraceKind::CpuIdle => {
-                    // Duplicate opens keep the earliest start.
-                    open_idle.get_or_insert(time);
-                }
-                TraceKind::CpuIdleEnd => {
-                    if let Some(start) = open_idle.take() {
-                        if start < time {
-                            traced_idle.push(Interval { start, end: time });
-                        }
+            }
+            Item::Instant(e) => {
+                let time = e.time.min(horizon);
+                match e.kind {
+                    TraceKind::JobCompleted { task, .. }
+                    | TraceKind::DeadlineMissed { task, .. }
+                    | TraceKind::Preempted { task, .. } => {
+                        tl.tasks.insert(task);
                     }
+                    TraceKind::FetchFaulted { task, .. } => tl.faults.push((time, task)),
+                    TraceKind::JobAborted { task, .. } => tl.aborts.push((time, task)),
+                    TraceKind::ReleaseShed { task, .. } => tl.sheds.push((time, task)),
+                    _ => {}
                 }
-                TraceKind::FetchFaulted { task, .. } => {
-                    faults.push((time, task));
-                }
-                TraceKind::JobAborted { task, .. } => {
-                    aborts.push((time, task));
-                }
-                TraceKind::ReleaseShed { task, .. } => {
-                    sheds.push((time, task));
-                }
-                _ => {}
             }
-        }
-        // A trace that ends mid-idle has no paired `CpuIdleEnd`:
-        // synthesize the closing cut at the horizon so traced idle
-        // still complements CPU busy exactly.
-        if let Some(start) = open_idle {
-            if start < horizon {
-                traced_idle.push(Interval {
-                    start,
-                    end: horizon,
-                });
-            }
-        }
-        // Clamp whatever the horizon cut off mid-flight.
-        for ((task, job, segment), start) in open_seg {
-            segments.push(SegmentSlice {
-                task,
-                job,
-                segment,
-                start,
-                end: horizon,
-            });
-        }
-        for ((task, job, segment), (start, bytes)) in open_fetch {
-            fetches.push(FetchSlice {
-                task,
-                job,
-                segment,
-                bytes,
-                start,
-                end: horizon,
-            });
-        }
-        segments.sort_by_key(|s| (s.start, s.task, s.job, s.segment));
-        fetches.sort_by_key(|f| (f.start, f.task, f.job, f.segment));
-
-        for s in &segments {
-            tasks.entry(s.task).or_default().busy += s.end.saturating_sub(s.start);
-        }
-
-        let cpu_intervals = merge_intervals(
-            segments
-                .iter()
-                .map(|s| Interval {
-                    start: s.start,
-                    end: s.end,
-                })
-                .collect(),
-        );
-        let dma_intervals = merge_intervals(
-            fetches
-                .iter()
-                .map(|f| Interval {
-                    start: f.start,
-                    end: f.end,
-                })
-                .collect(),
-        );
-        let cpu_busy = total(&cpu_intervals);
-        let dma_busy = total(&dma_intervals);
-        let overlap = intersection_cycles(&cpu_intervals, &dma_intervals);
-
-        Timeline {
-            horizon,
-            segments,
-            fetches,
-            cpu_intervals,
-            dma_intervals,
-            cpu_busy,
-            dma_busy,
-            overlap,
-            tasks,
-            traced_idle,
-            faults,
-            aborts,
-            sheds,
-        }
+        });
+        tl.segments
+            .sort_by_key(|s| (s.start, s.task, s.job, s.segment));
+        tl.fetches
+            .sort_by_key(|f| (f.start, f.task, f.job, f.segment));
+        let slice = |start, end| Interval { start, end };
+        tl.cpu_intervals = merge(tl.segments.iter().map(|s| slice(s.start, s.end)).collect());
+        tl.dma_intervals = merge(tl.fetches.iter().map(|f| slice(f.start, f.end)).collect());
+        tl
     }
 
     /// Analysis horizon.
@@ -332,13 +190,15 @@ impl Timeline {
         &self.segments
     }
 
-    /// All DMA transfers, sorted by start time.
+    /// All DMA transfer attempts, faulted and cancelled ones included,
+    /// sorted by start time.
     pub fn fetches(&self) -> &[FetchSlice] {
         &self.fetches
     }
 
-    /// Per-task aggregates, keyed by task.
-    pub fn tasks(&self) -> &BTreeMap<TaskId, TaskTimeline> {
+    /// Tasks with any release, completion, miss, preemption or segment
+    /// in the trace — the task rows of the Gantt chart.
+    pub fn tasks(&self) -> &BTreeSet<TaskId> {
         &self.tasks
     }
 
@@ -354,45 +214,28 @@ impl Timeline {
 
     /// Total cycles the CPU executed segments.
     pub fn cpu_busy(&self) -> Cycles {
-        self.cpu_busy
+        total(&self.cpu_intervals)
     }
 
     /// Total cycles the CPU sat idle: exactly `horizon - cpu_busy`.
     pub fn cpu_idle(&self) -> Cycles {
-        self.horizon.saturating_sub(self.cpu_busy)
+        self.horizon.saturating_sub(self.cpu_busy())
     }
 
     /// Total cycles the DMA was streaming.
     pub fn dma_busy(&self) -> Cycles {
-        self.dma_busy
+        total(&self.dma_intervals)
     }
 
     /// Cycles during which compute and a fetch were in flight together.
     pub fn overlap_cycles(&self) -> Cycles {
-        self.overlap
+        total(&intersect(&self.cpu_intervals, &self.dma_intervals))
     }
 
     /// The complement of the CPU busy union within `[0, horizon)`.
     pub fn idle_intervals(&self) -> Vec<Interval> {
-        let mut out = Vec::new();
-        let mut cursor = Cycles::ZERO;
-        for iv in &self.cpu_intervals {
-            if iv.start > cursor {
-                out.push(Interval {
-                    start: cursor,
-                    end: iv.start.min(self.horizon),
-                });
-            }
-            cursor = cursor.max(iv.end);
-        }
-        if cursor < self.horizon {
-            out.push(Interval {
-                start: cursor,
-                end: self.horizon,
-            });
-        }
-        out.retain(|iv| !iv.is_empty());
-        out
+        let (start, end) = (Cycles::ZERO, self.horizon);
+        subtract(&[Interval { start, end }], &self.cpu_intervals)
     }
 
     /// CPU idle periods as the simulator recorded them
@@ -432,29 +275,29 @@ impl Timeline {
 
     /// `cpu_busy / horizon` in parts per million (0 for a zero horizon).
     pub fn cpu_utilization_ppm(&self) -> u64 {
-        ratio_ppm(self.cpu_busy, self.horizon)
+        ratio_ppm(self.cpu_busy(), self.horizon)
     }
 
     /// `dma_busy / horizon` in parts per million (0 for a zero horizon).
     pub fn dma_utilization_ppm(&self) -> u64 {
-        ratio_ppm(self.dma_busy, self.horizon)
+        ratio_ppm(self.dma_busy(), self.horizon)
     }
 
     /// Fraction of DMA streaming time hidden under compute, in parts
     /// per million of `dma_busy`. By construction ≤ 1 000 000; 0 when
     /// nothing was fetched.
     pub fn overlap_ratio_ppm(&self) -> u64 {
-        ratio_ppm(self.overlap, self.dma_busy)
+        ratio_ppm(self.overlap_cycles(), self.dma_busy())
     }
 
     /// The serializable digest of this timeline.
     pub fn summary(&self) -> TimelineSummary {
         TimelineSummary {
             horizon: self.horizon,
-            cpu_busy: self.cpu_busy,
+            cpu_busy: self.cpu_busy(),
             cpu_idle: self.cpu_idle(),
-            dma_busy: self.dma_busy,
-            overlap: self.overlap,
+            dma_busy: self.dma_busy(),
+            overlap: self.overlap_cycles(),
             cpu_utilization_ppm: self.cpu_utilization_ppm(),
             dma_utilization_ppm: self.dma_utilization_ppm(),
             overlap_ratio_ppm: self.overlap_ratio_ppm(),
@@ -467,43 +310,6 @@ fn ratio_ppm(num: Cycles, den: Cycles) -> u64 {
         return 0;
     }
     ((u128::from(num.get()) * 1_000_000) / u128::from(den.get())) as u64
-}
-
-/// Sorts and merges overlapping or touching intervals into a disjoint,
-/// ascending list; empty intervals are dropped.
-fn merge_intervals(mut ivs: Vec<Interval>) -> Vec<Interval> {
-    ivs.retain(|iv| !iv.is_empty());
-    ivs.sort();
-    let mut out: Vec<Interval> = Vec::with_capacity(ivs.len());
-    for iv in ivs {
-        match out.last_mut() {
-            Some(last) if iv.start <= last.end => last.end = last.end.max(iv.end),
-            _ => out.push(iv),
-        }
-    }
-    out
-}
-
-fn total(ivs: &[Interval]) -> Cycles {
-    ivs.iter().map(Interval::len).sum()
-}
-
-/// Total length of the intersection of two disjoint, ascending interval
-/// lists (two-pointer sweep).
-fn intersection_cycles(a: &[Interval], b: &[Interval]) -> Cycles {
-    let (mut i, mut j) = (0, 0);
-    let mut out = Cycles::ZERO;
-    while i < a.len() && j < b.len() {
-        let start = a[i].start.max(b[j].start);
-        let end = a[i].end.min(b[j].end);
-        out += end.saturating_sub(start);
-        if a[i].end <= b[j].end {
-            i += 1;
-        } else {
-            j += 1;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -602,7 +408,7 @@ mod tests {
     }
 
     #[test]
-    fn per_task_aggregates() {
+    fn task_rows_come_from_counted_events() {
         let mut t = Trace::new();
         t.push(
             cy(0),
@@ -612,41 +418,77 @@ mod tests {
                 deadline: cy(90),
             },
         );
-        push_seg(&mut t, seg(0, 0, 0), 0, 30);
+        push_seg(&mut t, seg(2, 0, 0), 0, 30);
         t.push(
             cy(30),
             TraceKind::Preempted {
-                task: TaskId(0),
+                task: TaskId(3),
                 by: TaskId(1),
-            },
-        );
-        t.push(
-            cy(30),
-            TraceKind::JobCompleted {
-                task: TaskId(0),
-                job: JobId(0),
-                response: cy(30),
             },
         );
         t.push(
             cy(90),
             TraceKind::DeadlineMissed {
-                task: TaskId(0),
+                task: TaskId(4),
+                job: JobId(1),
+            },
+        );
+        t.push(
+            cy(95),
+            TraceKind::ReleaseShed {
+                task: TaskId(5),
                 job: JobId(1),
             },
         );
         let tl = Timeline::from_trace(&t, cy(100));
-        let t0 = tl.tasks()[&TaskId(0)];
-        assert_eq!(t0.busy, cy(30));
-        assert_eq!(t0.releases, 1);
-        assert_eq!(t0.completions, 1);
-        assert_eq!(t0.misses, 1);
-        assert_eq!(t0.preemptions, 1);
-        assert_eq!(t0.max_response, Some(cy(30)));
-        assert_eq!(t0.utilization_ppm(cy(100)), 300_000);
-        assert_eq!(t0.utilization_ppm(Cycles::ZERO), 0);
-        // The preempting task has no events of its own.
-        assert!(!tl.tasks().contains_key(&TaskId(1)));
+        let rows: Vec<TaskId> = tl.tasks().iter().copied().collect();
+        // The preempting task and a task with only a shed release have
+        // no row.
+        assert_eq!(rows, vec![TaskId(0), TaskId(2), TaskId(3), TaskId(4)]);
+    }
+
+    /// A faulted attempt and one its aborted job cancelled count as DMA
+    /// time up to the fault and the abort, not to the horizon.
+    #[test]
+    fn faulted_and_cancelled_attempts_are_dma_time() {
+        let mut t = Trace::new();
+        let (task, job, segment) = seg(0, 0, 0);
+        let fetch = TraceKind::FetchStarted {
+            task,
+            job,
+            segment,
+            bytes: 64,
+        };
+        t.push(cy(10), fetch);
+        t.push(
+            cy(30),
+            TraceKind::FetchFaulted {
+                task,
+                job,
+                segment,
+                attempt: 0,
+            },
+        );
+        t.push(cy(30), fetch);
+        t.push(cy(50), TraceKind::FetchCompleted { task, job, segment });
+        let next = TraceKind::FetchStarted {
+            task,
+            job,
+            segment: SegmentId(1),
+            bytes: 64,
+        };
+        t.push(cy(50), next);
+        t.push(cy(70), TraceKind::JobAborted { task, job });
+        let tl = Timeline::from_trace(&t, cy(100));
+        assert_eq!(tl.fetches().len(), 3);
+        assert_eq!(tl.dma_busy(), cy(60));
+        assert_eq!(
+            tl.dma_intervals(),
+            &[Interval {
+                start: cy(10),
+                end: cy(70)
+            }]
+        );
     }
 
     #[test]
@@ -768,45 +610,5 @@ mod tests {
         let json = serde_json::to_string(&s).expect("serialize");
         let back: TimelineSummary = serde_json::from_str(&json).expect("parse");
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn interval_merging_handles_overlap_and_touching() {
-        let merged = merge_intervals(vec![
-            Interval {
-                start: cy(10),
-                end: cy(20),
-            },
-            Interval {
-                start: cy(20),
-                end: cy(30),
-            },
-            Interval {
-                start: cy(15),
-                end: cy(25),
-            },
-            Interval {
-                start: cy(40),
-                end: cy(40),
-            },
-            Interval {
-                start: cy(50),
-                end: cy(60),
-            },
-        ]);
-        assert_eq!(
-            merged,
-            vec![
-                Interval {
-                    start: cy(10),
-                    end: cy(30)
-                },
-                Interval {
-                    start: cy(50),
-                    end: cy(60)
-                },
-            ]
-        );
-        assert_eq!(total(&merged), cy(30));
     }
 }

@@ -21,13 +21,13 @@ pub enum PlanError {
     },
     /// The fetch buffer size is zero.
     ZeroBuffer,
-    /// An arena allocation failed (out of space or name collision).
+    /// An SRAM region does not fit in what the layout has left.
     ArenaExhausted {
-        /// Allocation label.
+        /// Region label.
         label: String,
         /// Requested bytes.
         bytes: u64,
-        /// Bytes still free (possibly fragmented).
+        /// Bytes not yet placed (alignment padding not counted).
         free: u64,
     },
     /// Tiling at the compute cap would cut the model into more than

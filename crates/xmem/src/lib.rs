@@ -5,17 +5,19 @@
 //! overlapping the fetch of segment *k+1* with the compute of segment
 //! *k* (double buffering). This crate provides:
 //!
-//! - [`SramArena`]: a deterministic first-fit SRAM allocator. Admission
-//!   (`rtmdm-core`) lays out the [`RUNTIME_RESERVE`] and each task's
-//!   activation and weight regions through it, in one function shared
-//!   with the static verifier,
 //! - [`segment_model`]: the layer→segment fetch planner — greedy grouping
 //!   of consecutive layers whose weights fit one fetch buffer,
 //! - [`pipeline`]: closed-form timing of the fetch/compute pipeline for a
 //!   job running in isolation, under three execution strategies
 //!   (overlapped prefetch, fetch-then-compute, all-in-SRAM),
 //! - [`spill`]: the activation-spilling extension for models whose
-//!   feature maps exceed SRAM.
+//!   feature maps exceed SRAM,
+//! - [`RUNTIME_RESERVE`] and [`check_buffer_fits`]: the SRAM the runtime
+//!   keeps for itself and the fetch-buffer check. Admission
+//!   (`rtmdm-core`) lays the reserve and each task's activation and
+//!   weight regions out end to end, 8-byte aligned; the worst-case
+//!   re-fetch cost of a transfer under faults is
+//!   `rtmdm_mcusim::FaultPlan::worst_case_extra`.
 //!
 //! ## Example
 //!
@@ -38,18 +40,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod arena;
 mod error;
 pub mod pipeline;
 mod plan;
-pub mod retry;
 pub mod spill;
 
-pub use arena::{AllocHandle, SramArena};
 pub use error::PlanError;
 pub use pipeline::{stage_timings, ExecutionStrategy, StageTiming};
 pub use plan::{
     check_buffer_fits, segment_model, segment_model_capped, segment_model_tiled, ModelSegmentation,
     SegmentPlan, MAX_TILED_SEGMENTS, RUNTIME_RESERVE,
 };
-pub use retry::{job_retry_budget, segments_retry_budget, RetryPolicy};

@@ -1,8 +1,10 @@
 //! Observability guarantees of the framework:
 //!
-//! - the Chrome trace-event export of a small fixed-seed simulation is
-//!   pinned byte-for-byte by a golden file (and round-trips through the
-//!   bundled `serde_json`), so exporter drift is caught immediately;
+//! - the Chrome trace-event export and the Gantt chart of a small
+//!   fixed-seed simulation, and the blame-annotated export and blame
+//!   report of a faulted overload, are pinned byte-for-byte by golden
+//!   files (and the export round-trips through the bundled
+//!   `serde_json`), so drift in any trace reader is caught immediately;
 //! - timeline analytics satisfy their accounting invariants — CPU busy
 //!   and idle partition the horizon exactly, utilizations and the
 //!   fetch/compute overlap ratio stay within `[0, 1]` — across random
@@ -12,10 +14,13 @@
 use proptest::prelude::*;
 
 use rt_mdm::mcusim::{Cycles, FaultPlan, PlatformConfig, TraceKind};
-use rt_mdm::obs::{chrome_trace, chrome_trace_json, ChromeTrace, Timeline};
+use rt_mdm::obs::{
+    attribute, chrome_trace, chrome_trace_json, chrome_trace_with_blame, gantt, ChromeTrace,
+    Timeline,
+};
 use rt_mdm::sched::gen::{generate, TasksetParams};
 use rt_mdm::sched::sim::{simulate, Engine, Policy, SimConfig, SimResult};
-use rt_mdm::sched::{Segment, SporadicTask, StagingMode, TaskSet};
+use rt_mdm::sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
 
 fn cy(n: u64) -> Cycles {
     Cycles::new(n)
@@ -57,6 +62,66 @@ fn golden_scenario() -> (SimResult, Vec<String>) {
     (result, vec!["ctrl".to_owned(), "dnn".to_owned()])
 }
 
+/// The faulted overload behind `tests/golden_blame.json`: a resident
+/// control loop over two overlapped DNNs with attribution on, 30 %
+/// transfer faults, the middle task under `Abort` and the lowest under
+/// `SkipNextRelease`, so fault, abort, shed, miss, preempt and blame
+/// events all appear. Deterministic per seed.
+fn faulted_overload_scenario() -> (SimResult, Vec<String>) {
+    let ctrl = SporadicTask::new(
+        "ctrl",
+        cy(7000),
+        cy(7000),
+        vec![Segment::new(cy(600), 0)],
+        StagingMode::Resident,
+    )
+    .expect("valid task");
+    let dnn = SporadicTask::new(
+        "dnn",
+        cy(25000),
+        cy(19000),
+        vec![
+            Segment::new(cy(6000), 256),
+            Segment::new(cy(4500), 192),
+            Segment::new(cy(3500), 128),
+        ],
+        StagingMode::Overlapped,
+    )
+    .expect("valid task")
+    .with_miss_policy(MissPolicy::Abort);
+    let big = SporadicTask::new(
+        "big",
+        cy(50000),
+        cy(50000),
+        vec![Segment::new(cy(9000), 384), Segment::new(cy(7000), 256)],
+        StagingMode::Overlapped,
+    )
+    .expect("valid task")
+    .with_miss_policy(MissPolicy::SkipNextRelease);
+    let ts = TaskSet::from_tasks(vec![ctrl, dnn, big]);
+    let config = SimConfig {
+        horizon: cy(100000),
+        policy: Policy::FixedPriority,
+        exec_scale_min_ppm: 1_000_000,
+        seed: 0,
+        work_conserving: false,
+        fault: FaultPlan {
+            seed: 10,
+            dma_fault_rate_ppm: 300_000,
+            max_retries: 3,
+            jitter_max_cycles: 20,
+        },
+        engine: Engine::Des,
+        attribution: true,
+        staging_window: 2,
+    };
+    let result = simulate(&ts, &PlatformConfig::stm32f746_qspi(), &config);
+    (
+        result,
+        vec!["ctrl".to_owned(), "dnn".to_owned(), "big".to_owned()],
+    )
+}
+
 #[test]
 fn chrome_export_matches_golden_file() {
     let (result, names) = golden_scenario();
@@ -93,15 +158,65 @@ fn chrome_export_round_trips_through_serde_json() {
     assert_eq!(exported, completed);
 }
 
-/// Regenerates `tests/golden_chrome.json`. Ignored by default; run
-/// explicitly after an intentional exporter change.
+/// The Gantt chart of the golden scenario, as `rtmdm trace --gantt`
+/// draws it.
+fn golden_gantt() -> String {
+    let (result, names) = golden_scenario();
+    gantt::render(
+        &Timeline::from_trace(&result.trace, result.horizon),
+        72,
+        &names,
+    )
+}
+
+/// The blame-annotated Chrome export and the attribution report of the
+/// faulted overload, as one JSON object.
+fn faulted_blame_json() -> String {
+    let (result, names) = faulted_overload_scenario();
+    let chrome = serde_json::to_string(&chrome_trace_with_blame(&result.trace, &names))
+        .expect("chrome trace serializes");
+    let blame = serde_json::to_string(&attribute(&result.trace).expect("blame conserves"))
+        .expect("blame report serializes");
+    format!("{{\"chrome\":{chrome},\"blame\":{blame}}}")
+}
+
+#[test]
+fn gantt_matches_golden_file() {
+    assert_eq!(
+        golden_gantt(),
+        include_str!("golden_gantt.txt"),
+        "Gantt chart drifted from tests/golden_gantt.txt"
+    );
+}
+
+#[test]
+fn blame_export_matches_golden_file() {
+    let (result, _) = faulted_overload_scenario();
+    let m = &result.metrics;
+    assert!(m.injected_faults > 0 && m.aborted_jobs > 0 && m.shed_jobs > 0);
+    assert!(m.preemptions > 0);
+    assert_eq!(
+        faulted_blame_json(),
+        include_str!("golden_blame.json").trim_end(),
+        "blame export or attribution drifted from tests/golden_blame.json"
+    );
+}
+
+/// Regenerates the golden files. Ignored by default; run explicitly
+/// after an intentional exporter change.
 #[test]
 #[ignore]
 fn bless_golden() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests");
     let (result, names) = golden_scenario();
     let json = chrome_trace_json(&result.trace, &names);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_chrome.json");
-    std::fs::write(path, json + "\n").expect("golden file written");
+    std::fs::write(format!("{dir}/golden_chrome.json"), json + "\n").expect("golden written");
+    std::fs::write(format!("{dir}/golden_gantt.txt"), golden_gantt()).expect("golden written");
+    std::fs::write(
+        format!("{dir}/golden_blame.json"),
+        faulted_blame_json() + "\n",
+    )
+    .expect("golden written");
 }
 
 fn check_invariants(result: &SimResult) -> Result<(), TestCaseError> {
@@ -113,6 +228,11 @@ fn check_invariants(result: &SimResult) -> Result<(), TestCaseError> {
         tl.cpu_busy(),
         result.metrics.cpu_busy_cycles,
         "timeline busy disagrees with simulator counter"
+    );
+    prop_assert_eq!(
+        tl.dma_busy(),
+        result.metrics.dma_busy_cycles,
+        "timeline DMA busy disagrees with the simulator's channel"
     );
     prop_assert_eq!(
         tl.traced_idle_cycles(),
@@ -166,6 +286,51 @@ proptest! {
             fault: FaultPlan::NONE,
             engine: Engine::Des,
             attribution: false,
+            staging_window: 2,
+        };
+        let result = simulate(&ts, &p, &config);
+        check_invariants(&result)?;
+    }
+
+    /// The same invariants, DMA busy time included, hold when injected
+    /// faults retry transfers and an `Abort` overload cancels them: each
+    /// attempt counts up to its fault, its completion or its job's
+    /// abort.
+    #[test]
+    fn timeline_invariants_hold_under_faults_and_aborts(
+        seed in 0u64..100_000,
+        n_tasks in 2usize..5,
+        util_pct in 60u64..160,
+        fault_pick in 0usize..4,
+        jitter_pick in 0u64..2,
+        flags in 0u8..4,
+    ) {
+        let mut params = TasksetParams::baseline(n_tasks, util_pct * 10_000);
+        params.fetch_compute_ratio_ppm = 800_000;
+        let p = PlatformConfig::stm32f746_qspi();
+        let generated = generate(&params, &p, seed);
+        let max_t = generated.tasks().iter().map(|t| t.period).max().unwrap();
+        let ts = TaskSet::from_tasks(
+            generated
+                .tasks()
+                .iter()
+                .map(|t| t.clone().with_miss_policy(MissPolicy::Abort))
+                .collect(),
+        );
+        let config = SimConfig {
+            horizon: max_t * 3,
+            policy: Policy::FixedPriority,
+            exec_scale_min_ppm: 700_000,
+            seed,
+            work_conserving: flags & 1 != 0,
+            fault: FaultPlan {
+                seed,
+                dma_fault_rate_ppm: [0, 32_000, 100_000, 200_000][fault_pick],
+                max_retries: 3,
+                jitter_max_cycles: jitter_pick * 300,
+            },
+            engine: Engine::Des,
+            attribution: flags & 2 != 0,
             staging_window: 2,
         };
         let result = simulate(&ts, &p, &config);

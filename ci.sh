@@ -170,38 +170,35 @@ cmp -s "$fork_report" "$replay_report" || {
   echo "explore smoke: fork and replay reports differ" >&2; exit 1; }
 cmp -s "$fork_witness" "$replay_witness" || {
   echo "explore smoke: fork and replay witness JSON differ" >&2; exit 1; }
-# Thread-count invariance: the speculative parallel frontier may not
-# change a single output byte.
-threads1_out="$(mktemp)"
+# The explorer is serial: `--threads N` is accepted for compatibility
+# and must not change a single output byte.
+default_out="$(mktemp)"
 threads8_out="$(mktemp)"
 set +e
-RTMDM_THREADS=1 ./target/release/rtmdm check --platform stm32f746-qspi \
-  --task ic=resnet8@10 --explore > "$threads1_out"
-RTMDM_THREADS=8 ./target/release/rtmdm check --platform stm32f746-qspi \
-  --task ic=resnet8@10 --explore > "$threads8_out"
+./target/release/rtmdm check --platform stm32f746-qspi \
+  --task ic=resnet8@10 --explore > "$default_out"
+./target/release/rtmdm check --platform stm32f746-qspi \
+  --task ic=resnet8@10 --explore --threads 8 > "$threads8_out"
 set -e
-cmp -s "$threads1_out" "$threads8_out" || {
-  echo "explore smoke: output differs between 1 and 8 threads" >&2; exit 1; }
+cmp -s "$default_out" "$threads8_out" || {
+  echo "explore smoke: --threads 8 changed the output" >&2; exit 1; }
 rm -f "$fork_report" "$fork_witness" "$replay_report" "$replay_witness" \
-  "$threads1_out" "$threads8_out"
+  "$default_out" "$threads8_out"
 # A search with many merges: most paths of this fault search merge into
-# one explored earlier and stop there. Both strategies at 1 and 8
-# threads must print the same report, and its counts must be the ones
-# every path run to the horizon gives.
+# one explored earlier and stop there. Both strategies must print the
+# same report, and its counts must be the ones every path run to the
+# horizon gives.
 merge_dir="$(mktemp -d)"
 for strategy in fork replay; do
-  for threads in 1 8; do
-    ./target/release/rtmdm check --platform stm32f746-qspi --task kws=ds-cnn@60 \
-      --task ic=resnet8@300 --explore --fault-rate 20000 --fault-retries 2 \
-      --strategy "$strategy" --threads "$threads" > "$merge_dir/$strategy-$threads"
-    grep -q 'explored 20000 states over 19617 runs (1666949 transitions)' \
-      "$merge_dir/$strategy-$threads" || {
-      echo "explore smoke: merge-heavy search moved off its counts" \
-        "($strategy, $threads threads)" >&2; exit 1; }
-    cmp -s "$merge_dir/fork-1" "$merge_dir/$strategy-$threads" || {
-      echo "explore smoke: merge-heavy search differs" \
-        "($strategy, $threads threads)" >&2; exit 1; }
-  done
+  ./target/release/rtmdm check --platform stm32f746-qspi --task kws=ds-cnn@60 \
+    --task ic=resnet8@300 --explore --fault-rate 20000 --fault-retries 2 \
+    --strategy "$strategy" > "$merge_dir/$strategy"
+  grep -q 'explored 20000 states over 19617 runs (1666949 transitions)' \
+    "$merge_dir/$strategy" || {
+    echo "explore smoke: merge-heavy search moved off its counts ($strategy)" >&2
+    exit 1; }
+  cmp -s "$merge_dir/fork" "$merge_dir/$strategy" || {
+    echo "explore smoke: merge-heavy search differs ($strategy)" >&2; exit 1; }
 done
 rm -rf "$merge_dir"
 ./target/release/rtmdm check --explain RTM050 > "$explore_out"

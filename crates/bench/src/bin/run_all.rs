@@ -3,8 +3,10 @@
 //! `run_all` runs every experiment in one go, reporting per-experiment
 //! wall time. Besides the tables, it records telemetry through the
 //! global metrics registry and writes `results/metrics.json` plus the
-//! schema-stable `BENCH_run_all.json` at the repo root (see
-//! [`rtmdm_bench::telemetry`]).
+//! schema-stable `BENCH_run_all.json` (see [`rtmdm_bench::telemetry`]).
+//! Every output lands under the working directory, so run it from the
+//! repo root; an output that cannot be written ends the run with
+//! status 1.
 //!
 //! `run_all <id>…` (for example `run_all f2_sched_ratio t3_wcrt`) emits
 //! only the named experiments' tables and writes no telemetry, which
@@ -16,7 +18,7 @@
 //! count.
 use std::time::Instant;
 
-use rtmdm_bench::{emit, experiments as e, results_dir, telemetry};
+use rtmdm_bench::{emit, experiments as e, results_dir, telemetry, write_output};
 
 type Experiment = (&'static str, fn() -> String);
 
@@ -57,7 +59,7 @@ fn main() {
         let start = Instant::now();
         let output = run();
         let elapsed = start.elapsed();
-        emit(id, &output);
+        written(emit(id, &output));
         let after = registry.snapshot();
         let rec = telemetry::ExperimentMetrics::from_snapshots(id, elapsed, &before, &after);
         println!(
@@ -101,14 +103,9 @@ fn main() {
     );
     let json = serde_json::to_string(&doc).expect("metrics serialize");
     let metrics_path = results_dir().join("metrics.json");
-    if let Err(err) = std::fs::write(&metrics_path, &json) {
-        eprintln!("run_all: cannot write {}: {err}", metrics_path.display());
-    }
+    written(write_output(&metrics_path, &json));
     let summary = serde_json::to_string(&doc.bench_summary()).expect("summary serialize");
-    let summary_path = telemetry::bench_summary_path();
-    if let Err(err) = std::fs::write(&summary_path, &summary) {
-        eprintln!("run_all: cannot write {}: {err}", summary_path.display());
-    }
+    written(write_output(&telemetry::bench_summary_path(), &summary));
     println!(
         "run_all total: {:.2}s ({} sim runs, {} sim cycles) -> {}",
         total.elapsed().as_secs_f64(),
@@ -131,6 +128,14 @@ fn run_selected(experiments: &[Experiment], ids: &[String]) {
         std::process::exit(2);
     }
     for (id, run) in ids.iter().filter_map(|id| find(id)) {
-        emit(id, &run());
+        written(emit(id, &run()));
+    }
+}
+
+/// Ends the run with status 1 when an output could not be written.
+fn written(result: Result<(), String>) {
+    if let Err(msg) = result {
+        eprintln!("run_all: {msg}");
+        std::process::exit(1);
     }
 }

@@ -190,10 +190,9 @@ fn run_probe() -> ExploreProbe {
         let (ts, config) = cell(&platform, n, SCALE_UTIL_PPM, SCALE_HORIZON_PERIODS);
         let limits = |strategy| ExploreLimits {
             max_states: MAX_STATES,
-            jitter_max_cycles: 0,
             strategy,
-            threads: 1,
             order: ExploreOrder::DeepFirst,
+            ..ExploreLimits::default()
         };
         let started = Instant::now();
         let fork = explore(&ts, &platform, &config, &limits(ExploreStrategy::Fork));

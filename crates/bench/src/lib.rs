@@ -23,23 +23,31 @@ pub mod experiments;
 pub mod telemetry;
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-/// Directory experiment outputs land in (repo-root `results/`).
+/// The directory every output is written under: the working directory,
+/// so a run from a checkout's root writes into that checkout.
+pub fn output_root() -> PathBuf {
+    std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."))
+}
+
+/// Directory experiment outputs land in (`results/` under
+/// [`output_root`]).
 pub fn results_dir() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench → repo root is two levels up.
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.pop();
-    p.pop();
-    p.push("results");
-    p
+    output_root().join("results")
+}
+
+/// Writes `content` to `path`, creating its directory first. The error
+/// names the path.
+pub fn write_output(path: &Path, content: &str) -> Result<(), String> {
+    let dir = path.parent().unwrap_or(Path::new("."));
+    fs::create_dir_all(dir)
+        .and_then(|()| fs::write(path, content))
+        .map_err(|err| format!("cannot write {}: {err}", path.display()))
 }
 
 /// Prints `content` and persists it as `results/<id>.txt`.
-pub fn emit(id: &str, content: &str) {
+pub fn emit(id: &str, content: &str) -> Result<(), String> {
     println!("==== {id} ====\n{content}");
-    let dir = results_dir();
-    if fs::create_dir_all(&dir).is_ok() {
-        let _ = fs::write(dir.join(format!("{id}.txt")), content);
-    }
+    write_output(&results_dir().join(format!("{id}.txt")), content)
 }

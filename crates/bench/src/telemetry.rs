@@ -361,14 +361,10 @@ fn record_stages(snap: &mut Snapshot, stages: &[StageTiming]) {
     }
 }
 
-/// Repo-root path of the schema-stable summary file.
+/// Path of the schema-stable summary file, directly under
+/// [`crate::output_root`].
 pub fn bench_summary_path() -> PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench → repo root is two levels up.
-    let mut p = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    p.pop();
-    p.pop();
-    p.push("BENCH_run_all.json");
-    p
+    crate::output_root().join("BENCH_run_all.json")
 }
 
 #[cfg(test)]

@@ -18,37 +18,26 @@
 //! interleavings merged through the canonical state fingerprint (see
 //! [`crate::state`]). A path that merges into one explored earlier ends
 //! its run after the merge instant: its tail would repeat a tail that
-//! was already checked. Two orthogonal levers set how each path is
-//! executed, neither of which changes a single output byte:
+//! was already checked. Paths run one at a time, in stack order, each
+//! reading the visited set its predecessors left.
 //!
-//! - **Strategy** ([`ExploreStrategy`]): under `Fork` (the default),
-//!   each run captures a [`SimSnapshot`] at every instant boundary that
-//!   may reach a choice point, and every branch resumes from the latest
-//!   snapshot at or before its branched query instead of replaying the
-//!   whole prefix from time zero. `Replay` keeps the from-zero
-//!   re-execution as the differential reference; an equivalence
-//!   property test pins that the two produce identical verdicts, stats,
-//!   and witness JSON.
-//! - **Threads** ([`ExploreLimits::threads`]): paths near the top of
-//!   the work stack are executed *speculatively* in parallel. A
-//!   speculative run reads the visited set as it was when its batch
-//!   started, so it stops at or after the true merge point; the merge
-//!   step, which consumes paths in one canonical stack order, cuts it
-//!   there. The merged result is therefore a pure function of the
-//!   prefix and the merge order: speculation changes only when and how
-//!   far a run is computed, never what the merge consumes — verdicts,
-//!   state counts, and witnesses are byte-identical at any thread
-//!   count.
+//! **Strategy** ([`ExploreStrategy`]) sets how each path is executed
+//! without changing a single output byte: under `Fork` (the default),
+//! each run captures a [`SimSnapshot`] at every instant boundary that
+//! may reach a choice point, and every branch resumes from the latest
+//! snapshot at or before its branched query instead of replaying the
+//! whole prefix from time zero. `Replay` keeps the from-zero
+//! re-execution as the differential reference; an equivalence property
+//! test pins that the two produce identical verdicts, stats, and
+//! witness JSON.
 //!
 //! The search is bounded: when the state budget is hit, the verdict is
 //! `RTM053` — explicitly inconclusive, never silently safe.
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use rtmdm_mcusim::{Cycles, JobId, PlatformConfig, TaskId, TraceKind};
 use rtmdm_obs::attribute;
-use rtmdm_par::par_map_with_threads;
 use rtmdm_sched::script::{Choice, ScriptedChoice, SimOracle};
 use rtmdm_sched::sim::{
     simulate_with_oracle, simulate_with_oracle_forked, RaceKind, SimConfig, SimResult, SimSnapshot,
@@ -81,12 +70,12 @@ pub enum ExploreStrategy {
 
 /// Which scheduled branch of the current run the search takes next.
 ///
-/// Unlike strategy and thread count, the order is a *semantic* knob:
+/// Unlike the strategy, the order is a *semantic* knob:
 /// it changes which paths execute (and therefore run/transition
 /// counters and which violation is reached first in an unsafe space),
 /// though never the safety verdict of a completed search — the covered
-/// state lattice is order-independent. Fork-versus-replay and
-/// thread-count byte-identity hold within either order.
+/// state lattice is order-independent. Fork-versus-replay
+/// byte-identity holds within either order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExploreOrder {
     /// Explore the shallowest scheduled branch of the current run
@@ -102,10 +91,6 @@ pub enum ExploreOrder {
     DeepFirst,
 }
 
-/// Bound on cached speculative runs; past it the explorer stops
-/// batching ahead (memory backstop, not a correctness knob).
-const SPECULATION_CAP: usize = 128;
-
 /// Exploration bounds and the extra nondeterminism dimensions that have
 /// no [`SimConfig`] field of their own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,9 +105,10 @@ pub struct ExploreLimits {
     /// byte-identical across strategies; `Fork` is the default because
     /// it is asymptotically cheaper on deep search trees.
     pub strategy: ExploreStrategy,
-    /// Worker threads for speculative path execution (`rtmdm check
-    /// --threads`); `0` defers to `RTMDM_THREADS` / available
-    /// parallelism. Outputs are byte-identical at any count.
+    /// Ignored: the explorer runs one path at a time. The field stays
+    /// only because rtbench's `ExploreLimits` struct literal
+    /// (`rtbench/src/explore.rs`) names it; ROADMAP item 1 frees that
+    /// literal, and the field can go then.
     pub threads: usize,
     /// Branch scheduling order (see [`ExploreOrder`]).
     pub order: ExploreOrder,
@@ -161,7 +147,6 @@ impl ExploreOutcome {
 
 /// One scheduled path: its absolute forced-choice prefix and the
 /// snapshot the run may resume from instead of starting at time zero.
-#[derive(Clone)]
 struct WorkItem {
     /// Forced choices from time zero (absolute positions `0..len`).
     prefix: Vec<Choice>,
@@ -175,14 +160,12 @@ struct WorkItem {
 /// the run that captured them).
 #[derive(Clone)]
 struct ForkBase {
-    snap: Arc<SimSnapshot>,
+    snap: Rc<SimSnapshot>,
     /// Absolute oracle queries answered before the captured instant.
     consumed: usize,
 }
 
-/// The executed form of a [`WorkItem`], produced speculatively or on
-/// demand — a pure function of the item, which is what lets the
-/// parallel frontier run ahead of the sequential merge order.
+/// The executed form of a [`WorkItem`].
 struct PathRun {
     result: SimResult,
     /// Records for queries `consumed..` (snapshot-relative log).
@@ -234,7 +217,7 @@ fn run_path(
         .into_iter()
         .map(|s| ForkBase {
             consumed: consumed + s.queries_before(),
-            snap: Arc::new(s),
+            snap: Rc::new(s),
         })
         .collect();
     PathRun {
@@ -273,76 +256,27 @@ pub fn explore(
         explore_faults: cfg.fault.dma_fault_rate_ppm > 0,
     };
     let fork = limits.strategy == ExploreStrategy::Fork;
-    let threads = match limits.threads {
-        0 => rtmdm_par::num_threads(),
-        n => n,
-    };
     let mut visited = VisitedSet::new();
     let mut stats = ExploreStats::default();
-    // The work stack: ids are assigned in push order and key the
-    // speculation cache; the pop order (and therefore every merge,
-    // counter, and verdict) is a deterministic function of the runs
-    // alone.
-    let mut next_id: u64 = 1;
-    let mut stack: Vec<(u64, WorkItem)> = vec![(
-        0,
-        WorkItem {
-            prefix: Vec::new(),
-            base: None,
-        },
-    )];
-    let mut cache: HashMap<u64, PathRun> = HashMap::new();
+    let mut stack = vec![WorkItem {
+        prefix: Vec::new(),
+        base: None,
+    }];
     // Each scheduled branch is an untaken alternative of a novel pair,
     // so runs are bounded by states; the cap is a backstop only.
     let run_cap = limits.max_states.saturating_mul(2).saturating_add(1);
     let mut exhausted = false;
 
-    while let Some((id, item)) = stack.pop() {
+    while let Some(item) = stack.pop() {
         if visited.len() >= limits.max_states || stats.runs >= run_cap {
             exhausted = true;
             break;
         }
-        let run = cache.remove(&id).unwrap_or_else(|| {
-            if threads > 1 && !stack.is_empty() && cache.len() < SPECULATION_CAP {
-                // Speculate: the popped item plus the next uncached
-                // items from the top of the stack run concurrently.
-                // Runs read the visited set as it is now; the merge
-                // step cuts each at its true merge point, so results
-                // are independent of this batching and only the wall
-                // clock notices.
-                let mut batch: Vec<(u64, &WorkItem)> = vec![(id, &item)];
-                for (sid, sitem) in stack.iter().rev() {
-                    if batch.len() >= threads.saturating_mul(2) {
-                        break;
-                    }
-                    if !cache.contains_key(sid) {
-                        batch.push((*sid, sitem));
-                    }
-                }
-                let runs = par_map_with_threads(threads, batch, |(bid, bitem)| {
-                    (
-                        bid,
-                        run_path(ts, platform, &cfg, &domains, &visited, bitem, fork),
-                    )
-                });
-                let mut popped = None;
-                for (bid, brun) in runs {
-                    if bid == id {
-                        popped = Some(brun);
-                    } else {
-                        cache.insert(bid, brun);
-                    }
-                }
-                popped.expect("the popped item is always in the batch")
-            } else {
-                run_path(ts, platform, &cfg, &domains, &visited, &item, fork)
-            }
-        });
+        let run = run_path(ts, platform, &cfg, &domains, &visited, &item, fork);
         stats.runs += 1;
 
-        // Merge before the violation check: the canonical sequential
-        // consume order expands each path's novel pairs even on a
-        // violating run, exactly as an in-run oracle would have.
+        // Merge before the violation check: a violating run's novel
+        // pairs count towards the reported states.
         let merged = merge_path(&run.log, &mut visited);
         stats.transitions += (run.consumed + merged.len) as u64;
 
@@ -376,8 +310,7 @@ pub fn explore(
                     .find(|fb| fb.consumed <= run.consumed + i)
                     .cloned()
                     .or_else(|| item.base.clone());
-                stack.push((next_id, WorkItem { prefix, base }));
-                next_id += 1;
+                stack.push(WorkItem { prefix, base });
             }
         }
     }
@@ -407,9 +340,9 @@ pub fn explore(
 
 /// Flushes one exploration's counters into the process-global metrics
 /// registry (a no-op unless a telemetry consumer enabled it). Counters
-/// are merge-order totals, so they are identical for any thread count
-/// and either strategy — unlike per-run simulator metrics, which
-/// oracle-driven probes deliberately do not flush.
+/// are search totals, identical under either strategy — unlike per-run
+/// simulator metrics, which oracle-driven probes deliberately do not
+/// flush.
 fn flush_explore_metrics(stats: &ExploreStats) {
     let g = rtmdm_obs::metrics::global();
     if !g.is_enabled() {
@@ -754,7 +687,7 @@ mod tests {
 
     /// Renders an outcome into one comparable blob: findings, witness
     /// JSON, and counters. Byte-equality of these blobs is the cross-
-    /// strategy / cross-thread-count contract.
+    /// strategy contract.
     fn fingerprint(out: &ExploreOutcome) -> String {
         let findings: Vec<String> = out
             .findings
@@ -796,20 +729,27 @@ mod tests {
 
     #[test]
     fn fork_and_replay_agree_on_a_safe_space() {
-        let ts = TaskSet::from_tasks(vec![
+        let pair = TaskSet::from_tasks(vec![
             resident("a", 1_000, 1_000, 200),
             resident("b", 2_000, 2_000, 400),
         ]);
-        let mut cfg = config(4_000);
-        cfg.exec_scale_min_ppm = 500_000;
-        let limits = ExploreLimits {
-            max_states: 10_000,
-            jitter_max_cycles: 100,
-            ..ExploreLimits::default()
-        };
-        let (forked, replayed) = strategy_outcomes(&ts, &cfg, &limits);
-        assert!(forked.proven_safe());
-        assert_eq!(fingerprint(&forked), fingerprint(&replayed));
+        let triple = TaskSet::from_tasks(vec![
+            resident("a", 1_000, 1_000, 200),
+            resident("b", 1_500, 1_500, 300),
+            resident("c", 3_000, 3_000, 250),
+        ]);
+        for (ts, horizon) in [(pair, 4_000), (triple, 6_000)] {
+            let mut cfg = config(horizon);
+            cfg.exec_scale_min_ppm = 500_000;
+            let limits = ExploreLimits {
+                max_states: 10_000,
+                jitter_max_cycles: 100,
+                ..ExploreLimits::default()
+            };
+            let (forked, replayed) = strategy_outcomes(&ts, &cfg, &limits);
+            assert!(forked.proven_safe(), "{} tasks", ts.len());
+            assert_eq!(fingerprint(&forked), fingerprint(&replayed));
+        }
     }
 
     #[test]
@@ -880,67 +820,22 @@ mod tests {
     }
 
     #[test]
-    fn outcomes_are_byte_identical_at_any_thread_count() {
-        let ts = TaskSet::from_tasks(vec![
-            resident("a", 1_000, 1_000, 200),
-            resident("b", 1_500, 1_500, 300),
-            resident("c", 3_000, 3_000, 250),
-        ]);
-        let mut cfg = config(6_000);
-        cfg.exec_scale_min_ppm = 500_000;
-        for strategy in [ExploreStrategy::Fork, ExploreStrategy::Replay] {
-            let runs: Vec<String> = [1usize, 2, 8]
-                .iter()
-                .map(|&threads| {
-                    let out = explore(
-                        &ts,
-                        &bare_platform(),
-                        &cfg,
-                        &ExploreLimits {
-                            max_states: 10_000,
-                            jitter_max_cycles: 100,
-                            strategy,
-                            threads,
-                            ..ExploreLimits::default()
-                        },
-                    );
-                    fingerprint(&out)
-                })
-                .collect();
-            assert_eq!(runs[0], runs[1], "{strategy:?}: 1 vs 2 threads");
-            assert_eq!(runs[0], runs[2], "{strategy:?}: 1 vs 8 threads");
-        }
-    }
-
-    #[test]
-    fn budget_cut_is_identical_across_strategies_and_threads() {
+    fn budget_cut_is_identical_across_strategies() {
         // The RTM053 message embeds states, runs, and the residual
-        // stack depth — all three must survive forking and speculation.
+        // stack depth — all three must survive forking.
         let ts = TaskSet::from_tasks(vec![
             resident("a", 1_000, 1_000, 200),
             resident("b", 1_500, 1_500, 300),
         ]);
         let mut cfg = config(30_000);
         cfg.exec_scale_min_ppm = 400_000;
-        let mut blobs = Vec::new();
-        for strategy in [ExploreStrategy::Fork, ExploreStrategy::Replay] {
-            for threads in [1usize, 8] {
-                let out = explore(
-                    &ts,
-                    &bare_platform(),
-                    &cfg,
-                    &ExploreLimits {
-                        max_states: 3,
-                        jitter_max_cycles: 100,
-                        strategy,
-                        threads,
-                        ..ExploreLimits::default()
-                    },
-                );
-                assert_eq!(out.findings[0].rule, Rule::Rtm053);
-                blobs.push(fingerprint(&out));
-            }
-        }
-        assert!(blobs.windows(2).all(|w| w[0] == w[1]));
+        let limits = ExploreLimits {
+            max_states: 3,
+            jitter_max_cycles: 100,
+            ..ExploreLimits::default()
+        };
+        let (forked, replayed) = strategy_outcomes(&ts, &cfg, &limits);
+        assert_eq!(forked.findings[0].rule, Rule::Rtm053);
+        assert_eq!(fingerprint(&forked), fingerprint(&replayed));
     }
 }

@@ -26,11 +26,9 @@
 //! search would have ended), and it expanded every pair it reached. The
 //! set records, for each pair, the number of queries from it to the end
 //! of that first path, so a merged path still counts the full length it
-//! would have had. Speculative runs read the set as it was when their
-//! batch started — a subset of the set at merge time — so they stop at
-//! or after the true merge point, and the merge step's cut is the one
-//! that counts: the merged result is a pure function of the prefix and
-//! the merge order, whatever thread executed the run.
+//! would have had. The explorer merges each path before it runs the
+//! next, so the merged result is a pure function of the prefix and the
+//! merge order, whichever strategy executed the run.
 //!
 //! Keying on the pair rather than the state alone matters: consecutive
 //! choice points within one instant (a release's jitter query followed
@@ -250,11 +248,11 @@ pub struct MergedPath {
 /// already-expanded pair — the path *merges*; its remaining subtrees
 /// were covered from the pair's first visit.
 ///
-/// Paths are consumed in one canonical order regardless of how many
-/// threads executed them, so this reproduces exactly the insertions an
-/// in-run sequential oracle would have made. A choice point names its
-/// task and job (and, for transfers, segment and attempt), so one path
-/// never reaches the same pair twice.
+/// The explorer merges each path right after running it, in stack
+/// order, so this reproduces exactly the insertions an in-run oracle
+/// would have made. A choice point names its task and job (and, for
+/// transfers, segment and attempt), so one path never reaches the same
+/// pair twice.
 pub fn merge_path(log: &[QueryRecord], visited: &mut VisitedSet) -> MergedPath {
     let mut expansions = Vec::new();
     let mut len = log.len();
@@ -521,7 +519,7 @@ mod tests {
         );
     }
 
-    /// The purity contract the parallel frontier rests on: two oracles
+    /// The purity contract fork-versus-replay identity rests on: two oracles
     /// with the same prefix and visited set over the same query
     /// sequence produce identical logs — no order dependence.
     #[test]

@@ -1,10 +1,10 @@
 //! Pinned explorer outputs.
 //!
 //! Every cell below pins its verdict, its full [`ExploreStats`] and a
-//! digest of its findings and witness JSON. Strategy, thread count and
-//! the order of speculative execution are cost levers only, so every
-//! cell must reproduce its pin under the strategy and thread count it
-//! names; a change that makes the search cheaper must keep all of them.
+//! digest of its findings and witness JSON. The strategy is a cost
+//! lever only, so every cell must reproduce its pin under the strategy
+//! it names; a change that makes the search cheaper must keep all of
+//! them.
 //! The cells span both platform presets that the F14 experiments use,
 //! 1–8 generated tasks, both branch orders, release jitter and the
 //! transfer-fault dimension, and reach every verdict kind: `safe`,
@@ -54,7 +54,6 @@ struct Cell {
     max_states: usize,
     order: ExploreOrder,
     strategy: ExploreStrategy,
-    threads: usize,
     /// Pinned `(verdict, runs, states, transitions, complete, digest)`.
     want: (&'static str, usize, usize, u64, bool, u128),
 }
@@ -89,8 +88,8 @@ fn outcome(c: &Cell) -> ExploreOutcome {
         max_states: c.max_states,
         jitter_max_cycles: c.jitter_max_cycles,
         strategy: c.strategy,
-        threads: c.threads,
         order: c.order,
+        ..ExploreLimits::default()
     };
     explore(&ts, &platform, &config, &limits)
 }
@@ -135,7 +134,6 @@ const fn cell(
     max_states: usize,
     order: ExploreOrder,
     strategy: ExploreStrategy,
-    threads: usize,
     want: (&'static str, usize, usize, u64, bool, u128),
 ) -> Cell {
     Cell {
@@ -150,7 +148,6 @@ const fn cell(
         max_states,
         order,
         strategy,
-        threads,
         want,
     }
 }
@@ -160,63 +157,63 @@ fn cells() -> Vec<Cell> {
     use Preset::{F746, H743};
     // preset, tasks, compute util (ppm), generator seed, horizon in
     // longest periods, lower exec scale (ppm), state budget, order,
-    // strategy, threads; then the pin.
+    // strategy; then the pin.
     vec![
-        cell(F746, 1, 500_000, 1, 4, 500_000, 2_000, ShallowFirst, Fork, 1,
+        cell(F746, 1, 500_000, 1, 4, 500_000, 2_000, ShallowFirst, Fork,
             ("safe", 5, 4, 40, true, 0x42d4e4142e1dcdc7f8bb92c91b3f5cc0)),
-        cell(H743, 1, 950_000, 2, 4, 500_000, 2_000, DeepFirst, Replay, 4,
+        cell(H743, 1, 950_000, 2, 4, 500_000, 2_000, DeepFirst, Replay,
             ("RTM050", 1, 4, 8, false, 0x577428a081e852a8b6f66fd913b682f3)),
-        cell(F746, 2, 400_000, 3, 3, 550_000, 2_000, DeepFirst, Fork, 4,
+        cell(F746, 2, 400_000, 3, 3, 550_000, 2_000, DeepFirst, Fork,
             ("safe", 67, 66, 8442, true, 0x42d4e4142e1dcdc7f8bb92c91b3f5cc0)),
-        cell(H743, 2, 450_000, 4, 3, 550_000, 2_000, ShallowFirst, Replay, 1,
+        cell(H743, 2, 450_000, 4, 3, 550_000, 2_000, ShallowFirst, Replay,
             ("safe", 10, 9, 140, true, 0x42d4e4142e1dcdc7f8bb92c91b3f5cc0)),
-        cell(F746, 3, 350_000, 5, 2, 600_000, 2_000, ShallowFirst, Replay, 4,
+        cell(F746, 3, 350_000, 5, 2, 600_000, 2_000, ShallowFirst, Replay,
             ("safe", 27, 26, 918, true, 0x42d4e4142e1dcdc7f8bb92c91b3f5cc0)),
-        cell(H743, 3, 900_000, 6, 2, 600_000, 2_000, DeepFirst, Fork, 1,
+        cell(H743, 3, 900_000, 6, 2, 600_000, 2_000, DeepFirst, Fork,
             ("RTM050", 1, 72, 144, false, 0x4abb94bc44386f7db9f29751f2240a79)),
-        cell(F746, 4, 300_000, 7, 2, 550_000, 2_000, DeepFirst, Replay, 1,
+        cell(F746, 4, 300_000, 7, 2, 550_000, 2_000, DeepFirst, Replay,
             ("safe", 30, 29, 900, true, 0x42d4e4142e1dcdc7f8bb92c91b3f5cc0)),
-        cell(H743, 4, 350_000, 8, 2, 550_000, 2_000, ShallowFirst, Fork, 4,
+        cell(H743, 4, 350_000, 8, 2, 550_000, 2_000, ShallowFirst, Fork,
             ("RTM050", 1, 98, 196, false, 0x08048638fffefa3c58666af235413e0c)),
-        cell(F746, 5, 950_000, 9, 2, 600_000, 400, ShallowFirst, Fork, 1,
+        cell(F746, 5, 950_000, 9, 2, 600_000, 400, ShallowFirst, Fork,
             ("RTM050", 1, 80, 160, false, 0x9046a84efb13e2f1f42838b2922b027d)),
-        cell(H743, 5, 300_000, 10, 2, 600_000, 400, DeepFirst, Replay, 4,
+        cell(H743, 5, 300_000, 10, 2, 600_000, 400, DeepFirst, Replay,
             ("RTM053", 370, 400, 84360, false, 0x91a03be0dd6536e89918c1ce410c00e0)),
-        cell(F746, 6, 250_000, 11, 2, 600_000, 300, DeepFirst, Fork, 4,
+        cell(F746, 6, 250_000, 11, 2, 600_000, 300, DeepFirst, Fork,
             ("safe", 265, 264, 42400, true, 0x42d4e4142e1dcdc7f8bb92c91b3f5cc0)),
-        cell(H743, 6, 1_000_000, 12, 2, 600_000, 300, ShallowFirst, Replay, 1,
+        cell(H743, 6, 1_000_000, 12, 2, 600_000, 300, ShallowFirst, Replay,
             ("RTM050", 1, 107, 214, false, 0xcb073ce2ee1fc8f04e35772235a8cdb3)),
-        cell(F746, 7, 100_000, 13, 2, 600_000, 300, ShallowFirst, Replay, 4,
+        cell(F746, 7, 100_000, 13, 2, 600_000, 300, ShallowFirst, Replay,
             ("RTM053", 216, 300, 57888, false, 0x0589cd5ee7232dd4f7736e3008c213aa)),
-        cell(H743, 7, 100_000, 1, 2, 600_000, 300, DeepFirst, Fork, 1,
+        cell(H743, 7, 100_000, 1, 2, 600_000, 300, DeepFirst, Fork,
             ("RTM053", 216, 300, 69984, false, 0x0589cd5ee7232dd4f7736e3008c213aa)),
-        cell(F746, 8, 200_000, 1, 2, 600_000, 300, DeepFirst, Replay, 1,
+        cell(F746, 8, 200_000, 1, 2, 600_000, 300, DeepFirst, Replay,
             ("RTM053", 180, 301, 57240, false, 0xdcb6b5b18fd8307f3ca9d08da09b8330)),
-        cell(H743, 8, 250_000, 16, 4, 600_000, 300, ShallowFirst, Fork, 4,
+        cell(H743, 8, 250_000, 16, 4, 600_000, 300, ShallowFirst, Fork,
             ("RTM050", 1, 214, 428, false, 0xf0f369df3864dd31576b1164568107ba)),
-        cell(F746, 4, 400_000, 17, 4, 550_000, 2_000, DeepFirst, Fork, 1,
+        cell(F746, 4, 400_000, 17, 4, 550_000, 2_000, DeepFirst, Fork,
             ("safe", 121, 120, 7260, true, 0x42d4e4142e1dcdc7f8bb92c91b3f5cc0)),
-        cell(F746, 5, 350_000, 18, 2, 550_000, 2_000, ShallowFirst, Fork, 4,
+        cell(F746, 5, 350_000, 18, 2, 550_000, 2_000, ShallowFirst, Fork,
             ("RTM050", 1, 54, 108, false, 0x8549b04f21a77819b21f4ef5653be35a)),
-        cell(H743, 5, 400_000, 19, 2, 550_000, 2_000, ShallowFirst, Fork, 1,
+        cell(H743, 5, 400_000, 19, 2, 550_000, 2_000, ShallowFirst, Fork,
             ("RTM050", 1, 102, 204, false, 0xe12ab1bea9715a0767d2b37f67b407fa)),
-        cell(H743, 3, 350_000, 20, 4, 550_000, 2_000, DeepFirst, Replay, 4,
+        cell(H743, 3, 350_000, 20, 4, 550_000, 2_000, DeepFirst, Replay,
             ("safe", 46, 45, 3312, true, 0x42d4e4142e1dcdc7f8bb92c91b3f5cc0)),
-        cell(F746, 2, 800_000, 21, 4, 500_000, 2_000, ShallowFirst, Fork, 1,
+        cell(F746, 2, 800_000, 21, 4, 500_000, 2_000, ShallowFirst, Fork,
             ("RTM050", 1, 9, 18, false, 0x86dd61f7b4cebf3e0556d27184dc3cde)),
-        cell(H743, 6, 300_000, 22, 2, 600_000, 1_000, DeepFirst, Fork, 4,
+        cell(H743, 6, 300_000, 22, 2, 600_000, 1_000, DeepFirst, Fork,
             ("RTM050", 1, 131, 262, false, 0xc82e1fb0653058a46d5426d7a388b437)),
         // Release jitter: misses only on jittered paths.
-        Cell { jitter_max_cycles: 2_000_000, ..cell(F746, 3, 600_000, 1, 2, 600_000, 2_000, ShallowFirst, Fork, 4,
+        Cell { jitter_max_cycles: 2_000_000, ..cell(F746, 3, 600_000, 1, 2, 600_000, 2_000, ShallowFirst, Fork,
             ("RTM050", 222, 309, 4884, false, 0x54fa9907af99f761523aa2749217931b)) },
-        Cell { jitter_max_cycles: 2_000_000, ..cell(F746, 3, 800_000, 1, 2, 600_000, 2_000, DeepFirst, Replay, 1,
+        Cell { jitter_max_cycles: 2_000_000, ..cell(F746, 3, 800_000, 1, 2, 600_000, 2_000, DeepFirst, Replay,
             ("RTM050", 418, 436, 9196, false, 0xd6a1f94d17d7ad95a872bf836b99e418)) },
         // Transfer faults with a retry budget of two.
-        Cell { fault_retries: Some(2), ..cell(F746, 2, 600_000, 1, 2, 1_000_000, 2_000, ShallowFirst, Fork, 1,
+        Cell { fault_retries: Some(2), ..cell(F746, 2, 600_000, 1, 2, 1_000_000, 2_000, ShallowFirst, Fork,
             ("RTM052", 12, 74, 373, false, 0xc33a287702632c32fa0eabd580d2fec0)) },
-        Cell { fault_retries: Some(2), ..cell(F746, 2, 600_000, 1, 2, 1_000_000, 2_000, ShallowFirst, Replay, 1,
+        Cell { fault_retries: Some(2), ..cell(F746, 2, 600_000, 1, 2, 1_000_000, 2_000, ShallowFirst, Replay,
             ("RTM052", 12, 74, 373, false, 0xc33a287702632c32fa0eabd580d2fec0)) },
-        Cell { fault_retries: Some(2), ..cell(F746, 2, 300_000, 1, 2, 1_000_000, 2_000, DeepFirst, Replay, 4,
+        Cell { fault_retries: Some(2), ..cell(F746, 2, 300_000, 1, 2, 1_000_000, 2_000, DeepFirst, Replay,
             ("RTM053", 1986, 2000, 64501, false, 0x75f9dcab6f688e4ecd4d90faf3e3e3f7)) },
     ]
 }

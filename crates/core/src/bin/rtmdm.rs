@@ -55,12 +55,12 @@
 //! writes the replayable counterexample JSON when a violation is
 //! reached. `--strategy replay|fork` picks how the explorer executes
 //! each path (`fork`, the default, resumes branches from mid-run
-//! snapshots; `replay` re-runs each path from time zero) and
-//! `--threads N` sets the speculative path-execution workers (0, the
-//! default, defers to `RTMDM_THREADS`); neither changes a single
-//! output byte. Exit status: 0 on success (schedulable for `admit`, no
-//! errors for `check`), 2 when admission or verification rejects, 1
-//! on usage errors.
+//! snapshots; `replay` re-runs each path from time zero) without
+//! changing a single output byte. The explorer runs one path at a
+//! time; `--threads N` is still accepted for compatibility, checked to
+//! be a number and ignored. Exit status: 0 on success (schedulable for
+//! `admit`, no errors for `check`), 2 when admission or verification
+//! rejects, 1 on usage errors.
 
 use std::process::ExitCode;
 
@@ -118,7 +118,6 @@ struct Cli {
     explore: bool,
     max_states: Option<usize>,
     explore_strategy: rtmdm_core::ExploreStrategy,
-    threads: usize,
     witness: Option<String>,
 }
 
@@ -173,7 +172,6 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
     let mut explore = false;
     let mut max_states = None;
     let mut explore_strategy = rtmdm_core::ExploreStrategy::default();
-    let mut threads = 0;
     let mut witness = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -253,7 +251,10 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
                     }
                 };
             }
-            "--threads" => threads = value(&mut it)?,
+            // Accepted for compatibility: the explorer is serial.
+            "--threads" => {
+                value::<usize>(&mut it)?;
+            }
             "--witness" => witness = Some(it.next().ok_or(CliError::Usage)?.clone()),
             _ => return Err(CliError::Usage),
         }
@@ -274,7 +275,6 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
         explore,
         max_states,
         explore_strategy,
-        threads,
         witness,
     })
 }
@@ -607,7 +607,6 @@ fn cmd_check(cli: &Cli) -> ExitCode {
             // execution-time choice dimension.
             exec_scale_min_ppm: 1_000_000 - cli.jitter_pct * 10_000,
             strategy: cli.explore_strategy,
-            threads: cli.threads,
             ..rtmdm_core::ExploreOptions::default()
         }),
     };

@@ -71,10 +71,6 @@ pub struct ExploreOptions {
     /// counters, and witnesses are byte-identical across strategies;
     /// `Fork` (the default) is the cheaper one.
     pub strategy: ExploreStrategy,
-    /// Worker threads for speculative path execution (`--threads`);
-    /// `0` (the default) defers to `RTMDM_THREADS` / available
-    /// parallelism. Outputs are byte-identical at any count.
-    pub threads: usize,
 }
 
 impl Default for ExploreOptions {
@@ -86,7 +82,6 @@ impl Default for ExploreOptions {
             horizon_us: None,
             staging_window: 2,
             strategy: ExploreStrategy::default(),
-            threads: 0,
         }
     }
 }
@@ -332,7 +327,6 @@ impl SystemSpec {
             max_states: x.max_states,
             jitter_max_cycles: self.platform.cpu.cycles_from_micros(x.jitter_max_us).get(),
             strategy: x.strategy,
-            threads: x.threads,
             ..ExploreLimits::default()
         };
         let outcome = rtmdm_check::explore(&ordered, &self.platform, &config, &limits);

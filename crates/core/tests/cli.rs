@@ -159,6 +159,20 @@ fn bad_usage_exits_one() {
     );
 }
 
+/// The explorer is serial: `--threads N` is accepted for compatibility
+/// and changes no output byte, but must still be a number.
+#[test]
+fn threads_flag_is_a_validated_no_op() {
+    let check = ["check", "--task", "ic=resnet8@10", "--explore"];
+    let plain = rtmdm(&check);
+    let threaded = rtmdm(&[&check[..], &["--threads", "8"]].concat());
+    assert_eq!(plain.status.code(), Some(2));
+    assert_eq!(threaded.status.code(), Some(2));
+    assert_eq!(plain.stdout, threaded.stdout);
+    let bad = rtmdm(&[&check[..], &["--threads", "many"]].concat());
+    assert_eq!(bad.status.code(), Some(1));
+}
+
 /// Times given in milliseconds or seconds are scaled to microseconds;
 /// a value whose scaled form does not fit in `u64` is a usage error,
 /// never a silently wrapped period or horizon.

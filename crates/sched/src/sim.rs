@@ -702,9 +702,9 @@ fn run_sim<'a>(
         }
     }
     // Oracle-driven runs are exploration probes, not workload runs:
-    // flushing them would make the registry depend on how many
-    // speculative branches an explorer happened to execute. Their
-    // throughput is reported by the explorer itself.
+    // flushing them would make the registry depend on how many paths
+    // an explorer executed and where each stopped. Their throughput is
+    // reported by the explorer itself.
     if !oracle_mode {
         flush_global_metrics(&result);
     }

@@ -186,7 +186,6 @@ fn check_explore_soundness(
     };
     let limits = ExploreLimits {
         max_states: 2_000,
-        threads: 1,
         order,
         ..ExploreLimits::default()
     };

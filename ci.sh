@@ -186,8 +186,9 @@ rm -f "$fork_report" "$fork_witness" "$replay_report" "$replay_witness" \
   "$default_out" "$threads8_out"
 # A search with many merges: most paths of this fault search merge into
 # one explored earlier and stop there. Both strategies must print the
-# same report, and its counts must be the ones every path run to the
-# horizon gives.
+# same report, its counts must be the ones every path run to the
+# horizon gives, and the budget cut must report the 384 branches left
+# on the stack.
 merge_dir="$(mktemp -d)"
 for strategy in fork replay; do
   ./target/release/rtmdm check --platform stm32f746-qspi --task kws=ds-cnn@60 \
@@ -196,6 +197,10 @@ for strategy in fork replay; do
   grep -q 'explored 20000 states over 19617 runs (1666949 transitions)' \
     "$merge_dir/$strategy" || {
     echo "explore smoke: merge-heavy search moved off its counts ($strategy)" >&2
+    exit 1; }
+  grep -q '(20000 states, 19617 runs, 384 unexplored branches)' \
+    "$merge_dir/$strategy" || {
+    echo "explore smoke: merge-heavy search left a different stack ($strategy)" >&2
     exit 1; }
   cmp -s "$merge_dir/fork" "$merge_dir/$strategy" || {
     echo "explore smoke: merge-heavy search differs ($strategy)" >&2; exit 1; }

@@ -145,14 +145,37 @@ impl ExploreOutcome {
     }
 }
 
-/// One scheduled path: its absolute forced-choice prefix and the
-/// snapshot the run may resume from instead of starting at time zero.
+/// One scheduled path. Its forced choices are `path[..at]` followed by
+/// `alt`; after them the run answers deterministic defaults.
+///
+/// Every branch a run schedules reads that run's one choice sequence
+/// through a shared `path`, so scheduling a run's branches costs one
+/// copy of its path, not one per branch.
 struct WorkItem {
-    /// Forced choices from time zero (absolute positions `0..len`).
-    prefix: Vec<Choice>,
-    /// Latest snapshot whose capturing run agrees with `prefix` up to
-    /// the snapshot's query position; `None` runs from time zero.
+    /// The absolute choice sequence (from time zero) of the run that
+    /// scheduled this item, shared by all of that run's branches; empty
+    /// for the root.
+    path: Rc<[Choice]>,
+    /// The branch position: the absolute query at which this item
+    /// leaves `path`.
+    at: usize,
+    /// The untaken alternative answered at `at`; `None` for the root.
+    alt: Option<Choice>,
+    /// Latest snapshot whose capturing run agrees with `path` up to the
+    /// snapshot's query position, at or before `at`; `None` runs from
+    /// time zero.
     base: Option<ForkBase>,
+}
+
+impl WorkItem {
+    /// The forced choices from absolute position `from` (at most `at`):
+    /// `path[from..at]` followed by `alt`.
+    fn forced_from(&self, from: usize) -> Vec<Choice> {
+        let mut forced = Vec::with_capacity(self.at - from + 1);
+        forced.extend_from_slice(&self.path[from..self.at]);
+        forced.extend(self.alt);
+        forced
+    }
 }
 
 /// A shareable resume point: a snapshot plus its *absolute* position in
@@ -204,7 +227,7 @@ fn run_path(
 ) -> PathRun {
     let consumed = item.base.as_ref().map_or(0, |b| b.consumed);
     let mut caps: Vec<SimSnapshot> = Vec::new();
-    let mut oracle = PathOracle::new(item.prefix[consumed..].to_vec(), domains, visited);
+    let mut oracle = PathOracle::new(item.forced_from(consumed), domains, visited);
     let result = simulate_with_oracle_forked(
         ts,
         platform,
@@ -242,6 +265,12 @@ fn run_path(
 ///
 /// Returns zero findings only when the entire bounded lattice was
 /// covered without reaching a violation.
+///
+/// Each executed run builds its absolute choice sequence once, and every
+/// branch it schedules shares that sequence instead of copying a
+/// prefix: pushing a run's branches is linear in its path length, and
+/// live memory is the paths of runs that still have branches on the
+/// stack.
 pub fn explore(
     ts: &TaskSet,
     platform: &PlatformConfig,
@@ -259,7 +288,9 @@ pub fn explore(
     let mut visited = VisitedSet::new();
     let mut stats = ExploreStats::default();
     let mut stack = vec![WorkItem {
-        prefix: Vec::new(),
+        path: Rc::from([]),
+        at: 0,
+        alt: None,
         base: None,
     }];
     // Each scheduled branch is an untaken alternative of a novel pair,
@@ -267,11 +298,14 @@ pub fn explore(
     let run_cap = limits.max_states.saturating_mul(2).saturating_add(1);
     let mut exhausted = false;
 
-    while let Some(item) = stack.pop() {
+    // The budget is tested before popping, so every item it refuses
+    // stays on the stack and counts as an unexplored branch.
+    while !stack.is_empty() {
         if visited.len() >= limits.max_states || stats.runs >= run_cap {
             exhausted = true;
             break;
         }
+        let item = stack.pop().expect("the stack is not empty");
         let run = run_path(ts, platform, &cfg, &domains, &visited, &item, fork);
         stats.runs += 1;
 
@@ -282,37 +316,12 @@ pub fn explore(
 
         if let Some(raw) = first_violation(&run.result) {
             stats.states = visited.len();
-            let outcome = violation_outcome(ts, platform, &cfg, &domains, &item, &run, raw, stats);
+            let path = run_choices(&item, &run);
+            let outcome = violation_outcome(ts, platform, &cfg, &domains, &path, &run, raw, stats);
             flush_explore_metrics(&outcome.stats);
             return outcome;
         }
-        // Push order decides which scheduled branch pops next (LIFO):
-        // pushing deepest-first leaves the shallowest on top.
-        let scheduled: Vec<usize> = match limits.order {
-            ExploreOrder::ShallowFirst => merged.expansions.iter().rev().copied().collect(),
-            ExploreOrder::DeepFirst => merged.expansions,
-        };
-        for i in scheduled {
-            for &alt in &run.log[i].branches {
-                let mut prefix: Vec<Choice> = Vec::with_capacity(run.consumed + i + 1);
-                prefix.extend_from_slice(&item.prefix[..run.consumed]);
-                prefix.extend(run.log[..i].iter().map(|r| r.chosen));
-                prefix.push(alt);
-                // The latest snapshot at or before the branched choice
-                // agrees with the child's prefix on everything before
-                // it (the child diverges only at position
-                // `consumed + i`), so the child replays at most one
-                // captured instant's worth of forced choices.
-                let base = run
-                    .snaps
-                    .iter()
-                    .rev()
-                    .find(|fb| fb.consumed <= run.consumed + i)
-                    .cloned()
-                    .or_else(|| item.base.clone());
-                stack.push(WorkItem { prefix, base });
-            }
-        }
+        push_branches(&mut stack, &item, &run, merged.expansions, limits.order);
     }
 
     stats.states = visited.len();
@@ -335,6 +344,58 @@ pub fn explore(
         findings,
         witness: None,
         stats,
+    }
+}
+
+/// The absolute choice sequence of an executed item: the item's path up
+/// to the run's resume point, then every answer the run logged.
+/// `run.consumed <= item.at` always holds — the base is the latest
+/// snapshot at or before the branch point — so the item's own forced
+/// suffix comes from the log.
+fn run_choices(item: &WorkItem, run: &PathRun) -> Rc<[Choice]> {
+    item.path[..run.consumed]
+        .iter()
+        .copied()
+        .chain(run.log.iter().map(|r| r.chosen))
+        .collect()
+}
+
+/// Pushes one work item per untaken alternative at each expanded log
+/// index of `run`, all sharing the run's choice sequence. Push order
+/// decides which branch pops next (LIFO): pushing deepest-first leaves
+/// the shallowest on top.
+fn push_branches(
+    stack: &mut Vec<WorkItem>,
+    item: &WorkItem,
+    run: &PathRun,
+    mut expansions: Vec<usize>,
+    order: ExploreOrder,
+) {
+    if expansions.is_empty() {
+        return;
+    }
+    if order == ExploreOrder::ShallowFirst {
+        expansions.reverse();
+    }
+    let path = run_choices(item, run);
+    for i in expansions {
+        let at = run.consumed + i;
+        // The latest snapshot at or before the branched choice agrees
+        // with the child's forced choices on everything before it (the
+        // child diverges only at `at`), so the child replays at most
+        // one captured instant's worth of forced choices.
+        let base = run.snaps[..run.snaps.partition_point(|fb| fb.consumed <= at)]
+            .last()
+            .or(item.base.as_ref())
+            .cloned();
+        for &alt in &run.log[i].branches {
+            stack.push(WorkItem {
+                path: Rc::clone(&path),
+                at,
+                alt: Some(alt),
+                base: base.clone(),
+            });
+        }
     }
 }
 
@@ -386,7 +447,7 @@ fn violation_outcome(
     platform: &PlatformConfig,
     cfg: &SimConfig,
     domains: &Domains,
-    item: &WorkItem,
+    path: &[Choice],
     run: &PathRun,
     raw: RawViolation,
     stats: ExploreStats,
@@ -400,10 +461,8 @@ fn violation_outcome(
     // end. From-zero runs that reached the horizon already have both.
     let full: Option<(SimResult, Vec<QueryRecord>)> =
         (run.consumed > 0 || run.stopped).then(|| {
-            let mut forced: Vec<Choice> = item.prefix[..run.consumed].to_vec();
-            forced.extend(run.log.iter().map(|r| r.chosen));
             let unvisited = VisitedSet::new();
-            let mut oracle = PathOracle::new(forced, domains, &unvisited);
+            let mut oracle = PathOracle::new(path.to_vec(), domains, &unvisited);
             let result = simulate_with_oracle(ts, platform, cfg, &mut oracle);
             (result, oracle.log)
         });
@@ -669,6 +728,17 @@ mod tests {
         assert_eq!(out.findings.len(), 1);
         assert_eq!(out.findings[0].rule, Rule::Rtm053);
         assert!(!out.proven_safe());
+        // The first run already passes the budget, and each pair it
+        // expands has one untaken alternative: the cut leaves exactly
+        // `states` branches on the stack, none of them run.
+        assert_eq!(out.stats.runs, 1);
+        let states = out.stats.states;
+        let counts = format!("({states} states, 1 runs, {states} unexplored branches)");
+        assert!(
+            out.findings[0].message.contains(&counts),
+            "{}",
+            out.findings[0].message
+        );
     }
 
     #[test]
@@ -837,5 +907,89 @@ mod tests {
         let (forked, replayed) = strategy_outcomes(&ts, &cfg, &limits);
         assert_eq!(forked.findings[0].rule, Rule::Rtm053);
         assert_eq!(fingerprint(&forked), fingerprint(&replayed));
+    }
+
+    #[test]
+    fn branches_share_their_runs_path_and_force_the_copied_prefix() {
+        // Drives the search by hand and checks every pushed item
+        // against the construction that copied a whole prefix per
+        // branch: same forced choices, same resume base, and siblings
+        // reading one shared path.
+        let ts = TaskSet::from_tasks(vec![
+            resident("a", 1_000, 1_000, 200),
+            resident("b", 2_000, 2_000, 400),
+        ]);
+        let mut cfg = config(4_000);
+        cfg.exec_scale_min_ppm = 500_000;
+        cfg.attribution = true;
+        let domains = Domains {
+            exec_scale_min_ppm: cfg.exec_scale_min_ppm,
+            jitter_max_cycles: 100,
+            explore_faults: false,
+        };
+        let platform = bare_platform();
+        let cases = [
+            (ExploreOrder::ShallowFirst, true),
+            (ExploreOrder::ShallowFirst, false),
+            (ExploreOrder::DeepFirst, true),
+            (ExploreOrder::DeepFirst, false),
+        ];
+        for (order, fork) in cases {
+            let mut visited = VisitedSet::new();
+            let root = WorkItem {
+                path: Rc::from([]),
+                at: 0,
+                alt: None,
+                base: None,
+            };
+            let mut stack = vec![(root, Vec::new())];
+            let (mut runs, mut shared, mut forked) = (0, 0, 0);
+            while let Some((item, prefix)) = stack.pop() {
+                let run = run_path(&ts, &platform, &cfg, &domains, &visited, &item, fork);
+                runs += 1;
+                let merged = merge_path(&run.log, &mut visited);
+                let mut children = Vec::new();
+                push_branches(&mut children, &item, &run, merged.expansions.clone(), order);
+
+                let scheduled: Vec<usize> = match order {
+                    ExploreOrder::ShallowFirst => merged.expansions.iter().rev().copied().collect(),
+                    ExploreOrder::DeepFirst => merged.expansions,
+                };
+                let mut expected = Vec::new();
+                for i in scheduled {
+                    let at = run.consumed + i;
+                    let base = run.snaps.iter().rev().find(|fb| fb.consumed <= at);
+                    let base = base.or(item.base.as_ref()).map(|fb| fb.consumed);
+                    for &alt in &run.log[i].branches {
+                        let mut copied: Vec<Choice> = prefix[..run.consumed].to_vec();
+                        copied.extend(run.log[..i].iter().map(|r| r.chosen));
+                        copied.push(alt);
+                        expected.push((copied, base));
+                    }
+                }
+                let pushed: Vec<(Vec<Choice>, Option<usize>)> = children
+                    .iter()
+                    .map(|c| (c.forced_from(0), c.base.as_ref().map(|fb| fb.consumed)))
+                    .collect();
+                assert_eq!(pushed, expected, "{order:?}, fork {fork}, run {runs}");
+                for c in &children {
+                    assert!(Rc::ptr_eq(&c.path, &children[0].path));
+                    assert!(c.base.as_ref().map_or(0, |fb| fb.consumed) <= c.at);
+                }
+                shared += usize::from(children.len() > 1);
+                forked += children.iter().filter(|c| c.base.is_some()).count();
+                stack.extend(children.into_iter().zip(expected.into_iter().map(|e| e.0)));
+            }
+            assert!(runs > 1, "{order:?}, fork {fork}: the space must branch");
+            assert!(
+                shared > 0,
+                "{order:?}, fork {fork}: some run schedules siblings"
+            );
+            assert_eq!(
+                forked > 0,
+                fork,
+                "{order:?}: only fork resumes from snapshots"
+            );
+        }
     }
 }

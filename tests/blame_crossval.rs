@@ -6,7 +6,8 @@
 //! 1. **Conservation, zero tolerance** — for any task set, dispatch
 //!    discipline, execution jitter, fault environment, and deadline-miss
 //!    policy, [`attribute`](rt_mdm::obs::attribute) succeeds and every
-//!    completed job's six terms sum *exactly* to its response time.
+//!    completed job's six terms sum *exactly* to its response time, and
+//!    are already final in the trace prefix through its completion.
 //!
 //! 2. **Measured implies bounded** — for admitted (check-clean) sets at
 //!    WCET, every job's measured interference terms sit inside the RTA's
@@ -23,7 +24,7 @@
 
 use proptest::prelude::*;
 
-use rt_mdm::mcusim::{Cycles, FaultPlan, PlatformConfig, TaskId};
+use rt_mdm::mcusim::{Cycles, FaultPlan, PlatformConfig, TaskId, TraceKind};
 use rt_mdm::obs::{attribute, BlameSource};
 use rt_mdm::sched::analysis::{
     interference_bounds, rta_limited_preemption_with, SchedulerMode, TaskTiming,
@@ -54,6 +55,49 @@ fn with_miss_policy(ts: &TaskSet, policy: MissPolicy) -> TaskSet {
             .map(|t| t.clone().with_miss_policy(policy))
             .collect(),
     )
+}
+
+/// A generated set under a drawn discipline, execution-scale floor,
+/// fault rate (zero below a fifth of the range) and miss policy, with
+/// attribution on: the layer-1 scenario space.
+fn faulted_case(
+    seed: u64,
+    n_tasks: usize,
+    util_pct: u64,
+    wc: bool,
+    scale: u64,
+    fault_rate_sel: u64,
+    miss_sel: u8,
+) -> (TaskSet, SimConfig) {
+    let fault_rate_ppm = if fault_rate_sel < 200_000 {
+        0
+    } else {
+        fault_rate_sel
+    };
+    let params = TasksetParams::baseline(n_tasks, util_pct * 10_000);
+    let miss_policy = [
+        MissPolicy::Continue,
+        MissPolicy::Abort,
+        MissPolicy::SkipNextRelease,
+    ][miss_sel as usize];
+    let ts = with_miss_policy(&generate(&params, &platform(), seed), miss_policy);
+    let config = SimConfig {
+        horizon: ts.tasks().iter().map(|t| t.period).max().unwrap() * 3,
+        policy: Policy::FixedPriority,
+        exec_scale_min_ppm: scale,
+        seed,
+        work_conserving: wc,
+        fault: FaultPlan {
+            seed,
+            dma_fault_rate_ppm: fault_rate_ppm,
+            max_retries: 3,
+            jitter_max_cycles: 50,
+        },
+        engine: Engine::Des,
+        attribution: true,
+        staging_window: 2,
+    };
+    (ts, config)
 }
 
 /// Layer 2: for an admitted set at WCET, each job's measured terms obey
@@ -161,30 +205,8 @@ proptest! {
         fault_rate_sel in 0u64..=1_000_000,
         miss_sel in 0u8..3,
     ) {
-        let fault_rate_ppm = if fault_rate_sel < 200_000 { 0 } else { fault_rate_sel };
-        let params = TasksetParams::baseline(n_tasks, util_pct * 10_000);
-        let miss_policy = [
-            MissPolicy::Continue,
-            MissPolicy::Abort,
-            MissPolicy::SkipNextRelease,
-        ][miss_sel as usize];
-        let ts = with_miss_policy(&generate(&params, &platform(), seed), miss_policy);
-        let config = SimConfig {
-            horizon: ts.tasks().iter().map(|t| t.period).max().unwrap() * 3,
-            policy: Policy::FixedPriority,
-            exec_scale_min_ppm: scale,
-            seed,
-            work_conserving: wc,
-            fault: FaultPlan {
-                seed,
-                dma_fault_rate_ppm: fault_rate_ppm,
-                max_retries: 3,
-                jitter_max_cycles: 50,
-            },
-            engine: Engine::Des,
-            attribution: true,
-            staging_window: 2,
-        };
+        let (ts, config) =
+            faulted_case(seed, n_tasks, util_pct, wc, scale, fault_rate_sel, miss_sel);
         let run = simulate(&ts, &platform(), &config);
         let report = match attribute(&run.trace) {
             Ok(r) => r,
@@ -203,6 +225,42 @@ proptest! {
         // Aggregates are sums of the per-job terms.
         let misses: u64 = report.tasks.values().map(|t| t.misses).sum();
         prop_assert_eq!(misses, report.jobs.iter().filter(|j| j.missed).count() as u64);
+    }
+
+    /// Layer 1, read early: a completed job's decomposition needs
+    /// nothing after its completion instant. Attributing the trace
+    /// prefix through that instant (every event at or before it) gives
+    /// the job the same blame as the whole trace — the explorer's
+    /// witness attributes its victim this way.
+    #[test]
+    fn prefix_through_completion_gives_the_same_blame(
+        seed in 0u64..100_000,
+        n_tasks in 1usize..6,
+        util_pct in 5u64..95,
+        wc in proptest::bool::ANY,
+        scale in 300_000u64..=1_000_000,
+        fault_rate_sel in 0u64..=1_000_000,
+        miss_sel in 0u8..3,
+    ) {
+        let (ts, config) =
+            faulted_case(seed, n_tasks, util_pct, wc, scale, fault_rate_sel, miss_sel);
+        let run = simulate(&ts, &platform(), &config);
+        let whole = attribute(&run.trace).expect("conservation holds");
+        let events = run.trace.events();
+        for job in &whole.jobs {
+            let done = events
+                .iter()
+                .find(|e| {
+                    matches!(e.kind, TraceKind::JobCompleted { task, job: id, .. }
+                        if task == job.task && id == job.job)
+                })
+                .expect("a decomposed job completed")
+                .time;
+            let prefix = run.trace.truncated(events.partition_point(|e| e.time <= done));
+            let early = attribute(&prefix).expect("conservation holds on a prefix");
+            let got = early.jobs.iter().find(|j| j.task == job.task && j.job == job.job);
+            prop_assert_eq!(got, Some(job), "task {} job {}", job.task, job.job);
+        }
     }
 
     /// Layer 2 under the gated dispatcher.

@@ -5,6 +5,9 @@
 //!   report of a faulted overload, are pinned byte-for-byte by golden
 //!   files (and the export round-trips through the bundled
 //!   `serde_json`), so drift in any trace reader is caught immediately;
+//! - so is the witness an explored deadline miss writes (`rtmdm check
+//!   --explore --witness`), whose dominant blame is read from the
+//!   violating run's trace, under both exploration strategies;
 //! - timeline analytics satisfy their accounting invariants — CPU busy
 //!   and idle partition the horizon exactly, utilizations and the
 //!   fetch/compute overlap ratio stay within `[0, 1]` — across random
@@ -13,6 +16,9 @@
 
 use proptest::prelude::*;
 
+use rt_mdm::check::ExploreStrategy;
+use rt_mdm::core::{CheckOptions, ExploreOptions, SystemSpec, TaskSpec};
+use rt_mdm::dnn::zoo;
 use rt_mdm::mcusim::{Cycles, FaultPlan, PlatformConfig, TraceKind};
 use rt_mdm::obs::{
     attribute, chrome_trace, chrome_trace_json, chrome_trace_with_blame, gantt, ChromeTrace,
@@ -202,6 +208,36 @@ fn blame_export_matches_golden_file() {
     );
 }
 
+/// The `--witness` bytes of `rtmdm check --platform stm32f746-qspi
+/// --task kws=ds-cnn@30 --task ic=resnet8@100 --explore --jitter 20
+/// --strategy <strategy>`: a two-task cell whose first explored run
+/// misses a deadline long before its horizon.
+fn jitter_cell_witness(strategy: ExploreStrategy) -> String {
+    let mut spec = SystemSpec::new(PlatformConfig::stm32f746_qspi());
+    spec.push(TaskSpec::new("kws", zoo::ds_cnn(), 30_000, 30_000));
+    spec.push(TaskSpec::new("ic", zoo::resnet8(), 100_000, 100_000));
+    let outcome = spec.check_with(&CheckOptions {
+        explore: Some(ExploreOptions {
+            exec_scale_min_ppm: 800_000,
+            strategy,
+            ..ExploreOptions::default()
+        }),
+    });
+    let witness = outcome.witness.expect("the cell reaches a deadline miss");
+    serde_json::to_string(&witness).expect("witness serializes")
+}
+
+#[test]
+fn explore_witness_matches_golden_file() {
+    for strategy in [ExploreStrategy::Fork, ExploreStrategy::Replay] {
+        assert_eq!(
+            jitter_cell_witness(strategy),
+            include_str!("golden_witness.json"),
+            "{strategy:?} witness drifted from tests/golden_witness.json"
+        );
+    }
+}
+
 /// Regenerates the golden files. Ignored by default; run explicitly
 /// after an intentional exporter change.
 #[test]
@@ -215,6 +251,11 @@ fn bless_golden() {
     std::fs::write(
         format!("{dir}/golden_blame.json"),
         faulted_blame_json() + "\n",
+    )
+    .expect("golden written");
+    std::fs::write(
+        format!("{dir}/golden_witness.json"),
+        jitter_cell_witness(ExploreStrategy::Fork),
     )
     .expect("golden written");
 }

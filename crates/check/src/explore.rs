@@ -9,7 +9,8 @@
 //! or produces a concrete violating path as a replayable [`Witness`].
 //!
 //! The transition function is not a model of the scheduler: it *is* the
-//! scheduler, driven through the [`SimOracle`] hook. That makes every
+//! scheduler, driven through the
+//! [`SimOracle`](rtmdm_sched::script::SimOracle) hook. That makes every
 //! counterexample exact by construction — replaying the witness script
 //! through [`simulate_with_oracle`] reproduces the violating run byte
 //! for byte.
@@ -18,8 +19,12 @@
 //! interleavings merged through the canonical state fingerprint (see
 //! [`crate::state`]). A path that merges into one explored earlier ends
 //! its run after the merge instant: its tail would repeat a tail that
-//! was already checked. Paths run one at a time, in stack order, each
-//! reading the visited set its predecessors left.
+//! was already checked. A path that violates ends its run after its
+//! first violating instant: the violation ends the search, and nothing
+//! after it changes which event is first. Paths run one at a time, in
+//! stack order, each reading the visited set its predecessors left.
+//! The witness of a violation comes from one replay of its path from
+//! time zero to the horizon.
 //!
 //! **Strategy** ([`ExploreStrategy`]) sets how each path is executed
 //! without changing a single output byte: under `Fork` (the default),
@@ -38,7 +43,7 @@ use std::rc::Rc;
 
 use rtmdm_mcusim::{Cycles, JobId, PlatformConfig, TaskId, TraceKind};
 use rtmdm_obs::attribute;
-use rtmdm_sched::script::{Choice, ScriptedChoice, SimOracle};
+use rtmdm_sched::script::{Choice, ScriptedChoice};
 use rtmdm_sched::sim::{
     simulate_with_oracle, simulate_with_oracle_forked, RaceKind, SimConfig, SimResult, SimSnapshot,
 };
@@ -198,8 +203,6 @@ struct PathRun {
     consumed: usize,
     /// Snapshots this run captured, ascending by absolute position.
     snaps: Vec<ForkBase>,
-    /// Whether the run ended where the path merges, before the horizon.
-    stopped: bool,
 }
 
 /// The violating event of one explored run, before rule classification.
@@ -215,7 +218,7 @@ struct RawViolation {
 /// base snapshot (when it has one) and captures snapshots for the
 /// branches it will schedule; under `Replay` it runs from time zero and
 /// captures nothing. Either way the run ends early where the path
-/// merges into `visited`.
+/// merges into `visited`, or after its first violating instant.
 fn run_path(
     ts: &TaskSet,
     platform: &PlatformConfig,
@@ -227,7 +230,7 @@ fn run_path(
 ) -> PathRun {
     let consumed = item.base.as_ref().map_or(0, |b| b.consumed);
     let mut caps: Vec<SimSnapshot> = Vec::new();
-    let mut oracle = PathOracle::new(item.forced_from(consumed), domains, visited);
+    let mut oracle = PathOracle::new(item.forced_from(consumed), domains, Some(visited));
     let result = simulate_with_oracle_forked(
         ts,
         platform,
@@ -245,7 +248,6 @@ fn run_path(
         .collect();
     PathRun {
         result,
-        stopped: oracle.stop_after_instant(),
         log: oracle.log,
         consumed,
         snaps,
@@ -310,14 +312,14 @@ pub fn explore(
         stats.runs += 1;
 
         // Merge before the violation check: a violating run's novel
-        // pairs count towards the reported states.
+        // pairs up to its violation count towards the reported states.
         let merged = merge_path(&run.log, &mut visited);
         stats.transitions += (run.consumed + merged.len) as u64;
 
         if let Some(raw) = first_violation(&run.result) {
             stats.states = visited.len();
             let path = run_choices(&item, &run);
-            let outcome = violation_outcome(ts, platform, &cfg, &domains, &path, &run, raw, stats);
+            let outcome = violation_outcome(ts, platform, &cfg, &domains, &path, raw, stats);
             flush_explore_metrics(&outcome.stats);
             return outcome;
         }
@@ -440,36 +442,46 @@ fn first_violation(result: &SimResult) -> Option<RawViolation> {
     }
 }
 
-/// Builds the finding and witness for a violating run.
-#[allow(clippy::too_many_arguments)]
+/// The dominant interference source of job `job` of `task` in `result`.
+/// A job's blame is final at its completion instant — the intervals
+/// that build its window all close by then — so attribution reads only
+/// the trace through that instant. A victim that never completes has no
+/// decomposition.
+fn victim_blame(result: &SimResult, task: TaskId, job: JobId) -> Option<String> {
+    let events = result.trace.events();
+    let done = events.iter().find(|e| {
+        matches!(e.kind, TraceKind::JobCompleted { task: t, job: j, .. } if t == task && j == job)
+    })?;
+    let prefix = result
+        .trace
+        .truncated(events.partition_point(|e| e.time <= done.time));
+    let report = attribute(&prefix).ok()?;
+    let (source, _) = report
+        .jobs
+        .iter()
+        .find(|j| j.task == task && j.job == job)?
+        .dominant_interference()?;
+    Some(source.to_string())
+}
+
+/// Builds the finding and witness for a violating run whose absolute
+/// choice sequence is `path`.
 fn violation_outcome(
     ts: &TaskSet,
     platform: &PlatformConfig,
     cfg: &SimConfig,
     domains: &Domains,
     path: &[Choice],
-    run: &PathRun,
     raw: RawViolation,
     stats: ExploreStats,
 ) -> ExploreOutcome {
-    // A forked run's log starts at its snapshot, and a run that stopped
-    // where it merged ends before the horizon: recover the absolute
-    // record sequence to the horizon (choice points from time zero, as
-    // the witness schema requires) and the full trace (the blame
-    // decomposition needs the victim to complete) by replaying the
-    // complete path once, with nothing visited so that it runs to the
-    // end. From-zero runs that reached the horizon already have both.
-    let full: Option<(SimResult, Vec<QueryRecord>)> =
-        (run.consumed > 0 || run.stopped).then(|| {
-            let unvisited = VisitedSet::new();
-            let mut oracle = PathOracle::new(path.to_vec(), domains, &unvisited);
-            let result = simulate_with_oracle(ts, platform, cfg, &mut oracle);
-            (result, oracle.log)
-        });
-    let (result, log) = match &full {
-        Some((result, log)) => (result, log.as_slice()),
-        None => (&run.result, run.log.as_slice()),
-    };
+    // The explored run ended at its violating instant, and a forked one
+    // logged only from its snapshot on. The witness lists every query
+    // from time zero to the horizon, so replay the path once from time
+    // zero with an oracle that stops at nothing.
+    let mut oracle = PathOracle::new(path.to_vec(), domains, None);
+    let result = simulate_with_oracle(ts, platform, cfg, &mut oracle);
+    let log = oracle.log;
     let name = &ts.tasks()[raw.task].name;
     let forced_faults = log
         .iter()
@@ -518,14 +530,7 @@ fn violation_outcome(
             ),
         ),
     };
-    let dominant_blame = attribute(&result.trace).ok().and_then(|report| {
-        report
-            .jobs
-            .iter()
-            .find(|j| j.task == TaskId(raw.task) && j.job == JobId(raw.job))
-            .and_then(|j| j.dominant_interference())
-            .map(|(src, _)| src.to_string())
-    });
+    let dominant_blame = victim_blame(&result, TaskId(raw.task), JobId(raw.job));
     let witness = Witness {
         schema: WITNESS_SCHEMA.to_owned(),
         rule: rule.id().to_owned(),

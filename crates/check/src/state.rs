@@ -171,15 +171,18 @@ impl VisitedSet {
 /// query with its untaken candidates and the state fingerprint it
 /// observed.
 ///
-/// The oracle only reads the visited set: it asks the simulator to stop
-/// after the instant in which a free query with untaken candidates hits
-/// an expanded pair — the condition on which [`merge_path`] merges.
-/// Every other piece of bookkeeping happens when the explorer consumes
-/// the log.
+/// A search run's oracle only reads the visited set. It asks the
+/// simulator to stop after the instant in which a free query with
+/// untaken candidates hits an expanded pair — the condition on which
+/// [`merge_path`] merges — or in which the run records its first
+/// violation, which ends the search. Every other piece of bookkeeping
+/// happens when the explorer consumes the log. A replay oracle (no
+/// visited set) stops at neither and runs to the horizon.
 pub struct PathOracle<'a> {
     prefix: Vec<Choice>,
     domains: &'a Domains,
-    visited: &'a VisitedSet,
+    /// The set a search run merges into; `None` for a witness replay.
+    visited: Option<&'a VisitedSet>,
     /// Whether a query hit an expanded pair, ending the run after the
     /// current instant.
     stopped: bool,
@@ -188,9 +191,11 @@ pub struct PathOracle<'a> {
 }
 
 impl<'a> PathOracle<'a> {
-    /// An oracle forcing `prefix`, then defaults, stopping where the
-    /// path merges into `visited`.
-    pub fn new(prefix: Vec<Choice>, domains: &'a Domains, visited: &'a VisitedSet) -> Self {
+    /// An oracle forcing `prefix`, then defaults. With `Some(visited)`
+    /// it drives a search run, which stops where the path merges into
+    /// `visited` or after its first violating instant; with `None` it
+    /// replays the path to the horizon.
+    pub fn new(prefix: Vec<Choice>, domains: &'a Domains, visited: Option<&'a VisitedSet>) -> Self {
         PathOracle {
             prefix,
             domains,
@@ -211,7 +216,7 @@ impl SimOracle for PathOracle<'_> {
         } else {
             let mut cands = self.domains.candidates(&point);
             let chosen = cands.remove(0);
-            if !cands.is_empty() && self.visited.tail(state, point).is_some() {
+            if !cands.is_empty() && self.visited.is_some_and(|v| v.tail(state, point).is_some()) {
                 self.stopped = true;
             }
             (chosen, cands)
@@ -225,8 +230,8 @@ impl SimOracle for PathOracle<'_> {
         chosen
     }
 
-    fn stop_after_instant(&self) -> bool {
-        self.stopped
+    fn stop_after_instant(&self, violated: bool) -> bool {
+        self.stopped || (violated && self.visited.is_some())
     }
 }
 
@@ -279,14 +284,19 @@ pub fn merge_path(log: &[QueryRecord], visited: &mut VisitedSet) -> MergedPath {
 pub struct ExploreStats {
     /// Simulator runs executed, one per explored path. A path that
     /// merges into one explored earlier ends its run after the instant
-    /// of its merge pair instead of at the horizon.
+    /// of its merge pair instead of at the horizon, and a violating
+    /// path after its first violating instant.
     pub runs: usize,
-    /// Distinct canonical `(state, choice-point)` pairs expanded.
+    /// Distinct canonical `(state, choice-point)` pairs expanded. When
+    /// the search ends at a violation, the violating run contributes
+    /// only the pairs it reached up to its violating instant.
     pub states: usize,
-    /// Oracle queries across all paths, each path counted to the
-    /// horizon: a merged path counts the queries before its merge pair
-    /// plus the pair's tail length (see [`MergedPath::len`]), so the
-    /// total equals that of running every path to the end.
+    /// Oracle queries across all paths, each non-violating path counted
+    /// to the horizon: a merged path counts the queries before its merge
+    /// pair plus the pair's tail length (see [`MergedPath::len`]), so
+    /// the total equals that of running every such path to the end. The
+    /// violating path that ends the search counts the queries it asked
+    /// up to its violating instant.
     pub transitions: u64,
     /// Whether the schedule space was covered to the horizon. `false`
     /// means the budget cut exploration short — RTM053, never silently
@@ -352,7 +362,7 @@ mod tests {
         let p = ChoicePoint::ReleaseJitter { task: 0, job: 0 };
         assert_eq!(d.candidates(&p).len(), 1);
         let mut visited = VisitedSet::new();
-        let mut oracle = PathOracle::new(Vec::new(), &d, &visited);
+        let mut oracle = PathOracle::new(Vec::new(), &d, Some(&visited));
         let c = oracle.choose(p, StateHash(1));
         assert_eq!(c, Choice::ReleaseJitter(Cycles::ZERO));
         assert!(oracle.log[0].branches.is_empty());
@@ -367,7 +377,7 @@ mod tests {
         let p = ChoicePoint::ReleaseJitter { task: 0, job: 0 };
         let mut visited = VisitedSet::new();
         {
-            let mut oracle = PathOracle::new(Vec::new(), &d, &visited);
+            let mut oracle = PathOracle::new(Vec::new(), &d, Some(&visited));
             assert_eq!(
                 oracle.choose(p, StateHash(1)),
                 Choice::ReleaseJitter(Cycles::ZERO)
@@ -377,7 +387,7 @@ mod tests {
                 vec![Choice::ReleaseJitter(Cycles::new(50))]
             );
             assert!(
-                !oracle.stop_after_instant(),
+                !oracle.stop_after_instant(false),
                 "a novel pair does not stop the run"
             );
             let log = oracle.log;
@@ -387,9 +397,12 @@ mod tests {
         // branches are not scheduled, the rest of that path stops
         // expanding — even a novel later pair — and its run stops.
         {
-            let mut oracle = PathOracle::new(Vec::new(), &d, &visited);
+            let mut oracle = PathOracle::new(Vec::new(), &d, Some(&visited));
             oracle.choose(p, StateHash(1));
-            assert!(oracle.stop_after_instant(), "the merge pair stops the run");
+            assert!(
+                oracle.stop_after_instant(false),
+                "the merge pair stops the run"
+            );
             let later = ChoicePoint::ReleaseJitter { task: 0, job: 1 };
             oracle.choose(later, StateHash(2));
             let log = oracle.log;
@@ -408,7 +421,7 @@ mod tests {
             explore_faults: false,
         };
         let mut visited = VisitedSet::new();
-        let mut oracle = PathOracle::new(Vec::new(), &d, &visited);
+        let mut oracle = PathOracle::new(Vec::new(), &d, Some(&visited));
         let jitter = ChoicePoint::ReleaseJitter { task: 0, job: 0 };
         let exec = ChoicePoint::ExecScale {
             task: 0,
@@ -435,17 +448,41 @@ mod tests {
         // Even a visited pair does not stop a forced query: the forced
         // region belongs to the run that scheduled the prefix.
         visited.insert(StateHash(3), p, 1);
-        let mut oracle = PathOracle::new(forced, &d, &visited);
+        let mut oracle = PathOracle::new(forced, &d, Some(&visited));
         assert_eq!(
             oracle.choose(p, StateHash(3)),
             Choice::ReleaseJitter(Cycles::new(50))
         );
         assert!(oracle.log[0].branches.is_empty());
-        assert!(!oracle.stop_after_instant());
+        assert!(!oracle.stop_after_instant(false));
         let log = oracle.log;
         let mut unvisited = VisitedSet::new();
         assert!(merge_path(&log, &mut unvisited).expansions.is_empty());
         assert!(unvisited.is_empty(), "forced region does no bookkeeping");
+    }
+
+    #[test]
+    fn a_search_run_stops_at_its_violation_and_a_replay_does_not() {
+        let d = jitter_domains(50);
+        let visited = VisitedSet::new();
+        let search = PathOracle::new(Vec::new(), &d, Some(&visited));
+        assert!(!search.stop_after_instant(false));
+        assert!(
+            search.stop_after_instant(true),
+            "a violation ends the search"
+        );
+        let mut replay = PathOracle::new(Vec::new(), &d, None);
+        let p = ChoicePoint::ReleaseJitter { task: 0, job: 0 };
+        replay.choose(p, StateHash(1));
+        assert!(
+            !replay.stop_after_instant(true),
+            "a replay runs to the horizon"
+        );
+        assert_eq!(
+            replay.log[0].branches,
+            vec![Choice::ReleaseJitter(Cycles::new(50))],
+            "a replay still logs its untaken candidates"
+        );
     }
 
     /// Feeds `oracle` one jitter query per `(job, state)`, stopping
@@ -458,7 +495,7 @@ mod tests {
                 ChoicePoint::ReleaseJitter { task: 0, job },
                 StateHash(state),
             );
-            if cut && oracle.stop_after_instant() {
+            if cut && oracle.stop_after_instant(false) {
                 break;
             }
         }
@@ -470,7 +507,7 @@ mod tests {
         let mut visited = VisitedSet::new();
         // The first path expands four pairs; each records its tail.
         let first = [(0, 10), (1, 11), (2, 12), (3, 13)];
-        let mut oracle = PathOracle::new(Vec::new(), &d, &visited);
+        let mut oracle = PathOracle::new(Vec::new(), &d, Some(&visited));
         feed(&mut oracle, &first, true);
         let log = oracle.log;
         let merged = merge_path(&log, &mut visited);
@@ -488,11 +525,11 @@ mod tests {
         // from there its tail is the first path's tail.
         let forced = vec![Choice::ReleaseJitter(Cycles::new(50))];
         let second = [(0, 20), (1, 21), (2, 12), (3, 13)];
-        let mut cut = PathOracle::new(forced.clone(), &d, &visited);
+        let mut cut = PathOracle::new(forced.clone(), &d, Some(&visited));
         feed(&mut cut, &second, true);
-        assert!(cut.stop_after_instant());
+        assert!(cut.stop_after_instant(false));
         assert_eq!(cut.log.len(), 3, "the run ends at its merge pair");
-        let mut uncut = PathOracle::new(forced, &d, &visited);
+        let mut uncut = PathOracle::new(forced, &d, Some(&visited));
         feed(&mut uncut, &second, false);
         assert_eq!(uncut.log.len(), 4);
         let (cut_log, uncut_log) = (cut.log, uncut.log);
@@ -527,8 +564,11 @@ mod tests {
         let d = jitter_domains(50);
         let visited = VisitedSet::new();
         let drive = || {
-            let mut oracle =
-                PathOracle::new(vec![Choice::ReleaseJitter(Cycles::new(50))], &d, &visited);
+            let mut oracle = PathOracle::new(
+                vec![Choice::ReleaseJitter(Cycles::new(50))],
+                &d,
+                Some(&visited),
+            );
             for job in 0..4 {
                 oracle.choose(
                     ChoicePoint::ReleaseJitter { task: 0, job },

@@ -230,9 +230,12 @@ pub trait SimOracle {
     fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice;
 
     /// Whether the run should end once the instant being processed is
-    /// complete. The simulator asks after every processed instant; the
-    /// provided answer never stops, so the run reaches the horizon.
-    fn stop_after_instant(&self) -> bool {
+    /// complete. The simulator asks after every processed instant,
+    /// passing `violated`: whether the run has recorded a deadline miss
+    /// or a staging race up to and including this instant. The provided
+    /// answer never stops, so the run reaches the horizon.
+    fn stop_after_instant(&self, violated: bool) -> bool {
+        let _ = violated;
         false
     }
 }

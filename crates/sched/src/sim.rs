@@ -527,6 +527,11 @@ struct Sim<'a> {
     /// from the snapshot, not from time zero). Positions snapshots
     /// relative to the choice sequence.
     queries: usize,
+    /// Whether the run has recorded a deadline miss (a resumed run
+    /// counts the captured prefix's). With `state.races`, it is what
+    /// the oracle's stop hook is told about violations, at O(1) per
+    /// instant.
+    missed: bool,
     /// Fork support: when present, a [`SimSnapshot`] is pushed here at
     /// every instant boundary that may reach an oracle query.
     capture: Option<&'a mut Vec<SimSnapshot>>,
@@ -574,6 +579,7 @@ impl<'a> Sim<'a> {
             injector: FaultInjector::new(config.fault),
             oracle,
             queries: 0,
+            missed: false,
             capture,
             pending_walk: Vec::new(),
         }
@@ -617,7 +623,9 @@ pub fn simulate(ts: &TaskSet, platform: &PlatformConfig, config: &SimConfig) -> 
 /// [`simulate`] of the same config (pinned by tests). An oracle whose
 /// [`SimOracle::stop_after_instant`] answers `true` ends the run after
 /// the instant being processed: its trace and query sequence are then
-/// exact prefixes of the full run's.
+/// exact prefixes of the full run's. The hook is told whether the run
+/// has recorded a violation (a deadline miss or a staging race) so far,
+/// so an oracle can end a run at its first violating instant.
 pub fn simulate_with_oracle(
     ts: &TaskSet,
     platform: &PlatformConfig,
@@ -840,8 +848,9 @@ impl Sim<'_> {
     /// then process the instant — resource completions first (they may
     /// unblock tasks), then its timer events, then the dispatch
     /// fixpoint. An oracle may end the run after any processed instant
-    /// ([`SimOracle::stop_after_instant`]); the run then covers only up
-    /// to that instant.
+    /// ([`SimOracle::stop_after_instant`], told whether the run has
+    /// recorded a violation so far); the run then covers only up to
+    /// that instant.
     fn run(&mut self) {
         let mut end = self.config.horizon;
         loop {
@@ -887,13 +896,11 @@ impl Sim<'_> {
             self.dispatch_dma();
             self.dispatch_cpu();
             self.note_cpu_idle();
-            if self
-                .oracle
-                .as_deref()
-                .is_some_and(|o| o.stop_after_instant())
-            {
-                end = self.state.now;
-                break;
+            if let Some(oracle) = self.oracle.as_deref() {
+                if oracle.stop_after_instant(self.missed || !self.state.races.is_empty()) {
+                    end = self.state.now;
+                    break;
+                }
             }
         }
         // Exact partition of the covered span (the horizon, unless the
@@ -957,6 +964,7 @@ impl Sim<'_> {
             .as_ref()
             .expect("resume from unfinalized snapshot")
             .truncated(snap.trace_len);
+        self.missed = self.state.stats.iter().any(|s| s.misses > 0);
     }
 
     /// Opens a [`TraceKind::CpuIdle`] interval if the CPU is idle and no
@@ -1272,6 +1280,7 @@ impl Sim<'_> {
         }
         job.miss_recorded = true;
         self.state.stats[task_idx].misses += 1;
+        self.missed = true;
         self.trace.push(
             self.state.now,
             TraceKind::DeadlineMissed {
@@ -1491,6 +1500,7 @@ impl Sim<'_> {
             stats.response_hist.record(response.get());
             if !job.miss_recorded && self.state.now > job.abs_deadline {
                 stats.misses += 1;
+                self.missed = true;
                 self.trace.push(
                     self.state.now,
                     TraceKind::DeadlineMissed {

@@ -570,10 +570,22 @@ fn resume_answers_only_suffix_queries() {
 }
 
 /// An oracle that answers defaults, records every query, and asks the
-/// simulator to stop once it has answered query `stop_at`.
+/// simulator to stop once it has answered query `stop_at`, or — with
+/// `on_violation` — once the run has recorded a violation.
 struct StopAfter {
     stop_at: Option<usize>,
+    on_violation: bool,
     queries: Vec<(ChoicePoint, StateHash)>,
+}
+
+impl StopAfter {
+    fn new(stop_at: Option<usize>, on_violation: bool) -> StopAfter {
+        StopAfter {
+            stop_at,
+            on_violation,
+            queries: Vec::new(),
+        }
+    }
 }
 
 impl SimOracle for StopAfter {
@@ -582,8 +594,8 @@ impl SimOracle for StopAfter {
         Choice::default_for(&point)
     }
 
-    fn stop_after_instant(&self) -> bool {
-        self.stop_at.is_some_and(|k| self.queries.len() > k)
+    fn stop_after_instant(&self, violated: bool) -> bool {
+        self.stop_at.is_some_and(|k| self.queries.len() > k) || (self.on_violation && violated)
     }
 }
 
@@ -592,19 +604,20 @@ impl SimOracle for StopAfter {
 /// query log, with the whole instant finished and nothing after it —
 /// and the snapshots it captured before stopping resume exactly like
 /// the full run's. The explorer cuts merged paths this way and forks
-/// their branches from those snapshots.
+/// their branches from those snapshots. A run whose oracle stops on a
+/// violation ends after the instant of its first deadline miss or
+/// staging race, and is the same kind of prefix; the explorer cuts
+/// violating paths this way.
 #[test]
 fn an_oracle_stop_yields_a_prefix_of_the_full_run() {
+    stop_on_violation_yields_a_prefix();
     let p = platform();
     let ts = generate(&TasksetParams::baseline(3, 500_000), &p, 5);
     let horizon = ts.tasks().iter().map(|t| t.period.get()).max().unwrap() * 3;
     let mut cfg = config(horizon);
     cfg.exec_scale_min_ppm = 500_000;
     let mut full_snaps = Vec::new();
-    let mut full_oracle = StopAfter {
-        stop_at: None,
-        queries: Vec::new(),
-    };
+    let mut full_oracle = StopAfter::new(None, false);
     let full =
         simulate_with_oracle_forked(&ts, &p, &cfg, &mut full_oracle, None, Some(&mut full_snaps));
     let n = full_oracle.queries.len();
@@ -612,10 +625,7 @@ fn an_oracle_stop_yields_a_prefix_of_the_full_run() {
     let full_events = full.trace.events();
     for k in [0, 1, n / 3, n / 2, 2 * n / 3] {
         let mut snaps = Vec::new();
-        let mut oracle = StopAfter {
-            stop_at: Some(k),
-            queries: Vec::new(),
-        };
+        let mut oracle = StopAfter::new(Some(k), false);
         let cut = simulate_with_oracle_forked(&ts, &p, &cfg, &mut oracle, None, Some(&mut snaps));
         let ctx = format!("stop after query {k}");
         let q = oracle.queries.len();
@@ -653,5 +663,102 @@ fn an_oracle_stop_yields_a_prefix_of_the_full_run() {
         // partitioned.
         let m = cut.metrics;
         assert_eq!(m.cpu_busy_cycles + m.cpu_idle_cycles, last, "{ctx}");
+    }
+}
+
+/// The violation case of [`an_oracle_stop_yields_a_prefix_of_the_full_run`]:
+/// an overload that first misses a deadline long before its horizon,
+/// and a widened staging window that first races long before its
+/// horizon.
+fn stop_on_violation_yields_a_prefix() {
+    let p = platform();
+    let overload = TaskSet::from_tasks(vec![
+        resident("hi", 10_000, 10_000, 4_000),
+        resident("lo", 20_000, 12_000, 9_000),
+    ]);
+    let racy = TaskSet::from_tasks(vec![overlapped(
+        "a",
+        2_000_000,
+        &[
+            (200_000, 256),
+            (200_000, 256),
+            (200_000, 256),
+            (200_000, 256),
+        ],
+    )]);
+    let mut wide = config(10_000_000);
+    wide.staging_window = 3;
+    for (name, ts, cfg) in [("miss", overload, config(200_000)), ("race", racy, wide)] {
+        let mut full_oracle = StopAfter::new(None, false);
+        let mut snaps = Vec::new();
+        let full =
+            simulate_with_oracle_forked(&ts, &p, &cfg, &mut full_oracle, None, Some(&mut snaps));
+        let full_events = full.trace.events();
+        let first_miss = full_events
+            .iter()
+            .find(|e| matches!(e.kind, TraceKind::DeadlineMissed { .. }))
+            .map(|e| e.time);
+        let first_race = full.races.first().map(|r| r.at);
+        let first = first_miss.into_iter().chain(first_race).min();
+        let first = first.unwrap_or_else(|| panic!("{name}: the full run violates"));
+        assert!(
+            first.get() * 4 < cfg.horizon.get(),
+            "{name}: the first violation is not early"
+        );
+
+        let mut oracle = StopAfter::new(None, true);
+        let cut = simulate_with_oracle(&ts, &p, &cfg, &mut oracle);
+        let events = cut.trace.events();
+        assert!(events.len() < full_events.len(), "{name}: ran to the end");
+        assert_eq!(events[..], full_events[..events.len()], "{name}: trace");
+        assert_eq!(
+            events.last().map(|e| e.time),
+            Some(first),
+            "{name}: the run did not end at its first violating instant"
+        );
+        assert!(
+            full_events[events.len()..].iter().all(|e| e.time > first),
+            "{name}: the violating instant was left unfinished"
+        );
+        let q = oracle.queries.len();
+        assert!(q < full_oracle.queries.len(), "{name}: queries");
+        assert_eq!(
+            oracle.queries[..],
+            full_oracle.queries[..q],
+            "{name}: queries"
+        );
+        let prior: Vec<_> = full.races.iter().filter(|r| r.at <= first).collect();
+        assert_eq!(cut.races.iter().collect::<Vec<_>>(), prior, "{name}: races");
+        assert_eq!(
+            cut.total_misses(),
+            full_events[..events.len()]
+                .iter()
+                .filter(|e| matches!(e.kind, TraceKind::DeadlineMissed { .. }))
+                .count() as u64,
+            "{name}: misses"
+        );
+        let m = cut.metrics;
+        assert_eq!(m.cpu_busy_cycles + m.cpu_idle_cycles, first, "{name}");
+
+        // A run resumed past the violation has recorded it already, as
+        // the run that captured the snapshot had: it stops after the
+        // first instant it processes.
+        let after = snaps.iter().find(|s| s.instant() > first);
+        let after = after.unwrap_or_else(|| panic!("{name}: a snapshot after the violation"));
+        let mut oracle = StopAfter::new(None, true);
+        let resumed = simulate_with_oracle_forked(&ts, &p, &cfg, &mut oracle, Some(after), None);
+        let events = resumed.trace.events();
+        assert_eq!(events[..], full_events[..events.len()], "{name}: resumed");
+        let mut processed: Vec<_> = events
+            .iter()
+            .map(|e| e.time)
+            .filter(|&t| t > after.instant())
+            .collect();
+        processed.dedup();
+        assert_eq!(
+            processed.len(),
+            1,
+            "{name}: the resumed run did not stop after its first instant"
+        );
     }
 }

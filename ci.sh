@@ -181,20 +181,20 @@ cmp -s "$fork_witness" tests/golden_witness.json || {
   echo "explore smoke: fork witness differs from tests/golden_witness.json" >&2; exit 1; }
 cmp -s "$replay_witness" tests/golden_witness.json || {
   echo "explore smoke: replay witness differs from tests/golden_witness.json" >&2; exit 1; }
-# The explorer is serial: `--threads N` is accepted for compatibility
-# and must not change a single output byte.
-default_out="$(mktemp)"
-threads8_out="$(mktemp)"
+# The explorer takes no thread count: `--threads` is a usage error
+# (exit 1, the usage line on stderr, nothing on stdout).
+threads_out="$(mktemp)"; threads_err="$(mktemp)"
 set +e
 ./target/release/rtmdm check --platform stm32f746-qspi \
-  --task ic=resnet8@10 --explore > "$default_out"
-./target/release/rtmdm check --platform stm32f746-qspi \
-  --task ic=resnet8@10 --explore --threads 8 > "$threads8_out"
+  --task ic=resnet8@10 --explore --threads 8 > "$threads_out" 2> "$threads_err"
+threads_code=$?
 set -e
-cmp -s "$default_out" "$threads8_out" || {
-  echo "explore smoke: --threads 8 changed the output" >&2; exit 1; }
+if [[ $threads_code -ne 1 ]] || [[ -s "$threads_out" ]] \
+  || ! grep -q '^usage: rtmdm ' "$threads_err"; then
+  echo "explore smoke: --threads 8 was not refused as a usage error" >&2; exit 1
+fi
 rm -f "$fork_report" "$fork_witness" "$replay_report" "$replay_witness" \
-  "$default_out" "$threads8_out"
+  "$threads_out" "$threads_err"
 # A search with many merges: most paths of this fault search merge into
 # one explored earlier and stop there. Both strategies must print the
 # same report, its counts must be the ones every path run to the

@@ -149,6 +149,8 @@ rules! {
         "the hyperperiod overflows; exact period-based arguments are unavailable";
     Rtm026 = "RTM026", Error, Admission, false,
         "the response-time fixed point diverges (definitely unschedulable)";
+    Rtm027 = "RTM027", Error, Admission, true,
+        "two or more tasks share a name";
     Rtm030 = "RTM030", Error, Graph, true,
         "tensor shapes disagree across a graph edge";
     Rtm031 = "RTM031", Warn, Graph, false,
@@ -510,6 +512,7 @@ mod tests {
             Rule::Rtm001,
             Rule::Rtm010,
             Rule::Rtm020,
+            Rule::Rtm027,
             Rule::Rtm030,
             Rule::Rtm040,
             Rule::Rtm051,

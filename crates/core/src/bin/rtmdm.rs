@@ -40,8 +40,8 @@
 //! usage error). The `serve` subcommand runs the admission service:
 //! it reads JSONL admission requests (one JSON object per line) from
 //! stdin or `--input PATH`, answers each on stdout (schema
-//! `rtmdm-serve/1`), and memoizes analysis sub-problems across
-//! queries so fleets of near-identical requests answer from the
+//! `rtmdm-serve/1`), and memoizes whole answers and spec lowerings
+//! across queries so fleets of near-identical requests answer from the
 //! cache; `--once` reads the whole input and answers it as one
 //! sharded batch (input-order output), the default streams
 //! line-by-line. Malformed lines produce `"ok":false` error records,
@@ -56,11 +56,9 @@
 //! reached. `--strategy replay|fork` picks how the explorer executes
 //! each path (`fork`, the default, resumes branches from mid-run
 //! snapshots; `replay` re-runs each path from time zero) without
-//! changing a single output byte. The explorer runs one path at a
-//! time; `--threads N` is still accepted for compatibility, checked to
-//! be a number and ignored. Exit status: 0 on success (schedulable for
-//! `admit`, no errors for `check`), 2 when admission or verification
-//! rejects, 1 on usage errors.
+//! changing a single output byte. Exit status: 0 on success
+//! (schedulable for `admit`, no errors for `check`), 2 when admission
+//! or verification rejects, 1 on usage errors.
 
 use std::process::ExitCode;
 
@@ -80,7 +78,7 @@ fn usage() -> ExitCode {
          [--miss-policy continue|abort|skip-next] [--attribution on|off] \
          [--out PATH] [--format chrome|jsonl] [--gantt] \
          [--json] [--deny-warnings] [--allow RULE] [--deny RULE] [--explain RULE] \
-         [--explore] [--max-states N] [--strategy replay|fork] [--threads N] [--witness PATH] \
+         [--explore] [--max-states N] [--strategy replay|fork] [--witness PATH] \
          (serve: [--once] [--input PATH])"
     );
     ExitCode::from(1)
@@ -116,8 +114,8 @@ struct Cli {
     deny: Vec<String>,
     explain: Option<String>,
     explore: bool,
-    max_states: Option<usize>,
-    explore_strategy: rtmdm_core::ExploreStrategy,
+    /// The exploration bounds `--max-states` and `--strategy` set.
+    limits: rtmdm_core::ExploreLimits,
     witness: Option<String>,
 }
 
@@ -170,8 +168,7 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
     let mut deny = Vec::new();
     let mut explain = None;
     let mut explore = false;
-    let mut max_states = None;
-    let mut explore_strategy = rtmdm_core::ExploreStrategy::default();
+    let mut limits = rtmdm_core::ExploreLimits::default();
     let mut witness = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -238,10 +235,10 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
             "--deny" => deny.push(it.next().ok_or(CliError::Usage)?.clone()),
             "--explain" => explain = Some(it.next().ok_or(CliError::Usage)?.clone()),
             "--explore" => explore = true,
-            "--max-states" => max_states = Some(value(&mut it)?),
+            "--max-states" => limits.max_states = value(&mut it)?,
             "--strategy" => {
                 let s = it.next().ok_or(CliError::Usage)?;
-                explore_strategy = match s.as_str() {
+                limits.strategy = match s.as_str() {
                     "replay" => rtmdm_core::ExploreStrategy::Replay,
                     "fork" => rtmdm_core::ExploreStrategy::Fork,
                     _ => {
@@ -250,10 +247,6 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
                         )))
                     }
                 };
-            }
-            // Accepted for compatibility: the explorer is serial.
-            "--threads" => {
-                value::<usize>(&mut it)?;
             }
             "--witness" => witness = Some(it.next().ok_or(CliError::Usage)?.clone()),
             _ => return Err(CliError::Usage),
@@ -273,8 +266,7 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
         deny,
         explain,
         explore,
-        max_states,
-        explore_strategy,
+        limits,
         witness,
     })
 }
@@ -596,21 +588,20 @@ fn cmd_check(cli: &Cli) -> ExitCode {
     if cli.deny_warnings {
         filter = filter.deny_warnings(true);
     }
-    let check_options = rtmdm_core::CheckOptions {
-        explore: cli.explore.then(|| rtmdm_core::ExploreOptions {
-            max_states: cli
-                .max_states
-                .unwrap_or_else(|| rtmdm_core::ExploreOptions::default().max_states),
-            // `--jitter PCT` means the same thing it means for
-            // `simulate`: jobs may run anywhere down to this fraction
-            // below WCET. The explorer turns that into a per-job
-            // execution-time choice dimension.
-            exec_scale_min_ppm: 1_000_000 - cli.jitter_pct * 10_000,
-            strategy: cli.explore_strategy,
-            ..rtmdm_core::ExploreOptions::default()
-        }),
+    let outcome = if cli.explore {
+        // `--jitter PCT` means the same thing it means for `simulate`:
+        // jobs may run anywhere down to this fraction below WCET. The
+        // explorer turns that into a per-job execution-time choice
+        // dimension.
+        cli.sys
+            .explore(&cli.limits, 1_000_000 - cli.jitter_pct * 10_000)
+    } else {
+        rtmdm_core::CheckOutcome {
+            report: cli.sys.check(),
+            witness: None,
+            explore_stats: None,
+        }
     };
-    let outcome = cli.sys.check_with(&check_options);
     let report = filter.apply(&outcome.report);
     // The witness export mirrors the trace export: round-tripped
     // through the bundled `serde_json` before the file is trusted.

@@ -25,8 +25,7 @@
 
 use rtmdm_check::{
     check_model, check_plan, check_platform, check_sram_regions, check_staging, check_taskset,
-    check_timing, ExploreLimits, ExploreStats, ExploreStrategy, Finding, Report, Rule, SramRegion,
-    Witness,
+    check_timing, ExploreLimits, ExploreStats, Finding, Report, Rule, SramRegion, Witness,
 };
 use rtmdm_mcusim::{Cycles, PlatformConfig};
 use rtmdm_sched::analysis::{hyperperiod, occupancy_utilization_ppm, AnalysisOutcome};
@@ -42,60 +41,7 @@ use crate::framework::{
 };
 use crate::spec::{Strategy, TaskSpec};
 
-/// Parameters of the opt-in exhaustive schedule-space exploration
-/// (`RTM05x`), run by [`SystemSpec::check_with`] after the static
-/// passes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ExploreOptions {
-    /// Budget on distinct canonical `(state, choice-point)` pairs;
-    /// exceeding it yields `RTM053` (inconclusive, never silently
-    /// safe).
-    pub max_states: usize,
-    /// Upper endpoint of the release-jitter dimension, in microseconds;
-    /// zero (the default) keeps arrivals strictly periodic.
-    pub jitter_max_us: u64,
-    /// Lower endpoint of the per-job execution-time interval, in ppm of
-    /// WCET; `1_000_000` (the default) pins every job at WCET.
-    pub exec_scale_min_ppm: u64,
-    /// Exploration horizon in microseconds. `None` (the default)
-    /// derives it as one hyperperiod plus the largest deadline, falling
-    /// back to three times the largest period when the hyperperiod
-    /// overflows (that fallback is a bounded probe, not full coverage —
-    /// the admission lint `RTM025` already flags such sets).
-    pub horizon_us: Option<u64>,
-    /// Staging-window width handed to the simulator; the default `2` is
-    /// the double-buffer discipline. Wider windows exist for `RTM051`
-    /// reachability experiments.
-    pub staging_window: u32,
-    /// Path-execution strategy (`--strategy replay|fork`). Verdicts,
-    /// counters, and witnesses are byte-identical across strategies;
-    /// `Fork` (the default) is the cheaper one.
-    pub strategy: ExploreStrategy,
-}
-
-impl Default for ExploreOptions {
-    fn default() -> ExploreOptions {
-        ExploreOptions {
-            max_states: 20_000,
-            jitter_max_us: 0,
-            exec_scale_min_ppm: 1_000_000,
-            horizon_us: None,
-            staging_window: 2,
-            strategy: ExploreStrategy::default(),
-        }
-    }
-}
-
-/// Options for [`SystemSpec::check_with`]; the default runs exactly the
-/// static passes of [`SystemSpec::check`].
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct CheckOptions {
-    /// When set, runs the exhaustive schedule-space explorer after the
-    /// static passes (on a spec free of blocking structural errors).
-    pub explore: Option<ExploreOptions>,
-}
-
-/// The result of [`SystemSpec::check_with`]: the diagnostic report plus
+/// The result of [`SystemSpec::explore`]: the diagnostic report plus
 /// the exploration artifacts when exploration ran.
 #[derive(Debug, Clone)]
 pub struct CheckOutcome {
@@ -104,8 +50,8 @@ pub struct CheckOutcome {
     /// The replayable counterexample behind an `RTM050`–`RTM052`
     /// finding.
     pub witness: Option<Witness>,
-    /// Search counters; `None` when exploration did not run (not
-    /// requested, or the spec had blocking structural errors).
+    /// Search counters; `None` when exploration did not run (the spec
+    /// had blocking structural errors).
     pub explore_stats: Option<ExploreStats>,
 }
 
@@ -208,6 +154,20 @@ impl SystemSpec {
             );
             report.extend(check_timing(&spec.name, spec.period_us, spec.deadline_us));
         }
+        // Names identify tasks in findings, SRAM regions and traces: a
+        // repeated name is reported once, at its first use.
+        for (i, spec) in self.tasks.iter().enumerate() {
+            let uses = self.tasks[i..]
+                .iter()
+                .filter(|s| s.name == spec.name)
+                .count();
+            if uses > 1 && !self.tasks[..i].iter().any(|s| s.name == spec.name) {
+                report.push(
+                    Finding::new(Rule::Rtm027, format!("{uses} tasks share this name"))
+                        .with_task(spec.name.clone()),
+                );
+            }
+        }
         let sram = self.layout_sram();
         if let Err(e) = self.platform.validate() {
             // Cycle conversions and bus timings are meaningless (or
@@ -289,48 +249,45 @@ impl SystemSpec {
         Pass { report, sram, set }
     }
 
-    /// Runs the static passes, then — when requested and the spec has
-    /// no blocking structural errors — the exhaustive schedule-space
-    /// explorer over the lowered, priority-ordered task set.
+    /// Runs the static passes, then — when the spec has no blocking
+    /// structural errors — the exhaustive schedule-space explorer over
+    /// the lowered, priority-ordered task set under `limits`, with
+    /// per-job execution times ranging down to `exec_scale_min_ppm` of
+    /// WCET (`1_000_000` pins every job at WCET). The horizon is one
+    /// hyperperiod plus the largest deadline, falling back to three
+    /// times the largest period when the hyperperiod overflows (a
+    /// bounded probe, not full coverage — `RTM025` already flags such
+    /// sets), and the staging window is the double buffer's 2.
     ///
     /// Exploration findings (`RTM050`–`RTM053`) are appended to the
     /// report; a violation additionally carries a self-contained
     /// [`Witness`] that replays the violating run byte for byte.
-    pub fn check_with(&self, options: &CheckOptions) -> CheckOutcome {
-        let Pass { report, set, .. } = self.pass(&DirectHooks);
+    pub fn explore(&self, limits: &ExploreLimits, exec_scale_min_ppm: u64) -> CheckOutcome {
+        let Pass {
+            mut report, set, ..
+        } = self.pass(&DirectHooks);
         // A structurally broken spec cannot be lowered and simulated;
         // the blocking findings already tell the whole story.
-        let set = set.ok().filter(|_| !report.blocks_admission());
-        let (Some(x), Some(AnalyzedSet { ordered, .. })) = (&options.explore, set) else {
+        let Some(AnalyzedSet { ordered, .. }) = set.ok().filter(|_| !report.blocks_admission())
+        else {
             return CheckOutcome {
                 report,
                 witness: None,
                 explore_stats: None,
             };
         };
-        let horizon = match x.horizon_us {
-            Some(us) => self.platform.cpu.cycles_from_micros(us),
-            None => auto_horizon(&ordered),
-        };
         let config = SimConfig {
-            horizon,
+            horizon: auto_horizon(&ordered),
             policy: self.options.policy,
-            exec_scale_min_ppm: x.exec_scale_min_ppm,
+            exec_scale_min_ppm,
             seed: 0,
             work_conserving: self.options.work_conserving,
             fault: self.options.fault,
             engine: Engine::Des,
             attribution: true,
-            staging_window: x.staging_window,
+            staging_window: 2,
         };
-        let limits = ExploreLimits {
-            max_states: x.max_states,
-            jitter_max_cycles: self.platform.cpu.cycles_from_micros(x.jitter_max_us).get(),
-            strategy: x.strategy,
-            ..ExploreLimits::default()
-        };
-        let outcome = rtmdm_check::explore(&ordered, &self.platform, &config, &limits);
-        let mut report = report;
+        let outcome = rtmdm_check::explore(&ordered, &self.platform, &config, limits);
         report.extend(outcome.findings);
         CheckOutcome {
             report,
@@ -555,9 +512,7 @@ mod tests {
         let mut spec = SystemSpec::new(platform());
         spec.push(TaskSpec::new("kws", zoo::ds_cnn(), 100_000, 100_000));
         spec.push(TaskSpec::new("ic", zoo::resnet8(), 400_000, 400_000));
-        let outcome = spec.check_with(&CheckOptions {
-            explore: Some(ExploreOptions::default()),
-        });
+        let outcome = spec.explore(&ExploreLimits::default(), 1_000_000);
         assert!(
             outcome.report.is_clean(),
             "{}",
@@ -572,9 +527,7 @@ mod tests {
     fn explore_overload_yields_rtm050_with_replayable_witness() {
         let mut spec = SystemSpec::new(platform());
         spec.push(TaskSpec::new("ic", zoo::resnet8(), 10_000, 10_000));
-        let outcome = spec.check_with(&CheckOptions {
-            explore: Some(ExploreOptions::default()),
-        });
+        let outcome = spec.explore(&ExploreLimits::default(), 1_000_000);
         assert!(
             outcome
                 .report
@@ -584,7 +537,13 @@ mod tests {
             "{}",
             outcome.report.render_text()
         );
-        let w = outcome.witness.expect("violation carries a witness");
+        assert_replays_miss_at_witness_instant(
+            &outcome.witness.expect("violation carries a witness"),
+        );
+    }
+
+    /// The witness's replay misses its first deadline at `w.at`.
+    fn assert_replays_miss_at_witness_instant(w: &Witness) {
         let replay = w.replay();
         let miss = replay
             .trace
@@ -596,15 +555,75 @@ mod tests {
     }
 
     #[test]
+    fn explore_release_jitter_reaches_a_miss_periodic_releases_do_not() {
+        // kws responds in ~19 ms, inside its 25 ms deadline, when it
+        // is released on time; released up to 10 ms late, it can
+        // complete past the deadline anchored at its nominal release.
+        let mut spec = SystemSpec::new(platform());
+        spec.push(TaskSpec::new("kws", zoo::ds_cnn(), 100_000, 25_000));
+        let periodic = spec.explore(&ExploreLimits::default(), 1_000_000);
+        assert!(
+            periodic.report.is_clean(),
+            "{}",
+            periodic.report.render_text()
+        );
+        assert!(periodic.explore_stats.expect("exploration ran").complete);
+        let jittered = spec.explore(
+            &ExploreLimits {
+                jitter_max_cycles: platform().cpu.cycles_from_micros(10_000).get(),
+                ..ExploreLimits::default()
+            },
+            1_000_000,
+        );
+        assert!(
+            jittered
+                .report
+                .findings
+                .iter()
+                .any(|f| f.rule == Rule::Rtm050),
+            "{}",
+            jittered.report.render_text()
+        );
+        let w = jittered
+            .witness
+            .expect("the jittered miss carries a witness");
+        assert_eq!(w.rule, "RTM050");
+        assert_replays_miss_at_witness_instant(&w);
+    }
+
+    #[test]
     fn explore_skips_structurally_broken_specs() {
         let mut spec = SystemSpec::new(platform());
         spec.push(TaskSpec::new("kws", zoo::ds_cnn(), 100_000, 200_000));
-        let outcome = spec.check_with(&CheckOptions {
-            explore: Some(ExploreOptions::default()),
-        });
+        let outcome = spec.explore(&ExploreLimits::default(), 1_000_000);
         assert!(outcome.report.blocks_admission());
         assert!(outcome.explore_stats.is_none(), "nothing to simulate");
         assert!(outcome.witness.is_none());
+    }
+
+    #[test]
+    fn repeated_names_are_reported_once_each_and_block_exploration() {
+        let mut spec = SystemSpec::new(platform());
+        for name in ["t", "u", "t", "t", "u", "v"] {
+            spec.push(TaskSpec::new(name, zoo::ds_cnn(), 100_000, 100_000));
+        }
+        let outcome = spec.explore(&ExploreLimits::default(), 1_000_000);
+        let repeats: Vec<_> = outcome
+            .report
+            .findings
+            .iter()
+            .filter(|f| f.rule == Rule::Rtm027)
+            .map(|f| (f.task.as_deref(), f.message.as_str()))
+            .collect();
+        assert_eq!(
+            repeats,
+            [
+                (Some("t"), "3 tasks share this name"),
+                (Some("u"), "2 tasks share this name"),
+            ]
+        );
+        assert!(outcome.report.blocks_admission());
+        assert!(outcome.explore_stats.is_none(), "nothing to simulate");
     }
 
     #[test]

@@ -15,7 +15,7 @@ use rtmdm_sched::sim::{simulate, Engine, Policy, SimConfig, SimResult};
 use rtmdm_sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
 use rtmdm_xmem::{check_buffer_fits, ModelSegmentation, RUNTIME_RESERVE};
 
-use crate::check::{AnalyzedSet, CheckOptions, CheckOutcome, SystemSpec};
+use crate::check::{AnalyzedSet, SystemSpec};
 use crate::error::AdmitError;
 use crate::report;
 use crate::spec::{Strategy, TaskSpec};
@@ -215,12 +215,6 @@ impl RtMdm {
     /// on error-level structural findings.
     pub fn check(&self) -> Report {
         self.sys.check()
-    }
-
-    /// [`RtMdm::check`] plus the opt-in exhaustive schedule-space
-    /// exploration (see [`SystemSpec::check_with`]).
-    pub fn check_with(&self, options: &CheckOptions) -> CheckOutcome {
-        self.sys.check_with(options)
     }
 
     /// Runs admission control: SRAM layout, static verification, and

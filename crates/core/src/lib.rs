@@ -60,9 +60,9 @@ mod service;
 mod spec;
 
 pub use advisor::OptimizeOutcome;
-pub use check::{CheckOptions, CheckOutcome, ExploreOptions, SystemSpec};
+pub use check::{CheckOutcome, SystemSpec};
 pub use error::AdmitError;
 pub use framework::{Admission, FrameworkOptions, PriorityAssignment, RtMdm, RunReport, SramRow};
-pub use rtmdm_check::ExploreStrategy;
+pub use rtmdm_check::{ExploreLimits, ExploreStrategy};
 pub use service::{CacheStats, Service, SERVE_SCHEMA};
 pub use spec::{Strategy, TaskSpec};

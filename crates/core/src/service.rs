@@ -819,6 +819,14 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_task_name_is_rejected_with_rtm027() {
+        let out = Service::new().answer_line(&line("dup", &format!("{KWS},{KWS}")));
+        assert!(out.contains(r#""verdict":"reject""#), "{out}");
+        assert!(out.contains("a task named kws already exists"), "{out}");
+        assert!(out.contains(r#""rule":"RTM027""#), "{out}");
+    }
+
+    #[test]
     fn a_memory_rejection_lowers_each_task_once() {
         // The layout refuses the set after admission's pass lowered both
         // tasks; the findings come from that pass, not from a second one

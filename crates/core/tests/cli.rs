@@ -159,18 +159,21 @@ fn bad_usage_exits_one() {
     );
 }
 
-/// The explorer is serial: `--threads N` is accepted for compatibility
-/// and changes no output byte, but must still be a number.
+/// The explorer runs one path at a time and takes no thread count:
+/// `--threads` is an unknown flag, refused with the usage line.
 #[test]
-fn threads_flag_is_a_validated_no_op() {
-    let check = ["check", "--task", "ic=resnet8@10", "--explore"];
-    let plain = rtmdm(&check);
-    let threaded = rtmdm(&[&check[..], &["--threads", "8"]].concat());
-    assert_eq!(plain.status.code(), Some(2));
-    assert_eq!(threaded.status.code(), Some(2));
-    assert_eq!(plain.stdout, threaded.stdout);
-    let bad = rtmdm(&[&check[..], &["--threads", "many"]].concat());
-    assert_eq!(bad.status.code(), Some(1));
+fn threads_flag_is_a_usage_error() {
+    let out = rtmdm(&[
+        "check",
+        "--task",
+        "ic=resnet8@10",
+        "--explore",
+        "--threads",
+        "8",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(out.stdout.is_empty());
+    assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: rtmdm "));
 }
 
 /// Times given in milliseconds or seconds are scaled to microseconds;

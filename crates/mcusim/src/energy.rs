@@ -48,17 +48,6 @@ impl EnergyModel {
         }
     }
 
-    /// Low-power Cortex-M4-class part: slower but thriftier.
-    pub fn cortex_m4_lp() -> Self {
-        EnergyModel {
-            name: "cortex-m4-lp".to_owned(),
-            cpu_active_pj: 330,
-            cpu_idle_pj: 60,
-            ext_read_pj_per_byte: 80,
-            base_pj: 25,
-        }
-    }
-
     /// Accounts a finished trace over `horizon` cycles.
     ///
     /// CPU-active time is the sum of completed segment start/complete

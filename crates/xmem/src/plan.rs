@@ -24,13 +24,6 @@ pub struct SegmentPlan {
     pub compute_cycles: Cycles,
 }
 
-impl SegmentPlan {
-    /// Number of layers in the segment.
-    pub fn layer_count(&self) -> usize {
-        self.last_layer - self.first_layer + 1
-    }
-}
-
 /// The complete fetch plan of one model under one buffer size.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ModelSegmentation {

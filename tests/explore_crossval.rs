@@ -28,7 +28,7 @@ use proptest::prelude::*;
 use rt_mdm::check::{
     explore, ExploreLimits, ExploreOrder, ExploreOutcome, ExploreStrategy, Rule, Witness,
 };
-use rt_mdm::core::{CheckOptions, ExploreOptions, SystemSpec, TaskSpec};
+use rt_mdm::core::{SystemSpec, TaskSpec};
 use rt_mdm::dnn::zoo;
 use rt_mdm::mcusim::{ContentionModel, Cycles, FaultPlan, PlatformConfig, TraceKind};
 use rt_mdm::obs::attribute;
@@ -167,12 +167,7 @@ fn assert_cell_explorer_safe(platform: PlatformConfig, tasks: &[TaskSpec], exec_
     if !spec.check().is_clean() {
         return; // the property only claims anything for clean cells
     }
-    let outcome = spec.check_with(&CheckOptions {
-        explore: Some(ExploreOptions {
-            exec_scale_min_ppm: exec_min_ppm,
-            ..ExploreOptions::default()
-        }),
-    });
+    let outcome = spec.explore(&ExploreLimits::default(), exec_min_ppm);
     let stats = outcome.explore_stats.expect("clean cells explore");
     assert!(
         stats.complete,
@@ -232,9 +227,7 @@ fn admitted_reference_pair_is_explorer_safe_under_exec_endpoints() {
 fn overload_miss_witness_replays_on_both_engines() {
     let mut spec = SystemSpec::new(PlatformConfig::stm32f746_qspi());
     spec.push(TaskSpec::new("ic", zoo::resnet8(), 10_000, 10_000));
-    let outcome = spec.check_with(&CheckOptions {
-        explore: Some(ExploreOptions::default()),
-    });
+    let outcome = spec.explore(&ExploreLimits::default(), 1_000_000);
     assert!(outcome
         .report
         .findings
@@ -320,9 +313,7 @@ fn witness_json_round_trips_and_still_replays() {
     // re-parsing, and replaying must reproduce the identical run.
     let mut spec = SystemSpec::new(PlatformConfig::stm32f746_qspi());
     spec.push(TaskSpec::new("ic", zoo::resnet8(), 10_000, 10_000));
-    let outcome = spec.check_with(&CheckOptions {
-        explore: Some(ExploreOptions::default()),
-    });
+    let outcome = spec.explore(&ExploreLimits::default(), 1_000_000);
     let w = outcome.witness.expect("witness");
     let json = serde_json::to_string(&w).expect("witness serializes");
     let back: Witness = serde_json::from_str(&json).expect("witness re-parses");
@@ -462,12 +453,13 @@ fn check_explore_pipeline_is_strategy_invariant() {
     let run = |strategy| {
         let mut spec = SystemSpec::new(PlatformConfig::stm32f746_qspi());
         spec.push(TaskSpec::new("ic", zoo::resnet8(), 10_000, 10_000));
-        let outcome = spec.check_with(&CheckOptions {
-            explore: Some(ExploreOptions {
+        let outcome = spec.explore(
+            &ExploreLimits {
                 strategy,
-                ..ExploreOptions::default()
-            }),
-        });
+                ..ExploreLimits::default()
+            },
+            1_000_000,
+        );
         let w = outcome.witness.expect("overload yields a witness");
         format!(
             "{}\n{:?}\n{}",

@@ -17,7 +17,7 @@
 use proptest::prelude::*;
 
 use rt_mdm::check::ExploreStrategy;
-use rt_mdm::core::{CheckOptions, ExploreOptions, SystemSpec, TaskSpec};
+use rt_mdm::core::{ExploreLimits, SystemSpec, TaskSpec};
 use rt_mdm::dnn::zoo;
 use rt_mdm::mcusim::{Cycles, FaultPlan, PlatformConfig, TraceKind};
 use rt_mdm::obs::{
@@ -216,13 +216,13 @@ fn jitter_cell_witness(strategy: ExploreStrategy) -> String {
     let mut spec = SystemSpec::new(PlatformConfig::stm32f746_qspi());
     spec.push(TaskSpec::new("kws", zoo::ds_cnn(), 30_000, 30_000));
     spec.push(TaskSpec::new("ic", zoo::resnet8(), 100_000, 100_000));
-    let outcome = spec.check_with(&CheckOptions {
-        explore: Some(ExploreOptions {
-            exec_scale_min_ppm: 800_000,
+    let outcome = spec.explore(
+        &ExploreLimits {
             strategy,
-            ..ExploreOptions::default()
-        }),
-    });
+            ..ExploreLimits::default()
+        },
+        800_000,
+    );
     let witness = outcome.witness.expect("the cell reaches a deadline miss");
     serde_json::to_string(&witness).expect("witness serializes")
 }

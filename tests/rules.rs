@@ -36,6 +36,7 @@ const GOLDEN: &[(&str, Severity, bool)] = &[
     ("RTM024", Severity::Warn, false),
     ("RTM025", Severity::Warn, false),
     ("RTM026", Severity::Error, false),
+    ("RTM027", Severity::Error, true),
     ("RTM030", Severity::Error, true),
     ("RTM031", Severity::Warn, false),
     ("RTM032", Severity::Error, true),

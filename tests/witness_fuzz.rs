@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 
 use rt_mdm::check::Witness;
-use rt_mdm::core::{CheckOptions, ExploreOptions, SystemSpec, TaskSpec};
+use rt_mdm::core::{ExploreLimits, SystemSpec, TaskSpec};
 use rt_mdm::dnn::zoo;
 use rt_mdm::mcusim::PlatformConfig;
 
@@ -34,12 +34,7 @@ fn witness_file() -> &'static str {
         spec.options.fault.max_retries = 1;
         spec.push(TaskSpec::new("kws", zoo::ds_cnn(), 30_000, 30_000));
         spec.push(TaskSpec::new("ic", zoo::resnet8(), 100_000, 100_000));
-        let outcome = spec.check_with(&CheckOptions {
-            explore: Some(ExploreOptions {
-                exec_scale_min_ppm: 800_000,
-                ..ExploreOptions::default()
-            }),
-        });
+        let outcome = spec.explore(&ExploreLimits::default(), 800_000);
         let w = outcome
             .witness
             .expect("the overloaded pair yields a witness");

@@ -2,8 +2,8 @@
 //!
 //! `run_all` runs every experiment in one go, reporting per-experiment
 //! wall time. Besides the tables, it records telemetry through the
-//! global metrics registry and writes `results/metrics.json` plus the
-//! schema-stable `BENCH_run_all.json` (see [`rtmdm_bench::telemetry`]).
+//! global metrics registry and writes it to `BENCH_run_all.json` (see
+//! [`rtmdm_bench::telemetry`]).
 //! Every output lands under the working directory, so run it from the
 //! repo root; an output that cannot be written ends the run with
 //! status 1.
@@ -18,7 +18,7 @@
 //! count.
 use std::time::Instant;
 
-use rtmdm_bench::{emit, experiments as e, results_dir, telemetry, write_output};
+use rtmdm_bench::{emit, experiments as e, telemetry, write_output};
 
 type Experiment = (&'static str, fn() -> String);
 
@@ -84,15 +84,10 @@ fn main() {
         fleet.identical
     );
     // Likewise cached from the f14_explore_scale experiment.
-    let explore = e::explore_comparison();
+    let explore = e::explore_throughput();
     println!(
-        "-- explore probe: fork {:.0} states/s vs replay {:.0} states/s \
-         at {} tasks ({:.1}x, identical: {})",
-        explore.fork_states_per_second,
-        explore.replay_states_per_second,
-        explore.tasks,
-        explore.speedup,
-        explore.identical
+        "-- explore probe: {:.0} states/s at {} tasks",
+        explore.states_per_second, explore.tasks
     );
     let doc = telemetry::RunMetrics::new(
         rtmdm_par::num_threads(),
@@ -102,10 +97,8 @@ fn main() {
         explore,
     );
     let json = serde_json::to_string(&doc).expect("metrics serialize");
-    let metrics_path = results_dir().join("metrics.json");
+    let metrics_path = telemetry::document_path();
     written(write_output(&metrics_path, &json));
-    let summary = serde_json::to_string(&doc.bench_summary()).expect("summary serialize");
-    written(write_output(&telemetry::bench_summary_path(), &summary));
     println!(
         "run_all total: {:.2}s ({} sim runs, {} sim cycles) -> {}",
         total.elapsed().as_secs_f64(),

@@ -14,27 +14,24 @@
 //! in `BENCH_run_all.json` via the harness telemetry.
 //!
 //! The scale companion (`results/f14_explore_scale.txt`) extends the
-//! same workload family to 6–8 tasks and runs every cell under **both**
-//! exploration strategies, single-threaded: `fork` (resume each branch
-//! from the nearest captured [`SimSnapshot`]) against `replay`
-//! (re-simulate every path from cycle zero). The scale cells differ
-//! from the 1–5-task rows in two deliberate ways: a lighter total
+//! same workload family to 6–8 tasks and explores every cell once,
+//! single-threaded, under the default limits (each branch resumes from
+//! the nearest captured [`SimSnapshot`]). The scale cells differ from
+//! the 1–5-task rows in two deliberate ways: a lighter total
 //! utilization (the F14 shape is unschedulable on its first run past
 //! five tasks, leaving nothing to search) and a 6× longer probe
 //! horizon under the deep-first branch order — the regime where the
-//! search frontier sits far into the horizon and the strategies
-//! actually diverge in cost, since a forked branch resumes at its
-//! divergence while a replayed one re-simulates the whole prefix. The
-//! deterministic columns — counters, verdict, the fork-equals-replay
-//! byte-identity gate, and the largest snapshot footprint on the
-//! default path — are byte-pinned; the wall-clock states/second rates
-//! and the resulting speedup go to `BENCH_run_all.json` via
-//! [`ExploreComparison`].
+//! search frontier sits far into the horizon, so a branch that resumed
+//! from a snapshot skips most of its prefix. The deterministic columns
+//! — counters, verdict, and the largest snapshot footprint on the
+//! default path — are byte-pinned; the wall-clock states/second and
+//! transitions/second rates of the deepest cell go to
+//! `BENCH_run_all.json` via [`ExploreThroughput`].
 
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use rtmdm_check::{explore, ExploreLimits, ExploreOrder, ExploreOutcome, ExploreStrategy};
+use rtmdm_check::{explore, ExploreLimits, ExploreOrder, ExploreOutcome};
 use rtmdm_core::report;
 use rtmdm_mcusim::{FaultPlan, PlatformConfig};
 use rtmdm_sched::gen::{generate, TasksetParams};
@@ -42,7 +39,7 @@ use rtmdm_sched::script::{Choice, ChoicePoint, SimOracle, StateHash};
 use rtmdm_sched::sim::{simulate_with_oracle_forked, Engine, Policy, SimConfig, SimSnapshot};
 use rtmdm_sched::TaskSet;
 
-use crate::telemetry::ExploreComparison;
+use crate::telemetry::ExploreThroughput;
 
 /// State budget per cell; exceeding it is the `inconclusive` verdict.
 const MAX_STATES: usize = 2_000;
@@ -140,26 +137,11 @@ pub fn f14_explore() -> String {
     )
 }
 
-/// The deterministic scale table plus the wall-clock comparison, built
-/// once and shared by [`f14_explore_scale`] and [`explore_comparison`].
+/// The deterministic scale table plus the wall-clock rates, built
+/// once and shared by [`f14_explore_scale`] and [`explore_throughput`].
 struct ExploreProbe {
     table: String,
-    comparison: ExploreComparison,
-}
-
-/// One comparable blob per outcome: findings, witness JSON, counters.
-/// Byte-equality of these blobs is the table's `identical` gate.
-fn fingerprint(out: &ExploreOutcome) -> String {
-    let findings: Vec<String> = out
-        .findings
-        .iter()
-        .map(|f| format!("{:?}|{}|{:?}", f.rule, f.message, f.task))
-        .collect();
-    let witness = out
-        .witness
-        .as_ref()
-        .map(|w| serde_json::to_string(w).expect("witness serializes"));
-    format!("{findings:?}\n{witness:?}\n{:?}", out.stats)
+    throughput: ExploreThroughput,
 }
 
 /// Always answers the deterministic default — the explorer's first
@@ -184,65 +166,42 @@ fn max_snapshot_bytes(ts: &TaskSet, platform: &PlatformConfig, config: &SimConfi
 fn run_probe() -> ExploreProbe {
     let platform = super::eval_platform();
     let mut rows = Vec::new();
-    let mut identical = true;
     let mut timed = None;
     for n in 6..=8usize {
         let (ts, config) = cell(&platform, n, SCALE_UTIL_PPM, SCALE_HORIZON_PERIODS);
-        let limits = |strategy| ExploreLimits {
+        let limits = ExploreLimits {
             max_states: MAX_STATES,
-            strategy,
             order: ExploreOrder::DeepFirst,
             ..ExploreLimits::default()
         };
         let started = Instant::now();
-        let fork = explore(&ts, &platform, &config, &limits(ExploreStrategy::Fork));
-        let fork_secs = started.elapsed().as_secs_f64();
-        let started = Instant::now();
-        let replay = explore(&ts, &platform, &config, &limits(ExploreStrategy::Replay));
-        let replay_secs = started.elapsed().as_secs_f64();
-        let same = fingerprint(&fork) == fingerprint(&replay);
-        identical &= same;
+        let out = explore(&ts, &platform, &config, &limits);
+        let secs = started.elapsed().as_secs_f64();
         rows.push(vec![
             n.to_string(),
-            fork.stats.states.to_string(),
-            fork.stats.runs.to_string(),
-            fork.stats.transitions.to_string(),
-            verdict(&fork),
-            if same { "yes" } else { "no" }.to_owned(),
+            out.stats.states.to_string(),
+            out.stats.runs.to_string(),
+            out.stats.transitions.to_string(),
+            verdict(&out),
             max_snapshot_bytes(&ts, &platform, &config).to_string(),
         ]);
-        // The comparison reports the deepest cell — the one the ≥6-task
-        // speedup acceptance gate reads.
-        timed = Some((
-            n,
-            fork.stats.states,
-            fork.stats.transitions,
-            fork_secs,
-            replay_secs,
-        ));
+        // The record reports the deepest cell.
+        timed = Some((n, out.stats.states as u64, out.stats.transitions, secs));
     }
-    let (tasks, states, transitions, fork_secs, replay_secs) = timed.expect("scale rows");
-    let rate = |count: u64, secs: f64| {
+    let (tasks, states, transitions, secs) = timed.expect("scale rows");
+    let rate = |count: u64| {
         if secs > 0.0 {
             count as f64 / secs
         } else {
             0.0
         }
     };
-    let comparison = ExploreComparison {
+    let throughput = ExploreThroughput {
         tasks: tasks as u64,
-        states: states as u64,
+        states,
         transitions,
-        fork_states_per_second: rate(states as u64, fork_secs),
-        fork_transitions_per_second: rate(transitions, fork_secs),
-        replay_states_per_second: rate(states as u64, replay_secs),
-        replay_transitions_per_second: rate(transitions, replay_secs),
-        speedup: if fork_secs > 0.0 {
-            replay_secs / fork_secs
-        } else {
-            0.0
-        },
-        identical,
+        states_per_second: rate(states),
+        transitions_per_second: rate(transitions),
     };
     ExploreProbe {
         table: report::table(
@@ -252,12 +211,11 @@ fn run_probe() -> ExploreProbe {
                 "runs",
                 "transitions",
                 "verdict",
-                "identical",
                 "snapshot_bytes",
             ],
             &rows,
         ),
-        comparison,
+        throughput,
     }
 }
 
@@ -266,12 +224,12 @@ fn probe() -> &'static ExploreProbe {
     PROBE.get_or_init(run_probe)
 }
 
-/// F14 scale companion — fork versus replay at 6–8 tasks.
+/// F14 scale companion — explorer counters at 6–8 tasks.
 pub fn f14_explore_scale() -> String {
     probe().table.clone()
 }
 
-/// The wall-clock fork-versus-replay record for `BENCH_run_all.json`.
-pub fn explore_comparison() -> ExploreComparison {
-    probe().comparison.clone()
+/// The wall-clock explorer rates for `BENCH_run_all.json`.
+pub fn explore_throughput() -> ExploreThroughput {
+    probe().throughput.clone()
 }

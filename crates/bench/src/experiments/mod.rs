@@ -16,7 +16,7 @@ pub use ablation::f8_ablation;
 pub use blame::f13_blame;
 pub use blocking::f6_blocking;
 pub use energy::f9_energy;
-pub use explore::{explore_comparison, f14_explore, f14_explore_scale};
+pub use explore::{explore_throughput, f14_explore, f14_explore_scale};
 pub use fleet::{f15_fleet, fleet_comparison};
 pub use latency::{f1_latency, f4_sram_budget, f5_bandwidth};
 pub use platforms::f10_platforms;

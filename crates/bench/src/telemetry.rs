@@ -1,19 +1,16 @@
 //! Machine-readable telemetry for the experiment harness.
 //!
 //! `run_all` enables the global metrics registry, diffs snapshots
-//! around every experiment, and writes two JSON documents next to the
-//! human-readable tables:
+//! around every experiment, and writes one JSON document,
+//! `BENCH_run_all.json` at the root of the working directory, next to
+//! the human-readable tables: the [`RunMetrics`] record of per
+//! experiment wall time, simulated-run counts, sim-cycle throughput,
+//! the aggregate registry snapshot, a deterministic probe (pipeline
+//! counters over the model zoo plus the timeline summary of a small
+//! fixed scenario), and the fleet and explorer throughput records.
 //!
-//! - `results/metrics.json` — the full [`RunMetrics`] record: per
-//!   experiment wall time, simulated-run counts, sim-cycle throughput,
-//!   the aggregate registry snapshot, and a deterministic probe
-//!   (pipeline counters over the model zoo plus the timeline summary
-//!   of a small fixed scenario);
-//! - `BENCH_run_all.json` at the repo root — the schema-stable
-//!   [`BenchSummary`] subset tracked across commits.
-//!
-//! Wall times are nondeterministic by nature; everything else in these
-//! documents is exact and independent of `RTMDM_THREADS`.
+//! Wall times are nondeterministic by nature; everything else in the
+//! document is exact and independent of `RTMDM_THREADS`.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -26,17 +23,22 @@ use rtmdm_mcusim::PlatformConfig;
 use rtmdm_obs::{Snapshot, Timeline, TimelineSummary};
 use rtmdm_xmem::{segment_model, stage_timings, ExecutionStrategy, StageTiming};
 
-/// Version of the `metrics.json` / `BENCH_run_all.json` layout.
+/// Version of the `BENCH_run_all.json` layout.
 ///
-/// v2: added per-task response-time percentiles (`probe.response` in
-/// `metrics.json`, `response` in `BENCH_run_all.json`).
-/// v3: added the admission-service fleet throughput record (`fleet`
-/// in both documents; see [`FleetComparison`]).
+/// Up to v5, `run_all` wrote the full record to a second file under
+/// `results/` and `BENCH_run_all.json` held a subset of it.
+/// v2: added per-task response-time percentiles.
+/// v3: added the admission-service fleet throughput record (`fleet`;
+/// see [`FleetComparison`]).
 /// v4: added the explorer fork-versus-replay throughput record
-/// (`explore` in both documents; see [`ExploreComparison`]).
-/// v5: dropped the DES-versus-legacy simulator record (`engine` in
-/// both documents) with the second simulator loop.
-pub const SCHEMA_VERSION: u64 = 5;
+/// (`explore`).
+/// v5: dropped the DES-versus-legacy simulator record (`engine`) with
+/// the second simulator loop.
+/// v6: `BENCH_run_all.json` is the full [`RunMetrics`] record; the
+/// `explore` record keeps the fork rates, renamed `states_per_second`
+/// and `transitions_per_second`, and drops the replay rates, `speedup`
+/// and `identical` (see [`ExploreThroughput`]).
+pub const SCHEMA_VERSION: u64 = 6;
 
 /// Telemetry of one experiment invocation inside `run_all`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -100,32 +102,21 @@ pub struct FleetComparison {
     pub identical: bool,
 }
 
-/// Fork-versus-replay schedule-space-explorer throughput on the F14
-/// scale workload (see `experiments::explore_comparison`). The rates
-/// and speedup are wall-clock based and therefore nondeterministic;
-/// `identical` is exact — it records whether both strategies produced
-/// byte-identical verdicts, counters, and witness JSON on every scale
-/// cell.
+/// Schedule-space-explorer throughput on the deepest F14 scale cell
+/// (see `experiments::explore_throughput`). The counts are exact; the
+/// rates are wall-clock based and therefore nondeterministic.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ExploreComparison {
+pub struct ExploreThroughput {
     /// Task count of the timed cell (the largest scale row, ≥ 6).
     pub tasks: u64,
-    /// Distinct `(state, choice-point)` pairs both strategies expanded.
+    /// Distinct `(state, choice-point)` pairs expanded.
     pub states: u64,
-    /// Oracle transitions both strategies took.
+    /// Oracle transitions taken.
     pub transitions: u64,
-    /// States expanded per wall second, fork strategy, single thread.
-    pub fork_states_per_second: f64,
-    /// Transitions per wall second, fork strategy, single thread.
-    pub fork_transitions_per_second: f64,
-    /// States expanded per wall second, replay strategy, single thread.
-    pub replay_states_per_second: f64,
-    /// Transitions per wall second, replay strategy, single thread.
-    pub replay_transitions_per_second: f64,
-    /// `fork_states_per_second / replay_states_per_second`.
-    pub speedup: f64,
-    /// Whether fork and replay agreed byte-for-byte on every cell.
-    pub identical: bool,
+    /// States expanded per wall second, single thread.
+    pub states_per_second: f64,
+    /// Transitions per wall second, single thread.
+    pub transitions_per_second: f64,
 }
 
 /// Whole-run aggregates over every experiment.
@@ -177,7 +168,7 @@ impl TaskResponseSummary {
     }
 }
 
-/// Deterministic cross-check embedded in `metrics.json`: the same
+/// Deterministic cross-check embedded in `BENCH_run_all.json`: the same
 /// numbers must come out on every machine and thread count, so a diff
 /// against a previous run flags semantic drift immediately.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -190,7 +181,7 @@ pub struct Probe {
     pub response: Vec<TaskResponseSummary>,
 }
 
-/// The full `results/metrics.json` document.
+/// The `BENCH_run_all.json` document.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunMetrics {
     /// Layout version, bumped on breaking changes.
@@ -208,42 +199,8 @@ pub struct RunMetrics {
     /// Cold-versus-warm admission-service fleet throughput (see
     /// [`FleetComparison`]).
     pub fleet: FleetComparison,
-    /// Fork-versus-replay explorer throughput (see
-    /// [`ExploreComparison`]).
-    pub explore: ExploreComparison,
-}
-
-/// One entry of [`BenchSummary`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BenchExperiment {
-    /// Experiment id.
-    pub id: String,
-    /// Wall-clock seconds.
-    pub wall_seconds: f64,
-}
-
-/// The schema-stable `BENCH_run_all.json` subset: per-experiment wall
-/// seconds plus total simulated cycles. Tools tracking performance
-/// across commits may rely on exactly these fields.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BenchSummary {
-    /// Layout version, bumped on breaking changes.
-    pub schema_version: u64,
-    /// One entry per experiment, in execution order.
-    pub experiments: Vec<BenchExperiment>,
-    /// Sum of per-experiment wall seconds.
-    pub total_wall_seconds: f64,
-    /// Total simulated cycles across the run.
-    pub total_sim_cycles: u64,
-    /// Per-task response percentiles of the probe scenario
-    /// (deterministic; see [`TaskResponseSummary`]).
-    pub response: Vec<TaskResponseSummary>,
-    /// Cold-versus-warm admission-service fleet throughput (see
-    /// [`FleetComparison`]).
-    pub fleet: FleetComparison,
-    /// Fork-versus-replay explorer throughput (see
-    /// [`ExploreComparison`]).
-    pub explore: ExploreComparison,
+    /// Explorer throughput (see [`ExploreThroughput`]).
+    pub explore: ExploreThroughput,
 }
 
 impl RunMetrics {
@@ -254,7 +211,7 @@ impl RunMetrics {
         experiments: Vec<ExperimentMetrics>,
         registry: Snapshot,
         fleet: FleetComparison,
-        explore: ExploreComparison,
+        explore: ExploreThroughput,
     ) -> Self {
         let totals = RunTotals {
             wall_seconds: experiments.iter().map(|e| e.wall_seconds).sum(),
@@ -270,26 +227,6 @@ impl RunMetrics {
             probe: probe(),
             fleet,
             explore,
-        }
-    }
-
-    /// The [`BenchSummary`] subset of this record.
-    pub fn bench_summary(&self) -> BenchSummary {
-        BenchSummary {
-            schema_version: SCHEMA_VERSION,
-            experiments: self
-                .experiments
-                .iter()
-                .map(|e| BenchExperiment {
-                    id: e.id.clone(),
-                    wall_seconds: e.wall_seconds,
-                })
-                .collect(),
-            total_wall_seconds: self.totals.wall_seconds,
-            total_sim_cycles: self.totals.sim_cycles,
-            response: self.probe.response.clone(),
-            fleet: self.fleet.clone(),
-            explore: self.explore.clone(),
         }
     }
 }
@@ -361,9 +298,9 @@ fn record_stages(snap: &mut Snapshot, stages: &[StageTiming]) {
     }
 }
 
-/// Path of the schema-stable summary file, directly under
+/// Path of the telemetry document, directly under
 /// [`crate::output_root`].
-pub fn bench_summary_path() -> PathBuf {
+pub fn document_path() -> PathBuf {
     crate::output_root().join("BENCH_run_all.json")
 }
 
@@ -455,38 +392,37 @@ mod tests {
             speedup: 10.0,
             identical: true,
         };
-        let explore = ExploreComparison {
+        let explore = ExploreThroughput {
             tasks: 8,
             states: 2_000,
             transitions: 40_000,
-            fork_states_per_second: 5_000.0,
-            fork_transitions_per_second: 100_000.0,
-            replay_states_per_second: 500.0,
-            replay_transitions_per_second: 10_000.0,
-            speedup: 10.0,
-            identical: true,
+            states_per_second: 5_000.0,
+            transitions_per_second: 100_000.0,
         };
         let doc = RunMetrics::new(4, vec![e.clone(), e], after, fleet, explore);
         assert_eq!(doc.totals.sim_runs, 6);
         assert_eq!(doc.totals.sim_cycles, 1200);
         let json = serde_json::to_string(&doc).unwrap();
         let back: RunMetrics = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.schema_version, SCHEMA_VERSION);
+        assert_eq!(back.schema_version, 6);
         assert_eq!(back.experiments.len(), 2);
+        assert_eq!(back.experiments[0].id, "f3_miss_ratio");
         assert_eq!(back.totals.sim_cycles, 1200);
-        let summary = doc.bench_summary();
-        assert_eq!(summary.experiments.len(), 2);
-        assert_eq!(summary.total_sim_cycles, 1200);
-        let sjson = serde_json::to_string(&summary).unwrap();
-        let sback: BenchSummary = serde_json::from_str(&sjson).unwrap();
-        assert_eq!(sback.experiments[0].id, "f3_miss_ratio");
-        // The summary carries the probe's per-task percentiles.
-        assert_eq!(sback.response, doc.probe.response);
-        assert!(!sback.response.is_empty());
-        // …and the fleet throughput record.
-        assert!(sback.fleet.identical);
-        assert_eq!(sback.fleet.fleet_size, 100_000);
-        assert_eq!(sback.fleet.speedup, 10.0);
+        // The document carries the probe's per-task percentiles…
+        assert_eq!(back.probe.response, doc.probe.response);
+        assert!(!back.probe.response.is_empty());
+        // …the fleet throughput record…
+        assert!(back.fleet.identical);
+        assert_eq!(back.fleet.fleet_size, 100_000);
+        assert_eq!(back.fleet.speedup, 10.0);
+        // …and the explorer record, which has no replay fields.
+        assert_eq!(back.explore.states, 2_000);
+        assert_eq!(back.explore.states_per_second, 5_000.0);
+        let explore_json = &json[json.find(r#""explore":"#).unwrap()..];
+        assert_eq!(
+            explore_json,
+            r#""explore":{"tasks":8,"states":2000,"transitions":40000,"states_per_second":5000.0,"transitions_per_second":100000.0}}"#
+        );
     }
 
     #[test]

@@ -59,7 +59,8 @@ use crate::state::{
 ///
 /// Strategies differ only in cost: every verdict, counter, and witness
 /// byte is identical across them (pinned by the differential property
-/// suite and the CI `cmp` smoke).
+/// suites). `Fork` is what every caller outside the tests runs, and
+/// `rtmdm check` offers no choice; `Replay` is the tests' reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExploreStrategy {
     /// Re-execute every path from time zero. The semantic reference:
@@ -106,9 +107,10 @@ pub struct ExploreLimits {
     /// Upper endpoint of the release-jitter dimension, in cycles; zero
     /// keeps arrivals strictly periodic.
     pub jitter_max_cycles: u64,
-    /// Path-execution strategy (`rtmdm check --strategy`). Outputs are
-    /// byte-identical across strategies; `Fork` is the default because
-    /// it is asymptotically cheaper on deep search trees.
+    /// Path-execution strategy. Outputs are byte-identical across
+    /// strategies; `Fork` is the default because it is asymptotically
+    /// cheaper on deep search trees, and `Replay` is selected only by
+    /// the tests that compare the two.
     pub strategy: ExploreStrategy,
     /// Ignored: the explorer runs one path at a time. The field stays
     /// only because rtbench's `ExploreLimits` struct literal

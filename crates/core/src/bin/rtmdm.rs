@@ -53,10 +53,9 @@
 //! default is 20000; exceeding the bound reports `RTM053`,
 //! inconclusive rather than silently safe) and `--witness PATH`
 //! writes the replayable counterexample JSON when a violation is
-//! reached. `--strategy replay|fork` picks how the explorer executes
-//! each path (`fork`, the default, resumes branches from mid-run
-//! snapshots; `replay` re-runs each path from time zero) without
-//! changing a single output byte. Exit status: 0 on success
+//! reached. `--jitter PCT` (at most 99) lets each job run anywhere
+//! down to that fraction below its WCET, in `simulate` as in the
+//! explorer. Exit status: 0 on success
 //! (schedulable for `admit`, no errors for `check`), 2 when admission
 //! or verification rejects, 1 on usage errors.
 
@@ -78,7 +77,7 @@ fn usage() -> ExitCode {
          [--miss-policy continue|abort|skip-next] [--attribution on|off] \
          [--out PATH] [--format chrome|jsonl] [--gantt] \
          [--json] [--deny-warnings] [--allow RULE] [--deny RULE] [--explain RULE] \
-         [--explore] [--max-states N] [--strategy replay|fork] [--witness PATH] \
+         [--explore] [--max-states N] [--witness PATH] \
          (serve: [--once] [--input PATH])"
     );
     ExitCode::from(1)
@@ -114,7 +113,7 @@ struct Cli {
     deny: Vec<String>,
     explain: Option<String>,
     explore: bool,
-    /// The exploration bounds `--max-states` and `--strategy` set.
+    /// The exploration bounds; `--max-states` sets the state budget.
     limits: rtmdm_core::ExploreLimits,
     witness: Option<String>,
 }
@@ -187,7 +186,12 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
                     .checked_mul(1_000_000)
                     .ok_or(CliError::Usage)?;
             }
-            "--jitter" => jitter_pct = value(&mut it)?,
+            "--jitter" => {
+                jitter_pct = value(&mut it)?;
+                if jitter_pct > 99 {
+                    return Err(CliError::Usage);
+                }
+            }
             "--seed" => seed = value(&mut it)?,
             "--edf" => sys.options.policy = Policy::Edf,
             "--work-conserving" => sys.options.work_conserving = true,
@@ -236,18 +240,6 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
             "--explain" => explain = Some(it.next().ok_or(CliError::Usage)?.clone()),
             "--explore" => explore = true,
             "--max-states" => limits.max_states = value(&mut it)?,
-            "--strategy" => {
-                let s = it.next().ok_or(CliError::Usage)?;
-                limits.strategy = match s.as_str() {
-                    "replay" => rtmdm_core::ExploreStrategy::Replay,
-                    "fork" => rtmdm_core::ExploreStrategy::Fork,
-                    _ => {
-                        return Err(CliError::Msg(format!(
-                            "unknown --strategy `{s}` (expected `replay` or `fork`)"
-                        )))
-                    }
-                };
-            }
             "--witness" => witness = Some(it.next().ok_or(CliError::Usage)?.clone()),
             _ => return Err(CliError::Usage),
         }
@@ -255,7 +247,7 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
     Ok(Cli {
         sys,
         horizon_us,
-        jitter_pct: jitter_pct.min(99),
+        jitter_pct,
         seed,
         out,
         format,

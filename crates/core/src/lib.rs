@@ -63,6 +63,6 @@ pub use advisor::OptimizeOutcome;
 pub use check::{CheckOutcome, SystemSpec};
 pub use error::AdmitError;
 pub use framework::{Admission, FrameworkOptions, PriorityAssignment, RtMdm, RunReport, SramRow};
-pub use rtmdm_check::{ExploreLimits, ExploreStrategy};
+pub use rtmdm_check::ExploreLimits;
 pub use service::{CacheStats, Service, SERVE_SCHEMA};
 pub use spec::{Strategy, TaskSpec};

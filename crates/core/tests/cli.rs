@@ -176,6 +176,54 @@ fn threads_flag_is_a_usage_error() {
     assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: rtmdm "));
 }
 
+/// The explorer's execution strategy is not a command-line choice:
+/// `--strategy` is a usage error whatever its value.
+#[test]
+fn strategy_flag_is_a_usage_error() {
+    for strategy in ["fork", "replay"] {
+        let out = rtmdm(&[
+            "check",
+            "--task",
+            "ic=resnet8@10",
+            "--explore",
+            "--strategy",
+            strategy,
+        ]);
+        assert_eq!(out.status.code(), Some(1), "{strategy}");
+        assert!(out.stdout.is_empty(), "{strategy}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).starts_with("usage: rtmdm "),
+            "{strategy}"
+        );
+    }
+}
+
+/// `--jitter PCT` is a percentage below WCET, so 99 is its largest
+/// value; anything above is a usage error, not a silent clamp to 99.
+#[test]
+fn jitter_above_99_is_a_usage_error() {
+    let simulate = |pct: &str| rtmdm(&["simulate", "--task", "kws=ds-cnn@100", "--jitter", pct]);
+    let explore = |pct: &str| {
+        rtmdm(&[
+            "check",
+            "--task",
+            "kws=ds-cnn@100",
+            "--explore",
+            "--jitter",
+            pct,
+        ])
+    };
+    for out in [simulate("150"), explore("100")] {
+        assert_eq!(out.status.code(), Some(1));
+        assert!(out.stdout.is_empty());
+        assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage: rtmdm "));
+    }
+    for out in [simulate("99"), explore("99")] {
+        assert_eq!(out.status.code(), Some(0));
+        assert!(!out.stdout.is_empty());
+    }
+}
+
 /// Times given in milliseconds or seconds are scaled to microseconds;
 /// a value whose scaled form does not fit in `u64` is a usage error,
 /// never a silently wrapped period or horizon.

@@ -289,15 +289,6 @@ impl Frequency {
         u64::try_from(wide.div_ceil(1_000_000)).map_or(Cycles::MAX, Cycles::new)
     }
 
-    /// Converts a duration in milliseconds to cycles, rounding up.
-    /// Saturates at [`Cycles::MAX`] like [`Frequency::cycles_from_micros`].
-    pub fn cycles_from_millis(self, millis: u64) -> Cycles {
-        match millis.checked_mul(1_000) {
-            Some(micros) => self.cycles_from_micros(micros),
-            None => Cycles::MAX,
-        }
-    }
-
     /// Converts a cycle count back to microseconds, rounding up.
     /// Saturates at `u64::MAX` for cycle counts too large to express in
     /// microseconds at this frequency (only reachable below ~18.4 GHz
@@ -409,7 +400,6 @@ mod tests {
     fn frequency_conversions_round_trip_conservatively() {
         let f = Frequency::mhz(200);
         assert_eq!(f.cycles_from_micros(1).get(), 200);
-        assert_eq!(f.cycles_from_millis(1).get(), 200_000);
         assert_eq!(f.micros_from_cycles(Cycles::new(200)), 1);
         // Rounding is up: 201 cycles is "2 µs" (never under-reports time).
         assert_eq!(f.micros_from_cycles(Cycles::new(201)), 2);
@@ -420,7 +410,6 @@ mod tests {
         let f = Frequency::mhz(200);
         // 200 MHz · u64::MAX µs overflows u64 cycles → "never".
         assert_eq!(f.cycles_from_micros(u64::MAX), Cycles::MAX);
-        assert_eq!(f.cycles_from_millis(u64::MAX), Cycles::MAX);
         // Below 1 MHz the reverse direction can overflow too.
         let slow = Frequency::hz(1);
         assert_eq!(slow.micros_from_cycles(Cycles::MAX), u64::MAX);

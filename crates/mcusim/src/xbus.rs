@@ -196,21 +196,6 @@ impl ContentionModel {
         work.mul_ratio_ceil(PPM + u64::from(self.dma_inflation_ppm), PPM)
     }
 
-    /// Wall cycles `work` cycles of CPU compute *loses* to bus
-    /// contention under a fully concurrent DMA transfer:
-    /// `inflate_cpu(work) - work`. This is the contention-stall metric
-    /// the simulator accumulates while both masters are active.
-    pub fn cpu_stall_cycles(&self, work: Cycles) -> Cycles {
-        self.inflate_cpu(work).saturating_sub(work)
-    }
-
-    /// Wall cycles `work` cycles of DMA streaming loses to bus
-    /// contention under fully concurrent CPU compute:
-    /// `inflate_dma(work) - work`.
-    pub fn dma_stall_cycles(&self, work: Cycles) -> Cycles {
-        self.inflate_dma(work).saturating_sub(work)
-    }
-
     /// Solves the overlap of a compute phase of `compute` work-cycles and
     /// a DMA phase of `fetch` work-cycles that start at the same instant.
     ///
@@ -409,21 +394,6 @@ mod tests {
             assert!(out.cpu_finish >= cy(c));
             assert!(out.dma_finish >= cy(f));
         }
-    }
-
-    #[test]
-    fn stall_cycles_are_inflation_minus_work() {
-        let m = ContentionModel {
-            cpu_inflation_ppm: 250_000,
-            dma_inflation_ppm: 100_000,
-        };
-        assert_eq!(m.cpu_stall_cycles(cy(1000)), cy(250));
-        assert_eq!(m.dma_stall_cycles(cy(1000)), cy(100));
-        assert_eq!(
-            ContentionModel::NONE.cpu_stall_cycles(cy(1000)),
-            Cycles::ZERO
-        );
-        assert_eq!(m.cpu_stall_cycles(Cycles::ZERO), Cycles::ZERO);
     }
 
     #[test]

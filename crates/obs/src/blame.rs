@@ -186,18 +186,6 @@ impl BlameReport {
         out.sort_by_key(|j| (std::cmp::Reverse(j.response), j.task, j.job));
         out
     }
-
-    /// The worst-response completed job of each task, keyed by task.
-    pub fn worst_jobs(&self) -> BTreeMap<TaskId, &JobBlame> {
-        let mut out: BTreeMap<TaskId, &JobBlame> = BTreeMap::new();
-        for j in &self.jobs {
-            let cur = out.entry(j.task).or_insert(j);
-            if j.response > cur.response {
-                *cur = j;
-            }
-        }
-        out
-    }
 }
 
 /// A job whose blame terms failed to sum to its response time.
@@ -411,7 +399,6 @@ mod tests {
         let missed = report.missed_jobs();
         assert_eq!(missed.len(), 2);
         assert_eq!(missed[0].job, JobId(1));
-        assert_eq!(report.worst_jobs()[&TaskId(0)].job, JobId(1));
         assert_eq!(report.tasks[&TaskId(0)].misses, 2);
     }
 

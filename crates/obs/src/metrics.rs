@@ -14,7 +14,7 @@
 //!
 //! Snapshots ([`Snapshot`]) are plain serializable data: experiments
 //! diff them to attribute counts, and `run_all` embeds them in
-//! `results/metrics.json`.
+//! `BENCH_run_all.json`.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -127,7 +127,7 @@ pub struct Snapshot {
     /// Monotonic counter totals, by name.
     pub counters: BTreeMap<String, u64>,
     /// Gauge levels, by name. Nothing records gauges; the map stays in
-    /// the serialized layout of `results/metrics.json`.
+    /// the serialized layout of `BENCH_run_all.json`.
     pub gauges: BTreeMap<String, i64>,
     /// Histogram contents, by name.
     pub histograms: BTreeMap<String, Histogram>,

@@ -53,7 +53,7 @@ pub struct FetchSlice {
 }
 
 /// A compact, serializable digest of a timeline — what the benchmark
-/// telemetry embeds in `results/metrics.json`.
+/// telemetry embeds in `BENCH_run_all.json`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TimelineSummary {
     /// Analysis horizon in cycles.

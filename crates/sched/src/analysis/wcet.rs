@@ -121,11 +121,6 @@ impl TaskTiming {
         }
     }
 
-    /// Number of non-zero fetches a job issues.
-    pub fn fetch_count(&self) -> u64 {
-        self.fetch.iter().filter(|f| !f.is_zero()).count() as u64
-    }
-
     /// Release jitter this task exhibits *as an interfering task*:
     /// its latest possible start of resource consumption relative to its
     /// release, bounded by `D − occupancy` under the inductive
@@ -182,7 +177,6 @@ mod tests {
         assert_eq!(tt.resume_points, 3);
         assert_eq!(tt.max_exec_segment, cy(100));
         assert_eq!(tt.max_fetch_segment, cy(200));
-        assert_eq!(tt.fetch_count(), 3);
     }
 
     #[test]
@@ -192,7 +186,6 @@ mod tests {
         assert_eq!(tt.pipeline_latency, cy(300));
         assert_eq!(tt.occupancy, cy(300));
         assert_eq!(tt.resume_points, 1);
-        assert_eq!(tt.fetch_count(), 0);
         assert_eq!(tt.max_fetch_segment, Cycles::ZERO);
     }
 

@@ -380,7 +380,7 @@ proptest! {
         }
     }
 
-    /// The differential contract behind `--strategy`: fork-based
+    /// Replay stays as the tests' reference for fork: fork-based
     /// incremental exploration and replay-from-zero produce identical
     /// verdicts, counters, and witness JSON over random task sets ×
     /// jitter × fault environments.

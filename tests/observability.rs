@@ -208,10 +208,11 @@ fn blame_export_matches_golden_file() {
     );
 }
 
-/// The `--witness` bytes of `rtmdm check --platform stm32f746-qspi
-/// --task kws=ds-cnn@30 --task ic=resnet8@100 --explore --jitter 20
-/// --strategy <strategy>`: a two-task cell whose first explored run
-/// misses a deadline long before its horizon.
+/// The witness of `rtmdm check --platform stm32f746-qspi --task
+/// kws=ds-cnn@30 --task ic=resnet8@100 --explore --jitter 20`, explored
+/// under `strategy`: a two-task cell whose first explored run misses a
+/// deadline long before its horizon. The CLI always explores with
+/// fork; replay is the reference its bytes are compared against.
 fn jitter_cell_witness(strategy: ExploreStrategy) -> String {
     let mut spec = SystemSpec::new(PlatformConfig::stm32f746_qspi());
     spec.push(TaskSpec::new("kws", zoo::ds_cnn(), 30_000, 30_000));

@@ -4,26 +4,39 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# A change to the dependencies fails here unless it commits the
+# refreshed Cargo.lock. The workspace commands run --locked, which
+# refuses a lock that lacks a dependency; --locked accepts a lock that
+# still lists a removed one, so the first step resolves the workspace
+# and fails if that rewrites the lock (leaving the refreshed one).
+echo "== Cargo.lock is current =="
+root_lock="$(mktemp)"
+cp Cargo.lock "$root_lock"
+cargo metadata --format-version 1 > /dev/null
+cmp -s Cargo.lock "$root_lock" || {
+  echo "Cargo.lock is stale: commit the refreshed lock" >&2; exit 1; }
+rm -f "$root_lock"
+
 echo "== cargo build --release =="
-cargo build --release --workspace
+cargo build --locked --release --workspace
 
 echo "== cargo test =="
-cargo test -q --workspace
+cargo test --locked -q --workspace
 
 echo "== cargo clippy =="
-cargo clippy --all-targets --workspace -- -D warnings
+cargo clippy --locked --all-targets --workspace -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --check
 
 echo "== cargo doc (workspace) =="
-RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+RUSTDOCFLAGS="-D warnings" cargo doc --locked -q --workspace --no-deps
 
 echo "== examples =="
 # Each example asserts the admission guarantees it prints; a failed
 # assertion exits nonzero and fails the gate.
 for example in quickstart sensor_node design_space priority_assignment spilling; do
-  cargo run --release -q --example "$example" > /dev/null
+  cargo run --locked --release -q --example "$example" > /dev/null
 done
 
 echo "== rtmdm trace smoke =="

@@ -15,7 +15,7 @@ use rtmdm_core::report;
 use rtmdm_mcusim::{FaultPlan, TaskId, DEFAULT_MAX_RETRIES};
 use rtmdm_obs::attribute;
 use rtmdm_sched::gen::{generate, TasksetParams};
-use rtmdm_sched::sim::{simulate, Engine, Policy, SimConfig};
+use rtmdm_sched::sim::{simulate, Policy, SimConfig};
 
 use crate::experiments::eval_platform;
 
@@ -38,20 +38,15 @@ pub fn f13_blame() -> String {
     let ts = generate(&params, &platform, 23);
     let horizon = ts.tasks().iter().map(|t| t.period).max().unwrap() * 4;
     let config = SimConfig {
-        horizon,
-        policy: Policy::FixedPriority,
-        exec_scale_min_ppm: 1_000_000,
         seed: 23,
-        work_conserving: false,
         fault: FaultPlan {
             seed: 23,
             dma_fault_rate_ppm: 200_000,
             max_retries: DEFAULT_MAX_RETRIES,
             jitter_max_cycles: 50,
         },
-        engine: Engine::Des,
         attribution: true,
-        staging_window: 2,
+        ..SimConfig::new(horizon, Policy::FixedPriority)
     };
     let run = simulate(&ts, &platform, &config);
     let report = attribute(&run.trace).expect("decomposition conserves response time");

@@ -33,10 +33,10 @@ use std::time::Instant;
 
 use rtmdm_check::{explore, ExploreLimits, ExploreOrder, ExploreOutcome};
 use rtmdm_core::report;
-use rtmdm_mcusim::{FaultPlan, PlatformConfig};
+use rtmdm_mcusim::PlatformConfig;
 use rtmdm_sched::gen::{generate, TasksetParams};
 use rtmdm_sched::script::{Choice, ChoicePoint, SimOracle, StateHash};
-use rtmdm_sched::sim::{simulate_with_oracle_forked, Engine, Policy, SimConfig, SimSnapshot};
+use rtmdm_sched::sim::{simulate_with_oracle_forked, Policy, SimConfig, SimSnapshot};
 use rtmdm_sched::TaskSet;
 
 use crate::telemetry::ExploreThroughput;
@@ -83,15 +83,9 @@ fn cell(
     // periods already hold several releases of every task.
     let horizon = ts.tasks().iter().map(|t| t.period).max().unwrap() * horizon_periods;
     let config = SimConfig {
-        horizon,
-        policy: Policy::FixedPriority,
         exec_scale_min_ppm: EXEC_SCALE_MIN_PPM,
-        seed: 0,
-        work_conserving: false,
-        fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: true,
-        staging_window: 2,
+        ..SimConfig::new(horizon, Policy::FixedPriority)
     };
     (ts, config)
 }

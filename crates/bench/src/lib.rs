@@ -1,9 +1,9 @@
 //! # rtmdm-bench — the experiment harness
 //!
-//! One function (and one `src/bin` wrapper) per table and figure of the
-//! reconstructed evaluation (see `DESIGN.md` §4). Every experiment
-//! prints its rows to stdout and writes them to `results/<id>.txt` so
-//! `EXPERIMENTS.md` can quote them verbatim.
+//! One function per table and figure of the reconstructed evaluation
+//! (see `DESIGN.md` §7), all run by the one binary, `run_all`. Every
+//! experiment prints its rows to stdout and writes them to
+//! `results/<id>.txt` so `EXPERIMENTS.md` can quote them verbatim.
 //!
 //! Run everything with:
 //!

@@ -562,7 +562,7 @@ fn violation_outcome(
 mod tests {
     use super::*;
     use rtmdm_mcusim::{ContentionModel, FaultPlan};
-    use rtmdm_sched::sim::{Engine, Policy};
+    use rtmdm_sched::sim::Policy;
     use rtmdm_sched::{Segment, SporadicTask, StagingMode};
 
     fn cy(n: u64) -> Cycles {
@@ -602,17 +602,7 @@ mod tests {
     }
 
     fn config(horizon: u64) -> SimConfig {
-        SimConfig {
-            horizon: cy(horizon),
-            policy: Policy::FixedPriority,
-            exec_scale_min_ppm: 1_000_000,
-            seed: 0,
-            work_conserving: false,
-            fault: FaultPlan::NONE,
-            engine: Engine::Des,
-            attribution: false,
-            staging_window: 2,
-        }
+        SimConfig::new(cy(horizon), Policy::FixedPriority)
     }
 
     #[test]

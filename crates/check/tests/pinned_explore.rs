@@ -33,7 +33,7 @@ use rtmdm_check::{
 use rtmdm_mcusim::{FaultPlan, PlatformConfig};
 use rtmdm_sched::gen::{generate, TasksetParams};
 use rtmdm_sched::script::StableHash;
-use rtmdm_sched::sim::{Engine, Policy, SimConfig};
+use rtmdm_sched::sim::{Policy, SimConfig};
 
 use ExploreOrder::{DeepFirst, ShallowFirst};
 use ExploreStrategy::{Fork, Replay};
@@ -94,15 +94,10 @@ fn outcome(c: &Cell) -> ExploreOutcome {
         None => FaultPlan::NONE,
     };
     let config = SimConfig {
-        horizon: longest * c.horizon_periods,
-        policy: Policy::FixedPriority,
         exec_scale_min_ppm: c.exec_scale_min_ppm,
-        seed: 0,
-        work_conserving: false,
         fault,
-        engine: Engine::Des,
         attribution: true,
-        staging_window: 2,
+        ..SimConfig::new(longest * c.horizon_periods, Policy::FixedPriority)
     };
     let limits = ExploreLimits {
         max_states: c.max_states,

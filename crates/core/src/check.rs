@@ -30,7 +30,7 @@ use rtmdm_check::{
 use rtmdm_mcusim::{Cycles, PlatformConfig};
 use rtmdm_sched::analysis::{hyperperiod, occupancy_utilization_ppm, AnalysisOutcome};
 use rtmdm_sched::assign::{audsley, dm_order, rm_order};
-use rtmdm_sched::sim::{Engine, Policy, SimConfig};
+use rtmdm_sched::sim::{Policy, SimConfig};
 use rtmdm_sched::{SporadicTask, TaskSet};
 use rtmdm_xmem::{ModelSegmentation, PlanError, RUNTIME_RESERVE};
 
@@ -277,15 +277,11 @@ impl SystemSpec {
             };
         };
         let config = SimConfig {
-            horizon: auto_horizon(&ordered),
-            policy: self.options.policy,
             exec_scale_min_ppm,
-            seed: 0,
             work_conserving: self.options.work_conserving,
             fault: self.options.fault,
-            engine: Engine::Des,
             attribution: true,
-            staging_window: 2,
+            ..SimConfig::new(auto_horizon(&ordered), self.options.policy)
         };
         let outcome = rtmdm_check::explore(&ordered, &self.platform, &config, limits);
         report.extend(outcome.findings);

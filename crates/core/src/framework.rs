@@ -11,7 +11,7 @@ use rtmdm_sched::analysis::{
     SchedulerMode,
 };
 use rtmdm_sched::baseline;
-use rtmdm_sched::sim::{simulate, Engine, Policy, SimConfig, SimResult};
+use rtmdm_sched::sim::{simulate, Policy, SimConfig, SimResult};
 use rtmdm_sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
 use rtmdm_xmem::{check_buffer_fits, ModelSegmentation, RUNTIME_RESERVE};
 
@@ -70,18 +70,15 @@ pub struct FrameworkOptions {
     /// The fault environment the simulator injects and admission charges
     /// for ([`FaultPlan::NONE`] by default — provably free when
     /// inactive).
-    #[serde(default)]
     pub fault: FaultPlan,
     /// Framework-wide deadline-miss policy; individual specs can
     /// override it via [`TaskSpec::with_miss_policy`].
-    #[serde(default)]
     pub miss_policy: MissPolicy,
     /// When `true`, simulation traces carry the causal-attribution
     /// anchor events the blame reconstruction (`rtmdm-obs`) consumes.
     /// `false` (the default) keeps traces byte-identical to
     /// pre-attribution output; stats and metrics are unaffected either
     /// way.
-    #[serde(default)]
     pub attribution: bool,
 }
 
@@ -348,15 +345,15 @@ impl RtMdm {
             .collect::<Result<Vec<_>, _>>()?;
         let (_, ordered) = sys.order(tasks);
         let config = SimConfig {
-            horizon: sys.platform.cpu.cycles_from_micros(horizon_us),
-            policy: sys.options.policy,
             exec_scale_min_ppm,
             seed,
             work_conserving: sys.options.work_conserving,
             fault: sys.options.fault,
-            engine: Engine::Des,
             attribution: sys.options.attribution,
-            staging_window: 2,
+            ..SimConfig::new(
+                sys.platform.cpu.cycles_from_micros(horizon_us),
+                sys.options.policy,
+            )
         };
         let result = simulate(&ordered, &sys.platform, &config);
         Ok(RunReport {
@@ -564,7 +561,6 @@ pub struct Admission {
     /// Worst-case extra staging cycles each task may pay for bounded
     /// re-fetches under the configured fault plan (priority order; all
     /// zero when the plan is inactive).
-    #[serde(default)]
     pub retry_budgets: Vec<Cycles>,
 }
 

@@ -90,7 +90,6 @@ pub struct TaskSpec {
     pub activation_budget_bytes: Option<u64>,
     /// Per-task deadline-miss policy; `None` inherits the framework's
     /// [`FrameworkOptions::miss_policy`](crate::FrameworkOptions::miss_policy).
-    #[serde(default)]
     pub miss_policy: Option<MissPolicy>,
 }
 

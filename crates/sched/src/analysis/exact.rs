@@ -116,15 +116,8 @@ pub fn sync_simulation_accepts(
         .max()
         .unwrap_or(Cycles::ZERO);
     let config = SimConfig {
-        horizon: h.checked_add(d_max)?,
-        policy,
-        exec_scale_min_ppm: 1_000_000,
-        seed: 0,
         work_conserving,
-        fault: rtmdm_mcusim::FaultPlan::NONE,
-        engine: crate::sim::Engine::default(),
-        attribution: false,
-        staging_window: 2,
+        ..SimConfig::new(h.checked_add(d_max)?, policy)
     };
     let run = simulate(ts, platform, &config);
     Some(run.no_misses())

@@ -108,7 +108,6 @@ pub struct SimConfig {
     /// is byte-identical to one without an injector at all.
     pub fault: FaultPlan,
     /// Time-advancement engine; [`Engine::Des`] is the only one.
-    #[serde(default)]
     pub engine: Engine,
     /// When `true`, the simulator emits the causal-attribution anchor
     /// events ([`TraceKind::FetchWaitBegan`]/[`TraceKind::FetchWaitEnded`],
@@ -117,7 +116,6 @@ pub struct SimConfig {
     /// (the default) produces a trace byte-identical to one from before
     /// attribution existed — stats and metrics are unaffected either
     /// way.
-    #[serde(default)]
     pub attribution: bool,
     /// Width of the staging window under [`StagingMode::Overlapped`]:
     /// fetch `k` becomes admissible once compute of segment `k − w` has
@@ -128,12 +126,7 @@ pub struct SimConfig {
     /// or being read, which the always-on race monitor records in
     /// [`SimResult::races`]. Widths other than 2 exist for the
     /// schedule-space explorer's negative tests (RTM051 reachability).
-    #[serde(default = "default_staging_window")]
     pub staging_window: u32,
-}
-
-fn default_staging_window() -> u32 {
-    2
 }
 
 impl SimConfig {
@@ -146,9 +139,9 @@ impl SimConfig {
             seed: 0,
             work_conserving: false,
             fault: FaultPlan::NONE,
-            engine: Engine::default(),
+            engine: Engine::Des,
             attribution: false,
-            staging_window: default_staging_window(),
+            staging_window: 2,
         }
     }
 
@@ -286,7 +279,6 @@ pub struct SimResult {
     pub metrics: SimMetrics,
     /// Staging races the always-on monitor observed — empty at the
     /// default staging window (see [`StagingRace`]).
-    #[serde(default)]
     pub races: Vec<StagingRace>,
 }
 
@@ -2194,15 +2186,9 @@ mod tests {
             resident("b", 700, &[100, 80]),
         ]);
         let cfg = SimConfig {
-            horizon: cy(50_000),
-            policy: Policy::FixedPriority,
             exec_scale_min_ppm: 600_000,
             seed: 42,
-            work_conserving: false,
-            fault: FaultPlan::NONE,
-            engine: Engine::Des,
-            attribution: false,
-            staging_window: 2,
+            ..SimConfig::new(cy(50_000), Policy::FixedPriority)
         };
         let p = bare_platform();
         let r1 = simulate(&ts, &p, &cfg);
@@ -2216,15 +2202,9 @@ mod tests {
         let ts = TaskSet::from_tasks(vec![overlapped("a", 500, &[(100, 64), (100, 32)])]);
         let p = bare_platform();
         let mk = |seed| SimConfig {
-            horizon: cy(50_000),
-            policy: Policy::FixedPriority,
             exec_scale_min_ppm: 500_000,
             seed,
-            work_conserving: false,
-            fault: FaultPlan::NONE,
-            engine: Engine::Des,
-            attribution: false,
-            staging_window: 2,
+            ..SimConfig::new(cy(50_000), Policy::FixedPriority)
         };
         let r1 = simulate(&ts, &p, &mk(1));
         let r2 = simulate(&ts, &p, &mk(2));
@@ -2247,15 +2227,9 @@ mod tests {
                 &ts,
                 &p,
                 &SimConfig {
-                    horizon: cy(100_000),
-                    policy: Policy::FixedPriority,
                     exec_scale_min_ppm: 400_000,
                     seed,
-                    work_conserving: false,
-                    fault: FaultPlan::NONE,
-                    engine: Engine::Des,
-                    attribution: false,
-                    staging_window: 2,
+                    ..SimConfig::new(cy(100_000), Policy::FixedPriority)
                 },
             );
             for i in 0..ts.len() {

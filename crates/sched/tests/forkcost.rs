@@ -13,10 +13,10 @@
 
 use std::time::Instant;
 
-use rtmdm_mcusim::{FaultPlan, PlatformConfig};
+use rtmdm_mcusim::PlatformConfig;
 use rtmdm_sched::gen::{generate, TasksetParams};
 use rtmdm_sched::script::ScriptOracle;
-use rtmdm_sched::sim::{simulate_with_oracle_forked, Engine, Policy, SimConfig, SimSnapshot};
+use rtmdm_sched::sim::{simulate_with_oracle_forked, Policy, SimConfig, SimSnapshot};
 use rtmdm_sched::TaskSet;
 
 fn workload() -> (TaskSet, PlatformConfig, SimConfig) {
@@ -26,15 +26,9 @@ fn workload() -> (TaskSet, PlatformConfig, SimConfig) {
     let ts = generate(&params, &p, 1);
     let horizon = ts.tasks().iter().map(|t| t.period).max().unwrap() * 2;
     let cfg = SimConfig {
-        horizon,
-        policy: Policy::FixedPriority,
         exec_scale_min_ppm: 600_000,
-        seed: 0,
-        work_conserving: false,
-        fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: true,
-        staging_window: 2,
+        ..SimConfig::new(horizon, Policy::FixedPriority)
     };
     (ts, p, cfg)
 }

@@ -9,8 +9,8 @@ use rtmdm_sched::script::{
     Choice, ChoicePoint, ScriptOracle, ScriptedChoice, SimOracle, StateHash,
 };
 use rtmdm_sched::sim::{
-    simulate, simulate_with_oracle, simulate_with_oracle_forked, Engine, Policy, RaceKind,
-    SimConfig, SimResult,
+    simulate, simulate_with_oracle, simulate_with_oracle_forked, Policy, RaceKind, SimConfig,
+    SimResult,
 };
 use rtmdm_sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
 
@@ -23,17 +23,7 @@ fn platform() -> PlatformConfig {
 }
 
 fn config(horizon: u64) -> SimConfig {
-    SimConfig {
-        horizon: cy(horizon),
-        policy: Policy::FixedPriority,
-        exec_scale_min_ppm: 1_000_000,
-        seed: 0,
-        work_conserving: false,
-        fault: FaultPlan::NONE,
-        engine: Engine::Des,
-        attribution: false,
-        staging_window: 2,
-    }
+    SimConfig::new(cy(horizon), Policy::FixedPriority)
 }
 
 fn overlapped(name: &str, period: u64, segs: &[(u64, u64)]) -> SporadicTask {

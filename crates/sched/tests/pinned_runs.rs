@@ -13,7 +13,7 @@
 use rtmdm_mcusim::{ContentionModel, Cycles, FaultPlan, PlatformConfig, DEFAULT_MAX_RETRIES};
 use rtmdm_sched::gen::{generate, TasksetParams};
 use rtmdm_sched::script::StableHash;
-use rtmdm_sched::sim::{simulate, Engine, Policy, SimConfig, SimResult};
+use rtmdm_sched::sim::{simulate, Policy, SimConfig, SimResult};
 use rtmdm_sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
 
 fn cy(n: u64) -> Cycles {
@@ -222,8 +222,6 @@ fn generated_grid_reproduces_its_pins() {
         );
         let horizon = ts.tasks().iter().map(|t| t.period).max().unwrap() * 4;
         let config = SimConfig {
-            horizon,
-            policy: s.policy,
             exec_scale_min_ppm: s.exec_scale_min_ppm,
             seed: s.seed,
             work_conserving: s.work_conserving,
@@ -233,9 +231,7 @@ fn generated_grid_reproduces_its_pins() {
                 max_retries: DEFAULT_MAX_RETRIES,
                 jitter_max_cycles: if s.fault_rate_ppm > 0 { 50 } else { 0 },
             },
-            engine: Engine::Des,
-            attribution: false,
-            staging_window: 2,
+            ..SimConfig::new(horizon, s.policy)
         };
         let r = simulate(&ts, &s.platform, &config);
         let (events, digest) = pin(&r);

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use rtmdm_mcusim::{Cycles, FaultPlan, PlatformConfig};
 use rtmdm_obs::Timeline;
 use rtmdm_sched::gen::{generate, TasksetParams};
-use rtmdm_sched::sim::{simulate, Engine, Policy, SimConfig};
+use rtmdm_sched::sim::{simulate, Policy, SimConfig};
 use rtmdm_sched::StagingMode;
 
 fn platform() -> PlatformConfig {
@@ -15,15 +15,10 @@ fn platform() -> PlatformConfig {
 
 fn config(horizon: Cycles, policy: Policy, wc: bool, scale: u64, seed: u64) -> SimConfig {
     SimConfig {
-        horizon,
-        policy,
         exec_scale_min_ppm: scale,
         seed,
         work_conserving: wc,
-        fault: FaultPlan::NONE,
-        engine: Engine::Des,
-        attribution: false,
-        staging_window: 2,
+        ..SimConfig::new(horizon, policy)
     }
 }
 

@@ -31,7 +31,7 @@ use rt_mdm::sched::analysis::{
 };
 use rt_mdm::sched::assign::dm_order;
 use rt_mdm::sched::gen::{generate, TasksetParams};
-use rt_mdm::sched::sim::{simulate, Engine, Policy, SimConfig};
+use rt_mdm::sched::sim::{simulate, Policy, SimConfig};
 use rt_mdm::sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
 
 fn platform() -> PlatformConfig {
@@ -82,8 +82,6 @@ fn faulted_case(
     ][miss_sel as usize];
     let ts = with_miss_policy(&generate(&params, &platform(), seed), miss_policy);
     let config = SimConfig {
-        horizon: ts.tasks().iter().map(|t| t.period).max().unwrap() * 3,
-        policy: Policy::FixedPriority,
         exec_scale_min_ppm: scale,
         seed,
         work_conserving: wc,
@@ -93,9 +91,11 @@ fn faulted_case(
             max_retries: 3,
             jitter_max_cycles: 50,
         },
-        engine: Engine::Des,
         attribution: true,
-        staging_window: 2,
+        ..SimConfig::new(
+            ts.tasks().iter().map(|t| t.period).max().unwrap() * 3,
+            Policy::FixedPriority,
+        )
     };
     (ts, config)
 }
@@ -126,15 +126,10 @@ fn check_measured_within_bounds(
         })
         .collect();
     let config = SimConfig {
-        horizon: horizon(&ordered),
-        policy: Policy::FixedPriority,
-        exec_scale_min_ppm: 1_000_000,
         seed,
         work_conserving: mode == SchedulerMode::WorkConserving,
-        fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: true,
-        staging_window: 2,
+        ..SimConfig::new(horizon(&ordered), Policy::FixedPriority)
     };
     let run = simulate(&ordered, &p, &config);
     let report = attribute(&run.trace).expect("conservation holds");
@@ -313,15 +308,8 @@ fn preemption_blame_names_the_preempting_task() {
     .expect("valid");
     let ts = TaskSet::from_tasks(vec![hp, lp]);
     let config = SimConfig {
-        horizon: cy(1_000_000),
-        policy: Policy::FixedPriority,
-        exec_scale_min_ppm: 1_000_000,
-        seed: 0,
-        work_conserving: false,
-        fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: true,
-        staging_window: 2,
+        ..SimConfig::new(cy(1_000_000), Policy::FixedPriority)
     };
     let run = simulate(&ts, &platform(), &config);
     let report = attribute(&run.trace).expect("conservation holds");
@@ -377,20 +365,15 @@ fn fault_refetch_blame_fires_under_injected_faults() {
     .expect("valid");
     let ts = TaskSet::from_tasks(vec![t]);
     let config = SimConfig {
-        horizon: cy(8_000_000),
-        policy: Policy::FixedPriority,
-        exec_scale_min_ppm: 1_000_000,
         seed: 7,
-        work_conserving: false,
         fault: FaultPlan {
             seed: 7,
             dma_fault_rate_ppm: 900_000,
             max_retries: 5,
             jitter_max_cycles: 0,
         },
-        engine: Engine::Des,
         attribution: true,
-        staging_window: 2,
+        ..SimConfig::new(cy(8_000_000), Policy::FixedPriority)
     };
     let run = simulate(&ts, &platform(), &config);
     assert!(

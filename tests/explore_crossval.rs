@@ -34,7 +34,7 @@ use rt_mdm::mcusim::{ContentionModel, Cycles, FaultPlan, PlatformConfig, TraceKi
 use rt_mdm::obs::attribute;
 use rt_mdm::sched::gen::{generate, TasksetParams};
 use rt_mdm::sched::script::ScriptOracle;
-use rt_mdm::sched::sim::{simulate_with_oracle_forked, Engine, Policy, SimConfig, SimResult};
+use rt_mdm::sched::sim::{simulate_with_oracle_forked, Policy, SimConfig, SimResult};
 use rt_mdm::sched::{Segment, SporadicTask, StagingMode, TaskSet};
 
 fn cy(n: u64) -> Cycles {
@@ -55,15 +55,8 @@ fn bare_platform() -> PlatformConfig {
 
 fn base_config(horizon: u64) -> SimConfig {
     SimConfig {
-        horizon: cy(horizon),
-        policy: Policy::FixedPriority,
-        exec_scale_min_ppm: 1_000_000,
-        seed: 0,
-        work_conserving: false,
-        fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: true,
-        staging_window: 2,
+        ..SimConfig::new(cy(horizon), Policy::FixedPriority)
     }
 }
 

@@ -25,7 +25,7 @@ use rt_mdm::obs::{
     Timeline,
 };
 use rt_mdm::sched::gen::{generate, TasksetParams};
-use rt_mdm::sched::sim::{simulate, Engine, Policy, SimConfig, SimResult};
+use rt_mdm::sched::sim::{simulate, Policy, SimConfig, SimResult};
 use rt_mdm::sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
 
 fn cy(n: u64) -> Cycles {
@@ -53,17 +53,7 @@ fn golden_scenario() -> (SimResult, Vec<String>) {
     )
     .expect("valid task");
     let ts = TaskSet::from_tasks(vec![ctrl, dnn]);
-    let config = SimConfig {
-        horizon: cy(4000),
-        policy: Policy::FixedPriority,
-        exec_scale_min_ppm: 1_000_000,
-        seed: 0,
-        work_conserving: false,
-        fault: FaultPlan::NONE,
-        engine: Engine::Des,
-        attribution: false,
-        staging_window: 2,
-    };
+    let config = SimConfig::new(cy(4000), Policy::FixedPriority);
     let result = simulate(&ts, &PlatformConfig::stm32f746_qspi(), &config);
     (result, vec!["ctrl".to_owned(), "dnn".to_owned()])
 }
@@ -106,20 +96,14 @@ fn faulted_overload_scenario() -> (SimResult, Vec<String>) {
     .with_miss_policy(MissPolicy::SkipNextRelease);
     let ts = TaskSet::from_tasks(vec![ctrl, dnn, big]);
     let config = SimConfig {
-        horizon: cy(100000),
-        policy: Policy::FixedPriority,
-        exec_scale_min_ppm: 1_000_000,
-        seed: 0,
-        work_conserving: false,
         fault: FaultPlan {
             seed: 10,
             dma_fault_rate_ppm: 300_000,
             max_retries: 3,
             jitter_max_cycles: 20,
         },
-        engine: Engine::Des,
         attribution: true,
-        staging_window: 2,
+        ..SimConfig::new(cy(100000), Policy::FixedPriority)
     };
     let result = simulate(&ts, &PlatformConfig::stm32f746_qspi(), &config);
     (
@@ -320,15 +304,9 @@ proptest! {
         let ts = generate(&params, &p, seed);
         let max_t = ts.tasks().iter().map(|t| t.period).max().unwrap();
         let config = SimConfig {
-            horizon: max_t * 3,
-            policy: Policy::FixedPriority,
             exec_scale_min_ppm: scale_min,
             seed,
-            work_conserving: false,
-            fault: FaultPlan::NONE,
-            engine: Engine::Des,
-            attribution: false,
-            staging_window: 2,
+            ..SimConfig::new(max_t * 3, Policy::FixedPriority)
         };
         let result = simulate(&ts, &p, &config);
         check_invariants(&result)?;
@@ -360,8 +338,6 @@ proptest! {
                 .collect(),
         );
         let config = SimConfig {
-            horizon: max_t * 3,
-            policy: Policy::FixedPriority,
             exec_scale_min_ppm: 700_000,
             seed,
             work_conserving: flags & 1 != 0,
@@ -371,9 +347,8 @@ proptest! {
                 max_retries: 3,
                 jitter_max_cycles: jitter_pick * 300,
             },
-            engine: Engine::Des,
             attribution: flags & 2 != 0,
-            staging_window: 2,
+            ..SimConfig::new(max_t * 3, Policy::FixedPriority)
         };
         let result = simulate(&ts, &p, &config);
         check_invariants(&result)?;
@@ -394,15 +369,8 @@ proptest! {
         let ts = generate(&params, &p, seed);
         let max_t = ts.tasks().iter().map(|t| t.period).max().unwrap();
         let config = SimConfig {
-            horizon: max_t * 3,
-            policy: Policy::FixedPriority,
-            exec_scale_min_ppm: 1_000_000,
             seed,
-            work_conserving: false,
-            fault: FaultPlan::NONE,
-            engine: Engine::Des,
-            attribution: false,
-            staging_window: 2,
+            ..SimConfig::new(max_t * 3, Policy::FixedPriority)
         };
         let result = simulate(&ts, &p, &config);
         check_invariants(&result)?;
@@ -423,15 +391,8 @@ proptest! {
         let ts = generate(&params, &p, seed);
         let max_t = ts.tasks().iter().map(|t| t.period).max().unwrap();
         let config = SimConfig {
-            horizon: max_t * 2,
-            policy: Policy::FixedPriority,
-            exec_scale_min_ppm: 1_000_000,
             seed,
-            work_conserving: false,
-            fault: FaultPlan::NONE,
-            engine: Engine::Des,
-            attribution: false,
-            staging_window: 2,
+            ..SimConfig::new(max_t * 2, Policy::FixedPriority)
         };
         let result = simulate(&ts, &p, &config);
         let names: Vec<String> = ts.tasks().iter().map(|t| t.name.clone()).collect();

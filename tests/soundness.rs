@@ -12,11 +12,11 @@
 use proptest::prelude::*;
 
 use rt_mdm::check::{explore, ExploreLimits, ExploreOrder, Rule};
-use rt_mdm::mcusim::{Cycles, FaultPlan, PlatformConfig};
+use rt_mdm::mcusim::{Cycles, PlatformConfig};
 use rt_mdm::sched::analysis::{rta_limited_preemption_with, SchedulerMode};
 use rt_mdm::sched::assign::dm_order;
 use rt_mdm::sched::gen::{generate, TasksetParams};
-use rt_mdm::sched::sim::{simulate, Engine, Policy, SimConfig};
+use rt_mdm::sched::sim::{simulate, Policy, SimConfig};
 use rt_mdm::sched::{StagingMode, TaskSet};
 
 fn platform() -> PlatformConfig {
@@ -44,15 +44,10 @@ fn check_soundness(
         return Ok(()); // nothing claimed, nothing to check
     }
     let config = SimConfig {
-        horizon: horizon(&ordered),
-        policy: Policy::FixedPriority,
         exec_scale_min_ppm,
         seed,
         work_conserving: mode == SchedulerMode::WorkConserving,
-        fault: FaultPlan::NONE,
-        engine: Engine::Des,
-        attribution: false,
-        staging_window: 2,
+        ..SimConfig::new(horizon(&ordered), Policy::FixedPriority)
     };
     let run = simulate(&ordered, &p, &config);
     prop_assert_eq!(
@@ -174,15 +169,9 @@ fn check_explore_soundness(
     }
     let longest = ts.tasks().iter().map(|t| t.period).max().unwrap();
     let config = SimConfig {
-        horizon: longest * horizon_periods,
-        policy: Policy::FixedPriority,
         exec_scale_min_ppm,
-        seed: 0,
-        work_conserving: false,
-        fault: FaultPlan::NONE,
-        engine: Engine::Des,
         attribution: true,
-        staging_window: 2,
+        ..SimConfig::new(longest * horizon_periods, Policy::FixedPriority)
     };
     let limits = ExploreLimits {
         max_states: 2_000,
@@ -259,15 +248,9 @@ fn directed_soundness_sweep() {
             }
             admitted += 1;
             let config = SimConfig {
-                horizon: horizon(&ordered),
-                policy: Policy::FixedPriority,
-                exec_scale_min_ppm: 1_000_000,
                 seed,
                 work_conserving: mode == SchedulerMode::WorkConserving,
-                fault: FaultPlan::NONE,
-                engine: Engine::Des,
-                attribution: false,
-                staging_window: 2,
+                ..SimConfig::new(horizon(&ordered), Policy::FixedPriority)
             };
             let run = simulate(&ordered, &p, &config);
             assert_eq!(run.total_misses(), 0, "seed {seed} mode {mode:?}");

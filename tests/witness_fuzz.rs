@@ -8,9 +8,14 @@
 //! (`Ok` or `Err`) instead of panicking. The undamaged file must
 //! round-trip byte-identically.
 //!
-//! Only parsing is exercised. Replaying a damaged witness that still
+//! Only parsing is fuzzed. Replaying a damaged witness that still
 //! parses can run for as long as its period and horizon say: nothing
 //! caps them.
+//!
+//! Two directed tests pin the loader's contract on the golden witness:
+//! a key that names no field is ignored, so a file written before a
+//! field was retired still loads and replays, and a missing field is
+//! an error that names it.
 
 use std::sync::OnceLock;
 
@@ -19,7 +24,7 @@ use proptest::prelude::*;
 use rt_mdm::check::Witness;
 use rt_mdm::core::{ExploreLimits, SystemSpec, TaskSpec};
 use rt_mdm::dnn::zoo;
-use rt_mdm::mcusim::PlatformConfig;
+use rt_mdm::mcusim::{PlatformConfig, TraceKind};
 
 /// The witness file `rtmdm check --platform stm32f746-qspi --task
 /// kws=ds-cnn@30 --task ic=resnet8@100 --explore --jitter 20
@@ -59,6 +64,55 @@ fn undamaged_witness_round_trips_byte_identically() {
     for kind in ["ReleaseJitter", "ExecScale", "TransferFault"] {
         assert!(script.contains(kind), "the script lacks a {kind} choice");
     }
+}
+
+const GOLDEN: &str = include_str!("golden_witness.json");
+
+/// The golden witness with `from` replaced by `to` in its config.
+fn edited_golden(from: &str, to: &str) -> String {
+    assert_eq!(GOLDEN.matches(from).count(), 1, "`{from}` is not unique");
+    GOLDEN.replace(from, to)
+}
+
+/// `(task, job, instant)` of the first deadline miss of `w`'s replay.
+fn replayed_miss(w: &Witness) -> (usize, u64, u64) {
+    w.replay()
+        .trace
+        .events()
+        .iter()
+        .find_map(|e| match e.kind {
+            TraceKind::DeadlineMissed { task, job } => Some((task.0, job.0, e.time.get())),
+            _ => None,
+        })
+        .expect("the replay misses a deadline")
+}
+
+#[test]
+fn unknown_config_key_is_ignored_and_the_witness_still_replays() {
+    let golden = parse(GOLDEN.as_bytes()).expect("golden witness parses");
+    let extended = edited_golden(
+        "\"config\":{",
+        "\"config\":{\"retired_field\":{\"any\":[\"value\",1]},",
+    );
+    let w = parse(extended.as_bytes()).expect("an unknown config key is ignored");
+    assert_eq!(w.config, golden.config);
+    assert_eq!(
+        (w.rule.as_str(), w.task, w.job, w.at),
+        ("RTM050", 1, 0, 20_000_000)
+    );
+    let miss = replayed_miss(&w);
+    assert_eq!(miss, (w.task, w.job, w.at));
+    assert_eq!(miss, replayed_miss(&golden));
+}
+
+#[test]
+fn missing_config_field_is_rejected_by_name() {
+    let truncated = edited_golden(",\"staging_window\":2", "");
+    let err = parse(truncated.as_bytes()).expect_err("every field is required");
+    assert!(
+        err.to_string().contains("missing field `staging_window`"),
+        "unexpected error: {err}"
+    );
 }
 
 proptest! {

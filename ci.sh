@@ -180,23 +180,29 @@ grep -q 'explored 6 states over 1 runs (12 transitions)' "$jitter_report" || {
   echo "explore smoke: the violating run did not stop at its miss" >&2; exit 1; }
 cmp -s "$jitter_witness" tests/golden_witness.json || {
   echo "explore smoke: witness differs from tests/golden_witness.json" >&2; exit 1; }
-# The explorer takes no thread count and no strategy: `--threads` and
-# `--strategy` are usage errors (exit 1, the usage line on stderr,
-# nothing on stdout).
-refused_out="$(mktemp)"; refused_err="$(mktemp)"
-for flag in "--threads 8" "--strategy fork"; do
+# The explorer takes no thread count and no strategy, and each
+# subcommand accepts only the flags it reads: every invocation below is
+# a usage error (exit 1, the usage line on stderr, nothing on stdout),
+# and the refused `--out` writes no file.
+refused_out="$(mktemp)"; refused_err="$(mktemp)"; refused_dir="$(mktemp -d)"
+for args in "check --task ic=resnet8@10 --explore --threads 8" \
+  "check --task ic=resnet8@10 --explore --strategy fork" \
+  "check --task ic=resnet8@10 --explore --seconds 5" \
+  "admit --task kws=ds-cnn@100 --out $refused_dir/x" \
+  "platforms --json"; do
   set +e
-  # $flag stays unquoted so that it splits into the flag and its value.
-  ./target/release/rtmdm check --platform stm32f746-qspi \
-    --task ic=resnet8@10 --explore $flag > "$refused_out" 2> "$refused_err"
+  # $args stays unquoted so that it splits into the subcommand, flags
+  # and values.
+  ./target/release/rtmdm $args > "$refused_out" 2> "$refused_err"
   refused_code=$?
   set -e
   if [[ $refused_code -ne 1 ]] || [[ -s "$refused_out" ]] \
-    || ! grep -q '^usage: rtmdm ' "$refused_err"; then
-    echo "explore smoke: $flag was not refused as a usage error" >&2; exit 1
+    || ! grep -q '^usage: rtmdm ' "$refused_err" || [[ -e "$refused_dir/x" ]]; then
+    echo "explore smoke: \`rtmdm $args\` was not refused as a usage error" >&2; exit 1
   fi
 done
 rm -f "$jitter_report" "$jitter_witness" "$refused_out" "$refused_err"
+rmdir "$refused_dir"
 # A search with many merges: most paths of this fault search merge into
 # one explored earlier and stop there. Its counts must be the ones
 # every path run to the horizon gives, and the budget cut must report

@@ -7,7 +7,7 @@
 
 use rtmdm_core::{report, RtMdm, TaskSpec};
 use rtmdm_dnn::{zoo, CostModel};
-use rtmdm_mcusim::{Cycles, ExtMemConfig, ExtMemKind};
+use rtmdm_mcusim::{Cycles, ExtMemConfig, ExtMemKind, PlatformConfig};
 use rtmdm_xmem::{pipeline, segment_model, ExecutionStrategy};
 
 use rtmdm_par::par_map_seeded;
@@ -131,12 +131,15 @@ pub fn f5_bandwidth() -> String {
         let cost = CostModel::cmsis_nn_m7();
         let base = eval_platform();
         let seg = segment_model(&model, &cost, auto_buffer(&model)).expect("fits");
-        let platform = base.with_ext_mem(ExtMemConfig::from_bandwidth(
-            ExtMemKind::Custom,
-            base.cpu,
-            mbps * 1_000_000,
-            Cycles::new(120),
-        ));
+        let platform = PlatformConfig {
+            ext_mem: ExtMemConfig::from_bandwidth(
+                ExtMemKind::Custom,
+                base.cpu,
+                mbps * 1_000_000,
+                Cycles::new(120),
+            ),
+            ..base
+        };
         let rtmdm =
             pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::OverlappedPrefetch);
         let naive =

@@ -2,8 +2,7 @@
 //!
 //! A thin adapter over [`PlatformConfig::validate`]: configuration
 //! invariant violations (undersized SRAM, zero external-memory
-//! bandwidth, out-of-range contention inflation, missing DMA channel)
-//! become a single `RTM040` diagnostic so they render and filter like
+//! bandwidth, out-of-range contention inflation) become a single `RTM040` diagnostic so they render and filter like
 //! every other rule instead of aborting the pipeline with a bare
 //! `Result`.
 
@@ -33,7 +32,10 @@ mod tests {
 
     #[test]
     fn rtm040_fires_once_on_an_undersized_sram() {
-        let platform = PlatformConfig::stm32f746_qspi().with_sram_bytes(1024);
+        let platform = PlatformConfig {
+            sram_bytes: 1024,
+            ..PlatformConfig::stm32f746_qspi()
+        };
         let hits = check_platform(&platform);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, Rule::Rtm040);

@@ -26,6 +26,11 @@
 //! their messages quote the smaller state count. Their witness digests,
 //! verdicts and run counts did not move, nor did any safe or `RTM053`
 //! cell.
+//!
+//! The witness digests were re-pinned once more when the platform lost
+//! its two unread fields, the internal flash size and the DMA channel
+//! count: each witness is its former JSON with exactly those two keys
+//! removed from `platform`.
 
 use rtmdm_check::{
     explore, ExploreLimits, ExploreOrder, ExploreOutcome, ExploreStats, ExploreStrategy,
@@ -186,7 +191,7 @@ fn cells() -> Vec<Cell> {
         cell(F746, 1, 500_000, 1, 4, 500_000, 2_000, ShallowFirst, Fork,
             ("safe", 5, 4, 40, true, 0x3dff63c0f84496019a6103d3c40a2f70, 0)),
         cell(H743, 1, 950_000, 2, 4, 500_000, 2_000, DeepFirst, Replay,
-            ("RTM050", 1, 2, 4, false, 0x07357e827542036e8e32155ba54ea47f, 0x2391b0fd9ea2ddc409e6134d82eca3c6)),
+            ("RTM050", 1, 2, 4, false, 0x07357e827542036e8e32155ba54ea47f, 0xcec75ec7b018ba4d72425e35759710e5)),
         cell(F746, 2, 400_000, 3, 3, 550_000, 2_000, DeepFirst, Fork,
             ("safe", 67, 66, 8442, true, 0xa3c141d4b2ac902407454c74f8659229, 0)),
         cell(H743, 2, 450_000, 4, 3, 550_000, 2_000, ShallowFirst, Replay,
@@ -194,19 +199,19 @@ fn cells() -> Vec<Cell> {
         cell(F746, 3, 350_000, 5, 2, 600_000, 2_000, ShallowFirst, Replay,
             ("safe", 27, 26, 918, true, 0xcd7702c910db05e0075558c837848153, 0)),
         cell(H743, 3, 900_000, 6, 2, 600_000, 2_000, DeepFirst, Fork,
-            ("RTM050", 1, 5, 10, false, 0x1fab41fc051541a34d6cd3eb565ccf7a, 0x3e3945c2528c4a73f4219598008f74eb)),
+            ("RTM050", 1, 5, 10, false, 0x1fab41fc051541a34d6cd3eb565ccf7a, 0x854674954dab3ea032b8b5542037c989)),
         cell(F746, 4, 300_000, 7, 2, 550_000, 2_000, DeepFirst, Replay,
             ("safe", 30, 29, 900, true, 0x1a958c350ace34f2caf4f4d2ba81c2e2, 0)),
         cell(H743, 4, 350_000, 8, 2, 550_000, 2_000, ShallowFirst, Fork,
-            ("RTM050", 1, 6, 12, false, 0xbae1f442c1c5a5fc8e9c1599e8b72d7e, 0x8f1117b07b2ebf15d2ef9089681f758e)),
+            ("RTM050", 1, 6, 12, false, 0xbae1f442c1c5a5fc8e9c1599e8b72d7e, 0x80e5dd492cb6b6c4d8569c243a95c81b)),
         cell(F746, 5, 950_000, 9, 2, 600_000, 400, ShallowFirst, Fork,
-            ("RTM050", 1, 14, 28, false, 0x062eaab48ca00b879e7ed5e47db8af29, 0x924ee6e61bf13a6636134b39d4544004)),
+            ("RTM050", 1, 14, 28, false, 0x062eaab48ca00b879e7ed5e47db8af29, 0x1ffcc288760fae24059294fe5dbca4d2)),
         cell(H743, 5, 300_000, 10, 2, 600_000, 400, DeepFirst, Replay,
             ("RTM053", 370, 400, 84360, false, 0x1022a909bc0d10806823b1e7a845206a, 0)),
         cell(F746, 6, 250_000, 11, 2, 600_000, 300, DeepFirst, Fork,
             ("safe", 265, 264, 42400, true, 0xce3ef9acd9899b645839abb9f3da764e, 0)),
         cell(H743, 6, 1_000_000, 12, 2, 600_000, 300, ShallowFirst, Replay,
-            ("RTM050", 1, 8, 16, false, 0x027ab4b456c45e10efec39e6520e8c7c, 0xad7fd066aa4c7548b5091369a714a827)),
+            ("RTM050", 1, 8, 16, false, 0x027ab4b456c45e10efec39e6520e8c7c, 0x98c10c7a1171527f2ada962592cbebdb)),
         cell(F746, 7, 100_000, 13, 2, 600_000, 300, ShallowFirst, Replay,
             ("RTM053", 216, 300, 57888, false, 0x46d157cea32f618d3caed3f7b2331271, 0)),
         cell(H743, 7, 100_000, 1, 2, 600_000, 300, DeepFirst, Fork,
@@ -214,29 +219,29 @@ fn cells() -> Vec<Cell> {
         cell(F746, 8, 200_000, 1, 2, 600_000, 300, DeepFirst, Replay,
             ("RTM053", 180, 301, 57240, false, 0x3f6a14ed705dc2db43aaf7cbf6c5426b, 0)),
         cell(H743, 8, 250_000, 16, 4, 600_000, 300, ShallowFirst, Fork,
-            ("RTM050", 1, 9, 18, false, 0x0d73855dd1f4ea2e067eeec49768ca45, 0x5d38ef46a017a2b25c865a23073dca07)),
+            ("RTM050", 1, 9, 18, false, 0x0d73855dd1f4ea2e067eeec49768ca45, 0xf69eba98908ecafa5bb0f8e54033307f)),
         cell(F746, 4, 400_000, 17, 4, 550_000, 2_000, DeepFirst, Fork,
             ("safe", 121, 120, 7260, true, 0xb90194a73896ba13bb8b2a1ae85cea77, 0)),
         cell(F746, 5, 350_000, 18, 2, 550_000, 2_000, ShallowFirst, Fork,
-            ("RTM050", 1, 8, 16, false, 0xb5cc0023957b8f5b3b60c44a925e0c37, 0x7caff5d1d238e3defd156a5bcc0d5e6a)),
+            ("RTM050", 1, 8, 16, false, 0xb5cc0023957b8f5b3b60c44a925e0c37, 0xd4263fc8e01b52a4a2b38880b2d96f8e)),
         cell(H743, 5, 400_000, 19, 2, 550_000, 2_000, ShallowFirst, Fork,
-            ("RTM050", 1, 6, 12, false, 0xf702554589e3d7bdc6a6b953a742ddc3, 0x827d57aa812a7128daba55ab74cc6ef0)),
+            ("RTM050", 1, 6, 12, false, 0xf702554589e3d7bdc6a6b953a742ddc3, 0x1b3694a1e9d17c94d291fc8c3a5a56ad)),
         cell(H743, 3, 350_000, 20, 4, 550_000, 2_000, DeepFirst, Replay,
             ("safe", 46, 45, 3312, true, 0x0b780415f90a5d058c2e57c141f51e96, 0)),
         cell(F746, 2, 800_000, 21, 4, 500_000, 2_000, ShallowFirst, Fork,
-            ("RTM050", 1, 5, 10, false, 0x2f9e1d9a0a754491274463305d838370, 0xbceb39d5118b11f3d2f09394f0c96b35)),
+            ("RTM050", 1, 5, 10, false, 0x2f9e1d9a0a754491274463305d838370, 0x68e3a202c6f4f3085f80fd497b05ea82)),
         cell(H743, 6, 300_000, 22, 2, 600_000, 1_000, DeepFirst, Fork,
-            ("RTM050", 1, 9, 18, false, 0x41aae5ed53f1c53154c001492512d2d1, 0x693837f55c4022a9e48bf479708df6c5)),
+            ("RTM050", 1, 9, 18, false, 0x41aae5ed53f1c53154c001492512d2d1, 0xa3f940e1d110f05e5bbb4ee9b1e60840)),
         // Release jitter: misses only on jittered paths.
         Cell { jitter_max_cycles: 2_000_000, ..cell(F746, 3, 600_000, 1, 2, 600_000, 2_000, ShallowFirst, Fork,
-            ("RTM050", 222, 309, 4884, false, 0xb4f08874b19c1801a04c3d301f553cb0, 0x879f010cd92c2b2c00fb8a0a4fa838c3)) },
+            ("RTM050", 222, 309, 4884, false, 0xb4f08874b19c1801a04c3d301f553cb0, 0x95e19b441f5992f1173c319f1115db58)) },
         Cell { jitter_max_cycles: 2_000_000, ..cell(F746, 3, 800_000, 1, 2, 600_000, 2_000, DeepFirst, Replay,
-            ("RTM050", 418, 436, 9196, false, 0x7b73b2ada29d1c455b1d8636c782cfb5, 0x516a90bda43d6e7538a2432beac457fb)) },
+            ("RTM050", 418, 436, 9196, false, 0x7b73b2ada29d1c455b1d8636c782cfb5, 0x5018511c84073529f1a29a9b24cb5cde)) },
         // Transfer faults with a retry budget of two.
         Cell { fault_retries: Some(2), ..cell(F746, 2, 600_000, 1, 2, 1_000_000, 2_000, ShallowFirst, Fork,
-            ("RTM052", 12, 70, 355, false, 0x522de79ff0c092f12b91b02665421e5f, 0xf597e89ba5e2e61fc06028281d519f9e)) },
+            ("RTM052", 12, 70, 355, false, 0x522de79ff0c092f12b91b02665421e5f, 0x3def9a2d32e40dff1d115b891265f876)) },
         Cell { fault_retries: Some(2), ..cell(F746, 2, 600_000, 1, 2, 1_000_000, 2_000, ShallowFirst, Replay,
-            ("RTM052", 12, 70, 355, false, 0x522de79ff0c092f12b91b02665421e5f, 0xf597e89ba5e2e61fc06028281d519f9e)) },
+            ("RTM052", 12, 70, 355, false, 0x522de79ff0c092f12b91b02665421e5f, 0x3def9a2d32e40dff1d115b891265f876)) },
         Cell { fault_retries: Some(2), ..cell(F746, 2, 300_000, 1, 2, 1_000_000, 2_000, DeepFirst, Replay,
             ("RTM053", 1986, 2000, 64501, false, 0x9deee1b7900c6beb58a6362b8b224c3d, 0)) },
     ]

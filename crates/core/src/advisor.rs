@@ -5,15 +5,13 @@
 //! set is smaller than a double fetch buffer); a large one must stream.
 //! The advisor enumerates per-task strategy assignments
 //! (`RtMdm` vs `AllInSram`), keeps those that pass admission, and
-//! returns the one using the least SRAM — with the critical compute
-//! scaling factor as the reported timing headroom.
+//! returns the one using the least SRAM — with the same timing headroom
+//! `serve` reports.
 
 use serde::{Deserialize, Serialize};
 
-use rtmdm_sched::analysis::critical_scaling_ppm;
-
 use crate::error::AdmitError;
-use crate::framework::{scheduler_mode, DirectHooks, RtMdm};
+use crate::framework::{headroom_ppm, DirectHooks, RtMdm};
 use crate::spec::Strategy;
 
 /// Upper bound on tasks the exhaustive strategy search accepts.
@@ -27,7 +25,9 @@ pub struct OptimizeOutcome {
     /// SRAM the chosen configuration consumes (bytes).
     pub sram_used: u64,
     /// Critical compute-scaling factor of the chosen configuration
-    /// (ppm; ≥ 1 000 000 means real headroom).
+    /// under the fixed-priority, DMA-aware analysis (ppm; ≥ 1 000 000
+    /// means real headroom). `0` under any other policy or analysis,
+    /// which the scaling search does not run.
     pub scaling_ppm: u64,
     /// Number of assignments that passed admission.
     pub admissible_count: u32,
@@ -55,8 +55,6 @@ impl RtMdm {
                 max: MAX_TASKS,
             });
         }
-        let mode = scheduler_mode(self.options());
-
         let mut best: Option<OptimizeOutcome> = None;
         let mut admissible = 0u32;
         for mask in 0u32..(1 << n) {
@@ -82,11 +80,10 @@ impl RtMdm {
             admissible += 1;
             let sram_used = admission.sram_total();
             if best.as_ref().is_none_or(|b| sram_used < b.sram_used) {
-                let scaling = critical_scaling_ppm(&ordered, self.platform(), mode);
                 best = Some(OptimizeOutcome {
                     strategies,
                     sram_used,
-                    scaling_ppm: scaling,
+                    scaling_ppm: headroom_ppm(&ordered, self.platform(), self.options()),
                     admissible_count: 0, // patched below
                 });
             }

@@ -12,6 +12,21 @@
 //! rtmdm serve    --once --input queries.jsonl
 //! ```
 //!
+//! Each subcommand accepts only the flags it reads; any other flag is a
+//! usage error (exit 1, the usage line on stderr, nothing on stdout):
+//!
+//! | flags | subcommands |
+//! |-------|-------------|
+//! | `--platform --task --edf --work-conserving --fault-rate --fault-seed --fault-retries --fault-jitter --miss-policy --attribution` | admit, optimize, simulate, trace, explain, check |
+//! | `--seconds --seed` | simulate, trace, explain |
+//! | `--jitter` | simulate, trace, explain, check |
+//! | `--out --format --gantt` | trace |
+//! | `--json` | explain, check |
+//! | `--deny-warnings --allow --deny --explain --explore --max-states --witness` | check |
+//! | `--once --input` | serve |
+//!
+//! `platforms` and `models` take no flags.
+//!
 //! Task syntax: `name=model@period_ms[/deadline_ms][:strategy]` with
 //! strategy one of `rt-mdm`, `fetch-then-compute`, `whole-dnn`,
 //! `all-in-sram`. The `trace` subcommand simulates like `simulate`,
@@ -19,12 +34,11 @@
 //! Perfetto / `chrome://tracing`) or JSONL, and with `--gantt` renders
 //! an ASCII Gantt chart. `--fault-rate PPM` (with `--fault-seed`,
 //! `--fault-retries`, `--fault-jitter`) turns on seeded DMA fault
-//! injection for `simulate`/`trace`, and `--miss-policy
-//! continue|abort|skip-next` selects what the runtime does with jobs
-//! that miss their deadline. `--attribution on|off`
-//! (default `off`) makes `simulate`/`trace` record the causal anchor
-//! events the attribution layer consumes; the default keeps traces
-//! byte-identical to previous releases. The `explain` subcommand
+//! injection, and `--miss-policy continue|abort|skip-next` selects what
+//! the runtime does with jobs that miss their deadline. `--attribution
+//! on|off` (default `off`) makes `simulate`/`trace` record the causal
+//! anchor events the attribution layer consumes; the default keeps
+//! traces byte-identical to previous releases. The `explain` subcommand
 //! simulates like `trace` with attribution forced on, then prints the
 //! exact six-term response-time decomposition (`response = compute +
 //! blocking_fetch + preemption + bus_contention + fault_refetch +
@@ -61,6 +75,7 @@
 
 use std::process::ExitCode;
 
+use rtmdm_check::{Rule, RuleFilter};
 use rtmdm_core::{report, RtMdm, Strategy, SystemSpec, TaskSpec};
 use rtmdm_dnn::zoo;
 use rtmdm_mcusim::PlatformConfig;
@@ -70,17 +85,52 @@ use rtmdm_sched::MissPolicy;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: rtmdm <platforms|models|admit|simulate|optimize|trace|explain|check|serve> \
-         [--platform NAME] [--task name=model@period_ms[/deadline_ms][:strategy]]… \
-         [--seconds S] [--jitter PCT] [--seed N] [--edf] [--work-conserving] \
-         [--fault-rate PPM] [--fault-seed N] [--fault-retries N] [--fault-jitter CYCLES] \
-         [--miss-policy continue|abort|skip-next] [--attribution on|off] \
-         [--out PATH] [--format chrome|jsonl] [--gantt] \
-         [--json] [--deny-warnings] [--allow RULE] [--deny RULE] [--explain RULE] \
-         [--explore] [--max-states N] [--witness PATH] \
-         (serve: [--once] [--input PATH])"
+        "usage: rtmdm <platforms|models|admit|simulate|optimize|trace|explain|check|serve> [FLAG]…
+  admit, optimize, simulate, trace, explain, check:
+    [--platform NAME] [--task name=model@period_ms[/deadline_ms][:strategy]]… [--edf]
+    [--work-conserving] [--fault-rate PPM] [--fault-seed N] [--fault-retries N]
+    [--fault-jitter CYCLES] [--miss-policy continue|abort|skip-next] [--attribution on|off]
+  simulate, trace, explain: [--seconds S] [--seed N]
+  simulate, trace, explain, check: [--jitter PCT]
+  trace: [--out PATH] [--format chrome|jsonl] [--gantt]
+  explain, check: [--json]
+  check: [--deny-warnings] [--allow RULE] [--deny RULE] [--explain RULE]
+    [--explore] [--max-states N] [--witness PATH]
+  serve: [--once] [--input PATH]
+  platforms, models: no flags"
     );
     ExitCode::from(1)
+}
+
+/// Every subcommand.
+const SUBCOMMANDS: &[&str] = &[
+    "platforms",
+    "models",
+    "admit",
+    "simulate",
+    "optimize",
+    "trace",
+    "explain",
+    "check",
+    "serve",
+];
+
+/// The subcommands that accept `flag` (none for an unknown flag): the
+/// module doc's flag table.
+fn accepted_by(flag: &str) -> &'static [&'static str] {
+    match flag {
+        "--platform" | "--task" | "--edf" | "--work-conserving" | "--fault-rate"
+        | "--fault-seed" | "--fault-retries" | "--fault-jitter" | "--miss-policy"
+        | "--attribution" => &["admit", "optimize", "simulate", "trace", "explain", "check"],
+        "--seconds" | "--seed" => &["simulate", "trace", "explain"],
+        "--jitter" => &["simulate", "trace", "explain", "check"],
+        "--out" | "--format" | "--gantt" => &["trace"],
+        "--json" => &["explain", "check"],
+        "--deny-warnings" | "--allow" | "--deny" | "--explain" | "--explore" | "--max-states"
+        | "--witness" => &["check"],
+        "--once" | "--input" => &["serve"],
+        _ => &[],
+    }
 }
 
 /// Trace export encodings accepted by `--format`.
@@ -108,14 +158,17 @@ struct Cli {
     format: TraceFormat,
     gantt: bool,
     json: bool,
-    deny_warnings: bool,
-    allow: Vec<String>,
-    deny: Vec<String>,
-    explain: Option<String>,
+    /// `check`'s report filter: `--allow`, `--deny`, `--deny-warnings`.
+    filter: RuleFilter,
+    explain: Option<Rule>,
     explore: bool,
     /// The exploration bounds; `--max-states` sets the state budget.
     limits: rtmdm_core::ExploreLimits,
     witness: Option<String>,
+    /// `serve`: answer the whole input as one batch.
+    once: bool,
+    /// `serve`: read requests from this file instead of stdin.
+    input: Option<String>,
 }
 
 fn parse_task(arg: &str) -> Option<TaskSpec> {
@@ -153,55 +206,72 @@ fn value<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>) -> Result<
         .ok_or(CliError::Usage)
 }
 
-fn parse(args: &[String]) -> Result<Cli, CliError> {
-    let mut sys = SystemSpec::new(PlatformConfig::stm32f746_qspi());
-    let mut horizon_us = 2_000_000u64;
-    let mut jitter_pct = 0u64;
-    let mut seed = 0u64;
-    let mut out = None;
-    let mut format = TraceFormat::Chrome;
-    let mut gantt = false;
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut allow = Vec::new();
-    let mut deny = Vec::new();
-    let mut explain = None;
-    let mut explore = false;
-    let mut limits = rtmdm_core::ExploreLimits::default();
-    let mut witness = None;
+/// The next argument as a rule ID; an unknown ID names the flag.
+fn rule(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<Rule, CliError> {
+    let id = it.next().ok_or(CliError::Usage)?;
+    Rule::from_id(id).ok_or_else(|| CliError::Msg(format!("unknown rule `{id}` in {flag}")))
+}
+
+/// Parses the flags of subcommand `cmd`; a flag outside `cmd`'s row of
+/// the flag table is a usage error.
+fn parse(cmd: &str, args: &[String]) -> Result<Cli, CliError> {
+    if !SUBCOMMANDS.contains(&cmd) {
+        return Err(CliError::Usage);
+    }
+    let mut cli = Cli {
+        sys: SystemSpec::new(PlatformConfig::stm32f746_qspi()),
+        horizon_us: 2_000_000,
+        jitter_pct: 0,
+        seed: 0,
+        out: None,
+        format: TraceFormat::Chrome,
+        gantt: false,
+        json: false,
+        filter: RuleFilter::new(),
+        explain: None,
+        explore: false,
+        limits: rtmdm_core::ExploreLimits::default(),
+        witness: None,
+        once: false,
+        input: None,
+    };
+    let options = &mut cli.sys.options;
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if !accepted_by(a).contains(&cmd) {
+            return Err(CliError::Usage);
+        }
         match a.as_str() {
             "--platform" => {
                 let name = it.next().ok_or(CliError::Usage)?;
-                sys.platform = PlatformConfig::preset(name)
+                cli.sys.platform = PlatformConfig::preset(name)
                     .ok_or_else(|| CliError::Msg(format!("unknown platform `{name}`")))?;
             }
             "--task" => {
                 let spec = it.next().ok_or(CliError::Usage)?;
-                sys.tasks.push(parse_task(spec).ok_or(CliError::Usage)?);
+                cli.sys.tasks.push(parse_task(spec).ok_or(CliError::Usage)?);
             }
             "--seconds" => {
-                horizon_us = value::<u64>(&mut it)?
+                cli.horizon_us = value::<u64>(&mut it)?
                     .checked_mul(1_000_000)
                     .ok_or(CliError::Usage)?;
             }
             "--jitter" => {
-                jitter_pct = value(&mut it)?;
-                if jitter_pct > 99 {
+                cli.jitter_pct = value(&mut it)?;
+                if cli.jitter_pct > 99 {
                     return Err(CliError::Usage);
                 }
             }
-            "--seed" => seed = value(&mut it)?,
-            "--edf" => sys.options.policy = Policy::Edf,
-            "--work-conserving" => sys.options.work_conserving = true,
-            "--fault-rate" => sys.options.fault.dma_fault_rate_ppm = value(&mut it)?,
-            "--fault-seed" => sys.options.fault.seed = value(&mut it)?,
-            "--fault-retries" => sys.options.fault.max_retries = value(&mut it)?,
-            "--fault-jitter" => sys.options.fault.jitter_max_cycles = value(&mut it)?,
+            "--seed" => cli.seed = value(&mut it)?,
+            "--edf" => options.policy = Policy::Edf,
+            "--work-conserving" => options.work_conserving = true,
+            "--fault-rate" => options.fault.dma_fault_rate_ppm = value(&mut it)?,
+            "--fault-seed" => options.fault.seed = value(&mut it)?,
+            "--fault-retries" => options.fault.max_retries = value(&mut it)?,
+            "--fault-jitter" => options.fault.jitter_max_cycles = value(&mut it)?,
             "--miss-policy" => {
                 let p = it.next().ok_or(CliError::Usage)?;
-                sys.options.miss_policy = MissPolicy::from_name(p).ok_or_else(|| {
+                options.miss_policy = MissPolicy::from_name(p).ok_or_else(|| {
                     CliError::Msg(format!(
                         "unknown --miss-policy `{p}` (expected `continue`, `abort`, or `skip-next`)"
                     ))
@@ -209,7 +279,7 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
             }
             "--attribution" => {
                 let v = it.next().ok_or(CliError::Usage)?;
-                sys.options.attribution = match v.as_str() {
+                options.attribution = match v.as_str() {
                     "on" => true,
                     "off" => false,
                     _ => {
@@ -219,10 +289,10 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
                     }
                 };
             }
-            "--out" => out = Some(it.next().ok_or(CliError::Usage)?.clone()),
+            "--out" => cli.out = Some(it.next().ok_or(CliError::Usage)?.clone()),
             "--format" => {
                 let f = it.next().ok_or(CliError::Usage)?;
-                format = match f.as_str() {
+                cli.format = match f.as_str() {
                     "chrome" => TraceFormat::Chrome,
                     "jsonl" => TraceFormat::Jsonl,
                     _ => {
@@ -232,35 +302,35 @@ fn parse(args: &[String]) -> Result<Cli, CliError> {
                     }
                 };
             }
-            "--gantt" => gantt = true,
-            "--json" => json = true,
-            "--deny-warnings" => deny_warnings = true,
-            "--allow" => allow.push(it.next().ok_or(CliError::Usage)?.clone()),
-            "--deny" => deny.push(it.next().ok_or(CliError::Usage)?.clone()),
-            "--explain" => explain = Some(it.next().ok_or(CliError::Usage)?.clone()),
-            "--explore" => explore = true,
-            "--max-states" => limits.max_states = value(&mut it)?,
-            "--witness" => witness = Some(it.next().ok_or(CliError::Usage)?.clone()),
+            "--gantt" => cli.gantt = true,
+            "--json" => cli.json = true,
+            "--deny-warnings" => cli.filter = cli.filter.deny_warnings(true),
+            "--allow" => cli.filter = cli.filter.allow(rule(&mut it, a)?),
+            "--deny" => cli.filter = cli.filter.deny(rule(&mut it, a)?),
+            "--explain" => cli.explain = Some(rule(&mut it, a)?),
+            "--explore" => cli.explore = true,
+            "--max-states" => cli.limits.max_states = value(&mut it)?,
+            "--witness" => cli.witness = Some(it.next().ok_or(CliError::Usage)?.clone()),
+            "--once" => cli.once = true,
+            "--input" => cli.input = Some(it.next().ok_or(CliError::Usage)?.clone()),
             _ => return Err(CliError::Usage),
         }
     }
-    Ok(Cli {
-        sys,
-        horizon_us,
-        jitter_pct,
-        seed,
-        out,
-        format,
-        gantt,
-        json,
-        deny_warnings,
-        allow,
-        deny,
-        explain,
-        explore,
-        limits,
-        witness,
-    })
+    Ok(cli)
+}
+
+/// Re-parses a whole JSON document as a `T` with the bundled
+/// `serde_json` before it is printed or written, so a malformed export
+/// fails the command (exit 2) instead of producing a file its reader
+/// rejects.
+fn validated<T: serde::Deserialize>(json: String, what: &str) -> Result<String, ExitCode> {
+    match serde_json::from_str::<T>(&json) {
+        Ok(_) => Ok(json),
+        Err(e) => {
+            eprintln!("rtmdm: {what} failed JSON validation: {e:?}");
+            Err(ExitCode::from(2))
+        }
+    }
 }
 
 fn cmd_platforms() -> ExitCode {
@@ -310,11 +380,10 @@ fn cmd_trace(cli: &Cli, run: &rtmdm_core::RunReport) -> ExitCode {
     let payload = match cli.format {
         TraceFormat::Chrome => {
             let json = rtmdm_obs::chrome_trace_json(&run.result.trace, &run.names);
-            if let Err(e) = serde_json::from_str::<rtmdm_obs::ChromeTrace>(&json) {
-                eprintln!("rtmdm: exported JSON failed validation: {e:?}");
-                return ExitCode::from(2);
+            match validated::<rtmdm_obs::ChromeTrace>(json, "exported trace") {
+                Ok(json) => json,
+                Err(code) => return code,
             }
-            json
         }
         TraceFormat::Jsonl => {
             let lines = rtmdm_obs::jsonl(&run.result.trace);
@@ -410,12 +479,13 @@ fn cmd_explain(cli: &Cli, run: &rtmdm_core::RunReport) -> ExitCode {
     if cli.json {
         let payload = ExplainJson { percentiles, blame };
         let json = serde_json::to_string(&payload).expect("explain report serializes");
-        if let Err(e) = serde_json::from_str::<ExplainJson>(&json) {
-            eprintln!("rtmdm: explain report failed JSON validation: {e:?}");
-            return ExitCode::from(2);
-        }
-        println!("{json}");
-        return ExitCode::SUCCESS;
+        return match validated::<ExplainJson>(json, "explain report") {
+            Ok(json) => {
+                println!("{json}");
+                ExitCode::SUCCESS
+            }
+            Err(code) => code,
+        };
     }
 
     let dominant = |d: Option<(rtmdm_obs::BlameSource, rtmdm_mcusim::Cycles)>| match d {
@@ -521,13 +591,7 @@ fn category_name(c: rtmdm_check::Category) -> &'static str {
 }
 
 /// `check --explain RTM0xx`: print one rule's metadata and description.
-///
-/// An unknown ID is a usage error (exit 1), matching `--allow`/`--deny`.
-fn cmd_explain_rule(id: &str) -> ExitCode {
-    let Some(rule) = rtmdm_check::Rule::from_id(id) else {
-        eprintln!("rtmdm: unknown rule `{id}` in --explain");
-        return ExitCode::from(1);
-    };
+fn cmd_explain_rule(rule: Rule) -> ExitCode {
     println!(
         "{} ({}, {}, {})",
         rule.id(),
@@ -551,34 +615,12 @@ fn cmd_explain_rule(id: &str) -> ExitCode {
 /// output is re-parsed with the bundled `serde_json` before printing,
 /// mirroring the `trace` export validation.
 fn cmd_check(cli: &Cli) -> ExitCode {
-    if let Some(id) = &cli.explain {
-        return cmd_explain_rule(id);
+    if let Some(rule) = cli.explain {
+        return cmd_explain_rule(rule);
     }
     if cli.sys.tasks.is_empty() {
         eprintln!("rtmdm: at least one --task is required");
         return usage();
-    }
-    let mut filter = rtmdm_check::RuleFilter::new();
-    for id in &cli.allow {
-        match rtmdm_check::Rule::from_id(id) {
-            Some(rule) => filter = filter.allow(rule),
-            None => {
-                eprintln!("rtmdm: unknown rule `{id}` in --allow");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    for id in &cli.deny {
-        match rtmdm_check::Rule::from_id(id) {
-            Some(rule) => filter = filter.deny(rule),
-            None => {
-                eprintln!("rtmdm: unknown rule `{id}` in --deny");
-                return ExitCode::from(1);
-            }
-        }
-    }
-    if cli.deny_warnings {
-        filter = filter.deny_warnings(true);
     }
     let outcome = if cli.explore {
         // `--jitter PCT` means the same thing it means for `simulate`:
@@ -594,17 +636,17 @@ fn cmd_check(cli: &Cli) -> ExitCode {
             explore_stats: None,
         }
     };
-    let report = filter.apply(&outcome.report);
+    let report = cli.filter.apply(&outcome.report);
     // The witness export mirrors the trace export: round-tripped
     // through the bundled `serde_json` before the file is trusted.
     if let Some(path) = &cli.witness {
         match &outcome.witness {
             Some(w) => {
                 let json = serde_json::to_string(w).expect("witness serializes");
-                if let Err(e) = serde_json::from_str::<rtmdm_check::Witness>(&json) {
-                    eprintln!("rtmdm: witness failed JSON validation: {e:?}");
-                    return ExitCode::from(2);
-                }
+                let json = match validated::<rtmdm_check::Witness>(json, "witness") {
+                    Ok(json) => json,
+                    Err(code) => return code,
+                };
                 if let Err(e) = std::fs::write(path, &json) {
                     eprintln!("rtmdm: cannot write {path}: {e}");
                     return ExitCode::from(2);
@@ -615,12 +657,10 @@ fn cmd_check(cli: &Cli) -> ExitCode {
         }
     }
     if cli.json {
-        let json = report.to_json();
-        if let Err(e) = serde_json::from_str::<rtmdm_check::JsonReport>(&json) {
-            eprintln!("rtmdm: check report failed JSON validation: {e:?}");
-            return ExitCode::from(2);
+        match validated::<rtmdm_check::JsonReport>(report.to_json(), "check report") {
+            Ok(json) => println!("{json}"),
+            Err(code) => return code,
         }
-        println!("{json}");
     } else {
         println!("{}", report.render_text());
         if let Some(stats) = &outcome.explore_stats {
@@ -684,33 +724,17 @@ fn serve_loop<R: std::io::BufRead>(
     }
 }
 
-fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut once = false;
-    let mut input: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--once" => once = true,
-            "--input" => match it.next() {
-                Some(path) => input = Some(path.clone()),
-                None => {
-                    eprintln!("rtmdm: --input requires a path");
-                    return ExitCode::from(1);
-                }
-            },
-            _ => return usage(),
-        }
-    }
+fn cmd_serve(cli: &Cli) -> ExitCode {
     let service = rtmdm_core::Service::new();
-    let result = match &input {
+    let result = match &cli.input {
         Some(path) => match std::fs::File::open(path) {
-            Ok(f) => serve_loop(&service, std::io::BufReader::new(f), once),
+            Ok(f) => serve_loop(&service, std::io::BufReader::new(f), cli.once),
             Err(e) => {
                 eprintln!("rtmdm: cannot open {path}: {e}");
                 return ExitCode::from(1);
             }
         },
-        None => serve_loop(&service, std::io::stdin().lock(), once),
+        None => serve_loop(&service, std::io::stdin().lock(), cli.once),
     };
     let stats = service.stats();
     eprintln!(
@@ -734,17 +758,10 @@ fn refused(e: rtmdm_core::AdmitError) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first().cloned() else {
+    let Some((cmd, args)) = args.split_first() else {
         return usage();
     };
-    match cmd.as_str() {
-        "platforms" => return cmd_platforms(),
-        "models" => return cmd_models(),
-        "serve" => return cmd_serve(&args[1..]),
-        "admit" | "simulate" | "optimize" | "trace" | "explain" | "check" => {}
-        _ => return usage(),
-    }
-    let mut cli = match parse(&args[1..]) {
+    let mut cli = match parse(cmd, args) {
         Ok(cli) => cli,
         Err(CliError::Usage) => return usage(),
         Err(CliError::Msg(m)) => {
@@ -752,14 +769,16 @@ fn main() -> ExitCode {
             return ExitCode::from(1);
         }
     };
-    // Forensics need the causal anchors: explain always records them.
-    if cmd == "explain" {
-        cli.sys.options.attribution = true;
-    }
-    // `check` validates its own task requirement so that
-    // `check --explain RTM0xx` works without a spec.
-    if cmd == "check" {
-        return cmd_check(&cli);
+    match cmd.as_str() {
+        "platforms" => return cmd_platforms(),
+        "models" => return cmd_models(),
+        "serve" => return cmd_serve(&cli),
+        // `check` validates its own task requirement so that
+        // `check --explain RTM0xx` works without a spec.
+        "check" => return cmd_check(&cli),
+        // Forensics need the causal anchors: explain always records them.
+        "explain" => cli.sys.options.attribution = true,
+        _ => {}
     }
     if cli.sys.tasks.is_empty() {
         eprintln!("rtmdm: at least one --task is required");
@@ -844,5 +863,181 @@ fn main() -> ExitCode {
             Err(e) => refused(e),
         },
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const SPEC: &[&str] = &["admit", "optimize", "simulate", "trace", "explain", "check"];
+    const RUN: &[&str] = &["simulate", "trace", "explain"];
+    const CHECK: &[&str] = &["check"];
+
+    /// The flag table as the module doc states it: each flag, whether
+    /// it takes a value, and the subcommands that accept it.
+    const TABLE: &[(&str, bool, &[&str])] = &[
+        ("--platform", true, SPEC),
+        ("--task", true, SPEC),
+        ("--edf", false, SPEC),
+        ("--work-conserving", false, SPEC),
+        ("--fault-rate", true, SPEC),
+        ("--fault-seed", true, SPEC),
+        ("--fault-retries", true, SPEC),
+        ("--fault-jitter", true, SPEC),
+        ("--miss-policy", true, SPEC),
+        ("--attribution", true, SPEC),
+        ("--seconds", true, RUN),
+        ("--seed", true, RUN),
+        ("--jitter", true, &["simulate", "trace", "explain", "check"]),
+        ("--out", true, &["trace"]),
+        ("--format", true, &["trace"]),
+        ("--gantt", false, &["trace"]),
+        ("--json", false, &["explain", "check"]),
+        ("--deny-warnings", false, CHECK),
+        ("--allow", true, CHECK),
+        ("--deny", true, CHECK),
+        ("--explain", true, CHECK),
+        ("--explore", false, CHECK),
+        ("--max-states", true, CHECK),
+        ("--witness", true, CHECK),
+        ("--once", false, &["serve"]),
+        ("--input", true, &["serve"]),
+    ];
+
+    /// Values and stray words the fuzzer mixes in with the flags.
+    const WORDS: &[&str] = &[
+        "platforms",
+        "check",
+        "serve",
+        "frobnicate",
+        "--threads",
+        "--strategy",
+        "--bogus",
+        "kws=ds-cnn@100",
+        "RTM050",
+        "chrome",
+        "on",
+        "0",
+        "18446744073709551615",
+        "",
+    ];
+
+    /// Values `flag` may take, valid and broken.
+    fn values_of(flag: &str) -> &'static [&'static str] {
+        match flag {
+            "--platform" => &["stm32f746-qspi", "cortex-m4-lowend", "zx81"],
+            "--task" => &[
+                "kws=ds-cnn@100",
+                "ic=resnet8@400/300:whole-dnn",
+                "ctl=micro-mlp@20:all-in-sram",
+                "kws=ds-cnn@18446744073709552",
+                "kws=ds-cnn@100/18446744073709552",
+                "x=no-such-model@100",
+                "kws=ds-cnn@100:no-such-strategy",
+                "kws=ds-cnn",
+                "=@",
+            ],
+            "--miss-policy" => &["continue", "abort", "skip-next", "never"],
+            "--attribution" => &["on", "off", "maybe"],
+            "--format" => &["chrome", "jsonl", "yaml"],
+            "--allow" | "--deny" | "--explain" => &["RTM024", "RTM050", "RTM999"],
+            "--out" | "--witness" | "--input" => &["out.json", "-"],
+            _ => &[
+                "0",
+                "99",
+                "100",
+                "18446744073709551615",
+                "18446744073709551616",
+                "-1",
+                "",
+            ],
+        }
+    }
+
+    /// Decodes one drawn word into one or two arguments: a stray word
+    /// (one draw in eight), a flag of `cmd`'s row (five in eight, when
+    /// it has one) or any flag of [`TABLE`], followed, when the flag
+    /// takes one, by one of its own values (three in four) or a stray
+    /// word.
+    fn push_args(cmd: &str, pick: u64, args: &mut Vec<String>) {
+        let word = |k: u64| WORDS[(k % WORDS.len() as u64) as usize];
+        let row: Vec<_> = TABLE.iter().filter(|r| r.2.contains(&cmd)).collect();
+        let (flag, takes_value, _) = match pick % 8 {
+            0 => {
+                args.push(word(pick / 8).to_owned());
+                return;
+            }
+            1..=5 if !row.is_empty() => *row[((pick / 8) % row.len() as u64) as usize],
+            _ => TABLE[((pick / 8) % TABLE.len() as u64) as usize],
+        };
+        args.push(flag.to_owned());
+        if takes_value {
+            let values = values_of(flag);
+            let v = pick >> 16;
+            let value = if v.is_multiple_of(4) {
+                word(v / 4)
+            } else {
+                values[((v / 4) % values.len() as u64) as usize]
+            };
+            args.push(value.to_owned());
+        }
+    }
+
+    /// Whether `args` spell only flags of `cmd`'s row of [`TABLE`].
+    fn in_row(cmd: &str, args: &[String]) -> bool {
+        let mut i = 0;
+        while i < args.len() {
+            let Some(&(_, takes_value, cmds)) = TABLE.iter().find(|row| row.0 == args[i]) else {
+                return false;
+            };
+            if !cmds.contains(&cmd) {
+                return false;
+            }
+            i += 1 + usize::from(takes_value);
+        }
+        true
+    }
+
+    #[test]
+    fn the_parser_and_the_table_name_the_same_pairs() {
+        for cmd in SUBCOMMANDS {
+            for (flag, _, cmds) in TABLE {
+                assert_eq!(
+                    accepted_by(flag).contains(cmd),
+                    cmds.contains(cmd),
+                    "{cmd} {flag}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig {
+            cases: std::env::var("PROPTEST_CASES")
+                .ok()
+                .and_then(|v| v.parse().ok())
+                .unwrap_or(2_000),
+            ..ProptestConfig::default()
+        })]
+
+        /// `parse` never panics, and it accepts only flags that the
+        /// subcommand's row of the flag table names.
+        #[test]
+        fn parse_accepts_only_the_flags_of_its_row(
+            cmd in 0usize..SUBCOMMANDS.len() + 1,
+            picks in proptest::collection::vec(0u64..u64::MAX, 0..7),
+        ) {
+            let cmd = SUBCOMMANDS.get(cmd).copied().unwrap_or("frobnicate");
+            let mut args = Vec::new();
+            for &pick in &picks {
+                push_args(cmd, pick, &mut args);
+            }
+            if parse(cmd, &args).is_ok() {
+                prop_assert!(SUBCOMMANDS.contains(&cmd), "{cmd}");
+                prop_assert!(in_row(cmd, &args), "{cmd} {args:?}");
+            }
+        }
     }
 }

@@ -447,7 +447,10 @@ mod tests {
 
     #[test]
     fn invalid_platform_reports_rtm040_and_stops() {
-        let mut spec = SystemSpec::new(platform().with_sram_bytes(16));
+        let mut spec = SystemSpec::new(PlatformConfig {
+            sram_bytes: 16,
+            ..platform()
+        });
         spec.push(TaskSpec::new("kws", zoo::ds_cnn(), 100_000, 100_000));
         let report = spec.check();
         assert!(report.findings.iter().any(|f| f.rule == Rule::Rtm040));
@@ -460,7 +463,10 @@ mod tests {
 
     #[test]
     fn sram_overflow_is_reported_as_rtm004() {
-        let mut spec = SystemSpec::new(platform().with_sram_bytes(48 * 1024));
+        let mut spec = SystemSpec::new(PlatformConfig {
+            sram_bytes: 48 * 1024,
+            ..platform()
+        });
         spec.push(
             TaskSpec::new("vww", zoo::mobilenet_v1_025(), 500_000, 500_000)
                 .with_strategy(Strategy::AllInSram),

@@ -7,8 +7,8 @@ use rtmdm_dnn::CostModel;
 use rtmdm_mcusim::{Cycles, FaultPlan, PlatformConfig};
 use rtmdm_mcusim::{EnergyModel, EnergyReport};
 use rtmdm_sched::analysis::{
-    edf_demand_test, rta_limited_preemption_with, rta_memory_oblivious, AnalysisOutcome,
-    SchedulerMode,
+    critical_scaling_ppm, edf_demand_test, rta_limited_preemption_with, rta_memory_oblivious,
+    AnalysisOutcome, SchedulerMode,
 };
 use rtmdm_sched::baseline;
 use rtmdm_sched::sim::{simulate, Policy, SimConfig, SimResult};
@@ -435,6 +435,21 @@ pub(crate) fn scheduler_mode(options: &FrameworkOptions) -> SchedulerMode {
     }
 }
 
+/// Headroom: the largest uniform WCET scaling (ppm) the RT-MDM analysis
+/// still admits. Only meaningful for the analysis the binary search runs
+/// ([`critical_scaling_ppm`] is fixed-priority, dma-aware); other
+/// policies report zero.
+pub(crate) fn headroom_ppm(
+    ordered: &TaskSet,
+    platform: &PlatformConfig,
+    options: &FrameworkOptions,
+) -> u64 {
+    if options.policy != Policy::FixedPriority || !options.dma_aware_analysis {
+        return 0;
+    }
+    critical_scaling_ppm(ordered, platform, scheduler_mode(options))
+}
+
 /// The schedulability analysis admission runs on the priority-ordered
 /// set, selected by policy and analysis options.
 pub(crate) fn direct_analysis(
@@ -487,9 +502,7 @@ pub(crate) fn lower_spec(
     // that produces each spilled tensor.
     let mut plan = pre_plan.clone();
     if let Some(budget) = spec.activation_budget_bytes {
-        let spill = rtmdm_xmem::spill::plan_spill(&spec.model, budget);
-        for &layer in &spill.spilled_layers {
-            let extra = 2 * spec.model.nodes()[layer].out_shape.len() as u64;
+        for (layer, extra) in rtmdm_xmem::spill::plan_spill(&spec.model, budget) {
             if let Some(s) = plan
                 .segments
                 .iter_mut()
@@ -756,7 +769,10 @@ mod tests {
 
     #[test]
     fn sram_overflow_is_reported() {
-        let platform = PlatformConfig::stm32f746_qspi().with_sram_bytes(48 * 1024);
+        let platform = PlatformConfig {
+            sram_bytes: 48 * 1024,
+            ..PlatformConfig::stm32f746_qspi()
+        };
         let mut f = RtMdm::new(platform).expect("platform");
         f.add_task(
             TaskSpec::new("vww", zoo::mobilenet_v1_025(), 500_000, 500_000)
@@ -958,7 +974,11 @@ mod tests {
         assert!(mk(FaultPlan::NONE).schedulable());
         // A modest plan leaves plenty of slack: still schedulable, but
         // the budget is visible and positive.
-        let modest = mk(FaultPlan::with_rate(7, 1_000));
+        let modest = mk(FaultPlan {
+            seed: 7,
+            dma_fault_rate_ppm: 1_000,
+            ..FaultPlan::NONE
+        });
         assert!(modest.schedulable(), "{}", modest.to_table());
         assert!(modest.retry_budget_of(0) > Cycles::ZERO);
         // A pathological plan (huge per-attempt jitter) exhausts the
@@ -976,7 +996,11 @@ mod tests {
     #[test]
     fn resident_tasks_carry_no_retry_budget() {
         let options = FrameworkOptions {
-            fault: FaultPlan::with_rate(3, 10_000),
+            fault: FaultPlan {
+                seed: 3,
+                dma_fault_rate_ppm: 10_000,
+                ..FaultPlan::NONE
+            },
             ..FrameworkOptions::default()
         };
         let mut f =
@@ -1029,7 +1053,11 @@ mod tests {
     #[test]
     fn fault_options_thread_into_simulation() {
         let options = FrameworkOptions {
-            fault: FaultPlan::with_rate(11, 500_000),
+            fault: FaultPlan {
+                seed: 11,
+                dma_fault_rate_ppm: 500_000,
+                ..FaultPlan::NONE
+            },
             ..FrameworkOptions::default()
         };
         let mut f =

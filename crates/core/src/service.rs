@@ -45,16 +45,15 @@ use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use rtmdm_check::Report;
 use rtmdm_dnn::zoo;
 use rtmdm_mcusim::{Cycles, PlatformConfig};
-use rtmdm_sched::analysis::{canonical_key, critical_scaling_ppm};
+use rtmdm_sched::analysis::canonical_key;
 use rtmdm_sched::sim::Policy;
-use rtmdm_sched::{MissPolicy, TaskSet};
+use rtmdm_sched::MissPolicy;
 use serde::{Content, Serialize};
 
 use crate::check::SystemSpec;
 use crate::error::AdmitError;
 use crate::framework::{
-    lower_spec, scheduler_mode, AdmissionHooks, FrameworkOptions, Lowered, PriorityAssignment,
-    RtMdm,
+    headroom_ppm, lower_spec, AdmissionHooks, FrameworkOptions, Lowered, PriorityAssignment, RtMdm,
 };
 use crate::spec::{Strategy, TaskSpec};
 
@@ -320,17 +319,6 @@ fn rejected(
         rta: Vec::new(),
         findings: report.to_json_report(),
     }
-}
-
-/// Headroom: the largest uniform WCET scaling (ppm) the RT-MDM analysis
-/// still admits. Only meaningful for the analysis the binary search runs
-/// ([`critical_scaling_ppm`] is fixed-priority, dma-aware); other
-/// policies report zero.
-fn headroom_ppm(ordered: &TaskSet, platform: &PlatformConfig, options: &FrameworkOptions) -> u64 {
-    if options.policy != Policy::FixedPriority || !options.dma_aware_analysis {
-        return 0;
-    }
-    critical_scaling_ppm(ordered, platform, scheduler_mode(options))
 }
 
 /// The memoizing [`AdmissionHooks`] implementation: lowering consults

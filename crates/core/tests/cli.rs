@@ -583,3 +583,113 @@ fn admit_and_serve_agree_on_every_verdict_and_bound() {
         .2
         .starts_with("memory planning: cannot allocate"));
 }
+
+/// Each subcommand accepts only the flags it reads. Every (subcommand,
+/// flag) pair outside the flag table, given a valid value on an
+/// otherwise valid invocation, exits 1 with the usage line and prints
+/// nothing on stdout; `--out` and `--witness` write no file.
+#[test]
+fn flags_outside_their_subcommands_row_are_usage_errors() {
+    const SPEC: &[&str] = &["admit", "optimize", "simulate", "trace", "explain", "check"];
+    const RUN: &[&str] = &["simulate", "trace", "explain"];
+    const CHECK: &[&str] = &["check"];
+    let dir = std::env::temp_dir().join(format!("rtmdm-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("never-written");
+    let path = path.to_str().expect("utf-8 path");
+    // Each flag with a valid value and the subcommands that accept it.
+    let table: &[(&str, Option<&str>, &[&str])] = &[
+        ("--platform", Some("stm32f746-qspi"), SPEC),
+        ("--task", Some("ic=resnet8@400"), SPEC),
+        ("--edf", None, SPEC),
+        ("--work-conserving", None, SPEC),
+        ("--fault-rate", Some("0"), SPEC),
+        ("--fault-seed", Some("1"), SPEC),
+        ("--fault-retries", Some("1"), SPEC),
+        ("--fault-jitter", Some("0"), SPEC),
+        ("--miss-policy", Some("continue"), SPEC),
+        ("--attribution", Some("off"), SPEC),
+        ("--seconds", Some("1"), RUN),
+        ("--seed", Some("1"), RUN),
+        (
+            "--jitter",
+            Some("10"),
+            &["simulate", "trace", "explain", "check"],
+        ),
+        ("--out", Some(path), &["trace"]),
+        ("--format", Some("jsonl"), &["trace"]),
+        ("--gantt", None, &["trace"]),
+        ("--json", None, &["explain", "check"]),
+        ("--deny-warnings", None, CHECK),
+        ("--allow", Some("RTM024"), CHECK),
+        ("--deny", Some("RTM024"), CHECK),
+        ("--explain", Some("RTM050"), CHECK),
+        ("--explore", None, CHECK),
+        ("--max-states", Some("10"), CHECK),
+        ("--witness", Some(path), CHECK),
+        ("--once", None, &["serve"]),
+        ("--input", Some(path), &["serve"]),
+    ];
+    let subcommands: &[(&str, &[&str])] = &[
+        ("platforms", &[]),
+        ("models", &[]),
+        ("admit", &["--task", "kws=ds-cnn@100"]),
+        ("optimize", &["--task", "kws=ds-cnn@100"]),
+        ("simulate", &["--task", "kws=ds-cnn@100"]),
+        ("trace", &["--task", "kws=ds-cnn@100"]),
+        ("explain", &["--task", "kws=ds-cnn@100"]),
+        ("check", &["--task", "kws=ds-cnn@100"]),
+        ("serve", &[]),
+    ];
+    for (cmd, base) in subcommands {
+        for (flag, value, accepted_by) in table {
+            if accepted_by.contains(cmd) {
+                continue;
+            }
+            let mut args = vec![*cmd];
+            args.extend_from_slice(base);
+            args.push(flag);
+            args.extend(value);
+            let out = Command::new(env!("CARGO_BIN_EXE_rtmdm"))
+                .args(&args)
+                .stdin(std::process::Stdio::null())
+                .output()
+                .expect("binary runs");
+            assert_eq!(out.status.code(), Some(1), "{args:?}");
+            assert!(out.stdout.is_empty(), "{args:?}");
+            assert!(
+                String::from_utf8_lossy(&out.stderr).starts_with("usage: rtmdm "),
+                "{args:?}"
+            );
+            assert!(
+                !std::path::Path::new(path).exists(),
+                "{args:?} wrote {path}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `optimize` reports the same headroom `serve` answers: the critical
+/// scaling of the fixed-priority, DMA-aware analysis, and zero under
+/// EDF, whose demand test the scaling search does not run.
+#[test]
+fn optimize_reports_no_headroom_under_edf() {
+    let tasks = ["--task", "kws=ds-cnn@100", "--task", "ic=resnet8@400"];
+    let headroom = |extra: &[&str]| {
+        let mut args = vec!["optimize"];
+        args.extend_from_slice(&tasks);
+        args.extend_from_slice(extra);
+        let out = rtmdm(&args);
+        assert!(out.status.success(), "{args:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let at = stdout.find("headroom: ").expect("headroom printed") + "headroom: ".len();
+        stdout[at..]
+            .split(',')
+            .next()
+            .expect("headroom value")
+            .to_owned()
+    };
+    assert_eq!(headroom(&["--edf"]), "0.00%");
+    assert_ne!(headroom(&[]), "0.00%");
+}

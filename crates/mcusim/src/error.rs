@@ -5,8 +5,7 @@ use std::fmt;
 
 /// An invalid platform configuration was supplied.
 ///
-/// Returned by [`PlatformConfig::validate`](crate::PlatformConfig::validate)
-/// and by [`PlatformBuilder::build`](crate::PlatformBuilder::build).
+/// Returned by [`PlatformConfig::validate`](crate::PlatformConfig::validate).
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ConfigError {
@@ -23,9 +22,6 @@ pub enum ConfigError {
         /// The offending value in parts per million.
         ppm: u32,
     },
-    /// The platform declares zero DMA channels, so weights could never be
-    /// staged from external memory.
-    NoDmaChannel,
 }
 
 impl fmt::Display for ConfigError {
@@ -39,9 +35,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::InflationOutOfRange { ppm } => {
                 write!(f, "contention inflation of {ppm} ppm exceeds 1000000 ppm")
-            }
-            ConfigError::NoDmaChannel => {
-                write!(f, "platform has no dma channel for external-memory staging")
             }
         }
     }
@@ -59,7 +52,6 @@ mod tests {
             ConfigError::SramTooSmall { bytes: 16 }.to_string(),
             ConfigError::ZeroBandwidth.to_string(),
             ConfigError::InflationOutOfRange { ppm: 2_000_000 }.to_string(),
-            ConfigError::NoDmaChannel.to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

@@ -76,17 +76,6 @@ impl FaultPlan {
         jitter_max_cycles: 0,
     };
 
-    /// A plan injecting transfer faults at `rate_ppm` under `seed`,
-    /// with the default retry bound and no jitter.
-    pub const fn with_rate(seed: u64, rate_ppm: u64) -> Self {
-        FaultPlan {
-            seed,
-            dma_fault_rate_ppm: rate_ppm,
-            max_retries: DEFAULT_MAX_RETRIES,
-            jitter_max_cycles: 0,
-        }
-    }
-
     /// Whether this plan injects anything at all.
     pub const fn is_active(&self) -> bool {
         self.dma_fault_rate_ppm > 0 || self.jitter_max_cycles > 0
@@ -222,7 +211,11 @@ mod tests {
     use super::*;
 
     fn injector(rate: u64) -> FaultInjector {
-        FaultInjector::new(FaultPlan::with_rate(7, rate))
+        FaultInjector::new(FaultPlan {
+            seed: 7,
+            dma_fault_rate_ppm: rate,
+            ..FaultPlan::NONE
+        })
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   (QSPI NOR flash, octal PSRAM, …) into SRAM,
 //! - a **shared bus** on which concurrent CPU compute and DMA traffic slow
 //!   each other down by configurable inflation factors,
-//! - **memory regions** (SRAM / internal flash / external memory) with
-//!   sizes and transfer-cost parameters,
+//! - **memory regions** (SRAM and external memory) with sizes and
+//!   transfer-cost parameters,
 //! - an **event queue** and **execution trace** used by the scheduler
 //!   simulator in `rtmdm-sched` (the trace is an append-only log;
 //!   `rtmdm-obs` derives timelines, charts and counts from it).
@@ -54,7 +54,7 @@ pub use energy::{EnergyModel, EnergyReport};
 pub use error::ConfigError;
 pub use event::EventQueue;
 pub use fault::{FaultInjector, FaultPlan, DEFAULT_MAX_RETRIES};
-pub use platform::{PlatformBuilder, PlatformConfig};
+pub use platform::PlatformConfig;
 pub use time::{Cycles, Frequency};
 pub use trace::{JobId, SegmentId, TaskId, Trace, TraceEvent, TraceKind};
 pub use xbus::{ContentionModel, ExtMemConfig, ExtMemKind, OverlapOutcome};

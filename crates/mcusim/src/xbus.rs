@@ -133,12 +133,6 @@ impl ExtMemConfig {
         self.setup_cycles + stream
     }
 
-    /// The streaming-only portion of a transfer (no setup), used by the
-    /// analysis when charging setup once per segment.
-    pub fn stream_cycles(&self, bytes: u64) -> Cycles {
-        Cycles::new(bytes).mul_ratio_ceil(self.cycles_per_byte_num, self.cycles_per_byte_den)
-    }
-
     /// Effective bandwidth in bytes per second at the given CPU
     /// frequency, ignoring setup (0 for the ideal memory means
     /// "infinite"; callers should special-case [`ExtMemKind::Ideal`]).
@@ -304,7 +298,6 @@ mod tests {
         );
         // 4 cycles/byte.
         assert_eq!(m.transfer_cycles(256), cy(100 + 1024));
-        assert_eq!(m.stream_cycles(256), cy(1024));
         assert_eq!(m.transfer_cycles(0), Cycles::ZERO);
     }
 

@@ -38,16 +38,8 @@ pub struct TaskTiming {
     pub resume_points: u64,
     /// Largest single `e_k` — the blocking this task imposes on others.
     pub max_exec_segment: Cycles,
-    /// Largest single `F_k` — the DMA blocking this task imposes.
-    pub max_fetch_segment: Cycles,
     /// Total DMA work per job, `Σ F_k`.
     pub total_fetch: Cycles,
-    /// Largest sum of two adjacent fetches, `max_k (F_k + F_{k+1})` —
-    /// the most DMA work a job of this task can issue *without making
-    /// compute progress* (the double-buffer window holds at most two
-    /// outstanding fetches). This bounds the DMA traffic a job
-    /// contributes while it is denied the CPU by higher-priority work.
-    pub max_adjacent_fetch: Cycles,
 }
 
 impl TaskTiming {
@@ -96,18 +88,6 @@ impl TaskTiming {
         let total_fetch: Cycles = fetch.iter().copied().sum();
         let occupancy = exec.iter().copied().sum::<Cycles>() + total_fetch;
         let max_exec_segment = exec.iter().copied().max().unwrap_or(Cycles::ZERO);
-        let max_fetch_segment = fetch.iter().copied().max().unwrap_or(Cycles::ZERO);
-        let max_adjacent_fetch = (0..fetch.len())
-            .map(|k| {
-                fetch[k]
-                    + if k + 1 < fetch.len() {
-                        fetch[k + 1]
-                    } else {
-                        Cycles::ZERO
-                    }
-            })
-            .max()
-            .unwrap_or(Cycles::ZERO);
         TaskTiming {
             exec,
             fetch,
@@ -115,9 +95,7 @@ impl TaskTiming {
             occupancy,
             resume_points,
             max_exec_segment,
-            max_fetch_segment,
             total_fetch,
-            max_adjacent_fetch,
         }
     }
 
@@ -176,7 +154,6 @@ mod tests {
         // (fetches of segments 2 and 3).
         assert_eq!(tt.resume_points, 3);
         assert_eq!(tt.max_exec_segment, cy(100));
-        assert_eq!(tt.max_fetch_segment, cy(200));
     }
 
     #[test]
@@ -186,7 +163,7 @@ mod tests {
         assert_eq!(tt.pipeline_latency, cy(300));
         assert_eq!(tt.occupancy, cy(300));
         assert_eq!(tt.resume_points, 1);
-        assert_eq!(tt.max_fetch_segment, Cycles::ZERO);
+        assert_eq!(tt.total_fetch, Cycles::ZERO);
     }
 
     #[test]

@@ -144,19 +144,6 @@ impl SimConfig {
             staging_window: 2,
         }
     }
-
-    /// Switches to work-conserving dispatch.
-    pub fn work_conserving(mut self) -> Self {
-        self.work_conserving = true;
-        self
-    }
-
-    /// Subjects the run to `fault` (builder style).
-    #[must_use]
-    pub fn with_fault(mut self, fault: FaultPlan) -> Self {
-        self.fault = fault;
-        self
-    }
 }
 
 /// What a recorded staging race clobbered (see [`StagingRace`]).
@@ -2326,7 +2313,10 @@ mod tests {
         let wc = simulate(
             &ts,
             &p,
-            &SimConfig::new(cy(100_000), Policy::FixedPriority).work_conserving(),
+            &SimConfig {
+                work_conserving: true,
+                ..SimConfig::new(cy(100_000), Policy::FixedPriority)
+            },
         );
         assert_eq!(wc.stats[1].max_response, cy(200));
         // hi is unharmed here (lo's segment fits inside the fetch).
@@ -2346,7 +2336,10 @@ mod tests {
         let wc = simulate(
             &ts,
             &p,
-            &SimConfig::new(cy(100_000), Policy::FixedPriority).work_conserving(),
+            &SimConfig {
+                work_conserving: true,
+                ..SimConfig::new(cy(100_000), Policy::FixedPriority)
+            },
         );
         assert!(
             wc.stats[0].max_response > gated.stats[0].max_response,
@@ -2509,12 +2502,15 @@ mod tests {
         let plain = SimConfig::new(cy(50_000), Policy::FixedPriority);
         // A zero-rate, zero-jitter plan with a nonzero seed is inactive:
         // the injector must be provably free on the disabled path.
-        let zeroed = plain.clone().with_fault(FaultPlan {
-            seed: 12345,
-            dma_fault_rate_ppm: 0,
-            max_retries: 7,
-            jitter_max_cycles: 0,
-        });
+        let zeroed = SimConfig {
+            fault: FaultPlan {
+                seed: 12345,
+                dma_fault_rate_ppm: 0,
+                max_retries: 7,
+                jitter_max_cycles: 0,
+            },
+            ..plain.clone()
+        };
         let r1 = simulate(&ts, &p, &plain);
         let r2 = simulate(&ts, &p, &zeroed);
         assert_eq!(r1.trace.events(), r2.trace.events());
@@ -2528,7 +2524,10 @@ mod tests {
     fn fault_injected_runs_are_deterministic() {
         let ts = fault_taskset();
         let p = bare_platform();
-        let cfg = SimConfig::new(cy(50_000), Policy::FixedPriority).with_fault(fault_plan(9));
+        let cfg = SimConfig {
+            fault: fault_plan(9),
+            ..SimConfig::new(cy(50_000), Policy::FixedPriority)
+        };
         let r1 = simulate(&ts, &p, &cfg);
         let r2 = simulate(&ts, &p, &cfg);
         assert!(r1.metrics.injected_faults > 0, "fault rate should bite");
@@ -2548,7 +2547,10 @@ mod tests {
             cpu_inflation_ppm: 300_000,
             dma_inflation_ppm: 200_000,
         };
-        let cfg = SimConfig::new(cy(50_000), Policy::FixedPriority).with_fault(fault_plan(4));
+        let cfg = SimConfig {
+            fault: fault_plan(4),
+            ..SimConfig::new(cy(50_000), Policy::FixedPriority)
+        };
         let r = simulate(&ts, &p, &cfg);
         let m = r.metrics;
         assert!(m.injected_faults > 0);
@@ -2576,8 +2578,14 @@ mod tests {
         let faulty = simulate(
             &ts,
             &p,
-            &SimConfig::new(cy(10_000), Policy::FixedPriority)
-                .with_fault(FaultPlan::with_rate(1, 1_000_000)),
+            &SimConfig {
+                fault: FaultPlan {
+                    seed: 1,
+                    dma_fault_rate_ppm: 1_000_000,
+                    ..FaultPlan::NONE
+                },
+                ..SimConfig::new(cy(10_000), Policy::FixedPriority)
+            },
         );
         assert_eq!(faulty.stats[0].completions, clean.stats[0].completions);
         assert!(faulty.stats[0].max_response > clean.stats[0].max_response);
@@ -2719,7 +2727,10 @@ mod tests {
             cpu_inflation_ppm: 700_000,
             dma_inflation_ppm: 400_000,
         };
-        let cfg = SimConfig::new(cy(50_000), Policy::FixedPriority).with_fault(fault_plan(5));
+        let cfg = SimConfig {
+            fault: fault_plan(5),
+            ..SimConfig::new(cy(50_000), Policy::FixedPriority)
+        };
         let m = simulate(&fault_taskset(), &p, &cfg).metrics;
         assert_eq!(m.cpu_busy_cycles + m.cpu_idle_cycles, cy(50_000));
         assert!(m.cpu_stall_cycles <= m.cpu_busy_cycles);

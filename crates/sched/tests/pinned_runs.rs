@@ -298,15 +298,31 @@ fn directed_scenarios_reproduce_their_pins() {
     let platforms = [bare_platform(), contended, PlatformConfig::stm32f746_qspi()];
     for (pi, (p, want)) in platforms.iter().zip(pins).enumerate() {
         let fp = SimConfig::new(cy(50_000), Policy::FixedPriority);
-        let mut jittered = fp.clone();
-        jittered.exec_scale_min_ppm = 400_000;
-        jittered.seed = 7;
         let configs = [
             ("fp", fp.clone()),
             ("edf", SimConfig::new(cy(50_000), Policy::Edf)),
-            ("wc", fp.clone().work_conserving()),
-            ("jitter", jittered),
-            ("faults", fp.with_fault(fault_plan(3))),
+            (
+                "wc",
+                SimConfig {
+                    work_conserving: true,
+                    ..fp.clone()
+                },
+            ),
+            (
+                "jitter",
+                SimConfig {
+                    exec_scale_min_ppm: 400_000,
+                    seed: 7,
+                    ..fp.clone()
+                },
+            ),
+            (
+                "faults",
+                SimConfig {
+                    fault: fault_plan(3),
+                    ..fp
+                },
+            ),
         ];
         for ((name, cfg), want) in configs.iter().zip(want) {
             assert_pinned(&ts, p, cfg, want, &format!("platform {pi} / {name}"));
@@ -365,7 +381,10 @@ fn miss_policy_scenarios_reproduce_their_pins() {
         let p = bare_platform();
         let cfg = SimConfig::new(cy(5000), Policy::FixedPriority);
         assert_pinned(&ts, &p, &cfg, clean, &format!("{policy:?}"));
-        let cfg = cfg.with_fault(fault_plan(11));
+        let cfg = SimConfig {
+            fault: fault_plan(11),
+            ..cfg
+        };
         assert_pinned(&ts, &p, &cfg, faulted, &format!("{policy:?} + faults"));
     }
 }

@@ -8,42 +8,7 @@
 //! this module quantifies that trade so admission can price it into the
 //! per-segment fetch volume.
 
-use serde::{Deserialize, Serialize};
-
 use rtmdm_dnn::Model;
-use rtmdm_mcusim::{Cycles, PlatformConfig};
-
-/// The spill decision for one model under one activation budget.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SpillPlan {
-    /// Model name.
-    pub model: String,
-    /// Activation budget the plan was computed for (bytes).
-    pub budget_bytes: u64,
-    /// Node indices whose outputs must round-trip to external memory.
-    pub spilled_layers: Vec<usize>,
-    /// Extra external-memory traffic per inference (bytes, write + read).
-    pub extra_bytes: u64,
-}
-
-impl SpillPlan {
-    /// Whether any spilling is required.
-    pub fn is_spill_free(&self) -> bool {
-        self.spilled_layers.is_empty()
-    }
-
-    /// Extra external-memory time per inference on `platform` (the
-    /// spilled tensors are written out and read back, each a transfer).
-    pub fn extra_cycles(&self, platform: &PlatformConfig) -> Cycles {
-        if self.is_spill_free() {
-            return Cycles::ZERO;
-        }
-        // One setup per spilled tensor per direction.
-        let per_transfer_setups = 2 * self.spilled_layers.len() as u64;
-        platform.ext_mem.stream_cycles(self.extra_bytes)
-            + platform.ext_mem.setup_cycles * per_transfer_setups
-    }
-}
 
 /// Plans activation spilling for `model` under an activation budget.
 ///
@@ -57,31 +22,26 @@ impl SpillPlan {
 /// spilling the output halves the requirement to `max(input, output)`.
 /// Layers that still do not fit after spilling are counted too — the
 /// caller decides whether to reject the model.
-pub fn plan_spill(model: &Model, budget_bytes: u64) -> SpillPlan {
-    let mut spilled = Vec::new();
-    let mut extra_bytes = 0u64;
+///
+/// Returns each spilled layer, in execution order, with its round-trip
+/// bytes: the output is written once after production and read once
+/// before the next consumer, so `2 × tensor size` of extra traffic.
+pub fn plan_spill(model: &Model, budget_bytes: u64) -> Vec<(usize, u64)> {
     let input_of = |idx: usize| -> u64 {
         match model.nodes()[idx].inputs[0] {
             rtmdm_dnn::NodeInput::ModelInput => model.input_shape().len() as u64,
             rtmdm_dnn::NodeInput::Node(id) => model.nodes()[id.0].out_shape.len() as u64,
         }
     };
-    for (idx, node) in model.nodes().iter().enumerate() {
-        let in_bytes = input_of(idx);
-        let out_bytes = node.out_shape.len() as u64;
-        if in_bytes + out_bytes > budget_bytes {
-            spilled.push(idx);
-            // Written once after production, read once before the next
-            // consumer → 2 × tensor size of extra traffic.
-            extra_bytes += 2 * out_bytes;
-        }
-    }
-    SpillPlan {
-        model: model.name().to_owned(),
-        budget_bytes,
-        spilled_layers: spilled,
-        extra_bytes,
-    }
+    model
+        .nodes()
+        .iter()
+        .enumerate()
+        .filter_map(|(idx, node)| {
+            let out_bytes = node.out_shape.len() as u64;
+            (input_of(idx) + out_bytes > budget_bytes).then_some((idx, 2 * out_bytes))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -93,9 +53,7 @@ mod tests {
     fn generous_budget_never_spills() {
         for model in zoo::all() {
             let budget = 4 * model.max_activation_bytes().max(1);
-            let plan = plan_spill(&model, budget);
-            assert!(plan.is_spill_free(), "{}", model.name());
-            assert_eq!(plan.extra_bytes, 0);
+            assert!(plan_spill(&model, budget).is_empty(), "{}", model.name());
         }
     }
 
@@ -103,36 +61,22 @@ mod tests {
     fn tight_budget_spills_the_big_layers() {
         let model = zoo::mobilenet_v1_025();
         // The 48×48×16 feature map is 36 kB; a 32 kB budget must spill.
-        let plan = plan_spill(&model, 32 * 1024);
-        assert!(!plan.is_spill_free());
-        assert!(plan.extra_bytes > 0);
-        // Spilled indices are valid and sorted.
-        let mut sorted = plan.spilled_layers.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, plan.spilled_layers);
-        assert!(plan.spilled_layers.iter().all(|&i| i < model.len()));
+        let spilled = plan_spill(&model, 32 * 1024);
+        assert!(!spilled.is_empty());
+        // Spilled indices are valid and sorted, and each round-trips
+        // its output tensor once in each direction.
+        assert!(spilled.windows(2).all(|w| w[0].0 < w[1].0));
+        for &(layer, bytes) in &spilled {
+            assert!(layer < model.len());
+            assert_eq!(bytes, 2 * model.nodes()[layer].out_shape.len() as u64);
+        }
     }
 
     #[test]
-    fn extra_cycles_scale_with_traffic() {
+    fn tighter_budget_spills_more_traffic() {
         let model = zoo::mobilenet_v1_025();
-        let p = PlatformConfig::stm32f746_qspi();
-        let tight = plan_spill(&model, 24 * 1024);
-        let tighter = plan_spill(&model, 12 * 1024);
-        assert!(tighter.extra_bytes >= tight.extra_bytes);
-        assert!(tighter.extra_cycles(&p) >= tight.extra_cycles(&p));
-        // Free external memory → spilling costs nothing in time.
-        let ideal = PlatformConfig::ideal_sram();
-        assert_eq!(tight.extra_cycles(&ideal), Cycles::ZERO);
-    }
-
-    #[test]
-    fn spill_free_plan_costs_zero_cycles() {
-        let model = zoo::micro_mlp();
-        let plan = plan_spill(&model, 1 << 20);
-        assert_eq!(
-            plan.extra_cycles(&PlatformConfig::stm32f746_qspi()),
-            Cycles::ZERO
-        );
+        let traffic = |budget| -> u64 { plan_spill(&model, budget).iter().map(|s| s.1).sum() };
+        assert!(traffic(12 * 1024) >= traffic(24 * 1024));
+        assert!(traffic(24 * 1024) > 0);
     }
 }

@@ -59,12 +59,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let seg = segment_model(&model, &cost, 48 * 1024)?;
     let mut rows = Vec::new();
     for mbps in [10u64, 20, 40, 80, 160, 320] {
-        let platform = base.with_ext_mem(ExtMemConfig::from_bandwidth(
-            ExtMemKind::Custom,
-            base.cpu,
-            mbps * 1_000_000,
-            Cycles::new(120),
-        ));
+        let platform = PlatformConfig {
+            ext_mem: ExtMemConfig::from_bandwidth(
+                ExtMemKind::Custom,
+                base.cpu,
+                mbps * 1_000_000,
+                Cycles::new(120),
+            ),
+            ..base.clone()
+        };
         let lat =
             pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::OverlappedPrefetch);
         let ideal = pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::AllInSram);

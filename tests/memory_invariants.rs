@@ -130,7 +130,10 @@ proptest! {
         let mut platform = presets[rng.gen_range(0..presets.len())].clone();
         if rng.gen_bool(0.5) {
             let sram = platform.sram_bytes * rng.gen_range(5..=100u64) / 100;
-            platform = platform.with_sram_bytes(sram);
+            platform = PlatformConfig {
+                sram_bytes: sram,
+                ..platform
+            };
         }
         let mut options = FrameworkOptions::default();
         if rng.gen_bool(0.25) {

@@ -12,10 +12,11 @@
 //! parses can run for as long as its period and horizon say: nothing
 //! caps them.
 //!
-//! Two directed tests pin the loader's contract on the golden witness:
-//! a key that names no field is ignored, so a file written before a
-//! field was retired still loads and replays, and a missing field is
-//! an error that names it.
+//! Three directed tests pin the loader's contract on the golden
+//! witness: a key that names no field is ignored, so a file written
+//! before a field was retired still loads and replays (an invented
+//! config key, and the two platform keys the format has dropped), and
+//! a missing field is an error that names it.
 
 use std::sync::OnceLock;
 
@@ -68,10 +69,12 @@ fn undamaged_witness_round_trips_byte_identically() {
 
 const GOLDEN: &str = include_str!("golden_witness.json");
 
-/// The golden witness with `from` replaced by `to` in its config.
-fn edited_golden(from: &str, to: &str) -> String {
-    assert_eq!(GOLDEN.matches(from).count(), 1, "`{from}` is not unique");
-    GOLDEN.replace(from, to)
+/// The golden witness with each `from` replaced by its `to`.
+fn edited_golden(edits: &[(&str, &str)]) -> String {
+    edits.iter().fold(GOLDEN.to_owned(), |file, (from, to)| {
+        assert_eq!(file.matches(from).count(), 1, "`{from}` is not unique");
+        file.replace(from, to)
+    })
 }
 
 /// `(task, job, instant)` of the first deadline miss of `w`'s replay.
@@ -90,10 +93,10 @@ fn replayed_miss(w: &Witness) -> (usize, u64, u64) {
 #[test]
 fn unknown_config_key_is_ignored_and_the_witness_still_replays() {
     let golden = parse(GOLDEN.as_bytes()).expect("golden witness parses");
-    let extended = edited_golden(
+    let extended = edited_golden(&[(
         "\"config\":{",
         "\"config\":{\"retired_field\":{\"any\":[\"value\",1]},",
-    );
+    )]);
     let w = parse(extended.as_bytes()).expect("an unknown config key is ignored");
     assert_eq!(w.config, golden.config);
     assert_eq!(
@@ -105,9 +108,36 @@ fn unknown_config_key_is_ignored_and_the_witness_still_replays() {
     assert_eq!(miss, replayed_miss(&golden));
 }
 
+/// A witness written while the platform still carried `flash_bytes`
+/// and `dma_channels`, which nothing read, loads to the same value as
+/// the golden one and replays to the same miss.
+#[test]
+fn retired_platform_keys_are_ignored_and_the_witness_still_replays() {
+    let old_format = edited_golden(&[
+        (
+            "\"sram_bytes\":327680,",
+            "\"sram_bytes\":327680,\"flash_bytes\":1048576,",
+        ),
+        (
+            "\"context_switch_cycles\":400",
+            "\"dma_channels\":1,\"context_switch_cycles\":400",
+        ),
+    ]);
+    let w = parse(old_format.as_bytes()).expect("retired platform keys are ignored");
+    assert_eq!(
+        serde_json::to_string(&w).expect("witness serializes"),
+        GOLDEN
+    );
+    assert_eq!(
+        (w.rule.as_str(), w.task, w.job, w.at),
+        ("RTM050", 1, 0, 20_000_000)
+    );
+    assert_eq!(replayed_miss(&w), (1, 0, 20_000_000));
+}
+
 #[test]
 fn missing_config_field_is_rejected_by_name() {
-    let truncated = edited_golden(",\"staging_window\":2", "");
+    let truncated = edited_golden(&[(",\"staging_window\":2", "")]);
     let err = parse(truncated.as_bytes()).expect_err("every field is required");
     assert!(
         err.to_string().contains("missing field `staging_window`"),

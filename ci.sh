@@ -86,9 +86,8 @@ echo "== rtmdm explain smoke =="
 # The forensics path: a pinned miss-producing scenario must attribute
 # cleanly (exit 0, conservation exact), print the blame table, and its
 # --json report must re-validate through the bundled serde_json (the
-# CLI re-parses it before printing). Attribution is opt-in everywhere
-# else: a trace with --attribution off (the default) must be
-# byte-identical to one that never heard of the flag.
+# CLI re-parses it before printing). Every framework run records the
+# attribution anchors, so a JSONL trace must carry them.
 explain_out="$(mktemp)"
 ./target/release/rtmdm explain --platform stm32f746-qspi --task kws=ds-cnn@30 \
   --task ic=resnet8@150 --fault-rate 100000 --seconds 1 > "$explain_out"
@@ -103,15 +102,12 @@ explain_json="$(mktemp)"
   --task ic=resnet8@150 --fault-rate 100000 --seconds 1 --json > "$explain_json"
 grep -q '"blame"' "$explain_json" || {
   echo "explain smoke: --json report missing blame section" >&2; exit 1; }
-attr_off="$(mktemp)"
-attr_default="$(mktemp)"
+anchors_out="$(mktemp)"
 ./target/release/rtmdm trace --platform stm32f746-qspi --task kws=ds-cnn@100 \
-  --seconds 1 --attribution off --out "$attr_off" --format chrome
-./target/release/rtmdm trace --platform stm32f746-qspi --task kws=ds-cnn@100 \
-  --seconds 1 --out "$attr_default" --format chrome
-cmp "$attr_off" "$attr_default" || {
-  echo "explain smoke: attribution default is not off" >&2; exit 1; }
-rm -f "$explain_out" "$explain_json" "$attr_off" "$attr_default"
+  --seconds 1 --out "$anchors_out" --format jsonl
+grep -q 'FetchWaitBegan' "$anchors_out" || {
+  echo "explain smoke: JSONL trace carries no attribution anchors" >&2; exit 1; }
+rm -f "$explain_out" "$explain_json" "$anchors_out"
 
 echo "== rtmdm check sweep =="
 # Every zoo model on every platform preset must verify to parseable
@@ -180,13 +176,15 @@ grep -q 'explored 6 states over 1 runs (12 transitions)' "$jitter_report" || {
   echo "explore smoke: the violating run did not stop at its miss" >&2; exit 1; }
 cmp -s "$jitter_witness" tests/golden_witness.json || {
   echo "explore smoke: witness differs from tests/golden_witness.json" >&2; exit 1; }
-# The explorer takes no thread count and no strategy, and each
+# The explorer takes no thread count and no strategy, every run records
+# the attribution anchors (so `--attribution` is no flag), and each
 # subcommand accepts only the flags it reads: every invocation below is
 # a usage error (exit 1, the usage line on stderr, nothing on stdout),
 # and the refused `--out` writes no file.
 refused_out="$(mktemp)"; refused_err="$(mktemp)"; refused_dir="$(mktemp -d)"
 for args in "check --task ic=resnet8@10 --explore --threads 8" \
   "check --task ic=resnet8@10 --explore --strategy fork" \
+  "trace --task kws=ds-cnn@100 --attribution off" \
   "check --task ic=resnet8@10 --explore --seconds 5" \
   "admit --task kws=ds-cnn@100 --out $refused_dir/x" \
   "platforms --json"; do

@@ -8,7 +8,7 @@
 use rtmdm_core::{report, RtMdm, TaskSpec};
 use rtmdm_dnn::{zoo, CostModel};
 use rtmdm_mcusim::{Cycles, ExtMemConfig, ExtMemKind, PlatformConfig};
-use rtmdm_xmem::{pipeline, segment_model, ExecutionStrategy};
+use rtmdm_xmem::{pipeline, segment_model, Strategy};
 
 use rtmdm_par::par_map_seeded;
 
@@ -27,11 +27,9 @@ pub fn f1_latency() -> String {
         let cost = CostModel::cmsis_nn_m7();
         let platform = eval_platform();
         let seg = segment_model(&model, &cost, auto_buffer(&model)).expect("auto buffer fits");
-        let ideal = pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::AllInSram);
-        let rtmdm =
-            pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::OverlappedPrefetch);
-        let naive =
-            pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::FetchThenCompute);
+        let ideal = pipeline::isolated_latency(&seg, &platform, Strategy::AllInSram);
+        let rtmdm = pipeline::isolated_latency(&seg, &platform, Strategy::RtMdm);
+        let naive = pipeline::isolated_latency(&seg, &platform, Strategy::FetchThenCompute);
         let hidden = pipeline::overlap_efficiency_pct(&seg, &platform)
             .map(|e| format!("{e}%"))
             .unwrap_or_else(|| "n/a".to_owned());
@@ -77,8 +75,7 @@ pub fn f4_sram_budget() -> String {
         let floor = auto_buffer(&model);
         let buffer = floor * mult;
         let seg = segment_model(&model, &cost, buffer).expect("≥ floor");
-        let lat =
-            pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::OverlappedPrefetch);
+        let lat = pipeline::isolated_latency(&seg, &platform, Strategy::RtMdm);
         // Admissibility of a tight-control + model mix at this buffer.
         let mut fw = RtMdm::new(platform.clone()).expect("platform");
         fw.add_task(TaskSpec::new("control", zoo::micro_mlp(), 20_000, 20_000))
@@ -140,11 +137,9 @@ pub fn f5_bandwidth() -> String {
             ),
             ..base
         };
-        let rtmdm =
-            pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::OverlappedPrefetch);
-        let naive =
-            pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::FetchThenCompute);
-        let ideal = pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::AllInSram);
+        let rtmdm = pipeline::isolated_latency(&seg, &platform, Strategy::RtMdm);
+        let naive = pipeline::isolated_latency(&seg, &platform, Strategy::FetchThenCompute);
+        let ideal = pipeline::isolated_latency(&seg, &platform, Strategy::AllInSram);
         let overhead = if ideal.get() > 0 {
             format!(
                 "{:.1}%",

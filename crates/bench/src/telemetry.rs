@@ -21,7 +21,8 @@ use rtmdm_core::{RtMdm, TaskSpec};
 use rtmdm_dnn::{zoo, CostModel};
 use rtmdm_mcusim::PlatformConfig;
 use rtmdm_obs::{Snapshot, Timeline, TimelineSummary};
-use rtmdm_xmem::{segment_model, stage_timings, ExecutionStrategy, StageTiming};
+use rtmdm_sched::sim::ResponseSummary;
+use rtmdm_xmem::{segment_model, stage_timings, StageTiming, Strategy};
 
 /// Version of the `BENCH_run_all.json` layout.
 ///
@@ -38,7 +39,9 @@ use rtmdm_xmem::{segment_model, stage_timings, ExecutionStrategy, StageTiming};
 /// `explore` record keeps the fork rates, renamed `states_per_second`
 /// and `transitions_per_second`, and drops the replay rates, `speedup`
 /// and `identical` (see [`ExploreThroughput`]).
-pub const SCHEMA_VERSION: u64 = 6;
+/// v7: `probe.response[].max_response` is renamed `max`, the key
+/// `rtmdm explain --json` uses for the same [`ResponseSummary`].
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Telemetry of one experiment invocation inside `run_all`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -130,44 +133,6 @@ pub struct RunTotals {
     pub sim_cycles: u64,
 }
 
-/// Per-task response-time distribution of the probe scenario.
-///
-/// Percentiles are upper bucket bounds of the simulator's log₂
-/// response histogram
-/// ([`Histogram::percentile_upper`](rtmdm_obs::Histogram::percentile_upper)):
-/// exact, deterministic, and `None` when the task completed no jobs.
-/// `max_response` is the exact observed maximum.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TaskResponseSummary {
-    /// Task name.
-    pub task: String,
-    /// Completed jobs the distribution covers.
-    pub completions: u64,
-    /// Upper bound on the median response, in cycles.
-    pub p50_upper: Option<u64>,
-    /// Upper bound on the 95th-percentile response, in cycles.
-    pub p95_upper: Option<u64>,
-    /// Upper bound on the 99th-percentile response, in cycles.
-    pub p99_upper: Option<u64>,
-    /// Exact maximum observed response, in cycles.
-    pub max_response: u64,
-}
-
-impl TaskResponseSummary {
-    /// Extracts the summary of one task from its simulator statistics.
-    pub fn from_stats(name: &str, stats: &rtmdm_sched::sim::TaskStats) -> Self {
-        let pct = |p: u64| stats.response_hist.percentile_upper(p);
-        TaskResponseSummary {
-            task: name.to_owned(),
-            completions: stats.completions,
-            p50_upper: pct(50),
-            p95_upper: pct(95),
-            p99_upper: pct(99),
-            max_response: stats.max_response.get(),
-        }
-    }
-}
-
 /// Deterministic cross-check embedded in `BENCH_run_all.json`: the same
 /// numbers must come out on every machine and thread count, so a diff
 /// against a previous run flags semantic drift immediately.
@@ -178,7 +143,7 @@ pub struct Probe {
     /// Timeline summary of a fixed two-task scenario (seed 0).
     pub timeline: TimelineSummary,
     /// Per-task response percentiles of the same fixed scenario.
-    pub response: Vec<TaskResponseSummary>,
+    pub response: Vec<ResponseSummary>,
 }
 
 /// The `BENCH_run_all.json` document.
@@ -241,7 +206,7 @@ pub fn probe() -> Probe {
     let mut pipeline = Snapshot::default();
     for model in zoo::all() {
         if let Ok(seg) = segment_model(&model, &cost, 48 * 1024) {
-            let stages = stage_timings(&seg, &platform, ExecutionStrategy::OverlappedPrefetch);
+            let stages = stage_timings(&seg, &platform, Strategy::RtMdm);
             record_stages(&mut pipeline, &stages);
         }
     }
@@ -260,7 +225,7 @@ pub fn probe() -> Probe {
         .names
         .iter()
         .zip(&run.result.stats)
-        .map(|(name, stats)| TaskResponseSummary::from_stats(name, stats))
+        .map(|(name, stats)| ResponseSummary::new(name.as_str(), stats))
         .collect();
     Probe {
         pipeline,
@@ -338,7 +303,7 @@ mod tests {
                 r.p99_upper.expect("completed"),
             );
             assert!(p50 <= p95 && p95 <= p99, "{r:?}");
-            assert!(r.max_response > 0, "{r:?}");
+            assert!(r.max > 0, "{r:?}");
         }
     }
 
@@ -347,7 +312,7 @@ mod tests {
         let platform = PlatformConfig::stm32f746_qspi();
         let seg = segment_model(&zoo::ds_cnn(), &CostModel::cmsis_nn_m7(), 40 * 1024)
             .expect("ds-cnn segments");
-        let stages = stage_timings(&seg, &platform, ExecutionStrategy::OverlappedPrefetch);
+        let stages = stage_timings(&seg, &platform, Strategy::RtMdm);
         let mut snap = Snapshot::default();
         record_stages(&mut snap, &stages);
         assert_eq!(snap.counter("pipeline.stages"), stages.len() as u64);
@@ -404,7 +369,7 @@ mod tests {
         assert_eq!(doc.totals.sim_cycles, 1200);
         let json = serde_json::to_string(&doc).unwrap();
         let back: RunMetrics = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.schema_version, 6);
+        assert_eq!(back.schema_version, 7);
         assert_eq!(back.experiments.len(), 2);
         assert_eq!(back.experiments[0].id, "f3_miss_ratio");
         assert_eq!(back.totals.sim_cycles, 1200);

@@ -10,9 +10,10 @@
 
 use serde::{Deserialize, Serialize};
 
+use rtmdm_xmem::Strategy;
+
 use crate::error::AdmitError;
 use crate::framework::{headroom_ppm, DirectHooks, RtMdm};
-use crate::spec::Strategy;
 
 /// Upper bound on tasks the exhaustive strategy search accepts.
 const MAX_TASKS: usize = 12;

@@ -17,7 +17,7 @@
 //!
 //! | flags | subcommands |
 //! |-------|-------------|
-//! | `--platform --task --edf --work-conserving --fault-rate --fault-seed --fault-retries --fault-jitter --miss-policy --attribution` | admit, optimize, simulate, trace, explain, check |
+//! | `--platform --task --edf --work-conserving --fault-rate --fault-seed --fault-retries --fault-jitter --miss-policy` | admit, optimize, simulate, trace, explain, check |
 //! | `--seconds --seed` | simulate, trace, explain |
 //! | `--jitter` | simulate, trace, explain, check |
 //! | `--out --format --gantt` | trace |
@@ -35,14 +35,14 @@
 //! an ASCII Gantt chart. `--fault-rate PPM` (with `--fault-seed`,
 //! `--fault-retries`, `--fault-jitter`) turns on seeded DMA fault
 //! injection, and `--miss-policy continue|abort|skip-next` selects what
-//! the runtime does with jobs that miss their deadline. `--attribution
-//! on|off` (default `off`) makes `simulate`/`trace` record the causal
-//! anchor events the attribution layer consumes; the default keeps
-//! traces byte-identical to previous releases. The `explain` subcommand
-//! simulates like `trace` with attribution forced on, then prints the
-//! exact six-term response-time decomposition (`response = compute +
-//! blocking_fetch + preemption + bus_contention + fault_refetch +
-//! dispatch_wait`, conserved cycle-for-cycle): a ranked per-task blame
+//! the runtime does with jobs that miss their deadline. Every run
+//! records the causal anchor events the attribution layer consumes
+//! (they show in `--format jsonl`; the Chrome export and the Gantt
+//! chart ignore them). The `explain` subcommand simulates like
+//! `trace`, then prints the exact six-term response-time
+//! decomposition (`response = compute + blocking_fetch + preemption +
+//! bus_contention + fault_refetch + dispatch_wait`, conserved
+//! cycle-for-cycle): a ranked per-task blame
 //! table, per-task response percentiles, and the dominant interference
 //! source of every missed job; `--json` emits the machine-readable
 //! report instead. The `check` subcommand runs the static
@@ -80,7 +80,7 @@ use rtmdm_core::{report, RtMdm, Strategy, SystemSpec, TaskSpec};
 use rtmdm_dnn::zoo;
 use rtmdm_mcusim::PlatformConfig;
 use rtmdm_obs::Timeline;
-use rtmdm_sched::sim::Policy;
+use rtmdm_sched::sim::{Policy, ResponseSummary};
 use rtmdm_sched::MissPolicy;
 
 fn usage() -> ExitCode {
@@ -89,7 +89,7 @@ fn usage() -> ExitCode {
   admit, optimize, simulate, trace, explain, check:
     [--platform NAME] [--task name=model@period_ms[/deadline_ms][:strategy]]… [--edf]
     [--work-conserving] [--fault-rate PPM] [--fault-seed N] [--fault-retries N]
-    [--fault-jitter CYCLES] [--miss-policy continue|abort|skip-next] [--attribution on|off]
+    [--fault-jitter CYCLES] [--miss-policy continue|abort|skip-next]
   simulate, trace, explain: [--seconds S] [--seed N]
   simulate, trace, explain, check: [--jitter PCT]
   trace: [--out PATH] [--format chrome|jsonl] [--gantt]
@@ -120,8 +120,9 @@ const SUBCOMMANDS: &[&str] = &[
 fn accepted_by(flag: &str) -> &'static [&'static str] {
     match flag {
         "--platform" | "--task" | "--edf" | "--work-conserving" | "--fault-rate"
-        | "--fault-seed" | "--fault-retries" | "--fault-jitter" | "--miss-policy"
-        | "--attribution" => &["admit", "optimize", "simulate", "trace", "explain", "check"],
+        | "--fault-seed" | "--fault-retries" | "--fault-jitter" | "--miss-policy" => {
+            &["admit", "optimize", "simulate", "trace", "explain", "check"]
+        }
         "--seconds" | "--seed" => &["simulate", "trace", "explain"],
         "--jitter" => &["simulate", "trace", "explain", "check"],
         "--out" | "--format" | "--gantt" => &["trace"],
@@ -277,18 +278,6 @@ fn parse(cmd: &str, args: &[String]) -> Result<Cli, CliError> {
                     ))
                 })?;
             }
-            "--attribution" => {
-                let v = it.next().ok_or(CliError::Usage)?;
-                options.attribution = match v.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    _ => {
-                        return Err(CliError::Msg(format!(
-                            "unknown --attribution `{v}` (expected `on` or `off`)"
-                        )))
-                    }
-                };
-            }
             "--out" => cli.out = Some(it.next().ok_or(CliError::Usage)?.clone()),
             "--format" => {
                 let f = it.next().ok_or(CliError::Usage)?;
@@ -429,20 +418,8 @@ fn cmd_trace(cli: &Cli, run: &rtmdm_core::RunReport) -> ExitCode {
 /// JSON outputs.
 #[derive(serde::Serialize, serde::Deserialize)]
 struct ExplainJson {
-    percentiles: Vec<TaskPercentiles>,
+    percentiles: Vec<ResponseSummary>,
     blame: rtmdm_obs::BlameReport,
-}
-
-/// Response-time percentile upper bounds of one task (log₂-bucket tops
-/// from the simulator's response `Histogram`; `None` when no job completed).
-#[derive(serde::Serialize, serde::Deserialize)]
-struct TaskPercentiles {
-    task: String,
-    completions: u64,
-    p50_upper: Option<u64>,
-    p95_upper: Option<u64>,
-    p99_upper: Option<u64>,
-    max: u64,
 }
 
 /// Attribute the finished run and print the blame forensics.
@@ -461,19 +438,12 @@ fn cmd_explain(cli: &Cli, run: &rtmdm_core::RunReport) -> ExitCode {
     };
     let name =
         |t: rtmdm_mcusim::TaskId| run.names.get(t.0).cloned().unwrap_or_else(|| t.to_string());
-    let percentiles: Vec<TaskPercentiles> = run
+    let percentiles: Vec<ResponseSummary> = run
         .result
         .stats
         .iter()
         .enumerate()
-        .map(|(k, s)| TaskPercentiles {
-            task: name(rtmdm_mcusim::TaskId(k)),
-            completions: s.completions,
-            p50_upper: s.response_hist.percentile_upper(50),
-            p95_upper: s.response_hist.percentile_upper(95),
-            p99_upper: s.response_hist.percentile_upper(99),
-            max: s.max_response.get(),
-        })
+        .map(|(k, s)| ResponseSummary::new(name(rtmdm_mcusim::TaskId(k)), s))
         .collect();
 
     if cli.json {
@@ -761,7 +731,7 @@ fn main() -> ExitCode {
     let Some((cmd, args)) = args.split_first() else {
         return usage();
     };
-    let mut cli = match parse(cmd, args) {
+    let cli = match parse(cmd, args) {
         Ok(cli) => cli,
         Err(CliError::Usage) => return usage(),
         Err(CliError::Msg(m)) => {
@@ -776,8 +746,6 @@ fn main() -> ExitCode {
         // `check` validates its own task requirement so that
         // `check --explain RTM0xx` works without a spec.
         "check" => return cmd_check(&cli),
-        // Forensics need the causal anchors: explain always records them.
-        "explain" => cli.sys.options.attribution = true,
         _ => {}
     }
     if cli.sys.tasks.is_empty() {
@@ -887,7 +855,8 @@ mod tests {
         ("--fault-retries", true, SPEC),
         ("--fault-jitter", true, SPEC),
         ("--miss-policy", true, SPEC),
-        ("--attribution", true, SPEC),
+        // Not a flag: every subcommand refuses it.
+        ("--attribution", true, &[]),
         ("--seconds", true, RUN),
         ("--seed", true, RUN),
         ("--jitter", true, &["simulate", "trace", "explain", "check"]),

@@ -32,14 +32,14 @@ use rtmdm_sched::analysis::{hyperperiod, occupancy_utilization_ppm, AnalysisOutc
 use rtmdm_sched::assign::{audsley, dm_order, rm_order};
 use rtmdm_sched::sim::{Policy, SimConfig};
 use rtmdm_sched::{SporadicTask, TaskSet};
-use rtmdm_xmem::{ModelSegmentation, PlanError, RUNTIME_RESERVE};
+use rtmdm_xmem::{ModelSegmentation, PlanError, Strategy, RUNTIME_RESERVE};
 
 use crate::error::AdmitError;
 use crate::framework::{
     direct_analysis, scheduler_mode, AdmissionHooks, DirectHooks, FrameworkOptions, Lowered,
     PriorityAssignment, SramRow,
 };
-use crate::spec::{Strategy, TaskSpec};
+use crate::spec::TaskSpec;
 
 /// The result of [`SystemSpec::explore`]: the diagnostic report plus
 /// the exploration artifacts when exploration ran.

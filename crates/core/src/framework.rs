@@ -13,12 +13,12 @@ use rtmdm_sched::analysis::{
 use rtmdm_sched::baseline;
 use rtmdm_sched::sim::{simulate, Policy, SimConfig, SimResult};
 use rtmdm_sched::{MissPolicy, Segment, SporadicTask, StagingMode, TaskSet};
-use rtmdm_xmem::{check_buffer_fits, ModelSegmentation, RUNTIME_RESERVE};
+use rtmdm_xmem::{check_buffer_fits, ModelSegmentation, Strategy, RUNTIME_RESERVE};
 
 use crate::check::{AnalyzedSet, SystemSpec};
 use crate::error::AdmitError;
 use crate::report;
-use crate::spec::{Strategy, TaskSpec};
+use crate::spec::TaskSpec;
 
 /// How priorities are assigned before analysis and simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
@@ -74,12 +74,6 @@ pub struct FrameworkOptions {
     /// Framework-wide deadline-miss policy; individual specs can
     /// override it via [`TaskSpec::with_miss_policy`].
     pub miss_policy: MissPolicy,
-    /// When `true`, simulation traces carry the causal-attribution
-    /// anchor events the blame reconstruction (`rtmdm-obs`) consumes.
-    /// `false` (the default) keeps traces byte-identical to
-    /// pre-attribution output; stats and metrics are unaffected either
-    /// way.
-    pub attribution: bool,
 }
 
 impl Default for FrameworkOptions {
@@ -95,7 +89,6 @@ impl Default for FrameworkOptions {
             tile_oversized_layers: true,
             fault: FaultPlan::NONE,
             miss_policy: MissPolicy::Continue,
-            attribution: false,
         }
     }
 }
@@ -314,7 +307,8 @@ impl RtMdm {
     }
 
     /// Simulates the task set for `horizon_us` microseconds at
-    /// worst-case execution times.
+    /// worst-case execution times. The trace carries the anchor events
+    /// `rtmdm_obs::attribute` reads.
     ///
     /// # Errors
     ///
@@ -349,7 +343,7 @@ impl RtMdm {
             seed,
             work_conserving: sys.options.work_conserving,
             fault: sys.options.fault,
-            attribution: sys.options.attribution,
+            attribution: true,
             ..SimConfig::new(
                 sys.platform.cpu.cycles_from_micros(horizon_us),
                 sys.options.policy,

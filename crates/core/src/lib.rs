@@ -64,5 +64,6 @@ pub use check::{CheckOutcome, SystemSpec};
 pub use error::AdmitError;
 pub use framework::{Admission, FrameworkOptions, PriorityAssignment, RtMdm, RunReport, SramRow};
 pub use rtmdm_check::ExploreLimits;
+pub use rtmdm_xmem::Strategy;
 pub use service::{CacheStats, Service, SERVE_SCHEMA};
-pub use spec::{Strategy, TaskSpec};
+pub use spec::TaskSpec;

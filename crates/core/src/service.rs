@@ -48,6 +48,7 @@ use rtmdm_mcusim::{Cycles, PlatformConfig};
 use rtmdm_sched::analysis::canonical_key;
 use rtmdm_sched::sim::Policy;
 use rtmdm_sched::MissPolicy;
+use rtmdm_xmem::Strategy;
 use serde::{Content, Serialize};
 
 use crate::check::SystemSpec;
@@ -55,7 +56,7 @@ use crate::error::AdmitError;
 use crate::framework::{
     headroom_ppm, lower_spec, AdmissionHooks, FrameworkOptions, Lowered, PriorityAssignment, RtMdm,
 };
-use crate::spec::{Strategy, TaskSpec};
+use crate::spec::TaskSpec;
 
 pub use rtmdm_check::JsonReport;
 

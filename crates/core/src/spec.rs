@@ -4,54 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use rtmdm_dnn::Model;
 use rtmdm_sched::MissPolicy;
-
-/// Framework-level execution strategy of one task (maps onto the
-/// staging modes and baseline transformations of `rtmdm-sched`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-#[non_exhaustive]
-pub enum Strategy {
-    /// RT-MDM: segment-level preemption + overlapped DMA prefetch.
-    #[default]
-    RtMdm,
-    /// Baseline B1: fetch a segment, busy-wait the copy, compute it.
-    FetchThenCompute,
-    /// Baseline B2: whole-DNN non-preemptive execution with busy-wait
-    /// staging (the TinyML-runtime default).
-    WholeDnn,
-    /// Baseline B3: all weights resident in SRAM (staging is free; SRAM
-    /// accounting still reserves activations only).
-    AllInSram,
-}
-
-impl Strategy {
-    /// Every strategy, in declaration order.
-    pub const ALL: [Strategy; 4] = [
-        Strategy::RtMdm,
-        Strategy::FetchThenCompute,
-        Strategy::WholeDnn,
-        Strategy::AllInSram,
-    ];
-
-    /// The strategy whose [`Display`](std::fmt::Display) name is `name`.
-    pub fn from_name(name: &str) -> Option<Strategy> {
-        Strategy::ALL.into_iter().find(|s| s.name() == name)
-    }
-
-    fn name(self) -> &'static str {
-        match self {
-            Strategy::RtMdm => "rt-mdm",
-            Strategy::FetchThenCompute => "fetch-then-compute",
-            Strategy::WholeDnn => "whole-dnn",
-            Strategy::AllInSram => "all-in-sram",
-        }
-    }
-}
-
-impl std::fmt::Display for Strategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+use rtmdm_xmem::Strategy;
 
 /// Specification of one periodic DNN inference task.
 ///
@@ -173,18 +126,8 @@ mod tests {
     }
 
     #[test]
-    fn strategy_builder_and_display() {
+    fn strategy_builder() {
         let spec = TaskSpec::new("a", zoo::micro_mlp(), 10, 10).with_strategy(Strategy::WholeDnn);
         assert_eq!(spec.strategy, Strategy::WholeDnn);
-        assert_eq!(Strategy::RtMdm.to_string(), "rt-mdm");
-        assert_eq!(Strategy::default(), Strategy::RtMdm);
-    }
-
-    #[test]
-    fn strategy_names_round_trip() {
-        for s in Strategy::ALL {
-            assert_eq!(Strategy::from_name(&s.to_string()), Some(s));
-        }
-        assert_eq!(Strategy::from_name("nope"), None);
     }
 }

@@ -608,7 +608,8 @@ fn flags_outside_their_subcommands_row_are_usage_errors() {
         ("--fault-retries", Some("1"), SPEC),
         ("--fault-jitter", Some("0"), SPEC),
         ("--miss-policy", Some("continue"), SPEC),
-        ("--attribution", Some("off"), SPEC),
+        // Not a flag: every subcommand refuses it.
+        ("--attribution", Some("off"), &[]),
         ("--seconds", Some("1"), RUN),
         ("--seed", Some("1"), RUN),
         (

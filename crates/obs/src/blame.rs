@@ -82,36 +82,32 @@ pub struct JobBlame {
 }
 
 impl JobBlame {
+    fn interference(&self) -> Interference {
+        Interference::new(
+            &self.preemption_by,
+            self.blocking_fetch,
+            self.bus_contention,
+            self.fault_refetch,
+            self.dispatch_wait,
+        )
+    }
+
     /// Total preemption across all occupying tasks.
     pub fn preemption_total(&self) -> Cycles {
-        self.preemption_by.values().copied().sum()
+        self.interference().preemption()
     }
 
     /// Sum of all six terms — equals `response` (enforced by
     /// [`attribute`]).
     pub fn total(&self) -> Cycles {
-        self.compute
-            + self.blocking_fetch
-            + self.bus_contention
-            + self.fault_refetch
-            + self.dispatch_wait
-            + self.preemption_total()
+        self.compute + self.interference().sum()
     }
 
     /// The largest nonzero interference term, or `None` when the job
     /// is purely compute-bound. Ties break in [`BlameSource`] order,
     /// deterministically.
     pub fn dominant_interference(&self) -> Option<(BlameSource, Cycles)> {
-        [
-            (BlameSource::Preemption, self.preemption_total()),
-            (BlameSource::BlockingFetch, self.blocking_fetch),
-            (BlameSource::BusContention, self.bus_contention),
-            (BlameSource::FaultRefetch, self.fault_refetch),
-            (BlameSource::DispatchWait, self.dispatch_wait),
-        ]
-        .into_iter()
-        .filter(|(_, c)| !c.is_zero())
-        .max_by_key(|&(src, c)| (c, std::cmp::Reverse(src)))
+        self.interference().dominant()
     }
 }
 
@@ -139,34 +135,73 @@ pub struct TaskBlame {
 }
 
 impl TaskBlame {
+    fn interference(&self) -> Interference {
+        Interference::new(
+            &self.preemption_by,
+            self.blocking_fetch,
+            self.bus_contention,
+            self.fault_refetch,
+            self.dispatch_wait,
+        )
+    }
+
     /// Total preemption across all occupying tasks.
     pub fn preemption_total(&self) -> Cycles {
-        self.preemption_by.values().copied().sum()
+        self.interference().preemption()
     }
 
     /// Summed response time of all aggregated jobs.
     pub fn total(&self) -> Cycles {
-        self.compute
-            + self.blocking_fetch
-            + self.bus_contention
-            + self.fault_refetch
-            + self.dispatch_wait
-            + self.preemption_total()
+        self.compute + self.interference().sum()
     }
 
     /// The largest nonzero aggregate interference term, or `None` when
-    /// the task is purely compute-bound.
+    /// the task is purely compute-bound. Ties break as for
+    /// [`JobBlame::dominant_interference`].
     pub fn dominant_interference(&self) -> Option<(BlameSource, Cycles)> {
-        [
-            (BlameSource::Preemption, self.preemption_total()),
-            (BlameSource::BlockingFetch, self.blocking_fetch),
-            (BlameSource::BusContention, self.bus_contention),
-            (BlameSource::FaultRefetch, self.fault_refetch),
-            (BlameSource::DispatchWait, self.dispatch_wait),
-        ]
-        .into_iter()
-        .filter(|(_, c)| !c.is_zero())
-        .max_by_key(|&(src, c)| (c, std::cmp::Reverse(src)))
+        self.interference().dominant()
+    }
+}
+
+/// The five interference terms of one decomposition, in
+/// [`BlameSource`] order: the one place [`JobBlame`] and [`TaskBlame`]
+/// sum and rank them.
+struct Interference([(BlameSource, Cycles); 5]);
+
+impl Interference {
+    fn new(
+        preemption_by: &BTreeMap<TaskId, Cycles>,
+        blocking_fetch: Cycles,
+        bus_contention: Cycles,
+        fault_refetch: Cycles,
+        dispatch_wait: Cycles,
+    ) -> Self {
+        Interference([
+            (
+                BlameSource::Preemption,
+                preemption_by.values().copied().sum(),
+            ),
+            (BlameSource::BlockingFetch, blocking_fetch),
+            (BlameSource::BusContention, bus_contention),
+            (BlameSource::FaultRefetch, fault_refetch),
+            (BlameSource::DispatchWait, dispatch_wait),
+        ])
+    }
+
+    fn preemption(&self) -> Cycles {
+        self.0[0].1
+    }
+
+    fn sum(&self) -> Cycles {
+        self.0.iter().map(|&(_, c)| c).sum()
+    }
+
+    /// The largest nonzero term; ties break in [`BlameSource`] order.
+    fn dominant(self) -> Option<(BlameSource, Cycles)> {
+        self.0
+            .into_iter()
+            .filter(|(_, c)| !c.is_zero())
+            .max_by_key(|&(src, c)| (c, std::cmp::Reverse(src)))
     }
 }
 

@@ -58,32 +58,17 @@ pub enum SyncVerdict {
     Inconclusive,
 }
 
-/// [`sync_simulation_accepts`] with the inconclusive case spelled out
-/// as a [`SyncVerdict`] instead of an easy-to-misread `Option<bool>`.
-pub fn sync_simulation_verdict(
-    ts: &TaskSet,
-    platform: &PlatformConfig,
-    policy: Policy,
-    work_conserving: bool,
-) -> SyncVerdict {
-    match sync_simulation_accepts(ts, platform, policy, work_conserving) {
-        Some(true) => SyncVerdict::Accepted,
-        Some(false) => SyncVerdict::Rejected,
-        None => SyncVerdict::Inconclusive,
-    }
-}
-
 /// Simulates the synchronous periodic release pattern over one
 /// hyperperiod (plus the largest deadline) and reports whether every
-/// job met its deadline. `None` when the hyperperiod exceeds the
-/// simulation cap.
+/// job met its deadline, or [`SyncVerdict::Inconclusive`] when the
+/// hyperperiod exceeds the simulation cap.
 ///
 /// # Examples
 ///
 /// ```rust
 /// use rtmdm_mcusim::{Cycles, PlatformConfig};
 /// use rtmdm_sched::{Segment, SporadicTask, StagingMode, TaskSet};
-/// use rtmdm_sched::analysis::sync_simulation_accepts;
+/// use rtmdm_sched::analysis::{sync_simulation_verdict, SyncVerdict};
 /// use rtmdm_sched::sim::Policy;
 ///
 /// # fn main() -> Result<(), rtmdm_sched::TaskError> {
@@ -92,35 +77,40 @@ pub fn sync_simulation_verdict(
 ///     vec![Segment::new(Cycles::new(400), 0)], StagingMode::Resident,
 /// )?;
 /// let ts = TaskSet::from_tasks(vec![t]);
-/// let verdict = sync_simulation_accepts(
+/// let verdict = sync_simulation_verdict(
 ///     &ts, &PlatformConfig::ideal_sram(), Policy::FixedPriority, false,
 /// );
-/// assert_eq!(verdict, Some(true));
+/// assert_eq!(verdict, SyncVerdict::Accepted);
 /// # Ok(())
 /// # }
 /// ```
-pub fn sync_simulation_accepts(
+pub fn sync_simulation_verdict(
     ts: &TaskSet,
     platform: &PlatformConfig,
     policy: Policy,
     work_conserving: bool,
-) -> Option<bool> {
+) -> SyncVerdict {
     if ts.is_empty() {
-        return Some(true);
+        return SyncVerdict::Accepted;
     }
-    let h = hyperperiod(ts)?;
     let d_max = ts
         .tasks()
         .iter()
         .map(|t| t.deadline)
         .max()
         .unwrap_or(Cycles::ZERO);
+    let Some(horizon) = hyperperiod(ts).and_then(|h| h.checked_add(d_max)) else {
+        return SyncVerdict::Inconclusive;
+    };
     let config = SimConfig {
         work_conserving,
-        ..SimConfig::new(h.checked_add(d_max)?, policy)
+        ..SimConfig::new(horizon, policy)
     };
-    let run = simulate(ts, platform, &config);
-    Some(run.no_misses())
+    if simulate(ts, platform, &config).no_misses() {
+        SyncVerdict::Accepted
+    } else {
+        SyncVerdict::Rejected
+    }
 }
 
 #[cfg(test)]
@@ -174,8 +164,8 @@ mod tests {
         ]);
         assert_eq!(hyperperiod(&ts), None);
         assert_eq!(
-            sync_simulation_accepts(&ts, &bare_platform(), Policy::FixedPriority, false),
-            None
+            sync_simulation_verdict(&ts, &bare_platform(), Policy::FixedPriority, false),
+            SyncVerdict::Inconclusive
         );
     }
 
@@ -184,13 +174,13 @@ mod tests {
         let p = bare_platform();
         let ok = TaskSet::from_tasks(vec![resident("a", 100, 40), resident("b", 200, 60)]);
         assert_eq!(
-            sync_simulation_accepts(&ok, &p, Policy::FixedPriority, false),
-            Some(true)
+            sync_simulation_verdict(&ok, &p, Policy::FixedPriority, false),
+            SyncVerdict::Accepted
         );
         let over = TaskSet::from_tasks(vec![resident("a", 100, 80), resident("b", 100, 80)]);
         assert_eq!(
-            sync_simulation_accepts(&over, &p, Policy::FixedPriority, false),
-            Some(false)
+            sync_simulation_verdict(&over, &p, Policy::FixedPriority, false),
+            SyncVerdict::Rejected
         );
     }
 
@@ -203,8 +193,8 @@ mod tests {
             let ts = TaskSet::from_tasks(vec![resident("a", 100, c1), resident("b", 500, c2)]);
             if rta_limited_preemption(&ts, &p).schedulable {
                 assert_eq!(
-                    sync_simulation_accepts(&ts, &p, Policy::FixedPriority, false),
-                    Some(true),
+                    sync_simulation_verdict(&ts, &p, Policy::FixedPriority, false),
+                    SyncVerdict::Accepted,
                     "c1={c1} c2={c2}"
                 );
             }
@@ -214,13 +204,13 @@ mod tests {
     #[test]
     fn empty_set_is_accepted() {
         assert_eq!(
-            sync_simulation_accepts(
+            sync_simulation_verdict(
                 &TaskSet::new(),
                 &bare_platform(),
                 Policy::FixedPriority,
                 false
             ),
-            Some(true)
+            SyncVerdict::Accepted
         );
     }
 }

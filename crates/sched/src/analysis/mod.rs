@@ -5,8 +5,8 @@
 //! - [`rta_memory_oblivious`] — baseline B4, a classic preemptive RTA
 //!   that ignores memory (unsound for this system, by design);
 //! - [`edf_demand_test`] — processor-demand test for segment-level EDF;
-//! - [`occupancy_utilization_ppm`] / [`rm_utilization_test`] — quick
-//!   utilization screens;
+//! - [`occupancy_utilization_ppm`] / [`rm_utilization_bound_ppm`] —
+//!   quick utilization screens;
 //! - [`TaskTiming`] — the per-task worst-case quantities all of the
 //!   above are built from.
 
@@ -19,7 +19,7 @@ mod util;
 mod wcet;
 
 pub use edf::edf_demand_test;
-pub use exact::{hyperperiod, sync_simulation_accepts, sync_simulation_verdict, SyncVerdict};
+pub use exact::{hyperperiod, sync_simulation_verdict, SyncVerdict};
 pub use key::{analysis_key, canonical_key, KEY_SCHEMA};
 pub use rta::{
     interference_bounds, rta_limited_preemption, rta_limited_preemption_with, rta_memory_oblivious,
@@ -27,5 +27,5 @@ pub use rta::{
 };
 pub(crate) use rta::{interferer, task_bound, Interferer};
 pub use sensitivity::{critical_scaling_ppm, scaled_taskset};
-pub use util::{occupancy_utilization_ppm, rm_utilization_bound_ppm, rm_utilization_test};
+pub use util::{occupancy_utilization_ppm, rm_utilization_bound_ppm};
 pub use wcet::TaskTiming;

@@ -28,14 +28,6 @@ pub fn rm_utilization_bound_ppm(n: usize) -> u64 {
     (bound * 1_000_000.0) as u64
 }
 
-/// Sufficient RM test on occupancy utilization: schedulable if the
-/// occupancy utilization is within the Liu & Layland bound. Very
-/// pessimistic for this system (it ignores that fetch overlaps compute)
-/// but a handy sanity screen.
-pub fn rm_utilization_test(ts: &TaskSet, platform: &PlatformConfig) -> bool {
-    occupancy_utilization_ppm(ts, platform) <= rm_utilization_bound_ppm(ts.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,13 +71,5 @@ mod tests {
         // Monotone decreasing toward ln 2.
         assert!(rm_utilization_bound_ppm(10) > 693_000);
         assert!(rm_utilization_bound_ppm(10) < rm_utilization_bound_ppm(2));
-    }
-
-    #[test]
-    fn rm_test_accepts_light_and_rejects_heavy() {
-        let light = TaskSet::from_tasks(vec![t(1000, 100, 0), t(2000, 200, 0)]);
-        assert!(rm_utilization_test(&light, &bare_platform()));
-        let heavy = TaskSet::from_tasks(vec![t(1000, 600, 0), t(2000, 800, 0)]);
-        assert!(!rm_utilization_test(&heavy, &bare_platform()));
     }
 }

@@ -205,6 +205,44 @@ pub struct TaskStats {
     pub response_hist: Histogram,
 }
 
+/// One task's response-time summary, as `rtmdm explain --json` and
+/// `BENCH_run_all.json` report it.
+///
+/// Percentiles are upper bucket bounds of the task's log₂ response
+/// histogram ([`Histogram::percentile_upper`]): exact, deterministic,
+/// and `None` when the task completed no jobs. `max` is the exact
+/// observed maximum.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ResponseSummary {
+    /// Task name.
+    pub task: String,
+    /// Completed jobs the distribution covers.
+    pub completions: u64,
+    /// Upper bound on the median response, in cycles.
+    pub p50_upper: Option<u64>,
+    /// Upper bound on the 95th-percentile response, in cycles.
+    pub p95_upper: Option<u64>,
+    /// Upper bound on the 99th-percentile response, in cycles.
+    pub p99_upper: Option<u64>,
+    /// Exact maximum observed response, in cycles.
+    pub max: u64,
+}
+
+impl ResponseSummary {
+    /// Summarizes the statistics of the task named `task`.
+    pub fn new(task: impl Into<String>, stats: &TaskStats) -> Self {
+        let pct = |p: u64| stats.response_hist.percentile_upper(p);
+        ResponseSummary {
+            task: task.into(),
+            completions: stats.completions,
+            p50_upper: pct(50),
+            p95_upper: pct(95),
+            p99_upper: pct(99),
+            max: stats.max_response.get(),
+        }
+    }
+}
+
 /// Aggregate resource metrics of one run, accounted exactly in the
 /// simulator hot loop (not re-derived from the trace).
 ///

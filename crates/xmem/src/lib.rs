@@ -8,8 +8,8 @@
 //! - [`segment_model`]: the layer→segment fetch planner — greedy grouping
 //!   of consecutive layers whose weights fit one fetch buffer,
 //! - [`pipeline`]: closed-form timing of the fetch/compute pipeline for a
-//!   job running in isolation, under three execution strategies
-//!   (overlapped prefetch, fetch-then-compute, all-in-SRAM),
+//!   job running in isolation, under each staging [`Strategy`] (RT-MDM's
+//!   overlapped prefetch and its baselines),
 //! - [`spill`]: the activation-spilling extension for models whose
 //!   feature maps exceed SRAM,
 //! - [`RUNTIME_RESERVE`] and [`check_buffer_fits`]: the SRAM the runtime
@@ -24,14 +24,14 @@
 //! ```rust
 //! use rtmdm_dnn::{zoo, CostModel};
 //! use rtmdm_mcusim::PlatformConfig;
-//! use rtmdm_xmem::{segment_model, pipeline, ExecutionStrategy};
+//! use rtmdm_xmem::{segment_model, pipeline, Strategy};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let model = zoo::resnet8();
 //! let seg = segment_model(&model, &CostModel::cmsis_nn_m7(), 40 * 1024)?;
 //! let platform = PlatformConfig::stm32f746_qspi();
-//! let overlapped = pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::OverlappedPrefetch);
-//! let sequential = pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::FetchThenCompute);
+//! let overlapped = pipeline::isolated_latency(&seg, &platform, Strategy::RtMdm);
+//! let sequential = pipeline::isolated_latency(&seg, &platform, Strategy::FetchThenCompute);
 //! assert!(overlapped <= sequential);
 //! # Ok(())
 //! # }
@@ -46,7 +46,7 @@ mod plan;
 pub mod spill;
 
 pub use error::PlanError;
-pub use pipeline::{stage_timings, ExecutionStrategy, StageTiming};
+pub use pipeline::{stage_timings, StageTiming, Strategy};
 pub use plan::{
     check_buffer_fits, segment_model, segment_model_capped, segment_model_tiled, ModelSegmentation,
     SegmentPlan, MAX_TILED_SEGMENTS, RUNTIME_RESERVE,

@@ -9,28 +9,55 @@ use rtmdm_mcusim::{Cycles, PlatformConfig};
 
 use crate::plan::ModelSegmentation;
 
-/// How a task stages weights relative to compute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[non_exhaustive]
-pub enum ExecutionStrategy {
-    /// RT-MDM: double-buffered prefetch — while segment *k* computes, the
-    /// DMA stages segment *k+1*; compute and fetch contend on the bus.
-    OverlappedPrefetch,
-    /// Baseline B1: stage a segment, then compute it, strictly
-    /// alternating with no overlap (TinyML-runtime style).
+/// How a task stages its weights relative to compute: RT-MDM or one
+/// of its baselines. Admission (`rtmdm-core`) maps each onto the
+/// staging modes and baseline transformations of `rtmdm-sched`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+pub enum Strategy {
+    /// RT-MDM: segment-level preemption + double-buffered prefetch —
+    /// while segment *k* computes, the DMA stages segment *k+1*;
+    /// compute and fetch contend on the bus.
+    #[default]
+    RtMdm,
+    /// Baseline B1: fetch a segment, busy-wait the copy, compute it,
+    /// strictly alternating with no overlap.
     FetchThenCompute,
-    /// Baseline B3: all weights resident in SRAM; no staging at all.
+    /// Baseline B2: whole-DNN non-preemptive execution with busy-wait
+    /// staging (the TinyML-runtime default). In isolation it times as
+    /// [`Strategy::FetchThenCompute`]: it only merges the segments.
+    WholeDnn,
+    /// Baseline B3: all weights resident in SRAM (staging is free; SRAM
+    /// accounting still reserves activations only).
     AllInSram,
 }
 
-impl std::fmt::Display for ExecutionStrategy {
+impl Strategy {
+    /// Every strategy, in declaration order.
+    pub const ALL: [Strategy; 4] = [
+        Strategy::RtMdm,
+        Strategy::FetchThenCompute,
+        Strategy::WholeDnn,
+        Strategy::AllInSram,
+    ];
+
+    /// The strategy whose [`Display`](std::fmt::Display) name is `name`.
+    pub fn from_name(name: &str) -> Option<Strategy> {
+        Strategy::ALL.into_iter().find(|s| s.name() == name)
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            Strategy::RtMdm => "rt-mdm",
+            Strategy::FetchThenCompute => "fetch-then-compute",
+            Strategy::WholeDnn => "whole-dnn",
+            Strategy::AllInSram => "all-in-sram",
+        }
+    }
+}
+
+impl std::fmt::Display for Strategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            ExecutionStrategy::OverlappedPrefetch => "overlapped-prefetch",
-            ExecutionStrategy::FetchThenCompute => "fetch-then-compute",
-            ExecutionStrategy::AllInSram => "all-in-sram",
-        };
-        f.write_str(s)
+        f.write_str(self.name())
     }
 }
 
@@ -42,8 +69,8 @@ pub struct StageTiming {
     /// CPU work retired in this stage (uninflated cycles).
     pub compute_work: Cycles,
     /// DMA work performed during this stage (uninflated cycles): the
-    /// *next* segment's fetch under overlapped prefetch, the *own*
-    /// segment's fetch under fetch-then-compute, zero for all-in-SRAM.
+    /// *next* segment's fetch under RT-MDM, the *own* segment's fetch
+    /// under fetch-then-compute and whole-DNN, zero for all-in-SRAM.
     pub fetch_work: Cycles,
     /// Wall-clock duration of the stage including contention.
     pub stage: Cycles,
@@ -56,20 +83,20 @@ pub struct StageTiming {
 
 /// Per-stage timings of a single job in isolation.
 ///
-/// Under [`ExecutionStrategy::OverlappedPrefetch`] the list excludes the
+/// Under [`Strategy::RtMdm`] the list excludes the
 /// lead-in fetch of segment 0 (no compute overlaps it); use
 /// [`isolated_latency`] for the end-to-end number.
 pub fn stage_timings(
     seg: &ModelSegmentation,
     platform: &PlatformConfig,
-    strategy: ExecutionStrategy,
+    strategy: Strategy,
 ) -> Vec<StageTiming> {
     let n = seg.segments.len();
     let mut out = Vec::with_capacity(n);
     for (k, s) in seg.segments.iter().enumerate() {
         let compute_work = s.compute_cycles;
         match strategy {
-            ExecutionStrategy::OverlappedPrefetch => {
+            Strategy::RtMdm => {
                 let fetch_work = if k + 1 < n {
                     platform
                         .ext_mem
@@ -86,7 +113,7 @@ pub fn stage_timings(
                     fetch_hidden: overlap.dma_finish <= overlap.cpu_finish,
                 });
             }
-            ExecutionStrategy::FetchThenCompute => {
+            Strategy::FetchThenCompute | Strategy::WholeDnn => {
                 let fetch_work = platform.ext_mem.transfer_cycles(s.fetch_bytes);
                 out.push(StageTiming {
                     segment: k,
@@ -96,7 +123,7 @@ pub fn stage_timings(
                     fetch_hidden: fetch_work.is_zero(),
                 });
             }
-            ExecutionStrategy::AllInSram => out.push(StageTiming {
+            Strategy::AllInSram => out.push(StageTiming {
                 segment: k,
                 compute_work,
                 fetch_work: Cycles::ZERO,
@@ -116,14 +143,14 @@ pub fn stage_timings(
 /// ```rust
 /// use rtmdm_dnn::{zoo, CostModel};
 /// use rtmdm_mcusim::PlatformConfig;
-/// use rtmdm_xmem::{segment_model, pipeline, ExecutionStrategy};
+/// use rtmdm_xmem::{segment_model, pipeline, Strategy};
 ///
 /// # fn main() -> Result<(), rtmdm_xmem::PlanError> {
 /// let seg = segment_model(&zoo::ds_cnn(), &CostModel::cmsis_nn_m7(), 16 * 1024)?;
 /// let p = PlatformConfig::stm32f746_qspi();
-/// let ideal = pipeline::isolated_latency(&seg, &p, ExecutionStrategy::AllInSram);
-/// let rtmdm = pipeline::isolated_latency(&seg, &p, ExecutionStrategy::OverlappedPrefetch);
-/// let naive = pipeline::isolated_latency(&seg, &p, ExecutionStrategy::FetchThenCompute);
+/// let ideal = pipeline::isolated_latency(&seg, &p, Strategy::AllInSram);
+/// let rtmdm = pipeline::isolated_latency(&seg, &p, Strategy::RtMdm);
+/// let naive = pipeline::isolated_latency(&seg, &p, Strategy::FetchThenCompute);
 /// assert!(ideal <= rtmdm && rtmdm <= naive);
 /// # Ok(())
 /// # }
@@ -131,12 +158,12 @@ pub fn stage_timings(
 pub fn isolated_latency(
     seg: &ModelSegmentation,
     platform: &PlatformConfig,
-    strategy: ExecutionStrategy,
+    strategy: Strategy,
 ) -> Cycles {
     let stages = stage_timings(seg, platform, strategy);
     let body: Cycles = stages.iter().map(|s| s.stage).sum();
     let lead_in = match strategy {
-        ExecutionStrategy::OverlappedPrefetch => seg
+        Strategy::RtMdm => seg
             .segments
             .first()
             .map(|s| platform.ext_mem.transfer_cycles(s.fetch_bytes))
@@ -151,9 +178,9 @@ pub fn isolated_latency(
 /// Returns `None` when staging is free (ideal memory), where hiding is
 /// undefined.
 pub fn overlap_efficiency_pct(seg: &ModelSegmentation, platform: &PlatformConfig) -> Option<u64> {
-    let naive = isolated_latency(seg, platform, ExecutionStrategy::FetchThenCompute);
-    let ideal = isolated_latency(seg, platform, ExecutionStrategy::AllInSram);
-    let rtmdm = isolated_latency(seg, platform, ExecutionStrategy::OverlappedPrefetch);
+    let naive = isolated_latency(seg, platform, Strategy::FetchThenCompute);
+    let ideal = isolated_latency(seg, platform, Strategy::AllInSram);
+    let rtmdm = isolated_latency(seg, platform, Strategy::RtMdm);
     let staging = naive.saturating_sub(ideal);
     if staging.is_zero() {
         return None;
@@ -176,9 +203,9 @@ mod tests {
     fn strategy_ordering_holds_on_every_preset() {
         let s = seg(48 * 1024);
         for p in PlatformConfig::presets() {
-            let ideal = isolated_latency(&s, &p, ExecutionStrategy::AllInSram);
-            let rtmdm = isolated_latency(&s, &p, ExecutionStrategy::OverlappedPrefetch);
-            let naive = isolated_latency(&s, &p, ExecutionStrategy::FetchThenCompute);
+            let ideal = isolated_latency(&s, &p, Strategy::AllInSram);
+            let rtmdm = isolated_latency(&s, &p, Strategy::RtMdm);
+            let naive = isolated_latency(&s, &p, Strategy::FetchThenCompute);
             assert!(ideal <= rtmdm, "{}", p.name);
             assert!(rtmdm <= naive, "{}", p.name);
         }
@@ -188,9 +215,9 @@ mod tests {
     fn ideal_memory_collapses_all_strategies() {
         let s = seg(48 * 1024);
         let p = PlatformConfig::ideal_sram();
-        let a = isolated_latency(&s, &p, ExecutionStrategy::AllInSram);
-        let b = isolated_latency(&s, &p, ExecutionStrategy::OverlappedPrefetch);
-        let c = isolated_latency(&s, &p, ExecutionStrategy::FetchThenCompute);
+        let a = isolated_latency(&s, &p, Strategy::AllInSram);
+        let b = isolated_latency(&s, &p, Strategy::RtMdm);
+        let c = isolated_latency(&s, &p, Strategy::FetchThenCompute);
         assert_eq!(a, b);
         assert_eq!(b, c);
         assert_eq!(a, s.total_compute());
@@ -200,7 +227,7 @@ mod tests {
     fn overlapped_latency_is_at_least_compute_and_fetch_bounds() {
         let s = seg(40 * 1024);
         let p = PlatformConfig::stm32f746_qspi();
-        let l = isolated_latency(&s, &p, ExecutionStrategy::OverlappedPrefetch);
+        let l = isolated_latency(&s, &p, Strategy::RtMdm);
         assert!(l >= s.total_compute());
         // Total fetch time is also a lower bound (single DMA channel).
         let total_fetch: Cycles = s
@@ -221,7 +248,7 @@ mod tests {
             .map(|x| p.ext_mem.transfer_cycles(x.fetch_bytes) + x.compute_cycles)
             .sum();
         assert_eq!(
-            isolated_latency(&s, &p, ExecutionStrategy::FetchThenCompute),
+            isolated_latency(&s, &p, Strategy::FetchThenCompute),
             expected
         );
     }
@@ -231,9 +258,9 @@ mod tests {
         let s = seg(40 * 1024);
         let p = PlatformConfig::stm32f746_qspi();
         for strategy in [
-            ExecutionStrategy::OverlappedPrefetch,
-            ExecutionStrategy::FetchThenCompute,
-            ExecutionStrategy::AllInSram,
+            Strategy::RtMdm,
+            Strategy::FetchThenCompute,
+            Strategy::AllInSram,
         ] {
             let stages = stage_timings(&s, &p, strategy);
             assert_eq!(stages.len(), s.len());
@@ -243,7 +270,7 @@ mod tests {
             }
         }
         // Last overlapped stage has no next fetch.
-        let stages = stage_timings(&s, &p, ExecutionStrategy::OverlappedPrefetch);
+        let stages = stage_timings(&s, &p, Strategy::RtMdm);
         assert_eq!(stages.last().unwrap().fetch_work, Cycles::ZERO);
     }
 
@@ -285,17 +312,17 @@ mod tests {
         let s = seg(40 * 1024);
         let p = PlatformConfig::stm32f746_qspi();
         // All-in-SRAM never fetches, so every stage is trivially hidden.
-        for st in stage_timings(&s, &p, ExecutionStrategy::AllInSram) {
+        for st in stage_timings(&s, &p, Strategy::AllInSram) {
             assert!(st.fetch_hidden);
             assert!(st.fetch_work.is_zero());
         }
         // Fetch-then-compute exposes every nonzero fetch by construction.
-        for st in stage_timings(&s, &p, ExecutionStrategy::FetchThenCompute) {
+        for st in stage_timings(&s, &p, Strategy::FetchThenCompute) {
             assert_eq!(st.fetch_hidden, st.fetch_work.is_zero());
         }
         // Overlapped: the flag agrees with the contention model's finish
         // times, and the last stage (no next fetch) is always hidden.
-        let stages = stage_timings(&s, &p, ExecutionStrategy::OverlappedPrefetch);
+        let stages = stage_timings(&s, &p, Strategy::RtMdm);
         for st in &stages {
             let out = p.contention.overlap(st.compute_work, st.fetch_work);
             assert_eq!(st.fetch_hidden, out.dma_finish <= out.cpu_finish);
@@ -303,16 +330,18 @@ mod tests {
         assert!(stages.last().unwrap().fetch_hidden);
         // Ideal memory hides everything (fetches are free).
         let ideal = PlatformConfig::ideal_sram();
-        for st in stage_timings(&s, &ideal, ExecutionStrategy::OverlappedPrefetch) {
+        for st in stage_timings(&s, &ideal, Strategy::RtMdm) {
             assert!(st.fetch_hidden);
         }
     }
 
     #[test]
-    fn display_names_strategies() {
-        assert_eq!(
-            ExecutionStrategy::OverlappedPrefetch.to_string(),
-            "overlapped-prefetch"
-        );
+    fn strategy_names_round_trip() {
+        assert_eq!(Strategy::RtMdm.to_string(), "rt-mdm");
+        assert_eq!(Strategy::default(), Strategy::RtMdm);
+        for s in Strategy::ALL {
+            assert_eq!(Strategy::from_name(&s.to_string()), Some(s));
+        }
+        assert_eq!(Strategy::from_name("nope"), None);
     }
 }

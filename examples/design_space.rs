@@ -11,7 +11,7 @@
 use rt_mdm::core::report;
 use rt_mdm::dnn::{zoo, CostModel};
 use rt_mdm::mcusim::{Cycles, ExtMemConfig, ExtMemKind, PlatformConfig};
-use rt_mdm::xmem::{pipeline, segment_model, ExecutionStrategy};
+use rt_mdm::xmem::{pipeline, segment_model, Strategy};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cost = CostModel::cmsis_nn_m7();
@@ -28,8 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rows = Vec::new();
     for kb in [40u64, 48, 64, 96, 128] {
         let seg = segment_model(&model, &cost, kb * 1024)?;
-        let lat = pipeline::isolated_latency(&seg, &base, ExecutionStrategy::OverlappedPrefetch);
-        let naive = pipeline::isolated_latency(&seg, &base, ExecutionStrategy::FetchThenCompute);
+        let lat = pipeline::isolated_latency(&seg, &base, Strategy::RtMdm);
+        let naive = pipeline::isolated_latency(&seg, &base, Strategy::FetchThenCompute);
         let eff = pipeline::overlap_efficiency_pct(&seg, &base)
             .map(|e| format!("{e}%"))
             .unwrap_or_else(|| "n/a".into());
@@ -68,9 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ),
             ..base.clone()
         };
-        let lat =
-            pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::OverlappedPrefetch);
-        let ideal = pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::AllInSram);
+        let lat = pipeline::isolated_latency(&seg, &platform, Strategy::RtMdm);
+        let ideal = pipeline::isolated_latency(&seg, &platform, Strategy::AllInSram);
         let overhead_ppm = (lat.get().saturating_sub(ideal.get())) * 1_000_000 / ideal.get();
         rows.push(vec![
             format!("{mbps} MB/s"),

@@ -10,7 +10,7 @@ use rt_mdm::check::Rule;
 use rt_mdm::core::{AdmitError, FrameworkOptions, RtMdm, Strategy, SystemSpec, TaskSpec};
 use rt_mdm::dnn::{zoo, CostModel};
 use rt_mdm::mcusim::{Cycles, PlatformConfig};
-use rt_mdm::xmem::{pipeline, segment_model_capped, ExecutionStrategy, PlanError};
+use rt_mdm::xmem::{pipeline, segment_model_capped, PlanError};
 
 fn zoo_model(idx: usize) -> rt_mdm::dnn::Model {
     let all = zoo::all();
@@ -27,13 +27,6 @@ fn huge(rng: &mut StdRng) -> u64 {
     };
     near + rng.gen_range(0..1u64 << 14)
 }
-
-const STRATEGIES: [Strategy; 4] = [
-    Strategy::RtMdm,
-    Strategy::FetchThenCompute,
-    Strategy::WholeDnn,
-    Strategy::AllInSram,
-];
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
@@ -74,7 +67,9 @@ proptest! {
     }
 
     /// Strategy ordering of isolated latencies holds for any model,
-    /// buffer, and platform preset.
+    /// buffer, and platform preset, over every strategy: whole-DNN
+    /// only merges the segments, so in isolation it times exactly as
+    /// fetch-then-compute.
     #[test]
     fn pipeline_strategy_ordering(
         model_idx in 0usize..6,
@@ -85,11 +80,12 @@ proptest! {
         let cost = CostModel::cmsis_nn_m7();
         let platform = PlatformConfig::presets()[preset].clone();
         let seg = segment_model_capped(&model, &cost, buffer_kb * 1024, None).expect("fits");
-        let ideal = pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::AllInSram);
-        let rtmdm = pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::OverlappedPrefetch);
-        let naive = pipeline::isolated_latency(&seg, &platform, ExecutionStrategy::FetchThenCompute);
+        // In `Strategy::ALL` order.
+        let [rtmdm, naive, whole, ideal] =
+            Strategy::ALL.map(|s| pipeline::isolated_latency(&seg, &platform, s));
         prop_assert!(ideal <= rtmdm);
         prop_assert!(rtmdm <= naive);
+        prop_assert_eq!(whole, naive);
         // Overlap can at best hide all staging beyond the lead-in.
         prop_assert!(rtmdm >= seg.total_compute());
     }
@@ -137,7 +133,7 @@ proptest! {
         }
         let mut options = FrameworkOptions::default();
         if rng.gen_bool(0.25) {
-            options.force_strategy = Some(STRATEGIES[rng.gen_range(0..STRATEGIES.len())]);
+            options.force_strategy = Some(Strategy::ALL[rng.gen_range(0..Strategy::ALL.len())]);
         }
         // A squeeze below the platform's own minimum is not a framework.
         let fw = RtMdm::with_options(platform.clone(), options.clone());
@@ -151,7 +147,7 @@ proptest! {
                 period_us,
                 period_us,
             )
-            .with_strategy(STRATEGIES[rng.gen_range(0..STRATEGIES.len())]);
+            .with_strategy(Strategy::ALL[rng.gen_range(0..Strategy::ALL.len())]);
             if rng.gen_bool(0.5) {
                 let floor = spec.model.max_layer_weight_bytes();
                 spec = spec.with_buffer_bytes((floor + rng.gen_range(0..8192u64)) | 1);

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rt_mdm::check::ExploreStrategy;
 use rt_mdm::core::{ExploreLimits, SystemSpec, TaskSpec};
 use rt_mdm::dnn::zoo;
-use rt_mdm::mcusim::{Cycles, FaultPlan, PlatformConfig, TraceKind};
+use rt_mdm::mcusim::{Cycles, FaultPlan, PlatformConfig, Trace, TraceKind};
 use rt_mdm::obs::{
     attribute, chrome_trace, chrome_trace_json, chrome_trace_with_blame, gantt, ChromeTrace,
     Timeline,
@@ -189,6 +189,31 @@ fn blame_export_matches_golden_file() {
         faulted_blame_json(),
         include_str!("golden_blame.json").trim_end(),
         "blame export or attribution drifted from tests/golden_blame.json"
+    );
+}
+
+/// Framework runs always record the attribution anchors, so the plain
+/// Chrome export must not read them: the faulted overload exports the
+/// same bytes with its `FetchWaitBegan`/`FetchWaitEnded`,
+/// `SegmentStalled` and `Resumed` events filtered out.
+#[test]
+fn chrome_export_ignores_attribution_anchors() {
+    let (result, names) = faulted_overload_scenario();
+    let mut bare = Trace::new();
+    let mut anchors = [0usize; 4];
+    for e in result.trace.events() {
+        match e.kind {
+            TraceKind::FetchWaitBegan { .. } => anchors[0] += 1,
+            TraceKind::FetchWaitEnded { .. } => anchors[1] += 1,
+            TraceKind::SegmentStalled { .. } => anchors[2] += 1,
+            TraceKind::Resumed { .. } => anchors[3] += 1,
+            kind => bare.push(e.time, kind),
+        }
+    }
+    assert!(anchors.iter().all(|&n| n > 0), "{anchors:?}");
+    assert_eq!(
+        chrome_trace_json(&bare, &names),
+        chrome_trace_json(&result.trace, &names)
     );
 }
 

@@ -101,6 +101,56 @@ proptest! {
         prop_assert_eq!(popped, (0..times.len()).collect::<Vec<_>>());
     }
 
+    /// The event queue against a reference model that keeps the pending
+    /// events in push order and drains them as a stable sort by time
+    /// would. Pushes on few instants (so many ties) interleave with pops;
+    /// the queue is cloned partway, both copies take the same further
+    /// pushes, and each must drain exactly like its model. A simulator
+    /// snapshot that resumes a run relies on the clone half.
+    #[test]
+    fn event_queue_drains_like_a_stable_sort_across_clones(
+        // An op below 8 pushes at that instant; 8 and above pops.
+        ops in proptest::collection::vec(0u64..12, 0..120),
+        split in 0usize..120,
+        tail in proptest::collection::vec(0u64..8, 0..40),
+    ) {
+        fn drained(mut q: EventQueue<usize>) -> Vec<(Cycles, usize)> {
+            std::iter::from_fn(|| q.pop()).collect()
+        }
+        fn stable_sorted(mut model: Vec<(Cycles, usize)>) -> Vec<(Cycles, usize)> {
+            model.sort_by_key(|&(t, _)| t);
+            model
+        }
+        let mut q = EventQueue::new();
+        let mut model: Vec<(Cycles, usize)> = Vec::new();
+        let mut clone = None;
+        for (id, &op) in ops.iter().enumerate() {
+            if id == split {
+                clone = Some((q.clone(), model.clone()));
+            }
+            if op < 8 {
+                q.push(Cycles::new(op), id);
+                model.push((Cycles::new(op), id));
+            } else {
+                let head = stable_sorted(model.clone()).first().copied();
+                if let Some(h) = head {
+                    model.retain(|&e| e != h);
+                }
+                prop_assert_eq!(q.pop(), head);
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.peek_time(), model.iter().map(|&(t, _)| t).min());
+        }
+        let clone = clone.unwrap_or_else(|| (q.clone(), model.clone()));
+        for (mut q, mut model) in [(q, model), clone] {
+            for (k, &t) in tail.iter().enumerate() {
+                q.push(Cycles::new(t), ops.len() + k);
+                model.push((Cycles::new(t), ops.len() + k));
+            }
+            prop_assert_eq!(drained(q), stable_sorted(model));
+        }
+    }
+
     /// Frequency conversions never under-report time (both directions
     /// round up).
     #[test]

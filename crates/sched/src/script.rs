@@ -18,14 +18,18 @@
 //!   violation witness is a `SimConfig` plus such a script, and replay
 //!   reproduces the violating run step for step.
 
+use std::hash::Hasher;
+
 use serde::{Deserialize, Serialize};
 
 use rtmdm_mcusim::Cycles;
 
 /// A canonical 128-bit fingerprint of the simulator's dynamic state at
-/// a choice point, computed over everything that determines future
-/// behavior (clocks, job queues, resource occupancy, the pending-event
-/// set) and nothing that does not (traces, statistics, metrics).
+/// a choice point: the derived [`Hash`](std::hash::Hash) of that state
+/// fed through a [`StableHash`]. It covers everything that determines
+/// future behavior (clocks, job queues, resource occupancy, the pending
+/// events in drain order) and nothing that does not (traces,
+/// statistics, metrics).
 ///
 /// Equal hashes of states queried at the *same* [`ChoicePoint`] imply
 /// identical future behavior under identical future answers, which is
@@ -39,7 +43,7 @@ pub struct StateHash(
     pub u128,
 );
 
-/// A streaming hasher with two independent 64-bit lanes, used to
+/// A streaming [`Hasher`] with two independent 64-bit lanes, used to
 /// fingerprint simulator state one whole word at a time.
 ///
 /// Each [`mix`](StableHash::mix) step xors the word into each lane,
@@ -49,10 +53,18 @@ pub struct StateHash(
 /// always end in different states in *both* lanes; the fold lets high
 /// input bits reach the low bits that the next multiply spreads. The
 /// mixer is fast, not cryptographic: it assumes states are not chosen
-/// adversarially. It is written out rather than taken from `std`'s
-/// `DefaultHasher`, whose output may change between Rust releases —
-/// fingerprints must be stable so an exploration (visited-set size,
-/// budget verdict) is reproducible across toolchains.
+/// adversarially.
+///
+/// As a [`Hasher`], every integer up to 64 bits that a derived
+/// [`Hash`](std::hash::Hash) writes (a bool, an enum discriminant, a length prefix) becomes one
+/// word (signed ones through their unsigned twins, `std`'s default),
+/// and a byte slice is fed as its length followed by 8-byte
+/// little-endian words.
+///
+/// The mixer is written out rather than taken from `std`'s
+/// `DefaultHasher`, which gives one 64-bit lane. Exploration reads only
+/// fingerprint *equality*, so what must hold across toolchains is that
+/// equal states hash equal, not that a digest keeps its value.
 #[derive(Debug, Clone)]
 pub struct StableHash {
     lo: u64,
@@ -80,26 +92,45 @@ impl StableHash {
         self.hi = fold((self.hi ^ v).wrapping_mul(HI_MUL));
     }
 
-    /// Feeds a boolean as a full word (avoids ambiguity with adjacent
-    /// small fields).
-    pub fn mix_bool(&mut self, v: bool) {
-        self.mix(u64::from(v));
-    }
-
-    /// Feeds an optional word, distinguishing `None` from `Some(0)`.
-    pub fn mix_opt(&mut self, v: Option<u64>) {
-        match v {
-            None => self.mix(u64::MAX - 1),
-            Some(x) => {
-                self.mix(1);
-                self.mix(x);
-            }
-        }
-    }
-
     /// The 128-bit digest.
     pub fn finish(&self) -> StateHash {
         StateHash((u128::from(self.hi) << 64) | u128::from(self.lo))
+    }
+}
+
+impl Hasher for StableHash {
+    /// The low lane; [`StableHash::finish`] gives both.
+    fn finish(&self) -> u64 {
+        self.lo
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.mix(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.mix(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, v: u8) {
+        self.mix(u64::from(v));
+    }
+
+    fn write_u16(&mut self, v: u16) {
+        self.mix(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.mix(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.mix(v);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.mix(v as u64);
     }
 }
 
@@ -277,6 +308,7 @@ impl SimOracle for ScriptOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
 
     #[test]
     fn script_oracle_replays_then_defaults() {
@@ -319,13 +351,19 @@ mod tests {
             a.finish(),
             StateHash(0xe0db_8170_62a8_fc77_9c2d_da1a_e14a_b8c4)
         );
-        // None must differ from Some(0) and from the empty feed.
-        let mut n = StableHash::new();
-        n.mix_opt(None);
-        let mut s = StableHash::new();
-        s.mix_opt(Some(0));
-        assert_ne!(n.finish(), s.finish());
-        assert_ne!(n.finish(), StableHash::new().finish());
+        // As a `Hasher`: None must differ from Some(0) and from the
+        // empty feed, and a byte slice's length tells trailing zero
+        // bytes apart.
+        let hashed = |v: &dyn Fn(&mut StableHash)| {
+            let mut h = StableHash::new();
+            v(&mut h);
+            h.finish()
+        };
+        let none = hashed(&|h| None::<u64>.hash(h));
+        assert_ne!(none, hashed(&|h| Some(0u64).hash(h)));
+        assert_ne!(none, StableHash::new().finish());
+        assert_ne!(hashed(&|h| h.write(b"ab")), hashed(&|h| h.write(b"ab\0")));
+        assert_eq!(hashed(&|h| 7u8.hash(h)), hashed(&|h| h.mix(7)));
         // One flipped input bit, at any position of any word, must move
         // both lanes; swapping two words must be detected.
         let words = [0u64, 1, 0x0123_4567_89ab_cdef, u64::MAX];

@@ -36,13 +36,21 @@
 //! ## Time advancement
 //!
 //! One discrete-event loop drives the clock. Timer releases and
-//! deadline checks live in a FIFO event heap; each iteration jumps to
-//! the earliest of the heap head and the two resources' finish
-//! instants, settles the elapsed interval, then processes the instant:
-//! resource completions first, then that instant's timer events, then
-//! the dispatch fixpoint. See `DESIGN.md` §2.3 for the heap contract
-//! and the settlement-exactness argument.
+//! deadline checks live in an [`EventQueue`] that drains in time order,
+//! ties in push order; each iteration jumps to the earliest of the
+//! queue head and the two resources' finish instants, settles the
+//! elapsed interval, then processes the instant: resource completions
+//! first, then that instant's timer events, then the dispatch fixpoint.
+//! See `DESIGN.md` §2.3 for the settlement-exactness argument.
+//!
+//! ## Fingerprint
+//!
+//! The oracle's [`StateHash`] is the derived [`Hash`] of the simulator
+//! state without its record of the past (`State::fingerprint`), so a
+//! field added to the state is fingerprinted with no edit to hashing
+//! code.
 
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -329,7 +337,7 @@ impl SimResult {
 
 const PPM: u64 = 1_000_000;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 enum TimedEvent {
     Release(usize),
     DeadlineCheck(usize, u64),
@@ -342,7 +350,7 @@ enum TimedEvent {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct Job {
     id: u64,
     release: Cycles,
@@ -358,7 +366,7 @@ struct Job {
     abort_pending: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct TaskState {
     jobs: std::collections::VecDeque<Job>,
     next_release: Cycles,
@@ -373,7 +381,7 @@ struct TaskState {
     wait_open: Option<(u64, usize)>,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 struct CpuExec {
     task: usize,
     seg: usize,
@@ -398,7 +406,7 @@ struct CpuExec {
 /// One DMA transfer, queued or on the channel. A suspended transfer
 /// returns to the queue as it stands, so preemption never discards
 /// partial work.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Hash)]
 struct Transfer {
     task: usize,
     seg: usize,
@@ -414,34 +422,14 @@ struct Transfer {
     credit: u64,
 }
 
-impl Transfer {
-    /// Mixes every word of the transfer after its task index into a
-    /// state fingerprint.
-    fn mix_after_task(&self, h: &mut StableHash) {
-        h.mix(self.seg as u64);
-        h.mix(self.job);
-        h.mix(u64::from(self.attempt));
-        h.mix(self.remaining.get());
-        h.mix(self.deadline.get());
-        h.mix(self.credit);
-    }
-}
-
 /// The simulator's dynamic state: everything a [`SimSnapshot`] restores
 /// and nothing else. The trace, the RNG, the stateless fault injector
 /// and the oracle with its query count stay in `Sim`; [`SimSnapshot`]
 /// says how a resume recovers the trace and the query position.
 ///
-/// The fingerprint ([`State::oracle_state_hash`]) covers every field
-/// that decides future behavior and leaves four out:
-/// - `stats`, `metrics` and `races` record the past: no dispatch, fetch
-///   or choice point reads them.
-/// - `idle_open` only decides whether the next idle stretch emits a
-///   fresh [`TraceKind::CpuIdle`] marker, never a dispatch, a stat or a
-///   metric.
-///
-/// Equal fingerprints therefore still imply identical future schedules.
-#[derive(Debug, Clone)]
+/// Its derived [`Hash`] is the fingerprint ([`State::fingerprint`]):
+/// every field outside [`Past`] decides future behavior and is hashed.
+#[derive(Debug, Clone, Hash)]
 struct State {
     now: Cycles,
     events: EventQueue<TimedEvent>,
@@ -450,18 +438,32 @@ struct State {
     dma: Option<Transfer>,
     dma_queue: Vec<Transfer>,
     last_cpu_task: Option<usize>,
+    past: Past,
+}
+
+/// What a run has recorded so far, which no dispatch, fetch or choice
+/// point reads, so its [`Hash`] writes nothing and equal fingerprints
+/// still imply identical future schedules.
+#[derive(Debug, Clone)]
+struct Past {
     stats: Vec<TaskStats>,
     metrics: SimMetrics,
     /// Whether a [`TraceKind::CpuIdle`] is open (no `CpuIdleEnd` yet).
+    /// It only decides whether the next idle stretch emits a fresh
+    /// marker, never a dispatch, a stat or a metric.
     idle_open: bool,
     /// Staging-race observations (see [`StagingRace`]).
     races: Vec<StagingRace>,
 }
 
+impl Hash for Past {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
+}
+
 /// A resumable mid-run image of the simulator, captured at an instant
 /// boundary (loop top, before the clock advances into the instant).
 ///
-/// A snapshot is one `State` — the pending-event heap, both resource
+/// A snapshot is one `State` — the pending-event queue, both resource
 /// slots with their sub-cycle credits, per-task job queues, the staging
 /// request queue, stats/metrics accumulators — plus the *position* of
 /// the run at capture: how many oracle queries were answered and how
@@ -503,7 +505,7 @@ impl SimSnapshot {
 
     /// Approximate heap footprint of the snapshot in bytes — the cost
     /// audit for the fork path (DESIGN.md §2.7). Dominated by the job
-    /// queues and the event heap; the shared trace `Arc` is counted as
+    /// queues and the event queue; the shared trace `Arc` is counted as
     /// a pointer, not as the trace.
     pub fn size_hint(&self) -> usize {
         use std::mem::size_of;
@@ -521,8 +523,8 @@ impl SimSnapshot {
             + seg_cycles * size_of::<Cycles>()
             + s.events.len() * (size_of::<TimedEvent>() + 2 * size_of::<u64>())
             + s.dma_queue.len() * size_of::<Transfer>()
-            + s.stats.len() * size_of::<TaskStats>()
-            + s.races.len() * size_of::<StagingRace>()
+            + s.past.stats.len() * size_of::<TaskStats>()
+            + s.past.races.len() * size_of::<StagingRace>()
     }
 }
 
@@ -545,17 +547,13 @@ struct Sim<'a> {
     /// relative to the choice sequence.
     queries: usize,
     /// Whether the run has recorded a deadline miss (a resumed run
-    /// counts the captured prefix's). With `state.races`, it is what
+    /// counts the captured prefix's). With `state.past.races`, it is what
     /// the oracle's stop hook is told about violations, at O(1) per
     /// instant.
     missed: bool,
     /// Fork support: when present, a [`SimSnapshot`] is pushed here at
     /// every instant boundary that may reach an oracle query.
     capture: Option<&'a mut Vec<SimSnapshot>>,
-    /// `oracle_state_hash`'s buffer for walking the pending events in
-    /// drain order; kept across calls so the walk allocates only while
-    /// the buffer grows. Holds nothing between calls that matters.
-    pending_walk: Vec<(Cycles, u64, TimedEvent)>,
 }
 
 impl<'a> Sim<'a> {
@@ -586,10 +584,12 @@ impl<'a> Sim<'a> {
                 dma: None,
                 dma_queue: Vec::new(),
                 last_cpu_task: None,
-                stats: vec![TaskStats::default(); ts.len()],
-                metrics: SimMetrics::default(),
-                idle_open: false,
-                races: Vec::new(),
+                past: Past {
+                    stats: vec![TaskStats::default(); ts.len()],
+                    metrics: SimMetrics::default(),
+                    idle_open: false,
+                    races: Vec::new(),
+                },
             },
             trace: Trace::new(),
             rng: StdRng::seed_from_u64(config.seed),
@@ -598,7 +598,6 @@ impl<'a> Sim<'a> {
             queries: 0,
             missed: false,
             capture,
-            pending_walk: Vec::new(),
         }
     }
 }
@@ -712,9 +711,9 @@ fn run_sim<'a>(
     let result = SimResult {
         trace: sim.trace,
         horizon: config.horizon,
-        stats: sim.state.stats,
-        metrics: sim.state.metrics,
-        races: sim.state.races,
+        stats: sim.state.past.stats,
+        metrics: sim.state.past.metrics,
+        races: sim.state.past.races,
     };
     // Finalize this run's snapshots: all of them share one Arc of the
     // finished trace, from which a resume copies back its prefix.
@@ -860,7 +859,7 @@ impl Sim<'_> {
         }
     }
 
-    /// The event loop: jump to the earliest of the timer-heap head and
+    /// The event loop: jump to the earliest of the timer-queue head and
     /// the two resources' finish instants, settle the elapsed interval,
     /// then process the instant — resource completions first (they may
     /// unblock tasks), then its timer events, then the dispatch
@@ -914,7 +913,7 @@ impl Sim<'_> {
             self.dispatch_cpu();
             self.note_cpu_idle();
             if let Some(oracle) = self.oracle.as_deref() {
-                if oracle.stop_after_instant(self.missed || !self.state.races.is_empty()) {
+                if oracle.stop_after_instant(self.missed || !self.state.past.races.is_empty()) {
                     end = self.state.now;
                     break;
                 }
@@ -923,7 +922,8 @@ impl Sim<'_> {
         // Exact partition of the covered span (the horizon, unless the
         // oracle stopped the run) — the headline invariant every derived
         // utilization figure rests on.
-        self.state.metrics.cpu_idle_cycles = end.saturating_sub(self.state.metrics.cpu_busy_cycles);
+        self.state.past.metrics.cpu_idle_cycles =
+            end.saturating_sub(self.state.past.metrics.cpu_busy_cycles);
     }
 
     /// Whether the instant `t` the loop is about to process can reach
@@ -932,7 +932,7 @@ impl Sim<'_> {
     /// the fault environment is active with retry budget left
     /// (`TransferFault`). Over-approximation is harmless — a
     /// superfluous snapshot costs memory, never correctness — and the
-    /// check is an O(pending) heap scan with no allocation.
+    /// check scans the pending events up to `t` without allocating.
     fn may_query_at(&self, t: Cycles, dma_done: bool) -> bool {
         let fault = &self.config.fault;
         if dma_done
@@ -971,9 +971,9 @@ impl Sim<'_> {
 
     /// Re-enters a captured instant boundary: the state is restored
     /// whole and the trace is truncated back to the captured prefix.
-    /// The event heap clone preserves its FIFO sequence counter, so
-    /// events pushed after the resume tie-break exactly as they did in
-    /// the capturing run.
+    /// The restored event queue drains like the captured one, so events
+    /// pushed after the resume tie-break exactly as they did in the
+    /// capturing run.
     fn restore(&mut self, snap: &SimSnapshot) {
         self.state = snap.state.clone();
         self.trace = snap
@@ -981,7 +981,7 @@ impl Sim<'_> {
             .as_ref()
             .expect("resume from unfinalized snapshot")
             .truncated(snap.trace_len);
-        self.missed = self.state.stats.iter().any(|s| s.misses > 0);
+        self.missed = self.state.past.stats.iter().any(|s| s.misses > 0);
     }
 
     /// Opens a [`TraceKind::CpuIdle`] interval if the CPU is idle and no
@@ -989,9 +989,11 @@ impl Sim<'_> {
     /// emitted by `dispatch_cpu`; a trace can therefore end mid-idle,
     /// and consumers clamp the open interval at the horizon.
     fn note_cpu_idle(&mut self) {
-        if self.state.cpu.is_none() && !self.state.idle_open && self.state.now < self.config.horizon
+        if self.state.cpu.is_none()
+            && !self.state.past.idle_open
+            && self.state.now < self.config.horizon
         {
-            self.state.idle_open = true;
+            self.state.past.idle_open = true;
             self.trace.push(self.state.now, TraceKind::CpuIdle);
         }
     }
@@ -1050,13 +1052,13 @@ impl Sim<'_> {
         let s = &mut self.state;
         if let Some(c) = s.cpu.as_mut() {
             let stall = settle_work(&mut c.remaining, &mut c.credit, cpu_rate, delta, cpu_done);
-            s.metrics.cpu_busy_cycles += delta;
-            s.metrics.cpu_stall_cycles += stall;
+            s.past.metrics.cpu_busy_cycles += delta;
+            s.past.metrics.cpu_stall_cycles += stall;
         }
         if let Some(d) = s.dma.as_mut() {
             let stall = settle_work(&mut d.remaining, &mut d.credit, dma_rate, delta, dma_done);
-            s.metrics.dma_busy_cycles += delta;
-            s.metrics.dma_stall_cycles += stall;
+            s.past.metrics.dma_busy_cycles += delta;
+            s.past.metrics.dma_stall_cycles += stall;
         }
     }
 
@@ -1088,9 +1090,9 @@ impl Sim<'_> {
             // advances — only the job itself never enters the system.
             state.skip_next = false;
             let next_release = state.next_release;
-            self.state.stats[task_idx].releases += 1;
-            self.state.stats[task_idx].shed += 1;
-            self.state.metrics.shed_jobs += 1;
+            self.state.past.stats[task_idx].releases += 1;
+            self.state.past.stats[task_idx].shed += 1;
+            self.state.past.metrics.shed_jobs += 1;
             self.trace.push(
                 self.state.now,
                 TraceKind::ReleaseShed {
@@ -1189,7 +1191,7 @@ impl Sim<'_> {
             abort_pending: false,
         });
         let next_release = state.next_release;
-        self.state.stats[task_idx].releases += 1;
+        self.state.past.stats[task_idx].releases += 1;
         self.trace.push(
             self.state.now,
             TraceKind::JobReleased {
@@ -1235,7 +1237,7 @@ impl Sim<'_> {
             .front()
             .is_some_and(|j| j.next_seg == 0 && j.staged == 0)
         {
-            self.state.metrics.blocking_fetches += 1;
+            self.state.past.metrics.blocking_fetches += 1;
         }
     }
 
@@ -1296,7 +1298,7 @@ impl Sim<'_> {
             return;
         }
         job.miss_recorded = true;
-        self.state.stats[task_idx].misses += 1;
+        self.state.past.stats[task_idx].misses += 1;
         self.missed = true;
         self.trace.push(
             self.state.now,
@@ -1331,8 +1333,8 @@ impl Sim<'_> {
             .jobs
             .remove(pos)
             .expect("job to drop");
-        self.state.stats[task_idx].aborted += 1;
-        self.state.metrics.aborted_jobs += 1;
+        self.state.past.stats[task_idx].aborted += 1;
+        self.state.past.metrics.aborted_jobs += 1;
         self.trace.push(
             self.state.now,
             TraceKind::JobAborted {
@@ -1393,10 +1395,10 @@ impl Sim<'_> {
             let base = self.platform.ext_mem.transfer_cycles(bytes);
             let work =
                 base.saturating_add(self.injector.transfer_jitter(d.task, d.job, d.seg, attempt));
-            self.state.stats[d.task].retries += 1;
-            self.state.metrics.injected_faults += 1;
-            self.state.metrics.fetch_retries += 1;
-            self.state.metrics.refetch_cycles += work;
+            self.state.past.stats[d.task].retries += 1;
+            self.state.past.metrics.injected_faults += 1;
+            self.state.past.metrics.fetch_retries += 1;
+            self.state.past.metrics.refetch_cycles += work;
             self.trace.push(
                 self.state.now,
                 TraceKind::FetchFaulted {
@@ -1466,9 +1468,9 @@ impl Sim<'_> {
             // already hidden behind the compute that just retired?
             if !done && !abort && self.ts.tasks()[task_idx].mode == StagingMode::Overlapped {
                 if job.staged > job.next_seg {
-                    self.state.metrics.prefetch_hits += 1;
+                    self.state.past.metrics.prefetch_hits += 1;
                 } else {
-                    self.state.metrics.blocking_fetches += 1;
+                    self.state.past.metrics.blocking_fetches += 1;
                 }
             }
             (
@@ -1510,7 +1512,7 @@ impl Sim<'_> {
                 .jobs
                 .pop_front()
                 .expect("head job");
-            let stats = &mut self.state.stats[task_idx];
+            let stats = &mut self.state.past.stats[task_idx];
             stats.completions += 1;
             stats.max_response = stats.max_response.max(response);
             stats.total_response += response.get();
@@ -1699,7 +1701,7 @@ impl Sim<'_> {
                 clobbered_seg,
                 kind,
             };
-            let dup = self.state.races.iter().any(|r| {
+            let dup = self.state.past.races.iter().any(|r| {
                 r.task == race.task
                     && r.job == race.job
                     && r.write_seg == race.write_seg
@@ -1707,7 +1709,7 @@ impl Sim<'_> {
                     && r.kind == race.kind
             });
             if !dup {
-                self.state.races.push(race);
+                self.state.past.races.push(race);
             }
         }
     }
@@ -1760,8 +1762,8 @@ impl Sim<'_> {
         let Some(task_idx) = chosen else { return };
 
         // The CPU leaves idle: close the open idle interval.
-        if self.state.idle_open {
-            self.state.idle_open = false;
+        if self.state.past.idle_open {
+            self.state.past.idle_open = false;
             self.trace.push(self.state.now, TraceKind::CpuIdleEnd);
         }
 
@@ -1769,8 +1771,8 @@ impl Sim<'_> {
         // last boundary, it has just been preempted.
         if let Some(prev) = self.state.last_cpu_task {
             if prev != task_idx && self.task_has_started_job(prev) {
-                self.state.stats[prev].preemptions += 1;
-                self.state.metrics.preemptions += 1;
+                self.state.past.stats[prev].preemptions += 1;
+                self.state.past.metrics.preemptions += 1;
                 self.trace.push(
                     self.state.now,
                     TraceKind::Preempted {
@@ -1846,7 +1848,7 @@ impl Sim<'_> {
     /// Answers one choice point through the oracle: fingerprints the
     /// state, counts the query and asks. Oracle mode only.
     fn ask(&mut self, point: ChoicePoint) -> Choice {
-        let state = self.state.oracle_state_hash(&mut self.pending_walk);
+        let state = self.state.fingerprint();
         self.queries += 1;
         self.oracle
             .as_deref_mut()
@@ -1856,93 +1858,13 @@ impl Sim<'_> {
 }
 
 impl State {
-    /// Fingerprints the state for an oracle query, hashing exactly what
-    /// determines future behavior: the clock, every task's release
-    /// bookkeeping and job queue, both resource slots, the DMA request
-    /// queue in its tie-breaking order, the dispatcher memory
-    /// (`last_cpu_task`), and the pending-event set in drain order. The
-    /// fields it leaves out are listed, with the reasons, on [`State`].
-    ///
-    /// Only called in oracle mode, at most once per choice point, so
-    /// the `O(state)` walk never taxes default runs. The pending events
-    /// are sorted in `walk`, a buffer the caller reuses across calls,
-    /// so in steady state a call allocates nothing.
-    fn oracle_state_hash(&self, walk: &mut Vec<(Cycles, u64, TimedEvent)>) -> StateHash {
+    /// Fingerprints the state for an oracle query: its derived [`Hash`],
+    /// which covers every field outside [`Past`], the pending events in
+    /// drain order. Only called in oracle mode, at most once per choice
+    /// point, so default runs never pay for it.
+    fn fingerprint(&self) -> StateHash {
         let mut h = StableHash::new();
-        h.mix(self.now.get());
-        for t in &self.tasks {
-            h.mix(t.next_release.get());
-            h.mix(t.released);
-            h.mix_bool(t.skip_next);
-            match t.wait_open {
-                None => h.mix_opt(None),
-                Some((job, seg)) => {
-                    h.mix_opt(Some(job));
-                    h.mix(seg as u64);
-                }
-            }
-            h.mix(t.jobs.len() as u64);
-            for j in &t.jobs {
-                h.mix(j.id);
-                h.mix(j.release.get());
-                h.mix(j.abs_deadline.get());
-                h.mix(j.next_seg as u64);
-                h.mix(j.staged as u64);
-                h.mix(j.fetch_requested as u64);
-                h.mix_bool(j.miss_recorded);
-                h.mix_bool(j.abort_pending);
-                h.mix(j.seg_compute.len() as u64);
-                for c in &j.seg_compute {
-                    h.mix(c.get());
-                }
-            }
-        }
-        match self.cpu {
-            None => h.mix_opt(None),
-            Some(c) => {
-                h.mix_opt(Some(c.task as u64));
-                h.mix(c.seg as u64);
-                h.mix(c.remaining.get());
-                h.mix(c.credit);
-                h.mix(c.started.get());
-                h.mix(c.nominal.get());
-            }
-        }
-        h.mix_opt(self.dma.map(|d| d.task as u64));
-        if let Some(d) = &self.dma {
-            d.mix_after_task(&mut h);
-        }
-        h.mix(self.dma_queue.len() as u64);
-        for r in &self.dma_queue {
-            h.mix(r.task as u64);
-            r.mix_after_task(&mut h);
-        }
-        h.mix_opt(self.last_cpu_task.map(|t| t as u64));
-        walk.clear();
-        walk.extend(self.events.entries().map(|(t, seq, &ev)| (t, seq, ev)));
-        // `seq` is unique, so the unstable sort is the drain order.
-        walk.sort_unstable_by_key(|&(t, seq, _)| (t, seq));
-        h.mix(walk.len() as u64);
-        for &(time, _, ev) in walk.iter() {
-            h.mix(time.get());
-            match ev {
-                TimedEvent::Release(task) => {
-                    h.mix(0);
-                    h.mix(task as u64);
-                }
-                TimedEvent::DeadlineCheck(task, job) => {
-                    h.mix(1);
-                    h.mix(task as u64);
-                    h.mix(job);
-                }
-                TimedEvent::JitteredRelease { task, id, nominal } => {
-                    h.mix(2);
-                    h.mix(task as u64);
-                    h.mix(id);
-                    h.mix(nominal.get());
-                }
-            }
-        }
+        self.hash(&mut h);
         h.finish()
     }
 }
@@ -2001,37 +1923,75 @@ mod tests {
         )
     }
 
-    /// The fingerprint walks the pending events through a buffer the
-    /// simulator keeps: once it has grown to the pending set, repeated
-    /// calls reuse the same allocation and agree on the digest. The
-    /// spare capacity reserved after the first call would be lost by a
-    /// walk that builds a fresh vector.
+    /// The fingerprint is the state's derived `Hash` without [`Past`]:
+    /// states that differ only in what the run recorded hash equal, and
+    /// changing one live value — a job's staging progress, the order of
+    /// two queued transfers, the instant of a pending event — changes
+    /// the hash.
     #[test]
-    fn oracle_state_hash_reuses_its_walk_buffer() {
+    fn fingerprint_covers_the_live_state_and_not_the_past() {
         let ts = TaskSet::from_tasks(vec![
             resident("a", 100, &[30]),
-            overlapped("b", 300, &[(40, 16), (40, 16)]),
+            overlapped("b", 300, &[(80, 16), (80, 16)]),
         ]);
         let p = bare_platform();
         let cfg = SimConfig::new(cy(1_000), Policy::FixedPriority);
         let mut oracle = crate::script::ScriptOracle::new(Vec::new());
-        let mut sim = Sim::new(&ts, &p, &cfg, Some(&mut oracle), None);
-        for i in 0..ts.len() {
-            sim.schedule(cy(0), TimedEvent::Release(i));
-            sim.schedule(cy(50 * (i as u64 + 1)), TimedEvent::DeadlineCheck(i, 0));
-        }
-        let first = sim.state.oracle_state_hash(&mut sim.pending_walk);
-        sim.pending_walk.reserve(64);
-        let buffer = (sim.pending_walk.as_ptr(), sim.pending_walk.capacity());
-        assert_eq!(sim.pending_walk.len(), 4);
-        for _ in 0..3 {
-            assert_eq!(sim.state.oracle_state_hash(&mut sim.pending_walk), first);
-            assert_eq!(
-                (sim.pending_walk.as_ptr(), sim.pending_walk.capacity()),
-                buffer,
-                "walk buffer reallocated"
-            );
-        }
+        let mut snaps = Vec::new();
+        simulate_with_oracle_forked(&ts, &p, &cfg, &mut oracle, None, Some(&mut snaps));
+        let live = snaps
+            .iter()
+            .map(|snap| &snap.state)
+            .find(|s| s.tasks.iter().any(|t| !t.jobs.is_empty()))
+            .expect("a snapshot with a pending job");
+        let base = live.fingerprint();
+
+        let mut past = live.clone();
+        past.past.stats[0].releases += 1;
+        past.past.metrics.preemptions += 1;
+        past.past.races.push(StagingRace {
+            at: cy(1),
+            task: 1,
+            job: 0,
+            write_seg: 0,
+            clobbered_seg: 1,
+            kind: RaceKind::CpuRead,
+        });
+        past.past.idle_open = !past.past.idle_open;
+        assert_eq!(past.fingerprint(), base, "the past is not fingerprinted");
+
+        let mut staged = live.clone();
+        let job = staged
+            .tasks
+            .iter_mut()
+            .find_map(|t| t.jobs.front_mut())
+            .expect("a pending job");
+        job.staged += 1;
+        assert_ne!(staged.fingerprint(), base, "a job's `staged`");
+
+        let mut later = live.clone();
+        let (at, ev) = later.events.pop().expect("a pending event");
+        later.events.push(at + cy(1), ev);
+        assert_ne!(later.fingerprint(), base, "a pending event's instant");
+
+        let transfer = |task, seg| Transfer {
+            task,
+            seg,
+            job: 0,
+            attempt: 0,
+            remaining: cy(16),
+            deadline: cy(300),
+            credit: 0,
+        };
+        let mut queued = live.clone();
+        queued.dma_queue = vec![transfer(0, 0), transfer(1, 1)];
+        let mut swapped = queued.clone();
+        swapped.dma_queue.reverse();
+        assert_ne!(
+            queued.fingerprint(),
+            swapped.fingerprint(),
+            "the order of two queued transfers"
+        );
     }
 
     /// A snapshot taken after a staging race must count the recorded
@@ -2061,13 +2021,13 @@ mod tests {
         assert!(!run.races.is_empty(), "window 3 must reach a staging race");
         let snap = snaps
             .iter()
-            .find(|s| !s.state.races.is_empty())
+            .find(|s| !s.state.past.races.is_empty())
             .expect("a snapshot after the first race");
         let mut raceless = snap.clone();
-        raceless.state.races.clear();
+        raceless.state.past.races.clear();
         assert_eq!(
             snap.size_hint() - raceless.size_hint(),
-            snap.state.races.len() * std::mem::size_of::<StagingRace>()
+            snap.state.past.races.len() * std::mem::size_of::<StagingRace>()
         );
     }
 

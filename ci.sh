@@ -341,6 +341,15 @@ for workload in serve_cold serve_fleet explore simulate; do
     last="$(tail -n 1 "$bench_out")"
     [[ "$last" == *'"correct":true'* && "$last" == *'"failed":0'* ]] || {
       echo "rtbench smoke: $workload --trace $trace output checks failed" >&2; exit 1; }
+    # The traced explore counters pin the exploration itself: any change
+    # to the merge relation moves them, not only the pinned cells.
+    if [[ "$workload" == explore && "$trace" == 1 ]]; then
+      for pin in '"explore.states":{"value":4493,' '"explore.runs":{"value":2018,' \
+        '"explore.transitions":{"value":247330,' '"conclusive_cells":{"value":52,'; do
+        [[ "$last" == *"$pin"* ]] || {
+          echo "rtbench smoke: explore --seed 1 counter moved, expected $pin" >&2; exit 1; }
+      done
+    fi
   done
 done
 rm -f "$bench_out"

@@ -232,7 +232,7 @@ fn run_path(
 ) -> PathRun {
     let consumed = item.base.as_ref().map_or(0, |b| b.consumed);
     let mut caps: Vec<SimSnapshot> = Vec::new();
-    let mut oracle = PathOracle::new(item.forced_from(consumed), domains, Some(visited));
+    let mut oracle = PathOracle::search(item.forced_from(consumed), domains, visited);
     let result = simulate_with_oracle_forked(
         ts,
         platform,
@@ -321,7 +321,7 @@ pub fn explore(
         if let Some(raw) = first_violation(&run.result) {
             stats.states = visited.len();
             let path = run_choices(&item, &run);
-            let outcome = violation_outcome(ts, platform, &cfg, &domains, &path, raw, stats);
+            let outcome = violation_outcome(ts, platform, &cfg, &path, raw, stats);
             flush_explore_metrics(&outcome.stats);
             return outcome;
         }
@@ -392,7 +392,7 @@ fn push_branches(
             .last()
             .or(item.base.as_ref())
             .cloned();
-        for &alt in &run.log[i].branches {
+        for &alt in run.log[i].branch.iter().flat_map(|(_, alts)| alts) {
             stack.push(WorkItem {
                 path: Rc::clone(&path),
                 at,
@@ -472,7 +472,6 @@ fn violation_outcome(
     ts: &TaskSet,
     platform: &PlatformConfig,
     cfg: &SimConfig,
-    domains: &Domains,
     path: &[Choice],
     raw: RawViolation,
     stats: ExploreStats,
@@ -480,8 +479,9 @@ fn violation_outcome(
     // The explored run ended at its violating instant, and a forked one
     // logged only from its snapshot on. The witness lists every query
     // from time zero to the horizon, so replay the path once from time
-    // zero with an oracle that stops at nothing.
-    let mut oracle = PathOracle::new(path.to_vec(), domains, None);
+    // zero with an oracle that stops at nothing and keeps no search
+    // books: it fingerprints no state and lists no candidates.
+    let mut oracle = PathOracle::replay(path.to_vec());
     let result = simulate_with_oracle(ts, platform, cfg, &mut oracle);
     let log = oracle.log;
     let name = &ts.tasks()[raw.task].name;
@@ -957,7 +957,7 @@ mod tests {
                     let at = run.consumed + i;
                     let base = run.snaps.iter().rev().find(|fb| fb.consumed <= at);
                     let base = base.or(item.base.as_ref()).map(|fb| fb.consumed);
-                    for &alt in &run.log[i].branches {
+                    for &alt in run.log[i].branch.iter().flat_map(|(_, alts)| alts) {
                         let mut copied: Vec<Choice> = prefix[..run.consumed].to_vec();
                         copied.extend(run.log[..i].iter().map(|r| r.chosen));
                         copied.push(alt);

@@ -5,7 +5,9 @@
 //! Each explored path is one simulator run driven by a [`PathOracle`]
 //! — a forced prefix of choices replayed positionally, then the
 //! deterministic default answer for every further query, with every
-//! query logged together with its untaken candidates.
+//! query logged. A free query with untaken candidates also logs those
+//! candidates and the state fingerprint there; no other query
+//! fingerprints the state.
 //!
 //! The [`VisitedSet`] is updated at *merge time* — when the explorer
 //! consumes a finished path, it walks the logged free-region queries in
@@ -108,14 +110,15 @@ pub struct QueryRecord {
     pub point: ChoicePoint,
     /// The answer given on this path.
     pub chosen: Choice,
-    /// The canonical state fingerprint at the query, for merge-time
-    /// visited bookkeeping.
-    pub state: StateHash,
-    /// Untaken candidate answers. Empty in the forced region (those
-    /// branch points belong to the run that scheduled the prefix) and
-    /// at single-candidate points; whether a non-empty set actually
-    /// branches is decided at merge time against the visited set.
-    pub branches: Vec<Choice>,
+    /// At a search run's free query with untaken candidates: the
+    /// canonical state fingerprint at the query, for merge-time visited
+    /// bookkeeping, and the untaken candidate answers (never empty).
+    /// Whether they actually branch is decided at merge time against
+    /// the visited set. `None` — and no fingerprint computed — in the
+    /// forced region (those branch points belong to the run that
+    /// scheduled the prefix), at single-candidate points and throughout
+    /// a witness replay.
+    pub branch: Option<(StateHash, Vec<Choice>)>,
 }
 
 /// The shared dominance store: `(state, point)` pairs already expanded,
@@ -168,21 +171,24 @@ impl VisitedSet {
 
 /// The oracle that drives one explored path: replays the forced prefix
 /// positionally, then answers deterministic defaults, logging every
-/// query with its untaken candidates and the state fingerprint it
-/// observed.
+/// query.
 ///
-/// A search run's oracle only reads the visited set. It asks the
-/// simulator to stop after the instant in which a free query with
-/// untaken candidates hits an expanded pair — the condition on which
-/// [`merge_path`] merges — or in which the run records its first
-/// violation, which ends the search. Every other piece of bookkeeping
-/// happens when the explorer consumes the log. A replay oracle (no
-/// visited set) stops at neither and runs to the horizon.
+/// A search run's oracle logs, at each free query with untaken
+/// candidates, those candidates and the state fingerprint — the only
+/// queries [`merge_path`] reads, so the only ones it fingerprints, once
+/// each. It only reads the visited set. It asks the simulator to stop
+/// after the instant in which such a query hits an expanded pair — the
+/// condition on which [`merge_path`] merges — or in which the run
+/// records its first violation, which ends the search. Every other
+/// piece of bookkeeping happens when the explorer consumes the log. A
+/// witness replay answers [`Choice::default_for`] past its prefix (the
+/// first candidate by the [`Domains`] contract), logs only points and
+/// answers, fingerprints nothing, and runs to the horizon.
 pub struct PathOracle<'a> {
     prefix: Vec<Choice>,
-    domains: &'a Domains,
-    /// The set a search run merges into; `None` for a witness replay.
-    visited: Option<&'a VisitedSet>,
+    /// The candidate domains and the visited set a search run merges
+    /// into; `None` for a witness replay.
+    search: Option<(&'a Domains, &'a VisitedSet)>,
     /// Whether a query hit an expanded pair, ending the run after the
     /// current instant.
     stopped: bool,
@@ -191,15 +197,23 @@ pub struct PathOracle<'a> {
 }
 
 impl<'a> PathOracle<'a> {
-    /// An oracle forcing `prefix`, then defaults. With `Some(visited)`
-    /// it drives a search run, which stops where the path merges into
-    /// `visited` or after its first violating instant; with `None` it
-    /// replays the path to the horizon.
-    pub fn new(prefix: Vec<Choice>, domains: &'a Domains, visited: Option<&'a VisitedSet>) -> Self {
+    /// A search run's oracle forcing `prefix`, then defaults; the run
+    /// stops where the path merges into `visited` or after its first
+    /// violating instant.
+    pub fn search(prefix: Vec<Choice>, domains: &'a Domains, visited: &'a VisitedSet) -> Self {
+        PathOracle::with(prefix, Some((domains, visited)))
+    }
+
+    /// A witness replay's oracle forcing `prefix`, then defaults, to the
+    /// horizon.
+    pub fn replay(prefix: Vec<Choice>) -> Self {
+        PathOracle::with(prefix, None)
+    }
+
+    fn with(prefix: Vec<Choice>, search: Option<(&'a Domains, &'a VisitedSet)>) -> Self {
         PathOracle {
             prefix,
-            domains,
-            visited,
+            search,
             stopped: false,
             log: Vec::new(),
         }
@@ -208,30 +222,37 @@ impl<'a> PathOracle<'a> {
 
 impl SimOracle for PathOracle<'_> {
     fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice {
-        let index = self.log.len();
-        let (chosen, branches) = if index < self.prefix.len() {
+        self.answer(point, &|| state)
+    }
+
+    fn answer(&mut self, point: ChoicePoint, state: &dyn Fn() -> StateHash) -> Choice {
+        let (chosen, branch) = match (self.prefix.get(self.log.len()), self.search) {
             // Forced region: replay; its branch points were expanded by
             // the run that scheduled this prefix.
-            (self.prefix[index], Vec::new())
-        } else {
-            let mut cands = self.domains.candidates(&point);
-            let chosen = cands.remove(0);
-            if !cands.is_empty() && self.visited.is_some_and(|v| v.tail(state, point).is_some()) {
-                self.stopped = true;
+            (Some(&forced), _) => (forced, None),
+            (None, None) => (Choice::default_for(&point), None),
+            (None, Some((domains, visited))) => {
+                let mut cands = domains.candidates(&point);
+                let chosen = cands.remove(0);
+                if cands.is_empty() {
+                    (chosen, None)
+                } else {
+                    let hash = state();
+                    self.stopped |= visited.tail(hash, point).is_some();
+                    (chosen, Some((hash, cands)))
+                }
             }
-            (chosen, cands)
         };
         self.log.push(QueryRecord {
             point,
             chosen,
-            state,
-            branches,
+            branch,
         });
         chosen
     }
 
     fn stop_after_instant(&self, violated: bool) -> bool {
-        self.stopped || (violated && self.visited.is_some())
+        self.stopped || (violated && self.search.is_some())
     }
 }
 
@@ -262,10 +283,10 @@ pub fn merge_path(log: &[QueryRecord], visited: &mut VisitedSet) -> MergedPath {
     let mut expansions = Vec::new();
     let mut len = log.len();
     for (i, rec) in log.iter().enumerate() {
-        if rec.branches.is_empty() {
+        let Some((state, _)) = rec.branch else {
             continue;
-        }
-        match visited.tail(rec.state, rec.point) {
+        };
+        match visited.tail(state, rec.point) {
             Some(tail) => {
                 len = i + tail;
                 break;
@@ -274,7 +295,9 @@ pub fn merge_path(log: &[QueryRecord], visited: &mut VisitedSet) -> MergedPath {
         }
     }
     for &i in &expansions {
-        visited.insert(log[i].state, log[i].point, len - i);
+        if let Some((state, _)) = log[i].branch {
+            visited.insert(state, log[i].point, len - i);
+        }
     }
     MergedPath { expansions, len }
 }
@@ -347,6 +370,11 @@ impl Witness {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    use rtmdm_mcusim::FaultPlan;
+    use rtmdm_sched::sim::Policy;
+    use rtmdm_sched::{Segment, SporadicTask, StagingMode};
 
     fn jitter_domains(max: u64) -> Domains {
         Domains {
@@ -362,10 +390,10 @@ mod tests {
         let p = ChoicePoint::ReleaseJitter { task: 0, job: 0 };
         assert_eq!(d.candidates(&p).len(), 1);
         let mut visited = VisitedSet::new();
-        let mut oracle = PathOracle::new(Vec::new(), &d, Some(&visited));
+        let mut oracle = PathOracle::search(Vec::new(), &d, &visited);
         let c = oracle.choose(p, StateHash(1));
         assert_eq!(c, Choice::ReleaseJitter(Cycles::ZERO));
-        assert!(oracle.log[0].branches.is_empty());
+        assert!(oracle.log[0].branch.is_none());
         let log = oracle.log;
         assert!(merge_path(&log, &mut visited).expansions.is_empty());
         assert!(visited.is_empty(), "non-branching points cost no budget");
@@ -377,14 +405,14 @@ mod tests {
         let p = ChoicePoint::ReleaseJitter { task: 0, job: 0 };
         let mut visited = VisitedSet::new();
         {
-            let mut oracle = PathOracle::new(Vec::new(), &d, Some(&visited));
+            let mut oracle = PathOracle::search(Vec::new(), &d, &visited);
             assert_eq!(
                 oracle.choose(p, StateHash(1)),
                 Choice::ReleaseJitter(Cycles::ZERO)
             );
             assert_eq!(
-                oracle.log[0].branches,
-                vec![Choice::ReleaseJitter(Cycles::new(50))]
+                oracle.log[0].branch,
+                Some((StateHash(1), vec![Choice::ReleaseJitter(Cycles::new(50))]))
             );
             assert!(
                 !oracle.stop_after_instant(false),
@@ -397,7 +425,7 @@ mod tests {
         // branches are not scheduled, the rest of that path stops
         // expanding — even a novel later pair — and its run stops.
         {
-            let mut oracle = PathOracle::new(Vec::new(), &d, Some(&visited));
+            let mut oracle = PathOracle::search(Vec::new(), &d, &visited);
             oracle.choose(p, StateHash(1));
             assert!(
                 oracle.stop_after_instant(false),
@@ -421,7 +449,7 @@ mod tests {
             explore_faults: false,
         };
         let mut visited = VisitedSet::new();
-        let mut oracle = PathOracle::new(Vec::new(), &d, Some(&visited));
+        let mut oracle = PathOracle::search(Vec::new(), &d, &visited);
         let jitter = ChoicePoint::ReleaseJitter { task: 0, job: 0 };
         let exec = ChoicePoint::ExecScale {
             task: 0,
@@ -448,12 +476,12 @@ mod tests {
         // Even a visited pair does not stop a forced query: the forced
         // region belongs to the run that scheduled the prefix.
         visited.insert(StateHash(3), p, 1);
-        let mut oracle = PathOracle::new(forced, &d, Some(&visited));
+        let mut oracle = PathOracle::search(forced, &d, &visited);
         assert_eq!(
             oracle.choose(p, StateHash(3)),
             Choice::ReleaseJitter(Cycles::new(50))
         );
-        assert!(oracle.log[0].branches.is_empty());
+        assert!(oracle.log[0].branch.is_none());
         assert!(!oracle.stop_after_instant(false));
         let log = oracle.log;
         let mut unvisited = VisitedSet::new();
@@ -465,23 +493,23 @@ mod tests {
     fn a_search_run_stops_at_its_violation_and_a_replay_does_not() {
         let d = jitter_domains(50);
         let visited = VisitedSet::new();
-        let search = PathOracle::new(Vec::new(), &d, Some(&visited));
+        let search = PathOracle::search(Vec::new(), &d, &visited);
         assert!(!search.stop_after_instant(false));
         assert!(
             search.stop_after_instant(true),
             "a violation ends the search"
         );
-        let mut replay = PathOracle::new(Vec::new(), &d, None);
+        let mut replay = PathOracle::replay(Vec::new());
         let p = ChoicePoint::ReleaseJitter { task: 0, job: 0 };
         replay.choose(p, StateHash(1));
         assert!(
             !replay.stop_after_instant(true),
             "a replay runs to the horizon"
         );
-        assert_eq!(
-            replay.log[0].branches,
-            vec![Choice::ReleaseJitter(Cycles::new(50))],
-            "a replay still logs its untaken candidates"
+        assert_eq!(replay.log[0].chosen, Choice::ReleaseJitter(Cycles::ZERO));
+        assert!(
+            replay.log[0].branch.is_none(),
+            "a replay keeps no search books"
         );
     }
 
@@ -507,7 +535,7 @@ mod tests {
         let mut visited = VisitedSet::new();
         // The first path expands four pairs; each records its tail.
         let first = [(0, 10), (1, 11), (2, 12), (3, 13)];
-        let mut oracle = PathOracle::new(Vec::new(), &d, Some(&visited));
+        let mut oracle = PathOracle::search(Vec::new(), &d, &visited);
         feed(&mut oracle, &first, true);
         let log = oracle.log;
         let merged = merge_path(&log, &mut visited);
@@ -525,20 +553,24 @@ mod tests {
         // from there its tail is the first path's tail.
         let forced = vec![Choice::ReleaseJitter(Cycles::new(50))];
         let second = [(0, 20), (1, 21), (2, 12), (3, 13)];
-        let mut cut = PathOracle::new(forced.clone(), &d, Some(&visited));
+        let mut cut = PathOracle::search(forced.clone(), &d, &visited);
         feed(&mut cut, &second, true);
         assert!(cut.stop_after_instant(false));
         assert_eq!(cut.log.len(), 3, "the run ends at its merge pair");
-        let mut uncut = PathOracle::new(forced, &d, Some(&visited));
+        let mut uncut = PathOracle::search(forced, &d, &visited);
         feed(&mut uncut, &second, false);
         assert_eq!(uncut.log.len(), 4);
         let (cut_log, uncut_log) = (cut.log, uncut.log);
         for (a, b) in cut_log.iter().zip(&uncut_log) {
-            assert_eq!((a.point, a.chosen, a.state), (b.point, b.chosen, b.state));
+            assert_eq!(
+                (a.point, a.chosen, &a.branch),
+                (b.point, b.chosen, &b.branch)
+            );
         }
         let mut for_uncut = VisitedSet::new();
         for (i, rec) in log.iter().enumerate() {
-            for_uncut.insert(rec.state, rec.point, merged.len - i);
+            let (state, _) = rec.branch.as_ref().expect("every query branches");
+            for_uncut.insert(*state, rec.point, merged.len - i);
         }
         let from_uncut = merge_path(&uncut_log, &mut for_uncut);
         let from_cut = merge_path(&cut_log, &mut visited);
@@ -564,11 +596,8 @@ mod tests {
         let d = jitter_domains(50);
         let visited = VisitedSet::new();
         let drive = || {
-            let mut oracle = PathOracle::new(
-                vec![Choice::ReleaseJitter(Cycles::new(50))],
-                &d,
-                Some(&visited),
-            );
+            let mut oracle =
+                PathOracle::search(vec![Choice::ReleaseJitter(Cycles::new(50))], &d, &visited);
             for job in 0..4 {
                 oracle.choose(
                     ChoicePoint::ReleaseJitter { task: 0, job },
@@ -581,8 +610,167 @@ mod tests {
         let b = drive();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
-            assert_eq!((x.point, x.chosen, x.state), (y.point, y.chosen, y.state));
-            assert_eq!(x.branches, y.branches);
+            assert_eq!(
+                (x.point, x.chosen, &x.branch),
+                (y.point, y.chosen, &y.branch)
+            );
         }
+    }
+
+    #[test]
+    fn the_first_candidate_is_the_default_answer() {
+        let points = [
+            ChoicePoint::ExecScale {
+                task: 0,
+                job: 0,
+                min_ppm: 500_000,
+            },
+            ChoicePoint::ExecScale {
+                task: 0,
+                job: 0,
+                min_ppm: 1_000_000,
+            },
+            ChoicePoint::ReleaseJitter { task: 0, job: 0 },
+            ChoicePoint::TransferFault {
+                task: 0,
+                job: 0,
+                seg: 0,
+                attempt: 0,
+            },
+        ];
+        for exec_scale_min_ppm in [500_000, 1_000_000] {
+            for jitter_max_cycles in [0, 50] {
+                for explore_faults in [false, true] {
+                    let d = Domains {
+                        exec_scale_min_ppm,
+                        jitter_max_cycles,
+                        explore_faults,
+                    };
+                    for p in &points {
+                        assert_eq!(d.candidates(p)[0], Choice::default_for(p), "{p:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Counts the fingerprints the wrapped path oracle pulls.
+    struct Pulls<'a> {
+        inner: PathOracle<'a>,
+        pulled: Cell<usize>,
+    }
+
+    impl SimOracle for Pulls<'_> {
+        fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice {
+            self.answer(point, &|| state)
+        }
+
+        fn answer(&mut self, point: ChoicePoint, state: &dyn Fn() -> StateHash) -> Choice {
+            let pulled = &self.pulled;
+            self.inner.answer(point, &|| {
+                pulled.set(pulled.get() + 1);
+                state()
+            })
+        }
+
+        fn stop_after_instant(&self, violated: bool) -> bool {
+            self.inner.stop_after_instant(violated)
+        }
+    }
+
+    /// Replays `answers` and records the fingerprint at every query.
+    struct Eager {
+        script: ScriptOracle,
+        hashes: Vec<StateHash>,
+    }
+
+    impl SimOracle for Eager {
+        fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice {
+            self.hashes.push(state);
+            self.script.choose(point, state)
+        }
+    }
+
+    #[test]
+    fn only_branching_search_queries_are_fingerprinted() {
+        let task = |name: &str, period: u64, segs: &[u64]| {
+            let segs = segs.iter().map(|&c| Segment::new(Cycles::new(c), 2_048));
+            SporadicTask::new(
+                name,
+                Cycles::new(period),
+                Cycles::new(period),
+                segs.collect(),
+                StagingMode::Overlapped,
+            )
+            .expect("valid task")
+        };
+        let ts = TaskSet::from_tasks(vec![
+            task("a", 60_000, &[4_000, 5_000]),
+            task("b", 90_000, &[6_000, 3_000, 2_000]),
+        ]);
+        let platform = PlatformConfig::stm32f746_qspi();
+        let mut cfg = SimConfig::new(Cycles::new(360_000), Policy::FixedPriority);
+        cfg.exec_scale_min_ppm = 600_000;
+        cfg.fault = FaultPlan {
+            seed: 0,
+            dma_fault_rate_ppm: 1,
+            max_retries: 1,
+            jitter_max_cycles: 0,
+        };
+        // Scale queries branch; jitter and fault queries have one
+        // candidate each.
+        let d = Domains {
+            exec_scale_min_ppm: 600_000,
+            jitter_max_cycles: 0,
+            explore_faults: false,
+        };
+        let prefix = vec![
+            Choice::ReleaseJitter(Cycles::ZERO),
+            Choice::ExecScale(600_000),
+        ];
+        let visited = VisitedSet::new();
+        let mut search = Pulls {
+            inner: PathOracle::search(prefix.clone(), &d, &visited),
+            pulled: Cell::new(0),
+        };
+        simulate_with_oracle(&ts, &platform, &cfg, &mut search);
+        let log = search.inner.log;
+        let branching = log.iter().filter(|r| r.branch.is_some()).count();
+        assert!(branching > 0 && branching < log.len() - prefix.len());
+        assert!(log[..prefix.len()].iter().all(|r| r.branch.is_none()));
+        assert_eq!(search.pulled.get(), branching, "one pull per branch point");
+
+        // Each logged fingerprint is the one an eager oracle is shown.
+        let answers = log.iter().map(|r| ScriptedChoice {
+            point: r.point,
+            value: r.chosen,
+        });
+        let mut eager = Eager {
+            script: ScriptOracle::new(answers.collect()),
+            hashes: Vec::new(),
+        };
+        simulate_with_oracle(&ts, &platform, &cfg, &mut eager);
+        assert_eq!(eager.hashes.len(), log.len());
+        for (rec, &hash) in log.iter().zip(&eager.hashes) {
+            if let Some((state, _)) = rec.branch {
+                assert_eq!(state, hash);
+            }
+        }
+
+        let mut replay = Pulls {
+            inner: PathOracle::replay(prefix),
+            pulled: Cell::new(0),
+        };
+        simulate_with_oracle(&ts, &platform, &cfg, &mut replay);
+        assert_eq!(
+            replay.pulled.get(),
+            0,
+            "a witness replay fingerprints nothing"
+        );
+        let replayed = replay.inner.log;
+        assert!(replayed.iter().all(|r| r.branch.is_none()));
+        let answers =
+            |log: &[QueryRecord]| log.iter().map(|r| (r.point, r.chosen)).collect::<Vec<_>>();
+        assert_eq!(answers(&replayed), answers(&log));
     }
 }

@@ -398,7 +398,10 @@ fn cmd_trace(cli: &Cli, run: &rtmdm_core::RunReport) -> ExitCode {
                 payload.len()
             );
         }
-        None => print!("{payload}"),
+        // JSONL ends each line itself; the Chrome document does not, so
+        // it gets the newline that keeps a Gantt below it on its own lines.
+        None if payload.is_empty() || payload.ends_with('\n') => print!("{payload}"),
+        None => println!("{payload}"),
     }
     if cli.gantt {
         let tl = Timeline::from_trace(&run.result.trace, run.result.horizon);

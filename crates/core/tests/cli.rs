@@ -304,6 +304,28 @@ fn trace_jsonl_and_gantt_go_to_stdout() {
 }
 
 #[test]
+fn chrome_trace_and_gantt_go_to_stdout_on_separate_lines() {
+    for seconds in ["0", "1"] {
+        let out = rtmdm(&[
+            "trace",
+            "--task",
+            "kws=ds-cnn@100",
+            "--seconds",
+            seconds,
+            "--format",
+            "chrome",
+            "--gantt",
+        ]);
+        assert!(out.status.success());
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let first = stdout.lines().next().expect("nonempty");
+        serde_json::from_str::<rtmdm_obs::ChromeTrace>(first)
+            .unwrap_or_else(|e| panic!("--seconds {seconds}: {e:?}: {first}"));
+        assert!(stdout.contains("CPU |"), "{stdout}");
+    }
+}
+
+#[test]
 fn unknown_trace_format_gets_specific_error() {
     let out = rtmdm(&["trace", "--task", "kws=ds-cnn@100", "--format", "yaml"]);
     assert_eq!(out.status.code(), Some(1));

@@ -12,8 +12,8 @@
 //! Two consumers build on this:
 //!
 //! - the schedule-space explorer in `rtmdm-check` enumerates the answer
-//!   lattice exhaustively, using the [`StateHash`] passed alongside each
-//!   query to merge converging interleavings;
+//!   lattice exhaustively, pulling the [`StateHash`] at the queries where
+//!   it may merge converging interleavings;
 //! - [`ScriptOracle`] replays a recorded answer list verbatim — a
 //!   violation witness is a `SimConfig` plus such a script, and replay
 //!   reproduces the violating run step for step.
@@ -250,15 +250,28 @@ pub struct ScriptedChoice {
 /// point when run through
 /// [`simulate_with_oracle`](crate::sim::simulate_with_oracle).
 ///
-/// `state` is the canonical fingerprint of the simulator's dynamic
-/// state *at the query* (settled, so sub-cycle credits are canonical);
-/// replay oracles ignore it, exploration oracles use it to merge
-/// converging interleavings.
+/// The simulator asks through [`answer`](SimOracle::answer), which
+/// hands the oracle the canonical fingerprint of the simulator's
+/// dynamic state *at the query* (settled, so sub-cycle credits are
+/// canonical) as a function to call, not a value: hashing walks every
+/// job queue and pending event, so an oracle pays for it only where
+/// its answer reads it. Replay oracles never do; the explorer's path
+/// oracle does at the queries where its path may merge.
 pub trait SimOracle {
-    /// Answers one decision. Returning a mismatched [`Choice`] kind is
-    /// tolerated and degrades to the deterministic default for the
-    /// point.
+    /// Answers one decision, given the fingerprint at the query.
+    /// Returning a mismatched [`Choice`] kind is tolerated and degrades
+    /// to the deterministic default for the point.
     fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice;
+
+    /// The simulator's entry point: answers one decision, calling
+    /// `state` for the fingerprint at the query only if the answer
+    /// depends on it (every call returns the same hash). The provided
+    /// method fingerprints every query and defers to
+    /// [`choose`](SimOracle::choose); an oracle that reads the state at
+    /// only some queries, or never, overrides it.
+    fn answer(&mut self, point: ChoicePoint, state: &dyn Fn() -> StateHash) -> Choice {
+        self.choose(point, state())
+    }
 
     /// Whether the run should end once the instant being processed is
     /// complete. The simulator asks after every processed instant,
@@ -275,7 +288,7 @@ pub trait SimOracle {
 /// the deterministic default once the script is exhausted. This is the
 /// witness-replay vehicle — the explorer serializes the choices that
 /// led to a violation, and replaying them reproduces the violating run
-/// exactly.
+/// exactly. It never reads the state, so a replay fingerprints nothing.
 #[derive(Debug, Clone)]
 pub struct ScriptOracle {
     script: Vec<ScriptedChoice>,
@@ -295,7 +308,11 @@ impl ScriptOracle {
 }
 
 impl SimOracle for ScriptOracle {
-    fn choose(&mut self, point: ChoicePoint, _state: StateHash) -> Choice {
+    fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice {
+        self.answer(point, &|| state)
+    }
+
+    fn answer(&mut self, point: ChoicePoint, _state: &dyn Fn() -> StateHash) -> Choice {
         let answer = match self.script.get(self.cursor) {
             Some(entry) => entry.value,
             None => Choice::default_for(&point),

@@ -48,7 +48,8 @@
 //! The oracle's [`StateHash`] is the derived [`Hash`] of the simulator
 //! state without its record of the past (`State::fingerprint`), so a
 //! field added to the state is fingerprinted with no edit to hashing
-//! code.
+//! code. It is computed only at the queries whose oracle pulls it
+//! ([`SimOracle::answer`]).
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -476,7 +477,7 @@ impl Hash for Past {
 /// Deliberately **excluded** is the RNG, which is never consulted in
 /// oracle mode (the only mode snapshots exist in); the fault injector
 /// is stateless. A run resumed from a snapshot is byte-identical to the
-/// run that captured it, including the oracle fingerprint sequence
+/// run that captured it, including every fingerprint its oracle pulls
 /// (pinned by tests).
 #[derive(Debug, Clone)]
 pub struct SimSnapshot {
@@ -1845,23 +1846,25 @@ impl Sim<'_> {
 
     // --- oracle queries ----------------------------------------------------
 
-    /// Answers one choice point through the oracle: fingerprints the
-    /// state, counts the query and asks. Oracle mode only.
+    /// Answers one choice point through the oracle: counts the query
+    /// and asks, offering the state's fingerprint for the oracle to
+    /// pull if its answer reads it. Oracle mode only.
     fn ask(&mut self, point: ChoicePoint) -> Choice {
-        let state = self.state.fingerprint();
         self.queries += 1;
+        let state = &self.state;
         self.oracle
             .as_deref_mut()
             .expect("oracle mode")
-            .choose(point, state)
+            .answer(point, &|| state.fingerprint())
     }
 }
 
 impl State {
     /// Fingerprints the state for an oracle query: its derived [`Hash`],
     /// which covers every field outside [`Past`], the pending events in
-    /// drain order. Only called in oracle mode, at most once per choice
-    /// point, so default runs never pay for it.
+    /// drain order. Computed only when an oracle pulls it through
+    /// [`SimOracle::answer`], so default runs, script replays and the
+    /// explorer's non-branching queries never pay for it.
     fn fingerprint(&self) -> StateHash {
         let mut h = StableHash::new();
         self.hash(&mut h);

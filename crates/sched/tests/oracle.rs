@@ -3,6 +3,8 @@
 //! script must replay identically every time — these two properties are
 //! what make explorer witnesses trustworthy.
 
+use proptest::prelude::*;
+
 use rtmdm_mcusim::{Cycles, FaultPlan, PlatformConfig, TaskId, TraceKind};
 use rtmdm_sched::gen::{generate, TasksetParams};
 use rtmdm_sched::script::{
@@ -281,6 +283,143 @@ impl SimOracle for Recording {
     fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice {
         self.hashes.push(state);
         self.script.choose(point, state)
+    }
+}
+
+/// A deterministic pseudo-random word for position `index` under
+/// `salt` (a splitmix64 step).
+fn mix(salt: u64, index: usize) -> u64 {
+    let mut z = salt.wrapping_add((index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// The answer to query `index` of a run under `salt`: one of the two
+/// endpoints the explorer branches over, faults on a quarter of the
+/// transfer queries.
+fn endpoint(point: ChoicePoint, index: usize, salt: u64, jitter: u64) -> Choice {
+    let r = mix(salt, index);
+    match point {
+        ChoicePoint::ExecScale { min_ppm, .. } if r & 1 == 1 => Choice::ExecScale(min_ppm),
+        ChoicePoint::ReleaseJitter { .. } if r & 1 == 1 => Choice::ReleaseJitter(cy(jitter)),
+        ChoicePoint::TransferFault { .. } => Choice::TransferFault(r & 6 == 0),
+        _ => Choice::default_for(&point),
+    }
+}
+
+/// Answers [`endpoint`]s from absolute query `from` on and records the
+/// fingerprint at every query, pulled eagerly by the provided
+/// [`SimOracle::answer`].
+struct Eager {
+    from: usize,
+    salt: u64,
+    jitter: u64,
+    log: Vec<(ChoicePoint, Choice, StateHash)>,
+}
+
+impl SimOracle for Eager {
+    fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice {
+        let answer = endpoint(point, self.from + self.log.len(), self.salt, self.jitter);
+        self.log.push((point, answer, state));
+        answer
+    }
+}
+
+/// Answers like [`Eager`], but pulls the fingerprint only at the
+/// queries `pull` selects.
+struct Lazy {
+    from: usize,
+    salt: u64,
+    jitter: u64,
+    pull: u64,
+    log: Vec<(ChoicePoint, Choice, Option<StateHash>)>,
+}
+
+impl SimOracle for Lazy {
+    fn choose(&mut self, point: ChoicePoint, state: StateHash) -> Choice {
+        self.answer(point, &|| state)
+    }
+
+    fn answer(&mut self, point: ChoicePoint, state: &dyn Fn() -> StateHash) -> Choice {
+        let index = self.from + self.log.len();
+        let answer = endpoint(point, index, self.salt, self.jitter);
+        let pulled = (mix(self.pull, index) & 1 == 1).then(state);
+        self.log.push((point, answer, pulled));
+        answer
+    }
+}
+
+/// Checks a lazy oracle's log against the eager log of the same run.
+fn same_answers_and_pulled_fingerprints(
+    lazy: &[(ChoicePoint, Choice, Option<StateHash>)],
+    eager: &[(ChoicePoint, Choice, StateHash)],
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(lazy.len(), eager.len());
+    for (i, (l, e)) in lazy.iter().zip(eager).enumerate() {
+        prop_assert_eq!((l.0, l.1), (e.0, e.1), "query {}", i);
+        if let Some(hash) = l.2 {
+            prop_assert_eq!(hash, e.2, "fingerprint at query {}", i);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+    /// A fingerprint pulled lazily is the fingerprint the eager oracle
+    /// is shown at the same query, and pulling it or not changes
+    /// nothing: over generated gated and work-conserving runs with
+    /// faults, jitter and scaled execution times, from time zero and
+    /// resumed from a snapshot, an oracle that pulls at a random subset
+    /// of queries gets the eager oracle's trace, answers and hashes.
+    #[test]
+    fn lazily_pulled_fingerprints_match_the_eager_ones(
+        seed in 0u64..100_000,
+        n_tasks in 1usize..5,
+        util_pct in 5u64..70,
+        wc in proptest::bool::ANY,
+        scaled in proptest::bool::ANY,
+        faults in proptest::bool::ANY,
+        jitter in 0u64..20_000,
+        salt in 0u64..=u64::MAX,
+        pull in 0u64..=u64::MAX,
+        snap_sel in 0usize..1_000,
+    ) {
+        let p = platform();
+        let ts = generate(&TasksetParams::baseline(n_tasks, util_pct * 10_000), &p, seed);
+        let horizon = ts.tasks().iter().map(|t| t.period.get()).max().unwrap() * 2;
+        let mut cfg = config(horizon);
+        cfg.work_conserving = wc;
+        cfg.exec_scale_min_ppm = if scaled { 600_000 } else { 1_000_000 };
+        if faults {
+            cfg.fault = FaultPlan {
+                seed,
+                dma_fault_rate_ppm: 1,
+                max_retries: 2,
+                jitter_max_cycles: 0,
+            };
+        }
+        let mut snaps = Vec::new();
+        let mut eager = Eager { from: 0, salt, jitter, log: Vec::new() };
+        let full = simulate_with_oracle_forked(&ts, &p, &cfg, &mut eager, None, Some(&mut snaps));
+        let mut lazy = Lazy { from: 0, salt, jitter, pull, log: Vec::new() };
+        let run = simulate_with_oracle(&ts, &p, &cfg, &mut lazy);
+        prop_assert_eq!(full.trace.events(), run.trace.events());
+        prop_assert_eq!(&full.stats, &run.stats);
+        prop_assert_eq!(&full.races, &run.races);
+        same_answers_and_pulled_fingerprints(&lazy.log, &eager.log)?;
+
+        if !snaps.is_empty() {
+            let snap = &snaps[snap_sel % snaps.len()];
+            let q = snap.queries_before();
+            let mut lazy = Lazy { from: q, salt, jitter, pull, log: Vec::new() };
+            let resumed = simulate_with_oracle_forked(&ts, &p, &cfg, &mut lazy, Some(snap), None);
+            prop_assert_eq!(full.trace.events(), resumed.trace.events());
+            prop_assert_eq!(&full.stats, &resumed.stats);
+            same_answers_and_pulled_fingerprints(&lazy.log, &eager.log[q..])?;
+        }
     }
 }
 

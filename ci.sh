@@ -82,6 +82,17 @@ cmp "$plain_out" "$zero_out" || {
   echo "fault smoke: zero-rate run differs from no-plan run" >&2; exit 1; }
 rm -f "$fault_out" "$fault_out2" "$plain_out" "$zero_out"
 
+echo "== rtmdm Chrome export pin =="
+# A 10 s faulted run (about 300 KB, 42 fault events) whose task names
+# need escaping: the export writes its JSON directly, not through its
+# serde tree, and must keep these bytes.
+chrome_digest="$(./target/release/rtmdm trace --platform stm32f746-qspi \
+  --task 'k"w\s=ds-cnn@100' --task 'ctl λ=micro-mlp@20' \
+  --task vww=mobilenet-v1-025@500 --seconds 10 --fault-rate 30000 \
+  --fault-seed 7 --format chrome | sha256sum)"
+[[ "$chrome_digest" == 6788e700fb6b62848723cb15576ad9d274b6971ce896a3dec333036e3460bed7\ * ]] || {
+  echo "chrome pin: export digest moved: $chrome_digest" >&2; exit 1; }
+
 echo "== rtmdm explain smoke =="
 # The forensics path: a pinned miss-producing scenario must attribute
 # cleanly (exit 0, conservation exact), print the blame table, and its

@@ -19,7 +19,9 @@
 //! [pairing pass](crate#trace-pairing); those left open at the end of the trace are omitted. Export is a
 //! pure function of the trace, so output bytes are deterministic.
 
-use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
+
+use serde::{Content, Deserialize, Serialize};
 
 use rtmdm_mcusim::{TaskId, Trace, TraceKind};
 
@@ -59,10 +61,44 @@ pub struct ChromeEvent {
 
 /// Root object of a Chrome trace-event file.
 #[allow(non_snake_case)]
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Deserialize)]
 pub struct ChromeTrace {
     /// The event list (field name fixed by the Chrome trace format).
     pub traceEvents: Vec<ChromeEvent>,
+}
+
+/// The tree a derive would build, and the same JSON written directly:
+/// a long run's export has hundreds of thousands of events, and
+/// building, cloning and dropping their tree is most of its cost.
+impl Serialize for ChromeTrace {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![(
+            "traceEvents".to_owned(),
+            self.traceEvents.to_content(),
+        )])
+    }
+
+    fn write_json(&self, out: &mut String) {
+        out.push_str("{\"traceEvents\":[");
+        for (i, e) in self.traceEvents.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"name\":");
+            serde::write_string(&e.name, out);
+            out.push_str(",\"cat\":");
+            serde::write_string(&e.cat, out);
+            out.push_str(",\"ph\":");
+            serde::write_string(&e.ph, out);
+            write!(
+                out,
+                ",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{}}}",
+                e.ts, e.dur, e.pid, e.tid
+            )
+            .expect("writing to a String cannot fail");
+        }
+        out.push_str("]}");
+    }
 }
 
 /// Task `k`'s name from the label slice, or `T{k}` beyond it; formats

@@ -8,6 +8,8 @@
 //! - so is the witness an explored deadline miss writes (`rtmdm check
 //!   --explore --witness`), whose dominant blame is read from the
 //!   violating run's trace, under both exploration strategies;
+//! - the Chrome export's direct JSON writer emits exactly the bytes of
+//!   its `Content` tree, on faulted runs with hostile task names;
 //! - timeline analytics satisfy their accounting invariants — CPU busy
 //!   and idle partition the horizon exactly, utilizations and the
 //!   fetch/compute overlap ratio stay within `[0, 1]` — across random
@@ -402,6 +404,57 @@ proptest! {
         let tl = Timeline::from_trace(&result.trace, result.horizon);
         prop_assert_eq!(tl.dma_busy(), Cycles::ZERO);
         prop_assert_eq!(tl.overlap_ratio_ppm(), 0);
+    }
+
+    /// The Chrome export's direct writer and the default tree writer
+    /// emit the same bytes, and both parse back to the same export, on
+    /// faulted runs (gated or work-conserving, with execution and
+    /// transfer jitter) whose task names need escaping.
+    #[test]
+    fn chrome_export_writes_its_tree_bytes(
+        seed in 0u64..100_000,
+        n_tasks in 2usize..5,
+        util_pct in 40u64..120,
+        fault_pick in 0usize..3,
+        work_conserving in proptest::bool::ANY,
+        name_picks in proptest::collection::vec(proptest::collection::vec(0usize..7, 0..5), 0..5),
+    ) {
+        const PIECES: [&str; 7] = ["\"", "\\", "\n", "\u{1}", "λ", "kws", " "];
+        let names: Vec<String> = name_picks
+            .iter()
+            .map(|picks| picks.iter().map(|&k| PIECES[k]).collect())
+            .collect();
+        let mut params = TasksetParams::baseline(n_tasks, util_pct * 10_000);
+        params.fetch_compute_ratio_ppm = 800_000;
+        let p = PlatformConfig::stm32f746_qspi();
+        let ts = generate(&params, &p, seed);
+        let max_t = ts.tasks().iter().map(|t| t.period).max().unwrap();
+        let config = SimConfig {
+            exec_scale_min_ppm: 700_000,
+            seed,
+            work_conserving,
+            fault: FaultPlan {
+                seed,
+                dma_fault_rate_ppm: [32_000, 100_000, 200_000][fault_pick],
+                max_retries: 3,
+                jitter_max_cycles: 300,
+            },
+            attribution: true,
+            ..SimConfig::new(max_t * 3, Policy::FixedPriority)
+        };
+        let result = simulate(&ts, &p, &config);
+        let with_blame = chrome_trace_with_blame(&result.trace, &names);
+        let plain = chrome_trace(&result.trace, &names);
+        for (ct, direct) in [
+            (&with_blame, serde_json::to_string(&with_blame).expect("serializes")),
+            (&plain, chrome_trace_json(&result.trace, &names)),
+        ] {
+            let mut tree = String::new();
+            serde::write_content(&serde::Serialize::to_content(ct), &mut tree);
+            prop_assert_eq!(&direct, &tree);
+            let back: ChromeTrace = serde_json::from_str(&direct).expect("parses");
+            prop_assert_eq!(&back, ct);
+        }
     }
 
     /// Chrome exports of random runs always round-trip and pair events.
